@@ -31,9 +31,6 @@ TAG_QD16 = "QD16"
 TAG_PAULI = "Pauli"
 TAG_B32 = "B32"
 
-_DEGREES = {TAG_K8: 8, TAG_D16: 16, TAG_QD16: 16, TAG_PAULI: 16, TAG_B32: 32}
-_GROUP_ORDERS = {TAG_K8: 8, TAG_D16: 16, TAG_QD16: 16, TAG_PAULI: 16, TAG_B32: 32}
-
 
 @dataclass(frozen=True)
 class GaloisTag:
@@ -49,7 +46,8 @@ class GaloisTag:
 
     @property
     def group_order(self) -> int | None:
-        return _GROUP_ORDERS.get(self.name)
+        # |Gal(E/Q)| = [E:Q]
+        return self.splitting_degree
 
 
 def _prime_divisors(n: int) -> list[int]:

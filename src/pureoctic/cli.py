@@ -255,8 +255,7 @@ _NAMED_GROUPS = {
     "pauli-affine": groups.pauli_affine_model,
     "hol-c8": groups.hol_c8_model,
     "q8": groups.quaternion_group,
-    "d8": lambda: groups.closure([groups.Perm([1, 2, 3, 0]),
-                                  groups.Perm([0, 3, 2, 1])]),
+    "d8": groups._dihedral8,
 }
 
 

@@ -1,6 +1,7 @@
 """Tiny exact linear algebra over Fraction: reduced row echelon form,
 nullspaces, linear solves and span membership.  Matrices are lists of row
-tuples; everything stays exact."""
+tuples; everything stays exact.  The tests use it as the dense reference
+for the fixed fields that `splitting` reads off the monomial Galois action."""
 
 from __future__ import annotations
 

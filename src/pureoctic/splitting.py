@@ -3,10 +3,12 @@ X^8 + k^2, where a is a root and w is a primitive 8th root of unity.
 
 Elements are 16-vectors of rationals over the basis a^j * w^e (j = 0..7,
 e = 0..1), with the reduction rules a^8 = -k^2 and w^2 = a^4 / k.  The
-16 automorphisms a -> a*w^t, w -> w^s (s = 2t+1 mod 4) are realized as
-exact 16x16 matrices; fixed fields of subgroups come out of nullspace
-computations, and the full subgroup <-> subfield correspondence is
-assembled into a lattice report.
+16 automorphisms a -> a*w^t, w -> w^s (s = 2t+1 mod 4) send each basis
+monomial a^j * w^e to a^j * w^(tj+se), a rational multiple of one basis
+monomial, so each acts as a permutation of the basis with scalings.  The
+fixed field of a subgroup is spanned by its orbit sums, the inverse of an
+element is the product of its other conjugates over its norm, and the full
+subgroup <-> subfield correspondence is assembled into a lattice report.
 
 The module also certifies the quadratic-form change-of-basis matrix T over
 Q(sqrt(-2)) (det 1, transforms diag(2, k, 1/2k) to the identity) and the
@@ -19,8 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from . import binomial, groups, linalg
+from . import binomial, groups
 from .arith import Rational, squarefree_part
 from .groups import FinGroup, Perm
 
@@ -137,17 +140,19 @@ class FieldElt:
         return self * other.inverse()
 
     def inverse(self) -> "FieldElt":
-        """Multiplicative inverse, by solving (mult-by-self) x = 1."""
+        """Multiplicative inverse: the product of the 15 other conjugates
+        divided by the rational norm."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of 0 in the splitting field")
-        cols = [(self * self.field.basis_element(j)).coeffs for j in range(16)]
-        matrix = [[cols[j][i] for j in range(16)] for i in range(16)]
-        rhs = [Fraction(0)] * 16
-        rhs[0] = Fraction(1)
-        x = linalg.solve(matrix, rhs)
-        if x is None:
-            raise ArithmeticError("multiplication matrix is singular")
-        return FieldElt(self.field, x)
+        field = self.field
+        others = field.one()
+        for aut in field.galois_group():
+            if not aut.is_identity():
+                others = others * field.apply(aut, self)
+        norm = self * others
+        if not norm.is_rational():
+            raise ArithmeticError("norm of a field element is not rational")
+        return others / norm.rational_value()
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -214,11 +219,11 @@ class SplittingField:
             raise ValueError(f"k = {k} rejected: {violation}")
         self.k = k
         self._mul_table = self._build_mul_table(k)
-        self._aut_matrices: dict[AffineAut, tuple] = {}
         self._w_pow = self._build_w_powers()
         self._galois = tuple(
             AffineAut(t, s) for t in range(8) for s in (1, 3, 5, 7)
             if (s - 2 * t - 1) % 4 == 0)
+        self._actions = {aut: self._monomial_action(aut) for aut in self._galois}
         self._verify_construction()
 
     @staticmethod
@@ -343,42 +348,32 @@ class SplittingField:
     def galois_group(self) -> tuple[AffineAut, ...]:
         return self._galois
 
-    def _matrix_for(self, aut: AffineAut) -> tuple:
-        cols = self._aut_matrices.get(aut)
-        if cols is not None:
-            return cols
-        a_img = self.a * self._w_pow[aut.t]
-        w_img = self._w_pow[aut.s]
-        a_powers = [self.one()]
-        for _ in range(7):
-            a_powers.append(a_powers[-1] * a_img)
-        cols = []
+    def _monomial_action(self, aut: AffineAut) -> tuple:
+        # a^j*w^e -> a^j*w^(tj+se): one (target index, scale) per basis index
+        action = []
         for idx in range(16):
             j, e = divmod(idx, 2)
-            img = a_powers[j] * w_img if e else a_powers[j]
-            cols.append(img.coeffs)
-        cols = tuple(cols)
-        self._aut_matrices[aut] = cols
-        return cols
+            target, scale = 2 * j, Fraction(1)
+            for _ in range((aut.t * j + aut.s * e) % 8):
+                target, factor = self._mul_table[target][1]  # times w
+                scale *= factor
+            action.append((target, scale))
+        if sorted(target for target, _ in action) != list(range(16)):
+            raise AssertionError(f"{aut} does not permute the basis monomials")
+        return tuple(action)
 
     def apply(self, aut: AffineAut, u: FieldElt) -> FieldElt:
         """Image of u under a -> a*w^t, w -> w^s (an exact ring map)."""
-        cols = self._matrix_for(aut)
         out = [Fraction(0)] * 16
-        for idx, c in enumerate(u.coeffs):
-            if c == 0:
-                continue
-            col = cols[idx]
-            for i in range(16):
-                if col[i]:
-                    out[i] += c * col[i]
+        for (target, scale), c in zip(self._actions[aut], u.coeffs):
+            out[target] = c * scale
         return FieldElt(self, out)
 
     def orbit(self, u: FieldElt) -> set:
         return {self.apply(s, u).coeffs for s in self._galois}
 
     def _verify_construction(self):
-        # generator relations imply each matrix is a ring homomorphism
+        # generator relations imply each monomial action is a ring homomorphism
         minus_k2 = self.rational(-self.k ** 2)
         for aut in self._galois:
             a_img = self.a * self._w_pow[aut.t]
@@ -416,19 +411,25 @@ class SplittingField:
             for s2 in auts:
                 if s1.compose(s2) not in members:
                     raise ValueError("set of automorphisms is not closed")
-        rows = []
-        for aut in auts:
-            if aut.is_identity():
+        # H acts on the basis by scaled permutations: each orbit carries at
+        # most one fixed vector, its orbit sum, and distinct orbits have
+        # disjoint supports.  Scaled to 1 at the last support index and sorted
+        # by it, the nonzero sums are the canonical RREF nullspace basis.
+        actions = [self._actions[aut] for aut in auts]
+        sums = {}
+        seen = set()
+        for idx in range(16):
+            if idx in seen:
                 continue
-            cols = self._matrix_for(aut)
-            for i in range(16):
-                row = [cols[j][i] - (1 if i == j else 0) for j in range(16)]
-                rows.append(row)
-        if rows:
-            basis_vecs = linalg.nullspace(rows, 16)
-        else:
-            basis_vecs = [tuple(Fraction(1) if i == j else Fraction(0) for i in range(16))
-                          for j in range(16)]
+            vec = [Fraction(0)] * 16
+            for action in actions:
+                target, scale = action[idx]
+                vec[target] += scale
+                seen.add(target)
+            last = max((i for i, c in enumerate(vec) if c), default=None)
+            if last is not None:
+                sums[last] = tuple(c / vec[last] for c in vec)
+        basis_vecs = [sums[last] for last in sorted(sums)]
         degree = 16 // len(auts)
         if len(basis_vecs) != degree:
             raise AssertionError(
@@ -436,7 +437,7 @@ class SplittingField:
         basis = [FieldElt(self, v) for v in basis_vecs]
         primitive = self._primitive_element(basis, degree)
         return FixedField(tuple(auts), degree, basis, primitive,
-                          self._match_label(basis_vecs, degree))
+                          self._match_label(auts, degree))
 
     def _primitive_element(self, basis, degree) -> FieldElt:
         if degree == 1:
@@ -451,6 +452,7 @@ class SplittingField:
                 return u
         raise RuntimeError("primitive element search exhausted")
 
+    @cached_property
     def _label_table(self):
         k = self.k
         quad_classes = [Fraction(-1), Fraction(2), Fraction(-2), k, -k, 2 * k, -2 * k]
@@ -472,11 +474,12 @@ class SplittingField:
         table.append(("Q(a-abar)", [self.a - self.a_bar], 8))
         return table
 
-    def _match_label(self, basis_vecs, degree):
-        for label, gens, label_degree in self._label_table():
+    def _match_label(self, auts, degree):
+        # of equal degree, a label names the fixed field iff H fixes its generators
+        for label, gens, label_degree in self._label_table:
             if label_degree != degree:
                 continue
-            if all(linalg.in_span(list(basis_vecs), g.coeffs) for g in gens):
+            if all(self.apply(aut, g) == g for aut in auts for g in gens):
                 return label
         return None
 
@@ -531,25 +534,15 @@ def _combination_stream(nbasis: int):
 
 
 def _generating_pairs(auts) -> tuple[AffineAut, ...]:
-    """A small generating set of a subgroup given as a closed tuple."""
-    members = set(auts)
+    """A small generating set of a subgroup given as a closed tuple: each
+    member not yet generated by the earlier choices is chosen, in order."""
     chosen = []
-    generated = {IDENTITY_AUT}
+    generated = {IDENTITY_AUT.root_permutation()}
     for aut in auts:
-        if aut in generated:
+        if aut.root_permutation() in generated:
             continue
         chosen.append(aut)
-        frontier = [aut]
-        generated.add(aut)
-        while frontier:
-            x = frontier.pop()
-            for g in list(generated):
-                for y in (x.compose(g), g.compose(x)):
-                    if y not in generated:
-                        generated.add(y)
-                        frontier.append(y)
-        if generated == members:
-            break
+        generated = groups.closure([c.root_permutation() for c in chosen])
     return tuple(chosen) if chosen else (IDENTITY_AUT,)
 
 

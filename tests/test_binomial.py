@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pureoctic import arith, binomial
+from pureoctic import arith, binomial, oracle
 
 
 def test_irreducibility_examples():
@@ -55,6 +55,12 @@ def test_classification_degrees():
     assert binomial.classify_octic(F(-2)).splitting_degree == 16
     assert binomial.classify_octic(F(3)).splitting_degree == 32
     assert binomial.classify_octic(F(4)).splitting_degree is None
+    assert binomial.classify_octic(F(4)).group_order is None
+    # |Gal| = [E:Q] agrees with the order of the 8-point model of every class
+    for c, name in CLASSIFICATION_VECTOR.items():
+        tag = binomial.classify_octic(c)
+        if name != "Reducible":
+            assert tag.group_order == oracle.model_for_tag(tag).order
 
 
 def test_classify_rejects_zero():

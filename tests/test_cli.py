@@ -1,8 +1,27 @@
 """The command-line interface: output shapes, determinism, exit codes."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from pureoctic.cli import main
+
+# stdout of `pureoctic ARGV`, pinned byte for byte; regenerate a file with
+# `python -m pureoctic ARGV > tests/golden/NAME` only for an intended change
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = [
+    (("lattice", "3"), "lattice_3.txt"),
+    (("lattice", "3", "--format", "json"), "lattice_3.json"),
+    (("lattice", "3", "--format", "dot"), "lattice_3.dot"),
+    (("lattice", "5/3"), "lattice_5_3.txt"),
+    (("lattice", "5/3", "--format", "json"), "lattice_5_3.json"),
+    (("lattice", "5/3", "--format", "dot"), "lattice_5_3.dot"),
+    (("lattice", "12"), "lattice_12.txt"),
+    (("lattice", "12", "--format", "json"), "lattice_12.json"),
+    (("lattice", "12", "--format", "dot"), "lattice_12.dot"),
+    (("witt-verify", "3", "--format", "json"), "witt_verify_3.json"),
+]
 
 
 def run(capsys, *argv):
@@ -81,6 +100,14 @@ def test_lattice_json(capsys):
     code, out, _ = run(capsys, "lattice", "3", "--format", "json")
     payload = json.loads(out)
     assert payload["subgroup_count"] == 23
+
+
+@pytest.mark.parametrize("argv, golden", GOLDEN_CASES,
+                         ids=[name for _, name in GOLDEN_CASES])
+def test_golden_output(capsys, argv, golden):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_witt_verify(capsys):

@@ -14,6 +14,24 @@ from pureoctic.splitting import (
 )
 
 
+def _basis_images(field, aut):
+    """Images of the 16 basis monomials, from the images of a and w alone."""
+    a_img = field.a * field.w ** aut.t
+    w_img = field.w ** aut.s
+    return [a_img ** j * w_img ** e for j in range(8) for e in range(2)]
+
+
+def _reference_fixed_basis(field, auts):
+    """Fixed space by dense linear algebra: stack M - I for the 16x16 matrix
+    M of every automorphism and take the canonical RREF nullspace."""
+    rows = []
+    for aut in auts:
+        cols = [img.coeffs for img in _basis_images(field, aut)]
+        for i in range(16):
+            rows.append([cols[j][i] - (i == j) for j in range(16)])
+    return linalg.nullspace(rows, 16)
+
+
 def _random_elt(field, rng, terms=4):
     coeffs = [F(0)] * 16
     for _ in range(terms):
@@ -63,11 +81,12 @@ def test_ring_axioms_random(E3):
 
 def test_inverse(E3):
     rng = random.Random(55)
-    for _ in range(25):
-        u = _random_elt(E3, rng)
-        if u.is_zero():
-            continue
-        assert u * u.inverse() == E3.one()
+    for field in (E3, SplittingField(F(5, 3))):
+        for _ in range(25):
+            u = _random_elt(field, rng)
+            if u.is_zero():
+                continue
+            assert u * u.inverse() == field.one()
     with pytest.raises(ZeroDivisionError):
         E3.zero().inverse()
 
@@ -146,6 +165,18 @@ def test_apply_composition_matches_group_law(E3):
             assert E3.apply(s1.compose(s2), u) == E3.apply(s1, E3.apply(s2, u))
 
 
+def test_automorphisms_act_monomially(E3):
+    # each basis monomial goes to one nonzero multiple of one basis monomial
+    for aut in E3.galois_group():
+        targets = set()
+        for idx, image in enumerate(_basis_images(E3, aut)):
+            support = [i for i, c in enumerate(image.coeffs) if c]
+            assert len(support) == 1
+            targets.update(support)
+            assert E3.apply(aut, E3.basis_element(idx)) == image
+        assert len(targets) == 16
+
+
 def test_every_aut_sends_a_to_a_root(E3):
     minus_k2 = E3.rational(-9)
     for aut in E3.galois_group():
@@ -209,6 +240,15 @@ def test_galois_correspondence(E3):
             same = (len(spaces[i]) == len(spaces[j])
                     and all(linalg.in_span(spaces[i], v) for v in spaces[j]))
             assert not same
+
+
+@pytest.mark.parametrize("k", [F(3), F(5), F(6), F(7), F(3, 4)])
+def test_fixed_fields_match_dense_reference(k):
+    E = SplittingField(k)
+    for H, _ in E.galois_permutation_group().subgroups():
+        auts = [E.aut_from_permutation(p) for p in H]
+        basis = [b.coeffs for b in E.fixed_field(auts).basis]
+        assert basis == _reference_fixed_basis(E, auts)
 
 
 def test_lattice_report(E3):
