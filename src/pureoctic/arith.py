@@ -10,6 +10,7 @@ denominator).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BASES_WIDE = _MR_BASES + (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 _TRIAL_BOUND = 10 ** 6
+_RATIONAL_LITERAL = re.compile(r"[+-]?\d+(_\d+)*(/\d+(_\d+)*)?")
 
 
 def is_prime(n: int) -> bool:
@@ -51,7 +53,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of odd composite n (Brent's cycle variant)."""
+    """One nontrivial factor of odd composite n (Floyd's cycle finding)."""
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
@@ -168,13 +170,14 @@ def _iroot(n: int, k: int) -> tuple[int, bool]:
     if k == 2:
         r = math.isqrt(n)
         return r, r * r == n
-    r = round(n ** (1.0 / k))
-    # float seed, exact fixup
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r, r ** k == n
+    # integer Newton from 2^ceil(bits/k) > n^(1/k): the iterates decrease
+    # strictly until they reach the floor of the root
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r, r ** k == n
+        r = s
 
 
 def nth_root(q: Rational, k: int) -> Rational | None:
@@ -256,8 +259,12 @@ def primes_below(bound: int) -> list[int]:
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse 'p/q' or an integer literal into an exact Fraction."""
+    """Parse 'p/q' or an integer literal into an exact Fraction; decimal and
+    exponent literals such as '0.5' or '1e3' are rejected."""
+    literal = text.strip()
+    if not _RATIONAL_LITERAL.fullmatch(literal):
+        raise ValueError(f"not a rational number: {text!r}")
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(literal)
+    except ZeroDivisionError as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc

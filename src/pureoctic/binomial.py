@@ -166,22 +166,13 @@ def _hol_subgroup_fingerprints() -> set:
     return {groups.fingerprint(H) for H, _ in hol.subgroups()}
 
 
-_TAG_MODEL = {
-    TAG_K8: lambda: groups.direct_product(groups.cyclic(4), groups.cyclic(2)),
-    TAG_D16: lambda: groups.order16_stock_models()["D16"],
-    TAG_QD16: lambda: groups.order16_stock_models()["QD16"],
-    TAG_PAULI: groups.pauli_matrix_group,
-    TAG_B32: groups.hol_c8_model,
-}
-
-
 def full_subgroup_bound(tag: GaloisTag | str) -> bool:
     """Check that the tagged group's order divides |Hol(C8)| = 32 and that a
     subgroup of the Hol(C8) model has the tagged group's fingerprint."""
     name = tag.name if isinstance(tag, GaloisTag) else tag
     if name == TAG_REDUCIBLE:
         raise ValueError("reducible polynomials carry no transitive group")
-    model = _TAG_MODEL[name]()
+    model = groups.group_models()[name].group
     if 32 % model.order != 0:
         return False
     return groups.fingerprint(model) in _hol_subgroup_fingerprints()

@@ -250,15 +250,6 @@ def cmd_oracle(args) -> int:
     return 0 if verdict.passed else 1
 
 
-_NAMED_GROUPS = {
-    "pauli-matrices": groups.pauli_matrix_group,
-    "pauli-affine": groups.pauli_affine_model,
-    "hol-c8": groups.hol_c8_model,
-    "q8": groups.quaternion_group,
-    "d8": groups._dihedral8,
-}
-
-
 def cmd_group_identify(args) -> int:
     try:
         if args.gens:
@@ -268,16 +259,11 @@ def cmd_group_identify(args) -> int:
                 perms.append(groups.Perm(images))
             G = groups.closure(perms)
         else:
-            name = args.name
-            stock = groups.order16_stock_models()
-            if name in stock:
-                G = stock[name]
-            elif name in _NAMED_GROUPS:
-                G = _NAMED_GROUPS[name]()
-            else:
-                choices = sorted(stock) + sorted(_NAMED_GROUPS)
-                return _fail(f"unknown group {name!r}; choices: {choices},"
+            choices = sorted(groups.order16_stock_models()) + sorted(groups.aliases())
+            if args.name not in choices:
+                return _fail(f"unknown group {args.name!r}; choices: {choices},"
                              " or pass --gens")
+            G = groups.group_models()[args.name].group
         fp = groups.fingerprint(G)
         name = groups.identify(G)
     except (ValueError, LookupError) as exc:

@@ -5,15 +5,17 @@ and an isomorphism fingerprint strong enough to tell apart all 14 groups
 of order 16.  The 16-element group generated by the three 2x2 Pauli spin
 matrices is built over exact Gaussian integers and identified by three
 structural criteria: no element of order 8, some non-normal subgroup, and
-a quaternion Q8 subgroup.
+a quaternion Q8 subgroup.  Named groups live in one lazily built registry,
+`group_models()`; an affine map m -> s*m + t of Z/8 is its pair (t, s).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 
 
 class Perm:
@@ -93,19 +95,11 @@ class Perm:
         return f"Perm{self.images}"
 
 
-def closure(generators) -> "FinGroup":
-    """Smallest composition-closed set of permutations containing the
-    generators and the identity (breadth-first multiplication closure)."""
-    gens = sorted(set(generators))
-    if not gens:
-        raise ValueError("need at least one generator")
-    degrees = {g.degree for g in gens}
-    if len(degrees) != 1:
-        raise ValueError("generators act on different point sets")
-    n = degrees.pop()
-    els = {Perm.identity(n)}
-    els.update(gens)
-    boundary = sorted(els)
+def _product_closure(gens) -> set:
+    """All products of the generators, breadth first: for elements of a
+    finite group, the subgroup they generate (the identity included)."""
+    els = set(gens)
+    boundary = list(els)
     while boundary:
         fresh = []
         for a in gens:
@@ -115,7 +109,17 @@ def closure(generators) -> "FinGroup":
                     els.add(c)
                     fresh.append(c)
         boundary = fresh
-    return FinGroup(els, generators=gens)
+    return els
+
+
+def closure(generators) -> "FinGroup":
+    """The permutation group generated by the given permutations."""
+    gens = sorted(set(generators))
+    if not gens:
+        raise ValueError("need at least one generator")
+    if len({g.degree for g in gens}) != 1:
+        raise ValueError("generators act on different point sets")
+    return FinGroup(_product_closure(gens), generators=gens)
 
 
 class FinGroup:
@@ -301,10 +305,31 @@ def relabel(G: FinGroup, pi: Perm) -> FinGroup:
                     generators=[pi * g * inv for g in G.generators])
 
 
+def affine_map(t: int, s: int) -> Perm:
+    """The affine map m -> s*m + t of Z/8 (s odd) as a permutation."""
+    return Perm([(s * m + t) % 8 for m in range(8)])
+
+
+def affine_pair(p: Perm) -> tuple[int, int]:
+    """The (t, s) with p = affine_map(t, s): the inverse of affine_map."""
+    t, s = p(0), (p(1) - p(0)) % 8
+    if s % 2 == 0 or affine_map(t, s) != p:
+        raise ValueError(f"{p} is not an affine map of Z/8")
+    return t, s
+
+
 def affine_group_mod8(pairs) -> FinGroup:
-    """Permutations m -> s*m + t of Z/8 for the given (t, s) pairs."""
-    gens = [Perm([(s * m + t) % 8 for m in range(8)]) for t, s in pairs]
-    return closure(gens)
+    """The group generated by the affine maps of the given (t, s) pairs."""
+    return closure(affine_map(t, s) for t, s in pairs)
+
+
+def _affine_pairs(rule) -> tuple[tuple[int, int], ...]:
+    """The (t, s) pairs of Hol(C8) that satisfy rule(t, s)."""
+    return tuple((t, s) for t in range(8) for s in (1, 3, 5, 7) if rule(t, s))
+
+
+# the automorphisms a -> a*w^t, w -> w^s of the Pauli splitting field
+PAULI_PAIRS = _affine_pairs(lambda t, s: (s - 2 * t - 1) % 4 == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,25 +376,10 @@ PAULI_Y = GaussianMatrix([(0, 0), (0, -1), (0, 1), (0, 0)])
 PAULI_Z = GaussianMatrix([(1, 0), (0, 0), (0, 0), (-1, 0)])
 
 
-def _matrix_closure(gens):
-    els = set(gens)
-    boundary = list(els)
-    while boundary:
-        fresh = []
-        for a in gens:
-            for b in boundary:
-                c = a * b
-                if c not in els:
-                    els.add(c)
-                    fresh.append(c)
-        boundary = fresh
-    return els
-
-
 @lru_cache(maxsize=None)
 def pauli_matrix_group() -> FinGroup:
     """The 16-element matrix group <X, Y, Z> in its regular representation."""
-    matrices = _matrix_closure([PAULI_X, PAULI_Y, PAULI_Z])
+    matrices = _product_closure([PAULI_X, PAULI_Y, PAULI_Z])
     if len(matrices) != 16:
         raise AssertionError(f"Pauli closure has {len(matrices)} elements")
     elements = sorted(matrices, key=lambda m: m.entries)
@@ -380,28 +390,24 @@ def pauli_matrix_group() -> FinGroup:
 def quaternion_group() -> FinGroup:
     """Q8 = <iX, iY> in its regular representation (8 points)."""
     i = GaussianMatrix([(0, 1), (0, 0), (0, 0), (0, 1)])
-    matrices = _matrix_closure([i * PAULI_X, i * PAULI_Y])
+    matrices = _product_closure([i * PAULI_X, i * PAULI_Y])
     if len(matrices) != 8:
         raise AssertionError("quaternion closure is wrong")
     elements = sorted(matrices, key=lambda m: m.entries)
     return from_multiplication(elements, lambda a, b: a * b)
 
 
-@lru_cache(maxsize=None)
 def hol_c8_model() -> FinGroup:
     """Hol(C8): all affine maps m -> s*m + t on Z/8, order 32, on 8 points."""
-    G = affine_group_mod8([(t, s) for t in range(8) for s in (1, 3, 5, 7)])
+    G = group_models()["B32"].model8
     if G.order != 32:
         raise AssertionError("Hol(C8) model has wrong order")
     return G
 
 
-@lru_cache(maxsize=None)
 def pauli_affine_model() -> FinGroup:
     """The full subgroup {(t, s): s = 2t+1 mod 4} of Hol(C8), on 8 points."""
-    pairs = [(t, s) for t in range(8) for s in (1, 3, 5, 7)
-             if (s - 2 * t - 1) % 4 == 0]
-    return affine_group_mod8(pairs)
+    return group_models()["Pauli"].model8
 
 
 # ---------------------------------------------------------------------------
@@ -552,41 +558,95 @@ def _v4_semi_c4_model() -> FinGroup:
     return from_multiplication(els, mult)
 
 
+def _abelian(*orders: int) -> FinGroup:
+    """C(n1) x C(n2) x ..., the direct product taken from the left."""
+    return reduce(direct_product, map(cyclic, orders))
+
+
 def _dihedral8() -> FinGroup:
     return closure([Perm([1, 2, 3, 0]), Perm([0, 3, 2, 1])])
+
+
+# ---------------------------------------------------------------------------
+# the registry of named groups
+
+
+@dataclass(frozen=True)
+class GroupModel:
+    """A named group: its abstract construction (None when the 8-point model
+    is that construction), the (t, s) pairs of its transitive 8-point model
+    in Hol(C8) (None when it has none), and the name identify() returns for
+    it.  An alias is an entry whose identity names another entry."""
+
+    name: str
+    build: Callable[[], FinGroup] | None
+    pairs: tuple[tuple[int, int], ...] | None
+    identity: str
+
+    @cached_property
+    def model8(self) -> FinGroup | None:
+        return None if self.pairs is None else affine_group_mod8(self.pairs)
+
+    @cached_property
+    def group(self) -> FinGroup:
+        return self.model8 if self.build is None else self.build()
+
+
+@lru_cache(maxsize=None)
+def group_models() -> dict[str, GroupModel]:
+    """Every named group model, each group built on first use."""
+    entries = [
+        GroupModel("C16", lambda: cyclic(16), None, "C16"),
+        GroupModel("C8xC2", lambda: _abelian(8, 2), None, "C8xC2"),
+        GroupModel("C4xC4", lambda: _abelian(4, 4), None, "C4xC4"),
+        GroupModel("C4xC2xC2", lambda: _abelian(4, 2, 2), None, "C4xC2xC2"),
+        GroupModel("E16", lambda: _abelian(2, 2, 2, 2), None, "E16"),
+        GroupModel("D16", None, _affine_pairs(lambda t, s: s in (1, 7)), "D16"),
+        GroupModel("QD16", None, _affine_pairs(lambda t, s: s in (1, 3)), "QD16"),
+        GroupModel("M4(2)", None, _affine_pairs(lambda t, s: s in (1, 5)), "M4(2)"),
+        GroupModel("Q16", _q16_model, None, "Q16"),
+        GroupModel("D8xC2", lambda: direct_product(_dihedral8(), cyclic(2)),
+                   None, "D8xC2"),
+        GroupModel("Q8xC2", lambda: direct_product(quaternion_group(), cyclic(2)),
+                   None, "Q8xC2"),
+        GroupModel("Pauli", pauli_matrix_group, PAULI_PAIRS, "Pauli"),
+        GroupModel("C4:C4", _c4_semi_c4_model, None, "C4:C4"),
+        GroupModel("C2^2:C4", _v4_semi_c4_model, None, "C2^2:C4"),
+        GroupModel("K8", lambda: _abelian(4, 2),
+                   _affine_pairs(lambda t, s: s == (2 * t + 1) % 8), "C4xC2"),
+        GroupModel("B32", None, _affine_pairs(lambda t, s: True), "B32"),
+        GroupModel("D8", _dihedral8, None, "D8"),
+        GroupModel("Q8", quaternion_group, None, "Q8"),
+        GroupModel("pauli-matrices", pauli_matrix_group, None, "Pauli"),
+        GroupModel("pauli-affine", pauli_affine_model, None, "Pauli"),
+        GroupModel("hol-c8", hol_c8_model, None, "B32"),
+        GroupModel("q8", quaternion_group, None, "Q8"),
+        GroupModel("d8", _dihedral8, None, "D8"),
+    ]
+    return {m.name: m for m in entries}
+
+
+def aliases() -> list[str]:
+    """Names of the entries that name another entry's group."""
+    models = group_models()
+    return [name for name, m in models.items()
+            if m.identity != name and m.identity in models]
 
 
 @lru_cache(maxsize=None)
 def order16_stock_models() -> dict[str, FinGroup]:
     """Faithful permutation models of all fourteen groups of order 16."""
-    c2, c4, c8 = cyclic(2), cyclic(4), cyclic(8)
-    return {
-        "C16": cyclic(16),
-        "C8xC2": direct_product(c8, c2),
-        "C4xC4": direct_product(c4, c4),
-        "C4xC2xC2": direct_product(direct_product(c4, c2), c2),
-        "E16": direct_product(direct_product(direct_product(c2, c2), c2), c2),
-        "D16": affine_group_mod8([(t, s) for t in range(8) for s in (1, 7)]),
-        "QD16": affine_group_mod8([(t, s) for t in range(8) for s in (1, 3)]),
-        "M4(2)": affine_group_mod8([(t, s) for t in range(8) for s in (1, 5)]),
-        "Q16": _q16_model(),
-        "D8xC2": direct_product(_dihedral8(), c2),
-        "Q8xC2": direct_product(quaternion_group(), c2),
-        "Pauli": pauli_matrix_group(),
-        "C4:C4": _c4_semi_c4_model(),
-        "C2^2:C4": _v4_semi_c4_model(),
-    }
+    return {name: m.group for name, m in group_models().items()
+            if m.identity == name and m.group.order == 16}
 
 
 @lru_cache(maxsize=None)
 def _nonabelian_registry() -> dict[tuple[int, Fingerprint], str]:
+    # aliases stay out, so every fingerprint maps to one canonical name
     registry = {}
-    for name, model in [("D8", _dihedral8()), ("Q8", quaternion_group())]:
-        registry[(8, fingerprint(model))] = name
-    for name, model in order16_stock_models().items():
-        if not model.is_abelian():
-            registry[(16, fingerprint(model))] = name
-    registry[(32, fingerprint(hol_c8_model()))] = "B32"
+    for name, m in group_models().items():
+        if m.identity == name and not m.group.is_abelian():
+            registry[(m.group.order, fingerprint(m.group))] = name
     return registry
 
 

@@ -270,35 +270,27 @@ def consistent(cns: Census, G: FinGroup, tolerance: Rational) -> Verdict:
 # --- stock comparison models -------------------------------------------------
 
 
+# the classifier outcomes, then candidate groups with no transitive 8-point model
+_CANDIDATES = (binomial.TAG_K8, binomial.TAG_D16, binomial.TAG_QD16,
+               binomial.TAG_PAULI, binomial.TAG_B32, "C16", "C8xC2", "Q8xC2")
+
+
 @lru_cache(maxsize=None)
 def stock_models() -> dict[str, FinGroup | None]:
     """Transitive 8-point models of the classifier outcomes, plus candidate
     groups that admit no such model (mapped to None).
 
     The transitive models are full affine subgroups of Hol(C8); each is
-    fingerprint-checked against an independent construction before use.
+    fingerprint-checked against the name its registry entry expects.
     """
-    models = {
-        "K8": groups.affine_group_mod8(
-            [(t, (2 * t + 1) % 8) for t in range(8)]),
-        "D16": groups.affine_group_mod8(
-            [(t, s) for t in range(8) for s in (1, 7)]),
-        "QD16": groups.affine_group_mod8(
-            [(t, s) for t in range(8) for s in (1, 3)]),
-        "Pauli": groups.pauli_affine_model(),
-        "B32": groups.hol_c8_model(),
-        "C16": None,
-        "C8xC2": None,
-        "Q8xC2": None,
-    }
-    expected = {"K8": "C4xC2", "D16": "D16", "QD16": "QD16",
-                "Pauli": "Pauli", "B32": "B32"}
+    table = groups.group_models()
+    models = {name: table[name].model8 for name in _CANDIDATES}
     for name, model in models.items():
         if model is None:
             continue
         if not model.is_transitive():
             raise AssertionError(f"{name} model is not transitive")
-        if groups.identify(model) != expected[name]:
+        if groups.identify(model) != table[name].identity:
             raise AssertionError(f"{name} model has the wrong fingerprint")
     return models
 
@@ -307,15 +299,9 @@ def transitive_8pt_obstruction(name: str) -> str | None:
     """Why a candidate group has no faithful transitive action on 8 points:
     a point stabilizer would be an order-2 subgroup with trivial core, and
     these groups have none (every order-2 subgroup is normal)."""
-    constructions = {
-        "C16": lambda: groups.cyclic(16),
-        "C8xC2": lambda: groups.direct_product(groups.cyclic(8), groups.cyclic(2)),
-        "Q8xC2": lambda: groups.direct_product(groups.quaternion_group(),
-                                               groups.cyclic(2)),
-    }
-    if name not in constructions:
+    if name not in _CANDIDATES or groups.group_models()[name].pairs is not None:
         return None
-    G = constructions[name]()
+    G = groups.group_models()[name].group
     order2 = [(H, nrm) for H, nrm in G.subgroups() if H.order == 2]
     if all(nrm for _, nrm in order2):
         return (f"every order-2 subgroup of {name} is normal, so no point"

@@ -24,11 +24,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import binomial, groups
-from .arith import Rational, squarefree_part
+from .arith import Rational, is_square, squarefree_part
 from .groups import FinGroup, Perm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class AffineAut:
     """The automorphism a -> a*w^t, w -> w^s; on root indices m -> s*m + t.
 
@@ -40,12 +40,9 @@ class AffineAut:
     s: int
 
     def __post_init__(self):
-        if not (0 <= self.t < 8 and 0 <= self.s < 8):
-            raise ValueError("t, s must be residues mod 8")
-        if self.s % 2 == 0:
-            raise ValueError("s must be odd")
-        if (self.s - 2 * self.t - 1) % 4 != 0:
-            raise ValueError(f"(t={self.t}, s={self.s}) violates s = 2t+1 mod 4")
+        if (self.t, self.s) not in groups.PAULI_PAIRS:
+            raise ValueError(f"(t={self.t}, s={self.s}) is not a pair of residues"
+                             " mod 8 with s = 2t+1 mod 4")
 
     def compose(self, other: "AffineAut") -> "AffineAut":
         # self after other
@@ -60,7 +57,7 @@ class AffineAut:
         return self.t == 0 and self.s == 1
 
     def root_permutation(self) -> Perm:
-        return Perm([(self.s * m + self.t) % 8 for m in range(8)])
+        return groups.affine_map(self.t, self.s)
 
     def __str__(self):
         return f"({self.t},{self.s})"
@@ -220,9 +217,7 @@ class SplittingField:
         self.k = k
         self._mul_table = self._build_mul_table(k)
         self._w_pow = self._build_w_powers()
-        self._galois = tuple(
-            AffineAut(t, s) for t in range(8) for s in (1, 3, 5, 7)
-            if (s - 2 * t - 1) % 4 == 0)
+        self._galois = tuple(AffineAut(t, s) for t, s in groups.PAULI_PAIRS)
         self._actions = {aut: self._monomial_action(aut) for aut in self._galois}
         self._verify_construction()
 
@@ -382,28 +377,24 @@ class SplittingField:
                 raise AssertionError(f"{aut}: image of a is not a root")
             if w_img * w_img != (a_img ** 4) / self.k:
                 raise AssertionError(f"{aut}: images break w^2 = a^4/k")
-        perm_group = groups.closure([aut.root_permutation() for aut in self._galois])
-        if perm_group.order != 16:
-            raise AssertionError("affine maps do not close to order 16")
+        perm_group = self.galois_permutation_group()
+        if set(perm_group) != {aut.root_permutation() for aut in self._galois}:
+            raise AssertionError("affine maps do not form a group")
         if groups.identify(perm_group) != "Pauli":
             raise AssertionError("root action lacks the Pauli fingerprint")
 
     def galois_permutation_group(self) -> FinGroup:
-        return groups.closure([aut.root_permutation() for aut in self._galois])
+        return groups.pauli_affine_model()
 
     def aut_from_permutation(self, p: Perm) -> AffineAut:
-        # m -> s*m + t reads off t = p(0), s = p(1) - p(0)
-        aut = AffineAut(p(0) % 8, (p(1) - p(0)) % 8)
-        if aut.root_permutation() != p:
-            raise ValueError(f"{p} is not an affine map of Z/8")
-        return aut
+        return AffineAut(*groups.affine_pair(p))
 
     # --- fixed fields -----------------------------------------------------
 
     def fixed_field(self, subgroup) -> "FixedField":
         """Basis, degree and a certified primitive element of the subfield
         fixed by the given set of automorphisms."""
-        auts = sorted(set(subgroup), key=lambda s: (s.t, s.s))
+        auts = sorted(set(subgroup))
         if IDENTITY_AUT not in auts:
             raise ValueError("subgroup must contain the identity")
         members = set(auts)
@@ -456,17 +447,20 @@ class SplittingField:
     def _label_table(self):
         k = self.k
         quad_classes = [Fraction(-1), Fraction(2), Fraction(-2), k, -k, 2 * k, -2 * k]
+        # the Pauli condition makes these seven classes and 1 a group C2^3
+        # modulo squares, so d1*d2 lies in the class of one of the seven
+        reps = {d: squarefree_part(d).representative for d in quad_classes}
         table = []
         for d in quad_classes:
-            table.append((_field_name([d]), [self.sqrt_of(d)], 2))
+            table.append((_field_name([reps[d]]), [self.sqrt_of(d)], 2))
         for d1, d2 in itertools.combinations(quad_classes, 2):
-            plane = sorted({squarefree_part(d).representative for d in (d1, d2, d1 * d2)},
-                           key=lambda x: (abs(x), x < 0))
+            d3 = next(d for d in quad_classes if is_square(d1 * d2 * d))
+            plane = sorted({reps[d1], reps[d2], reps[d3]}, key=_class_order)
             label = _field_name(plane[:2])
             if any(lbl == label for lbl, _, _ in table):
                 continue
             table.append((label, [self.sqrt_of(d1), self.sqrt_of(d2)], 4))
-        table.append(("Q(i, sqrt(2), sqrt(%s))" % _display_class(k),
+        table.append(("Q(i, sqrt(2), sqrt(%s))" % reps[k],
                       [self.i, self.r, self.v2], 8))
         table.append(("Q(a)", [self.a], 8))
         table.append(("Q(w*a)", [self.a * self.w], 8))
@@ -490,8 +484,7 @@ class SplittingField:
         G = self.galois_permutation_group()
         rows = []
         for H, normal in G.subgroups():
-            auts = tuple(sorted((self.aut_from_permutation(p) for p in H),
-                                key=lambda s: (s.t, s.s)))
+            auts = tuple(sorted(self.aut_from_permutation(p) for p in H))
             fixed = self.fixed_field(auts)
             rows.append(LatticeRow(
                 subgroup=auts,
@@ -502,19 +495,17 @@ class SplittingField:
                 label=fixed.label,
                 generators=_generating_pairs(auts),
             ))
-        rows.sort(key=lambda row: (row.order, [(s.t, s.s) for s in row.subgroup]))
+        rows.sort(key=lambda row: (row.order, row.subgroup))
         return LatticeReport(self.k, tuple(rows))
 
 
-def _display_class(q: Fraction) -> str:
-    return str(squarefree_part(q).representative)
+def _class_order(d: int) -> tuple:
+    return abs(d), d < 0
 
 
-def _field_name(classes) -> str:
-    parts = []
-    for d in sorted((squarefree_part(Fraction(d)).representative for d in classes),
-                    key=lambda x: (abs(x), x < 0)):
-        parts.append("i" if d == -1 else f"sqrt({d})")
+def _field_name(reps) -> str:
+    """The field name Q(...) from square-free class representatives."""
+    parts = ["i" if d == -1 else f"sqrt({d})" for d in sorted(reps, key=_class_order)]
     return "Q(" + ", ".join(parts) + ")"
 
 

@@ -120,6 +120,22 @@ def test_parse_rational():
         arith.parse_rational("x")
     with pytest.raises(ValueError):
         arith.parse_rational("1/0")
+    for literal in ("1e3", "0.5", "1."):
+        with pytest.raises(ValueError):
+            arith.parse_rational(literal)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8])
+def test_iroot_floor_up_to_1e1000(k):
+    rng = random.Random(k)
+    values = [10 ** e + d for e in (20, 120, 308, 309, 400, 1000) for d in (-1, 0, 1)]
+    values += [(10 ** 30 + 12345) ** k + d for d in (-1, 0, 1)]
+    values += [rng.randrange(10 ** 999, 10 ** 1000) for _ in range(10)]
+    values += [r ** k + d for r in (2, 3, rng.randrange(10 ** 150)) for d in (-1, 0, 1)]
+    for n in values:
+        r, exact = arith._iroot(n, k)
+        assert r ** k <= n < (r + 1) ** k
+        assert exact == (r ** k == n)
 
 
 def test_linalg_solve_and_span():

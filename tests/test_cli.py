@@ -22,6 +22,10 @@ GOLDEN_CASES = [
     (("lattice", "12", "--format", "dot"), "lattice_12.dot"),
     (("witt-verify", "3", "--format", "json"), "witt_verify_3.json"),
 ]
+# every name `group-identify` accepts, in the order of its choices list
+GROUP_NAMES = ["C16", "C2^2:C4", "C4:C4", "C4xC2xC2", "C4xC4", "C8xC2", "D16",
+               "D8xC2", "E16", "M4(2)", "Pauli", "Q16", "Q8xC2", "QD16",
+               "d8", "hol-c8", "pauli-affine", "pauli-matrices", "q8"]
 
 
 def run(capsys, *argv):
@@ -60,6 +64,18 @@ def test_classify_invalid(capsys):
     assert code == 2 and "nonzero" in err
     code, _, err = run(capsys, "classify", "zebra")
     assert code == 2
+
+
+def test_classify_rejects_decimal_literals(capsys):
+    for literal in ("1e3", "0.5", "1."):
+        code, out, err = run(capsys, "classify", literal)
+        assert code == 2 and not out and "not a rational number" in err
+
+
+def test_classify_huge_height(capsys):
+    code, out, _ = run(capsys, "classify", str(10 ** 400 + 1))
+    assert code == 0
+    assert "B32" in out
 
 
 def test_classify_json_deterministic(capsys):
@@ -182,6 +198,17 @@ def test_group_identify_gens(capsys):
 def test_group_identify_unknown(capsys):
     code, _, err = run(capsys, "group-identify", "nonsense")
     assert code == 2 and "choices" in err
+    assert err.encode() == (GOLDEN / "group_identify_unknown.txt").read_bytes()
+
+
+def test_group_identify_golden(capsys):
+    blocks = []
+    for name in GROUP_NAMES:
+        code, out, _ = run(capsys, "group-identify", name, "--format", "json")
+        assert code == 0, name
+        blocks.append(f"# group-identify {name} --format json\n{out}")
+    assert "".join(blocks).encode() == \
+        (GOLDEN / "group_identify.txt").read_bytes()
 
 
 def test_python_dash_m_entry():

@@ -34,12 +34,12 @@ def test_closure_examples():
 def test_pauli_matrix_closures():
     # two of the spin matrices only reach a dihedral half: the scalar i
     # needs the third generator (the group has rank 3)
-    xy = groups._matrix_closure([groups.PAULI_X, groups.PAULI_Y])
+    xy = groups._product_closure([groups.PAULI_X, groups.PAULI_Y])
     assert len(xy) == 8
     from_two = groups.from_multiplication(sorted(xy, key=lambda g: g.entries),
                                           lambda a, b: a * b)
     assert groups.identify(from_two) == "D8"
-    xyz = groups._matrix_closure([groups.PAULI_X, groups.PAULI_Y, groups.PAULI_Z])
+    xyz = groups._product_closure([groups.PAULI_X, groups.PAULI_Y, groups.PAULI_Z])
     assert len(xyz) == 16
 
 
@@ -158,3 +158,26 @@ def test_abelian_invariants():
     assert groups.abelian_name((2, 2, 2)) == "E8"
     with pytest.raises(ValueError):
         groups.abelian_invariants(groups._dihedral8())
+
+
+def test_affine_pair_inverts_affine_map():
+    pairs = [(t, s) for t in range(8) for s in (1, 3, 5, 7)]
+    assert [groups.affine_pair(groups.affine_map(t, s)) for t, s in pairs] == pairs
+    assert len(groups.PAULI_PAIRS) == 16
+    with pytest.raises(ValueError):
+        groups.affine_pair(Perm([1, 0, 2, 3, 4, 5, 6, 7]))  # a transposition
+
+
+def test_group_models_identify_as_their_identity():
+    models = groups.group_models()
+    for name, m in models.items():
+        assert m.name == name
+        assert groups.identify(m.group) == m.identity, name
+        if m.model8 is not None:
+            assert m.model8.degree == 8 and m.model8.is_transitive(), name
+            assert groups.identify(m.model8) == m.identity, name
+    assert sorted(groups.aliases()) == ["d8", "hol-c8", "pauli-affine",
+                                        "pauli-matrices", "q8"]
+    # aliases never name a fingerprint: identify answers with canonical names
+    assert set(groups._nonabelian_registry().values()).isdisjoint(groups.aliases())
+    assert groups.pauli_affine_model() is models["Pauli"].model8

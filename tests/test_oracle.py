@@ -1,7 +1,9 @@
 """The mod-p factorization census and its comparison with group models."""
 
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -143,3 +145,14 @@ def test_model_for_tag():
     assert groups.identify(oracle.model_for_tag(tag)) == "D16"
     with pytest.raises(ValueError):
         oracle.model_for_tag("Reducible")
+
+
+def test_obstruction_table():
+    # the 14 groups of order 16, then the five classifier tags
+    names = ["C16", "C2^2:C4", "C4:C4", "C4xC2xC2", "C4xC4", "C8xC2", "D16",
+             "D8xC2", "E16", "M4(2)", "Pauli", "Q16", "Q8xC2", "QD16",
+             "K8", "D16", "QD16", "Pauli", "B32"]
+    table = {name: oracle.transitive_8pt_obstruction(name) for name in names}
+    golden = Path(__file__).parent / "golden" / "obstructions.json"
+    assert (json.dumps(table, indent=2) + "\n").encode() == golden.read_bytes()
+    assert oracle.transitive_8pt_obstruction("nonsense") is None

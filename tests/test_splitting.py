@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pureoctic import groups, linalg
+from pureoctic import arith, groups, linalg
 from pureoctic.splitting import (
     IDENTITY_AUT,
     AffineAut,
@@ -126,6 +126,31 @@ def test_galois_group_is_pauli(E3):
     assert IDENTITY_AUT in G
     perm_group = E3.galois_permutation_group()
     assert groups.identify(perm_group) == "Pauli"
+
+
+def test_galois_permutation_group_is_shared():
+    field = SplittingField(F(3))
+    G = field.galois_permutation_group()
+    assert field.galois_permutation_group() is G
+    # construction enumerated the subgroups once; the lattice reuses them
+    assert G._subgroups is not None
+    assert [field.aut_from_permutation(p) for p in G] == \
+        sorted(field.galois_group(), key=lambda s: s.root_permutation())
+
+
+@pytest.mark.parametrize("k", [F(3), F(5, 3), F(990051)])
+def test_label_table_reduces_each_class_once(monkeypatch, k):
+    import pureoctic.splitting as splitting
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return arith.squarefree_part(q)
+
+    monkeypatch.setattr(splitting, "squarefree_part", counting)
+    rep = SplittingField(k).lattice_report()
+    assert len(rep.rows) == 23
+    assert len(calls) <= 8
 
 
 def test_affine_aut_constraint():
