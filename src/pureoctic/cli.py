@@ -220,10 +220,10 @@ def cmd_sl_search(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         c = parse_rational(args.c)
+        tolerance = parse_rational(args.tolerance)
         tag = binomial.classify_octic(c)
         if tag.name == binomial.TAG_REDUCIBLE:
             return _fail(f"{_poly_display(c)} is reducible: no transitive group to test")
-        tolerance = Fraction(args.tolerance)
         cns = oracle.census(c, args.primes)
         model = oracle.model_for_tag(tag)
         verdict = oracle.consistent(cns, model, tolerance)
@@ -345,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
             "mod-p cycle-type census versus the predicted group")
     p.add_argument("c", help="nonzero rational")
     p.add_argument("--primes", type=int, default=50000,
-                   help="census all good primes below this bound")
+                   help="census all good primes below this bound"
+                        f" (at most {oracle.MAX_CENSUS_BOUND})")
     p.add_argument("--tolerance", default="1/20",
                    help="absolute frequency tolerance (rational)")
 

@@ -17,6 +17,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
+# the largest group the engine closes or enumerates subgroups of
+MAX_GROUP_ORDER = 64
+
 
 class Perm:
     """A permutation of {0..n-1}, stored as its tuple of images."""
@@ -97,7 +100,8 @@ class Perm:
 
 def _product_closure(gens) -> set:
     """All products of the generators, breadth first: for elements of a
-    finite group, the subgroup they generate (the identity included)."""
+    finite group, the subgroup they generate (the identity included).
+    Raises ValueError once that exceeds MAX_GROUP_ORDER elements."""
     els = set(gens)
     boundary = list(els)
     while boundary:
@@ -108,6 +112,9 @@ def _product_closure(gens) -> set:
                 if c not in els:
                     els.add(c)
                     fresh.append(c)
+        if len(els) > MAX_GROUP_ORDER:
+            raise ValueError(f"the generated group has more than"
+                             f" {MAX_GROUP_ORDER} elements")
         boundary = fresh
     return els
 
@@ -213,8 +220,9 @@ class FinGroup:
     def subgroups(self) -> list[tuple["FinGroup", bool]]:
         """All subgroups with normality flags, by breadth-first closure over
         extensions of known subgroups (seeded at the trivial subgroup)."""
-        if self.order > 64:
-            raise ValueError("subgroup enumeration supported up to order 64")
+        if self.order > MAX_GROUP_ORDER:
+            raise ValueError(f"subgroup enumeration supported up to order"
+                             f" {MAX_GROUP_ORDER}")
         if self._subgroups is not None:
             return self._subgroups
         trivial = FinGroup([self.identity()])

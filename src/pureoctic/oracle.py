@@ -10,13 +10,18 @@ cycle type of the Galois group with frequency close to its proportion of
 group elements, which separates all five classifier outcomes at tolerance
 0.05 after a few hundred primes.
 
-Distinct-degree factorization is cheap here because the modulus is a
-binomial: x^N mod (x^8 + c) is the monomial (-c)^(N div 8) * x^(N mod 8),
-so each x^(p^d) costs one modular exponentiation.
+No polynomial is factored.  Since X^8 + c is a binomial, its roots in F_q,
+q = p^d, are the solutions of x^8 = a with a = -c mod p, and F_q^* is cyclic
+of order q - 1: there are g = gcd(8, q - 1) of them when a^((q-1)/g) = 1 and
+none otherwise.  For a good prime the polynomial is square-free, so the root
+counts over F_p, ..., F_(p^8) determine the factor degrees by Mobius
+inversion.  The count rests only on F_q^* being cyclic, never on the
+classifier.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,141 +33,36 @@ from .groups import FinGroup
 
 CycleType = tuple[int, ...]
 
-
-# --- dense polynomial helpers over F_p (ascending coefficient lists) -------
-
-
-def _trim(poly):
-    while poly and poly[-1] == 0:
-        poly.pop()
-    return poly
-
-
-def _poly_mod(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
-    while len(f) - 1 >= dg and f:
-        shift = len(f) - 1 - dg
-        factor = f[-1] * inv_lead % p
-        for i, gc in enumerate(g):
-            f[shift + i] = (f[shift + i] - factor * gc) % p
-        _trim(f)
-    return f
-
-
-def _poly_divmod(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
-    quotient = [0] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg and f:
-        shift = len(f) - 1 - dg
-        factor = f[-1] * inv_lead % p
-        quotient[shift] = factor
-        for i, gc in enumerate(g):
-            f[shift + i] = (f[shift + i] - factor * gc) % p
-        _trim(f)
-    return _trim(quotient), f
-
-
-def _poly_gcd(f, g, p):
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, _poly_mod(f, g, p)
-    if f:
-        inv = pow(f[-1], p - 2, p)
-        f = [c * inv % p for c in f]
-    return f
+# the Mobius function on 1..8 (index 0 unused)
+_MOBIUS = (0, 1, -1, -1, 0, -1, 1, -1, 0)
+# the largest census bound: the sieve allocates one byte per integer below it
+MAX_CENSUS_BOUND = 10 ** 7
 
 
 def factor_mod_p(c: Rational, p: int) -> CycleType:
     """Degrees of the irreducible factors of X^8 + c over F_p, decreasing.
 
-    Distinct-degree factorization; p must be odd and coprime to c.  The
-    polynomial is automatically square-free for such p.
+    p must be an odd prime coprime to c.  N_d, the number of roots in
+    F_(p^d), is the sum of e * (number of degree-e factors) over e | d, which
+    Mobius inversion undoes.
     """
     c = Fraction(c)
     if p == 2 or not arith.is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     if c.numerator % p == 0 or c.denominator % p == 0:
         raise ValueError(f"{p} divides c = {c}: bad prime")
-    cbar = c.numerator * pow(c.denominator, p - 2, p) % p
-    g = [cbar] + [0] * 7 + [1]
+    a = -c.numerator * pow(c.denominator, -1, p) % p
+    roots = [0]
+    for d in range(1, 9):
+        q = p ** d
+        g = math.gcd(8, q - 1)
+        # a lies in F_p^*, so its exponent only matters mod p - 1
+        roots.append(g if pow(a, (q - 1) // g % (p - 1), p) == 1 else 0)
     degrees = []
-    d = 1
-    while 2 * d <= len(g) - 1:
-        # x^(p^d) mod (x^8 + c) is a monomial
-        N = p ** d
-        coef = pow(-cbar % p, N // 8, p)
-        exp = N % 8
-        h = [0] * exp + [coef]
-        h = _poly_mod(h, g, p)
-        h = list(h) + [0] * max(0, 2 - len(h))
-        h[1] = (h[1] - 1) % p  # h := x^(p^d) - x  (mod g)
-        common = _poly_gcd(g, _trim(h), p)
-        if len(common) - 1 > 0:
-            degrees.extend([d] * ((len(common) - 1) // d))
-            g, rem = _poly_divmod(g, common, p)
-            assert not rem
-        d += 1
-    if len(g) - 1 > 0:
-        degrees.append(len(g) - 1)
-    return tuple(sorted(degrees, reverse=True))
-
-
-def brute_force_factor_degrees(c: Rational, p: int) -> CycleType:
-    """Factor degrees by exhaustive trial division over F_p (p small): the
-    independent cross-check for factor_mod_p."""
-    c = Fraction(c)
-    cbar = c.numerator * pow(c.denominator, p - 2, p) % p
-    f = [cbar] + [0] * 7 + [1]
-    degrees = []
-    d = 1
-    while len(f) - 1 > 1:
-        if d > (len(f) - 1) // 2:
-            break
-        found = False
-        # monic candidates of degree d, low coefficients counting in base p
-        for code in range(p ** d):
-            cand = []
-            x = code
-            for _ in range(d):
-                cand.append(x % p)
-                x //= p
-            cand.append(1)
-            q, rem = _poly_divmod(f, cand, p)
-            if not rem and _is_irreducible_small(cand, p):
-                f = q
-                degrees.append(d)
-                found = True
-                break
-        if not found:
-            d += 1
-    if len(f) - 1 > 0:
-        degrees.append(len(f) - 1)
-    return tuple(sorted(degrees, reverse=True))
-
-
-def _is_irreducible_small(f, p):
-    deg = len(f) - 1
-    if deg == 1:
-        return True
-    for code in range(p, p ** ((deg // 2) + 1)):
-        cand = []
-        x = code
-        while x:
-            cand.append(x % p)
-            x //= p
-        if len(cand) - 1 < 1 or cand[-1] == 0:
-            continue
-        if len(cand) - 1 > deg // 2:
-            break
-        inv = pow(cand[-1], p - 2, p)
-        cand = [ci * inv % p for ci in cand]
-        if not _poly_mod(f, cand, p):
-            return False
-    return True
+    for e in range(8, 0, -1):
+        count = sum(_MOBIUS[e // d] * roots[d] for d in range(1, e + 1) if e % d == 0)
+        degrees += [e] * (count // e)
+    return tuple(degrees)
 
 
 # --- census ----------------------------------------------------------------
@@ -197,6 +97,8 @@ def census(c: Rational, bound: int) -> Census:
         raise ValueError("c must be nonzero")
     if bound < 100:
         raise ValueError("bound must be at least 100")
+    if bound > MAX_CENSUS_BOUND:
+        raise ValueError(f"bound must be at most {MAX_CENSUS_BOUND}")
     counts: Counter = Counter()
     skipped = []
     for p in arith.primes_below(bound):
@@ -250,6 +152,8 @@ def consistent(cns: Census, G: FinGroup, tolerance: Rational) -> Verdict:
     if cns.total < 500:
         raise ValueError(f"census of {cns.total} primes is too small (need 500)")
     tolerance = Fraction(tolerance)
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
     model = group_cycle_types(G)
     freqs = cns.frequencies()
     foreign = tuple(t for t in freqs if t not in model)

@@ -179,6 +179,26 @@ def test_oracle_json(capsys):
     assert payload["tag"] == "K8" and payload["passed"] is True
 
 
+@pytest.mark.parametrize("tolerance, message", [
+    ("0.05", "not a rational number: '0.05'"),
+    ("-1/20", "tolerance must be nonnegative"),
+])
+def test_oracle_rejects_bad_tolerance(capsys, tolerance, message):
+    # no floating point in the interface; a negative tolerance is bad input,
+    # not a failed verification
+    code, out, err = run(capsys, "oracle", "9", "--primes", "5000",
+                         f"--tolerance={tolerance}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_oracle_rejects_oversized_prime_bound(capsys):
+    # refused before the sieve allocates a byte per integer
+    code, out, err = run(capsys, "oracle", "9", "--primes", "1000000000000")
+    assert code == 2 and out == ""
+    assert "at most 10000000" in err
+
+
 def test_group_identify_stock(capsys):
     code, out, _ = run(capsys, "group-identify", "QD16")
     assert code == 0
@@ -193,6 +213,15 @@ def test_group_identify_gens(capsys):
                        "--gens", "1 2 3 4 5 6 7 0; 0 3 6 1 4 7 2 5")
     assert code == 0
     assert "identified as: QD16" in out
+
+
+def test_group_identify_gens_too_large(capsys):
+    # S8 (order 40320): the closure stops past 64 elements instead of
+    # building and re-checking the whole group
+    code, out, err = run(capsys, "group-identify",
+                         "--gens", "1 2 3 4 5 6 7 0; 1 0 2 3 4 5 6 7")
+    assert code == 2 and out == ""
+    assert "more than 64 elements" in err
 
 
 def test_group_identify_unknown(capsys):

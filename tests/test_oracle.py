@@ -10,6 +10,85 @@ import pytest
 from pureoctic import binomial, groups, oracle
 
 
+# --- exhaustive trial division over F_p: the independent reference ----------
+# Dense polynomials over F_p are ascending coefficient lists.
+
+
+def _trim(poly):
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _poly_divmod(f, g, p):
+    f = list(f)
+    dg = len(g) - 1
+    inv_lead = pow(g[-1], p - 2, p)
+    quotient = [0] * max(len(f) - dg, 0)
+    while len(f) - 1 >= dg and f:
+        shift = len(f) - 1 - dg
+        factor = f[-1] * inv_lead % p
+        quotient[shift] = factor
+        for i, gc in enumerate(g):
+            f[shift + i] = (f[shift + i] - factor * gc) % p
+        _trim(f)
+    return _trim(quotient), f
+
+
+def _is_irreducible_small(f, p):
+    deg = len(f) - 1
+    if deg == 1:
+        return True
+    for code in range(p, p ** ((deg // 2) + 1)):
+        cand = []
+        x = code
+        while x:
+            cand.append(x % p)
+            x //= p
+        if len(cand) - 1 < 1 or cand[-1] == 0:
+            continue
+        if len(cand) - 1 > deg // 2:
+            break
+        inv = pow(cand[-1], p - 2, p)
+        cand = [ci * inv % p for ci in cand]
+        if not _poly_divmod(f, cand, p)[1]:
+            return False
+    return True
+
+
+def brute_force_factor_degrees(c, p):
+    """Factor degrees of X^8 + c by exhaustive trial division over F_p
+    (p small)."""
+    c = F(c)
+    cbar = c.numerator * pow(c.denominator, p - 2, p) % p
+    f = [cbar] + [0] * 7 + [1]
+    degrees = []
+    d = 1
+    while len(f) - 1 > 1:
+        if d > (len(f) - 1) // 2:
+            break
+        found = False
+        # monic candidates of degree d, low coefficients counting in base p
+        for code in range(p ** d):
+            cand = []
+            x = code
+            for _ in range(d):
+                cand.append(x % p)
+                x //= p
+            cand.append(1)
+            q, rem = _poly_divmod(f, cand, p)
+            if not rem and _is_irreducible_small(cand, p):
+                f = q
+                degrees.append(d)
+                found = True
+                break
+        if not found:
+            d += 1
+    if len(f) - 1 > 0:
+        degrees.append(len(f) - 1)
+    return tuple(sorted(degrees, reverse=True))
+
+
 def test_factor_mod_p_frozen_example():
     # X^8 - 1 over F_3: (x-1)(x+1)(x^2+1) and x^4+1 splits into two quadratics
     assert oracle.factor_mod_p(F(-1), 3) == (2, 2, 2, 1, 1)
@@ -38,11 +117,11 @@ def test_factor_mod_p_against_brute_force():
     cs = [F(9), F(2), F(-2), F(3), F(16), F(5, 7), F(-11, 3)]
     cs += [F(rng.randint(-40, 40) or 1, rng.randint(1, 10)) for _ in range(15)]
     for c in cs:
-        for p in (3, 5, 7):
+        for p in (3, 5, 7, 11):
             if c.numerator % p == 0 or c.denominator % p == 0:
                 continue
             assert oracle.factor_mod_p(c, p) == \
-                oracle.brute_force_factor_degrees(c, p), (c, p)
+                brute_force_factor_degrees(c, p), (c, p)
 
 
 def test_degrees_always_sum_to_eight():
@@ -89,8 +168,22 @@ def test_census_bookkeeping():
     assert sum(n for _, n in cns.counts) == cns.total
     with pytest.raises(ValueError):
         oracle.census(F(9), 50)
+    with pytest.raises(ValueError, match="at most"):  # before the sieve runs
+        oracle.census(F(9), oracle.MAX_CENSUS_BOUND + 1)
     with pytest.raises(ValueError):
         oracle.census(F(0), 1000)
+
+
+def test_census_golden():
+    # census(c, 20000) for eight c, recorded from the distinct-degree
+    # factorization that root counting replaced
+    table = {}
+    for c in ("9", "25", "2", "-2", "3", "16", "-7/5", "12345"):
+        cns = oracle.census(F(c), 20000)
+        table[c] = {"counts": [["+".join(map(str, t)), n] for t, n in cns.counts],
+                    "total": cns.total, "skipped": list(cns.skipped)}
+    golden = Path(__file__).parent / "golden" / "census.json"
+    assert (json.dumps(table, indent=2) + "\n").encode() == golden.read_bytes()
 
 
 def test_census_deterministic():
