@@ -1,8 +1,11 @@
-"""A small exact engine for permutation groups on at most 32 points.
+"""A small exact engine for permutation groups on any number of points;
+closure and subgroup enumeration stop at MAX_GROUP_ORDER elements.
 
-Provides multiplication closure, subgroup-lattice enumeration, quotients,
-and an isomorphism fingerprint strong enough to tell apart all 14 groups
-of order 16.  The 16-element group generated by the three 2x2 Pauli spin
+Each group indexes its sorted elements and holds their Cayley table, and
+subgroups are enumerated as bitmasks over those indices.  Provides
+multiplication closure, subgroup lattices, quotients, and an
+isomorphism fingerprint strong enough to tell apart all 14 groups of
+order 16.  The 16-element group generated by the three 2x2 Pauli spin
 matrices is built over exact Gaussian integers and identified by three
 structural criteria: no element of order 8, some non-normal subgroup, and
 a quaternion Q8 subgroup.  Named groups live in one lazily built registry,
@@ -119,6 +122,11 @@ def _product_closure(gens) -> set:
     return els
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of a bitmask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def closure(generators) -> "FinGroup":
     """The permutation group generated by the given permutations."""
     gens = sorted(set(generators))
@@ -130,26 +138,33 @@ def closure(generators) -> "FinGroup":
 
 
 class FinGroup:
-    """A finite permutation group given by its full (closed) element set."""
+    """A finite permutation group given by its full (closed) element set.
+    Its Cayley table holds the index of elements[i] * elements[j] (elements
+    sorted) at [i][j]; building the table is the closure check."""
 
     def __init__(self, elements, generators=None):
         elements = sorted(set(elements))
         if not elements:
             raise ValueError("empty element set")
         n = elements[0].degree
-        members = frozenset(elements)
         if any(g.degree != n for g in elements):
             raise ValueError("elements act on different point sets")
-        if Perm.identity(n) not in members:
+        index = {g.images: i for i, g in enumerate(elements)}
+        identity = index.get(tuple(range(n)))
+        if identity is None:
             raise ValueError("identity missing")
-        for a in elements:
-            if a.inverse() not in members:
-                raise ValueError("not closed under inversion")
-            for b in elements:
-                if a * b not in members:
-                    raise ValueError("not closed under composition")
+        table = [[index.get(tuple(map(a.images.__getitem__, b.images)))
+                  for b in elements] for a in elements]
+        if any(None in row for row in table):
+            raise ValueError("not closed under composition")
+        if any(identity not in row for row in table):
+            raise ValueError("not closed under inversion")
         self.elements = tuple(elements)
-        self._members = members
+        self._members = frozenset(elements)
+        self._index = index
+        self._table = table
+        self._inverse = [row.index(identity) for row in table]
+        self._identity = identity
         self.degree = n
         self.generators = tuple(generators) if generators else self.elements
         self._subgroups: list | None = None
@@ -195,15 +210,18 @@ class FinGroup:
         return FinGroup(central)
 
     def commutator_subgroup(self) -> "FinGroup":
-        comms = {a * b * a.inverse() * b.inverse()
-                 for a in self.elements for b in self.elements}
-        return closure(comms)
+        t, inv = self._table, self._inverse
+        comms = {t[t[t[a][b]][inv[a]]][inv[b]]
+                 for a in range(self.order) for b in range(self.order)}
+        return self._subgroup(self._join(1 << self._identity, tuple(comms)))
 
     def is_normal_subgroup(self, H: "FinGroup") -> bool:
         if not H.is_subgroup(self):
             raise ValueError("not a subgroup")
-        return all(g * h * g.inverse() in H
-                   for g in self.generators for h in H.elements)
+        t, inv = self._table, self._inverse
+        outer = [self._index[g.images] for g in self.generators]
+        members = {self._index[h.images] for h in H}
+        return all(t[t[g][h]][inv[g]] in members for g in outer for h in members)
 
     def is_transitive(self) -> bool:
         orbit = {0}
@@ -217,29 +235,51 @@ class FinGroup:
                     frontier.append(y)
         return len(orbit) == self.degree
 
+    def _join(self, H: int, gens: tuple[int, ...]) -> int:
+        """The bitmask of the subgroup generated by the subgroup H (a bitmask)
+        and the elements with indices gens, closed by right multiplication."""
+        table = self._table
+        members = _bits(H)
+        for x in members:
+            for g in gens:
+                y = table[x][g]
+                if not H >> y & 1:
+                    H |= 1 << y
+                    members.append(y)
+        return H
+
+    def _subgroup(self, H: int, gens=()) -> "FinGroup":
+        return FinGroup([self.elements[i] for i in _bits(H)],
+                        generators=[self.elements[i] for i in gens])
+
     def subgroups(self) -> list[tuple["FinGroup", bool]]:
-        """All subgroups with normality flags, by breadth-first closure over
-        extensions of known subgroups (seeded at the trivial subgroup)."""
+        """All subgroups with normality flags, ordered by (order, elements).
+
+        Subgroups are bitmasks over the element indices.  Every subgroup is
+        generated by cyclic subgroups, so the lattice is grown from the
+        trivial subgroup by joins with each cyclic subgroup it lacks."""
         if self.order > MAX_GROUP_ORDER:
             raise ValueError(f"subgroup enumeration supported up to order"
                              f" {MAX_GROUP_ORDER}")
         if self._subgroups is not None:
             return self._subgroups
-        trivial = FinGroup([self.identity()])
-        found = {trivial._members: trivial}
+        trivial = 1 << self._identity
+        cyclic = {}
+        for g in range(self.order):
+            cyclic.setdefault(self._join(trivial, (g,)), g)
+        found = {trivial: ()}  # subgroup -> the generators it was joined from
         frontier = [trivial]
         while frontier:
             H = frontier.pop()
-            if H.order == self.order:
-                continue
-            for g in self.elements:
-                if g in H:
-                    continue
-                K = closure(set(H.elements) | {g})
-                if K._members not in found:
-                    found[K._members] = K
-                    frontier.append(K)
-        subs = sorted(found.values(), key=lambda H: (H.order, H.elements))
+            for C, g in cyclic.items():
+                if C & ~H:
+                    gens = (*found[H], g)
+                    K = self._join(H, gens)
+                    if K not in found:
+                        found[K] = gens
+                        frontier.append(K)
+        subs = [self._subgroup(H, found[H])
+                for H in sorted(found, key=lambda H: (H.bit_count(), _bits(H)))]
         self._subgroups = [(H, self.is_normal_subgroup(H)) for H in subs]
         return self._subgroups
 
@@ -263,7 +303,7 @@ def from_multiplication(elements, mult) -> FinGroup:
 
 def regular_representation(G: FinGroup) -> FinGroup:
     """The same abstract group acting on itself by left multiplication."""
-    return from_multiplication(list(G.elements), lambda a, b: a * b)
+    return from_multiplication(range(G.order), lambda a, b: G._table[a][b])
 
 
 def cyclic(n: int) -> FinGroup:
@@ -284,26 +324,20 @@ def direct_product(G: FinGroup, H: FinGroup) -> FinGroup:
 
 
 def quotient_group(G: FinGroup, N: FinGroup) -> FinGroup:
-    """G/N as a permutation group (regular action on cosets); N normal."""
+    """G/N as a permutation group (regular action on cosets); N normal.
+    The cosets are numbered in the order of their least elements."""
     if not G.is_normal_subgroup(N):
         raise ValueError("subgroup is not normal")
-    coset_of = {}
-    cosets = []
-    for g in G.elements:
-        if g in coset_of:
-            continue
-        coset = frozenset(g * n for n in N.elements)
-        for h in coset:
-            coset_of[h] = coset
-        cosets.append(coset)
-    keys = [min(c).images for c in cosets]
-    key_of = {c: min(c).images for c in cosets}
-
-    def mult(k1, k2):
-        g = Perm(k1) * Perm(k2)
-        return key_of[coset_of[g]]
-
-    return from_multiplication(sorted(keys), mult)
+    t = G._table
+    normal = [G._index[n.images] for n in N]
+    coset, reps = {}, []
+    for g in range(G.order):
+        if g not in coset:
+            for n in normal:
+                coset[t[g][n]] = len(reps)
+            reps.append(g)
+    return from_multiplication(range(len(reps)),
+                               lambda a, b: coset[t[reps[a]][reps[b]]])
 
 
 def relabel(G: FinGroup, pi: Perm) -> FinGroup:

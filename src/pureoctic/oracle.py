@@ -42,16 +42,22 @@ MAX_CENSUS_BOUND = 10 ** 7
 def factor_mod_p(c: Rational, p: int) -> CycleType:
     """Degrees of the irreducible factors of X^8 + c over F_p, decreasing.
 
-    p must be an odd prime coprime to c.  N_d, the number of roots in
-    F_(p^d), is the sum of e * (number of degree-e factors) over e | d, which
-    Mobius inversion undoes.
+    p must be an odd prime coprime to c.
     """
     c = Fraction(c)
     if p == 2 or not arith.is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     if c.numerator % p == 0 or c.denominator % p == 0:
         raise ValueError(f"{p} divides c = {c}: bad prime")
-    a = -c.numerator * pow(c.denominator, -1, p) % p
+    return _frobenius_degrees(-c.numerator * pow(c.denominator, -1, p) % p, p)
+
+
+def _frobenius_degrees(a: int, p: int) -> CycleType:
+    """Factor degrees of X^8 - a over F_p for an odd prime p and a nonzero
+    residue a, unchecked.  N_d, the number of roots in F_(p^d), is the sum
+    of e * (number of degree-e factors) over e | d, which Mobius inversion
+    undoes.
+    """
     roots = [0]
     for d in range(1, 9):
         q = p ** d
@@ -91,7 +97,8 @@ class Census:
 
 
 def census(c: Rational, bound: int) -> Census:
-    """factor_mod_p over every good prime below the bound (deterministic)."""
+    """factor_mod_p over every good prime below the bound (deterministic);
+    the sieve's primes skip factor_mod_p's primality check."""
     c = Fraction(c)
     if c == 0:
         raise ValueError("c must be nonzero")
@@ -105,7 +112,8 @@ def census(c: Rational, bound: int) -> Census:
         if p == 2 or c.numerator % p == 0 or c.denominator % p == 0:
             skipped.append(p)
             continue
-        counts[factor_mod_p(c, p)] += 1
+        a = -c.numerator * pow(c.denominator, -1, p) % p
+        counts[_frobenius_degrees(a, p)] += 1
     total = sum(counts.values())
     ordered = tuple(sorted(counts.items(), key=lambda kv: kv[0], reverse=True))
     return Census(c, bound, ordered, total, tuple(skipped))

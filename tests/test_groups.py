@@ -1,12 +1,69 @@
 """The permutation-group engine and the order-16 identification machinery."""
 
+import itertools
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pureoctic import groups
 from pureoctic.groups import Perm
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# groups that are not 2-groups, given as `group-identify --gens` strings
+GENS = {
+    "S4": "1 0 2 3; 1 2 3 0",
+    "A4": "1 2 0 3; 0 2 3 1",
+    "S3xC3": "1 0 2 3 4 5; 1 2 0 3 4 5; 0 1 2 4 5 3",
+    "C3:C4": "1 2 0 3 4 5 6; 0 2 1 4 5 6 3",
+}
+
+
+def _gens_group(text):
+    return groups.closure(Perm(int(x) for x in part.split())
+                          for part in text.split(";"))
+
+
+def _engine_cases():
+    """(label, group) for every registry group and 8-point model, then GENS."""
+    for name, m in groups.group_models().items():
+        yield f"{name}.group", m.group
+        if m.model8 is not None:
+            yield f"{name}.model8", m.model8
+    for name, text in GENS.items():
+        yield name, _gens_group(text)
+
+
+def _reference_subgroups(G):
+    """The closure-based enumerator the Cayley-table engine replaced, with
+    permutation products only: join every known subgroup H with one element
+    g of each coset Hg outside it (all of Hg give the same join) by closing
+    H's generators and g, then test normality.  Returns (elements, normal)."""
+    e = G.identity()
+    found = {frozenset([e]): (e,)}
+    frontier = list(found)
+    while frontier:
+        H = frontier.pop()
+        done = set(H)
+        for g in G.elements:
+            if g not in done:
+                done |= {h * g for h in H}
+                gens = found[H] + (g,)
+                K = frozenset(groups._product_closure(gens))
+                if K not in found:
+                    found[K] = gens
+                    frontier.append(K)
+    return [(tuple(sorted(H)),
+             all(g * h * g.inverse() in H for g in G.generators for h in H))
+            for H in sorted(found, key=lambda H: (len(H), sorted(H)))]
+
+
+def _engine_subgroups(G):
+    return [(H.elements, normal) for H, normal in G.subgroups()]
 
 
 def test_perm_basics():
@@ -181,3 +238,84 @@ def test_group_models_identify_as_their_identity():
     # aliases never name a fingerprint: identify answers with canonical names
     assert set(groups._nonabelian_registry().values()).isdisjoint(groups.aliases())
     assert groups.pauli_affine_model() is models["Pauli"].model8
+
+
+def test_subgroups_match_closure_reference():
+    checked = []
+    for label, G in _engine_cases():
+        if any(G is H for H in checked):
+            continue  # an alias shares its entry's group object
+        checked.append(G)
+        assert _engine_subgroups(G) == _reference_subgroups(G), label
+    assert len(checked) == 25
+
+
+def test_subgroups_golden():
+    # the (element indices, normal) rows, recorded from the closure-based
+    # enumerator before the Cayley-table engine replaced it
+    lines = []
+    for label, G in _engine_cases():
+        index = {g: i for i, g in enumerate(G.elements)}
+        rows = [[[index[h] for h in H.elements], normal]
+                for H, normal in G.subgroups()]
+        lines.append(f"{json.dumps(label)}: {json.dumps(rows, separators=(',', ':'))}")
+    text = "{\n" + ",\n".join(lines) + "\n}\n"
+    assert text.encode() == (GOLDEN / "subgroups.json").read_bytes()
+
+
+def test_fingroup_rejects_bad_element_sets():
+    e, r = Perm.identity(3), Perm([1, 2, 0])
+    with pytest.raises(ValueError, match="not closed under composition"):
+        groups.FinGroup([e, r])  # r*r is missing
+    with pytest.raises(ValueError, match="identity missing"):
+        groups.FinGroup([Perm([1, 0])])
+    with pytest.raises(ValueError, match="different point sets"):
+        groups.FinGroup([Perm.identity(2), e])
+    with pytest.raises(ValueError, match="empty"):
+        groups.FinGroup([])
+    assert groups.FinGroup([e, r, r * r]).order == 3
+
+
+def test_subgroups_refuse_groups_above_max_order():
+    s5 = groups.FinGroup(Perm(p) for p in itertools.permutations(range(5)))
+    assert s5.order == 120 > groups.MAX_GROUP_ORDER
+    with pytest.raises(ValueError, match="supported up to order"):
+        s5.subgroups()
+
+
+def test_subgroup_enumeration_takes_no_closures(monkeypatch):
+    hol = groups.affine_group_mod8(groups.group_models()["B32"].pairs)
+    pauli = groups.affine_group_mod8(groups.PAULI_PAIRS)
+    calls = Counter()
+    closure, mul = groups.closure, Perm.__mul__
+
+    def counted_closure(gens):
+        calls["closure"] += 1
+        return closure(gens)
+
+    def counted_mul(p, q):
+        calls["mul"] += 1
+        return mul(p, q)
+
+    monkeypatch.setattr(groups, "closure", counted_closure)
+    monkeypatch.setattr(Perm, "__mul__", counted_mul)
+    assert len(hol.subgroups()) == 58
+    assert len(pauli.subgroups()) == 23
+    assert calls == Counter()
+
+
+@st.composite
+def _small_generator_sets(draw):
+    n = draw(st.integers(3, 6))
+    perms = st.permutations(range(n)).map(Perm)
+    return draw(st.lists(perms, min_size=2, max_size=3))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_small_generator_sets())
+def test_subgroups_match_reference_on_random_groups(gens):
+    try:
+        G = groups.closure(gens)
+    except ValueError:  # more than MAX_GROUP_ORDER elements
+        assume(False)
+    assert _engine_subgroups(G) == _reference_subgroups(G)
