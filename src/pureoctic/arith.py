@@ -5,12 +5,21 @@ Everything downstream (the octic classifier, Hilbert symbols, the splitting
 field) works over Q with exact arithmetic; this module is the substrate.
 Rationals are `fractions.Fraction` throughout (always reduced, positive
 denominator).
+
+`factor` trial-divides to 10^6 and then runs Brent's rho under a fixed
+budget of modular multiplications, weighted by size; an integer it cannot split within the budget raises
+`FactoringError`, a `ValueError`, so a caller reports it as bad input
+rather than running without bound.  `squarefree_part` factors a rational
+once into its `SquareClass`, which keeps the primes it found; `PrimeBasis`
+treats some classes as vectors over F2, a sign bit plus one bit per prime,
+so that a product of classes is an XOR and no product is factored again.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +32,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BASES_WIDE = _MR_BASES + (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 _TRIAL_BOUND = 10 ** 6
+# what one `factor` call may spend in rho past trial division, in units of
+# 10-20 ns: a multiplication mod a w-word n (64-bit words) costs
+# 16 + 4w + w^2, the interpreter's fixed cost per operation plus the
+# multiplication and division of w-word integers.  The budget is 2-4 s at
+# any size, enough for two 13-digit prime factors
+_RHO_BUDGET = 200_000_000
+_RHO_BATCH = 128
 _RATIONAL_LITERAL = re.compile(r"[+-]?\d+(_\d+)*(/\d+(_\d+)*)?")
 
 
@@ -52,21 +68,54 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of odd composite n (Floyd's cycle finding)."""
-    if n % 2 == 0:
-        return 2
+class FactoringError(ValueError):
+    """An integer that `factor` could not split within its budget."""
+
+
+def _brent_rho(n: int, budget: int) -> tuple[int, int]:
+    """One nontrivial factor of the odd composite n by Brent's variant of
+    Pollard rho (BIT 20, 1980): the differences are multiplied together in
+    batches of _RHO_BATCH per gcd.  Returns (factor, budget spent), and
+    raises FactoringError rather than spend more than `budget`."""
+    words = -(-n.bit_length() // 64)
+    step = 16 + 4 * words + words * words
+    spent = 0
+
+    def charge(multiplications: int) -> None:
+        nonlocal spent
+        spent += multiplications * step
+        if spent > budget:
+            raise FactoringError(f"cannot factor a {len(str(n))}-digit integer"
+                                 " within the factoring budget")
+
     for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho failed on {n}")  # not reachable at desk scale
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            charge(r)
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                batch = min(_RHO_BATCH, r - k)
+                charge(2 * batch)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the batch overshot: replay its steps one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g, spent
+    raise FactoringError(f"cannot factor a {len(str(n))}-digit integer:"
+                         " rho failed for every c < 100")
 
 
 @dataclass(frozen=True)
@@ -87,8 +136,9 @@ class Factorization:
 
 
 def factor(n: int) -> Factorization:
-    """Factor a nonzero integer: trial division to 10^6, then Pollard rho
-    with Miller-Rabin certification of every reported prime."""
+    """Factor a nonzero integer: trial division to 10^6, then Brent's rho
+    with Miller-Rabin certification of every reported prime.  Raises
+    FactoringError when rho would spend more than _RHO_BUDGET."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
@@ -109,6 +159,7 @@ def factor(n: int) -> Factorization:
         q += increments[i]
         i = (i + 1) % 8
     stack = [n] if n > 1 else []
+    budget = _RHO_BUDGET
     while stack:
         m = stack.pop()
         if m == 1:
@@ -116,7 +167,8 @@ def factor(n: int) -> Factorization:
         if is_prime(m):
             exps[m] = exps.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
+        d, spent = _brent_rho(m, budget)
+        budget -= spent
         stack.append(d)
         stack.append(m // d)
     return Factorization(sign, tuple(sorted(exps.items())))
@@ -124,20 +176,27 @@ def factor(n: int) -> Factorization:
 
 @dataclass(frozen=True)
 class SquareClass:
-    """A coset of Q*/(Q*)^2, represented by its signed square-free integer.
+    """A coset of Q*/(Q*)^2, represented by its signed square-free integer
+    and the primes dividing it, ascending.
 
     Two rationals land in the same class iff their quotient is a rational
-    square; multiplication is the group law of Q*/(Q*)^2.
+    square; multiplication is the group law of Q*/(Q*)^2, which multiplies
+    the signs and takes the symmetric difference of the primes.
     """
 
     representative: int
+    primes: tuple[int, ...]
 
     def __post_init__(self):
         if self.representative == 0:
             raise ValueError("square class of 0 is undefined")
+        if math.prod(self.primes) != abs(self.representative):
+            raise ValueError("primes do not match the representative")
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return squarefree_part(Fraction(self.representative * other.representative))
+        primes = tuple(sorted(set(self.primes).symmetric_difference(other.primes)))
+        negative = (self.representative < 0) != (other.representative < 0)
+        return SquareClass(math.prod(primes, start=-1 if negative else 1), primes)
 
     def is_trivial(self) -> bool:
         return self.representative == 1
@@ -147,18 +206,70 @@ class SquareClass:
 
 
 def squarefree_part(q: Rational | int) -> SquareClass:
-    """The signed square-free t with q/t a rational square."""
+    """The class of q: the signed square-free t with q/t a rational square.
+    The numerator and the denominator are factored once each."""
     q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no square-free part")
-    # numerator*denominator differs from q by the square denominator^2
-    n = q.numerator * q.denominator
-    f = factor(n)
-    t = f.sign
-    for p, e in f.exponents:
-        if e % 2:
-            t *= p
-    return SquareClass(t)
+    primes = sorted(p for n in (q.numerator, q.denominator) if abs(n) != 1
+                    for p, e in factor(n).exponents if e % 2)
+    return SquareClass(math.prod(primes, start=-1 if q < 0 else 1), tuple(primes))
+
+
+class PrimeBasis:
+    """Some square classes as vectors over F2.
+
+    The basis is 2 and the primes of the classes, ascending.  A class is an
+    int: bit 0 is the sign and bit i + 1 is `primes[i]`, so the class of a
+    product is the XOR of the classes and 0 is the class of the squares.
+    `vectors` holds the given `SquareClass`es, in order.
+    """
+
+    def __init__(self, classes: Iterable[SquareClass]):
+        classes = tuple(classes)
+        self.primes = tuple(sorted({2}.union(*(c.primes for c in classes))))
+        bit = {p: 2 << i for i, p in enumerate(self.primes)}
+        self.vectors = tuple(int(c.representative < 0) | sum(bit[p] for p in c.primes)
+                             for c in classes)
+
+    def vector(self, q: Rational | int) -> int:
+        """The class of q, found by dividing out the basis primes alone;
+        ValueError if an odd power of another prime divides q."""
+        q = Fraction(q)
+        if q == 0:
+            raise ValueError("0 has no square-free part")
+        v = int(q < 0)
+        n = abs(q.numerator) * q.denominator
+        for i, p in enumerate(self.primes):
+            while n % p == 0:
+                n //= p
+                v ^= 2 << i
+        if math.isqrt(n) ** 2 != n:
+            raise ValueError(f"the square class of {q} is outside the basis")
+        return v
+
+    def representative(self, v: int) -> int:
+        """The signed square-free integer of class v, as `squarefree_part`
+        gives it."""
+        t = -1 if v & 1 else 1
+        for p in self.primes:
+            v >>= 1
+            if v & 1:
+                t *= p
+        return t
+
+
+def f2_rank(vectors) -> int:
+    """The rank over F2 of the span of some class vectors."""
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length()
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
 
 
 def _iroot(n: int, k: int) -> tuple[int, bool]:

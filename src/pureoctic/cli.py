@@ -3,7 +3,8 @@ verification, embedding criteria and the mod-p census oracle.
 
 Rationals on the command line are integers or 'p/q' literals; there is no
 floating point anywhere in the interface.  Exit codes: 0 success, 1 a
-verification failed, 2 invalid input.
+verification failed, 2 invalid input, including a value whose square class
+needs a factorization beyond `arith.factor`'s budget.
 """
 
 from __future__ import annotations
@@ -90,10 +91,9 @@ def cmd_classify(args) -> int:
 def cmd_lattice(args) -> int:
     try:
         k = parse_rational(args.k)
-        field = splitting.SplittingField(k)
+        report = splitting.SplittingField(k).lattice_report()
     except ValueError as exc:
         return _fail(str(exc))
-    report = field.lattice_report()
     if args.format == "dot":
         print(report.as_dot())
     else:
@@ -135,12 +135,14 @@ def cmd_embed(args) -> int:
         a = parse_rational(args.a)
         b = parse_rational(args.b)
         c = parse_rational(args.c)
-        holds_15 = qforms.pauli_embeddable(a, b, c)
-        holds_14 = qforms.brauer_condition(a, b, c)
-        triplets = qforms.sl_search(a, b, c)
+        # a, b and c are factored once here; every criterion below reuses it
+        space = qforms.ClassSpace(a, b, c)
+        holds_15 = qforms.pauli_embeddable(a, b, c, space)
+        holds_14 = qforms.brauer_condition(a, b, c, space)
+        triplets = qforms.sl_search(a, b, c, space)
     except ValueError as exc:
         return _fail(str(exc))
-    classes = qforms.sl_classes(a, b, c)
+    classes = qforms.sl_classes(a, b, c, space)
     lines = [f"square classes of (a, b, c) = ({a}, {b}, {c}): independent",
              f"S_L = {{{', '.join(map(str, classes))}}}",
              f"form condition (15) [a,b,ab] ~ [1,c,c]: "
@@ -150,7 +152,7 @@ def cmd_embed(args) -> int:
     pair_results = {}
     for u, v in ((a, b), (a, c), (b, c)):
         key = f"({u}, {v})"
-        pair_results[key] = qforms.witt_embeddable(u, v)
+        pair_results[key] = qforms.witt_embeddable(u, v, space)
         lines.append(f"quaternion condition for {key} [u,v,uv] ~ [1,1,1]: "
                      f"{'HOLDS' if pair_results[key] else 'fails'}")
     lines.append(f"rewritten triplets (u, v, x) from S_L satisfying (15):"
@@ -166,7 +168,7 @@ def cmd_embed(args) -> int:
         "sl_triplets": [list(t) for t in triplets],
     }
     if args.compare:
-        table, agreements, total = _compare_table(classes)
+        table, agreements, total = _compare_table(space)
         lines.append("")
         lines.append("agreement of (14) and (15) over ordered independent"
                      f" triplets from S_L: {agreements}/{total}")
@@ -177,24 +179,21 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _compare_table(classes):
-    import itertools
-
-    from .arith import squarefree_part
+def _compare_table(space):
+    """(14) against (15) on every ordered independent triplet from S_L, all
+    over the prime basis of `space`."""
+    rep = space.representative
     rows = []
     agreements = 0
     total = 0
-    for u, v, x in itertools.permutations(classes, 3):
-        uv = squarefree_part(Fraction(u) * v).representative
-        if x == uv:
-            continue
-        f15 = qforms.pauli_embeddable(u, v, x)
-        f14 = qforms.brauer_condition(u, v, x)
+    for u, v, x in space.triplets(space.sl_classes(*space.vectors)):
+        f15 = space.pauli_embeddable(u, v, x)
+        f14 = space.brauer_condition(u, v, x)
         total += 1
         if f14 == f15:
             agreements += 1
         else:
-            rows.append(f"  DISAGREE at (u,v,x)=({u},{v},{x}):"
+            rows.append(f"  DISAGREE at (u,v,x)=({rep(u)},{rep(v)},{rep(x)}):"
                         f" (14)={f14} (15)={f15}")
     if not rows:
         rows = ["  no disagreements"]

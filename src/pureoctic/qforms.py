@@ -13,6 +13,15 @@ completion of Q at the place v.  Two quaternion criteria are exposed:
 
 Everything is decided at the finitely many relevant places: infinity, 2,
 and the odd primes dividing a square-free part of a coefficient.
+
+`equivalent` and the criteria run on a `ClassSpace`: the inputs are
+factored once into an `arith.PrimeBasis`, every class in their span is
+then an F2 vector over it, and each relevant place gets one table of the
+Hilbert symbols of the generators.  Each criterion takes an optional
+space, so that a caller asking several questions of the same a, b, c
+factors them once; the 210 ordered triplets of the S_L search are table
+lookups.  `hilbert`, `relevant_places` and `hasse_invariant` keep the
+direct route from rationals, one factorization per square-free part.
 """
 
 from __future__ import annotations
@@ -204,15 +213,14 @@ def discriminant_class(f: TernaryForm) -> SquareClass:
     return squarefree_part(f.a * f.b * f.c)
 
 
-def equivalent(f: TernaryForm, g: TernaryForm) -> bool:
+def equivalent(f: TernaryForm, g: TernaryForm, space: ClassSpace | None = None) -> bool:
     """Rational equivalence of ternary forms: same discriminant class, same
-    signature, same Hasse invariant at every relevant place."""
-    if discriminant_class(f) != discriminant_class(g):
-        return False
-    if signature(f) != signature(g):
-        return False
-    places = relevant_places(*f.coefficients, *g.coefficients)
-    return all(hasse_invariant(f, v) == hasse_invariant(g, v) for v in places)
+    signature, same Hasse invariant at every relevant place.  `space`, a
+    `ClassSpace` whose basis holds every coefficient's class, spares
+    factoring the coefficients."""
+    space = space or ClassSpace(*f.coefficients, *g.coefficients)
+    return space.equivalent(tuple(map(space.vector, f.coefficients)),
+                            tuple(map(space.vector, g.coefficients)))
 
 
 def isotropic(f: TernaryForm) -> bool:
@@ -251,78 +259,162 @@ def isotropy_witness(f: TernaryForm, bound: int = 30):
     return None
 
 
-def _independent_classes(values) -> bool:
-    """Do the square classes generate a subgroup of Q*/(Q*)^2 of full rank,
-    i.e. 2^len(values)?  Checked by multiplying out all subsets."""
-    classes = set()
-    for mask in range(1, 2 ** len(values)):
-        prod = Fraction(1)
-        for i, v in enumerate(values):
-            if mask >> i & 1:
-                prod *= Fraction(v)
-        rep = squarefree_part(prod).representative
-        if rep == 1:
+def _symbol_rows(primes: tuple[int, ...], p: int | None) -> tuple[int, ...]:
+    """The Hilbert symbols at the place p (None: the real place) of the
+    generators -1, primes[0] = 2, primes[1], ... of the class vectors of
+    `arith.PrimeBasis`: row i is the bitmask of the j with (g_i, g_j)_p = -1.
+    Read off the Legendre symbols of the generators mod an odd p, and their
+    residues mod 8 at p = 2."""
+    gens = (-1,) + primes
+    if p is None:
+        return (1,) + (0,) * len(primes)  # (-1, -1) = -1 only
+    if p == 2:
+        # g = 2^alpha * u with u odd, as in `hilbert`: the symbol (g, g')_2 has
+        # exponent eps(u)eps(u') + alpha*omega(u') + alpha'*omega(u)
+        alpha = [int(g == 2) for g in gens]
+        unit = [1 if g == 2 else g % 8 for g in gens]
+        eps = [_eps(u) for u in unit]
+        omega = [_omega(u) for u in unit]
+        return tuple(
+            sum(((eps[i] * eps[j] + alpha[i] * omega[j] + alpha[j] * omega[i]) % 2) << j
+                for j in range(len(gens)))
+            for i in range(len(gens)))
+    # at odd p only p itself pairs nontrivially: (p, g)_p = (g/p), (p, p)_p = (-1/p)
+    at = gens.index(p)
+    chi = [int(arith.legendre(-1 if g == p else g, p) == -1) for g in gens]
+    return tuple(sum(bit << j for j, bit in enumerate(chi)) if i == at else chi[i] << at
+                 for i in range(len(gens)))
+
+
+def _symbol(rows: tuple[int, ...], u: int, w: int) -> int:
+    """The Hilbert symbol of class vectors u, w at the place of `rows`, as
+    an F2 exponent: 0 for +1 and 1 for -1."""
+    acc = 0
+    for row in rows:
+        if not u:
+            break
+        if u & 1:
+            acc ^= row
+        u >>= 1
+    return (acc & w).bit_count() & 1
+
+
+def _hasse(rows: tuple[int, ...], form) -> int:
+    """`hasse_invariant` of a form of class vectors, as an F2 exponent."""
+    a, b, c = form
+    return _symbol(rows, a, b) ^ _symbol(rows, a, c) ^ _symbol(rows, b, c)
+
+
+class ClassSpace:
+    """The square classes of some nonzero rationals as F2 vectors over one
+    `arith.PrimeBasis`, with one table of Hilbert symbols per relevant place.
+
+    The values are factored once, when the space is built; every class in
+    their span has a vector (`vector` finds it by dividing out the basis
+    primes), and every class product, independence test, Hilbert symbol and
+    form equivalence after that works on the vectors alone.  A diagonal
+    ternary form is a triple of vectors; `vectors` holds the classes of the
+    values, in order.
+    """
+
+    def __init__(self, *values: Rational):
+        self.basis = arith.PrimeBasis(squarefree_part(q) for q in values)
+        self.vectors = self.basis.vectors
+        self.vector = self.basis.vector
+        self.representative = self.basis.representative
+        # the real place, 2 and the odd basis primes, each of which divides
+        # a square-free part of some value
+        self._tables = {p: _symbol_rows(self.basis.primes, p)
+                        for p in (None,) + self.basis.primes}
+
+    def independent(self, values, message: str) -> tuple[int, ...]:
+        """The vectors of `values`; ValueError(message) unless they are
+        independent."""
+        vectors = tuple(map(self.vector, values))
+        if arith.f2_rank(vectors) != len(vectors):
+            raise ValueError(message)
+        return vectors
+
+    def equivalent(self, f, g) -> bool:
+        """`equivalent` for forms given as triples of class vectors."""
+        if f[0] ^ f[1] ^ f[2] != g[0] ^ g[1] ^ g[2]:
             return False
-        classes.add(rep)
-    return len(classes) == 2 ** len(values) - 1
+        # bit 0 is the sign, so this compares the signatures
+        if sum(v & 1 for v in f) != sum(v & 1 for v in g):
+            return False
+        return all(_hasse(rows, f) == _hasse(rows, g)
+                   for rows in self._tables.values())
+
+    def pauli_embeddable(self, x: int, y: int, z: int) -> bool:
+        """Condition (15) of `pauli_embeddable` for class vectors."""
+        return self.equivalent((x, y, x ^ y), (0, z, z))
+
+    def brauer_condition(self, x: int, y: int, z: int) -> bool:
+        """`brauer_condition` for class vectors; -1 is the vector 1."""
+        return all(_symbol(rows, x ^ y ^ z, 1) == _symbol(rows, x, y)
+                   for rows in self._tables.values())
+
+    @staticmethod
+    def sl_classes(x: int, y: int, z: int) -> list[int]:
+        """`sl_classes` as class vectors."""
+        return [x, y, x ^ y, z, x ^ z, y ^ z, x ^ y ^ z]
+
+    @staticmethod
+    def triplets(classes):
+        """The ordered triplets (u, v, w) of distinct classes with w != uv:
+        on the seven classes of S_L, exactly the independent ones."""
+        return ((u, v, w) for u, v, w in itertools.permutations(classes, 3)
+                if w != u ^ v)
 
 
-def witt_embeddable(a1: Rational, a2: Rational) -> bool:
+_INDEPENDENT = "a, b, c must be quadratically independent"
+
+
+def witt_embeddable(a1: Rational, a2: Rational, space: ClassSpace | None = None) -> bool:
     """Can the biquadratic field Q(sqrt(a1), sqrt(a2)) be pushed into a
-    quaternion Q8-extension of Q?  Holds iff [a1, a2, a1*a2] ~ [1, 1, 1]."""
-    a1, a2 = Fraction(a1), Fraction(a2)
-    if not _independent_classes([a1, a2]):
-        raise ValueError(
-            "a1, a2 must be quadratically independent non-squares"
-            " (the V4 hypothesis fails)")
-    return equivalent(TernaryForm.of(a1, a2, a1 * a2), TernaryForm.of(1, 1, 1))
+    quaternion Q8-extension of Q?  Holds iff [a1, a2, a1*a2] ~ [1, 1, 1].
+    `space`, as in `equivalent`, must hold the classes of a1 and a2."""
+    space = space or ClassSpace(a1, a2)
+    space.independent((a1, a2), "a1, a2 must be quadratically independent"
+                                " non-squares (the V4 hypothesis fails)")
+    return equivalent(TernaryForm.of(a1, a2, a1 * a2), TernaryForm.of(1, 1, 1), space)
 
 
-def pauli_embeddable(a: Rational, b: Rational, c: Rational) -> bool:
+def pauli_embeddable(a: Rational, b: Rational, c: Rational,
+                     space: ClassSpace | None = None) -> bool:
     """Embedding criterion for Q(sqrt(a), sqrt(b), sqrt(c)) into a Pauli
     extension with the quaternion part over Q(sqrt(c)):
     [a, b, ab] ~ [1, c, c]."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if not _independent_classes([a, b, c]):
-        raise ValueError("a, b, c must be quadratically independent")
-    return equivalent(TernaryForm.of(a, b, a * b), TernaryForm.of(1, c, c))
+    space = space or ClassSpace(a, b, c)
+    space.independent((a, b, c), _INDEPENDENT)
+    return equivalent(TernaryForm.of(a, b, a * b), TernaryForm.of(1, c, c), space)
 
 
-def brauer_condition(a: Rational, b: Rational, c: Rational) -> bool:
+def brauer_condition(a: Rational, b: Rational, c: Rational,
+                     space: ClassSpace | None = None) -> bool:
     """The quaternion-algebra form of the criterion: (abc, -1) = (a, b) as
     Hilbert symbols at every relevant place."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if not _independent_classes([a, b, c]):
-        raise ValueError("a, b, c must be quadratically independent")
-    places = relevant_places(a, b, c, Fraction(-1), a * b * c)
-    return all(hilbert(a * b * c, Fraction(-1), v) == hilbert(a, b, v)
-               for v in places)
+    space = space or ClassSpace(a, b, c)
+    return space.brauer_condition(*space.independent((a, b, c), _INDEPENDENT))
 
 
-def sl_classes(a: Rational, b: Rational, c: Rational) -> list[int]:
+def sl_classes(a: Rational, b: Rational, c: Rational,
+               space: ClassSpace | None = None) -> list[int]:
     """The seven nontrivial square classes {a, b, ab, c, ac, bc, abc} of the
     triquadratic field generated by a, b, c."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if not _independent_classes([a, b, c]):
-        raise ValueError("a, b, c must be quadratically independent")
-    reps = []
-    for u in (a, b, a * b, c, a * c, b * c, a * b * c):
-        reps.append(squarefree_part(u).representative)
-    return reps
+    space = space or ClassSpace(a, b, c)
+    vectors = space.independent((a, b, c), _INDEPENDENT)
+    return [space.representative(v) for v in space.sl_classes(*vectors)]
 
 
-def sl_search(a: Rational, b: Rational, c: Rational) -> list[tuple[int, int, int]]:
+def sl_search(a: Rational, b: Rational, c: Rational,
+              space: ClassSpace | None = None) -> list[tuple[int, int, int]]:
     """All ordered triplets (u, v, x) of pairwise-distinct, quadratically
     independent classes from S_L with [u, v, uv] ~ [1, x, x].  A nonempty
     result rewrites the generating triplet so the embedding criterion holds
     for the same field."""
-    classes = sl_classes(a, b, c)
-    hits = []
-    for u, v, x in itertools.permutations(classes, 3):
-        uv = squarefree_part(Fraction(u) * v).representative
-        if x == uv:
-            continue  # u, v, x dependent
-        if equivalent(TernaryForm.of(u, v, Fraction(u) * v),
-                      TernaryForm.of(1, x, x)):
-            hits.append((u, v, x))
-    return hits
+    space = space or ClassSpace(a, b, c)
+    rep = space.representative
+    classes = space.sl_classes(*space.independent((a, b, c), _INDEPENDENT))
+    return [(rep(u), rep(v), rep(x)) for u, v, x in space.triplets(classes)
+            if space.pauli_embeddable(u, v, x)]

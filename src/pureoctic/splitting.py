@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import binomial, groups
-from .arith import Rational, is_square, squarefree_part
+from .arith import PrimeBasis, Rational, squarefree_part
 from .groups import FinGroup, Perm
 
 
@@ -447,15 +447,20 @@ class SplittingField:
     def _label_table(self):
         k = self.k
         quad_classes = [Fraction(-1), Fraction(2), Fraction(-2), k, -k, 2 * k, -2 * k]
-        # the Pauli condition makes these seven classes and 1 a group C2^3
-        # modulo squares, so d1*d2 lies in the class of one of the seven
-        reps = {d: squarefree_part(d).representative for d in quad_classes}
+        # k is factored once; over its prime basis -1 is the vector 1 and 2
+        # is the vector 2.  The Pauli condition makes these seven classes and
+        # 1 a group C2^3 modulo squares, so the class of d1*d2 is the XOR of
+        # theirs and is one of the seven
+        basis = PrimeBasis((squarefree_part(k),))
+        kv = basis.vectors[0]
+        vectors = dict(zip(quad_classes, (1, 2, 3, kv, kv ^ 1, kv ^ 2, kv ^ 3)))
+        reps = {d: basis.representative(v) for d, v in vectors.items()}
         table = []
         for d in quad_classes:
             table.append((_field_name([reps[d]]), [self.sqrt_of(d)], 2))
         for d1, d2 in itertools.combinations(quad_classes, 2):
-            d3 = next(d for d in quad_classes if is_square(d1 * d2 * d))
-            plane = sorted({reps[d1], reps[d2], reps[d3]}, key=_class_order)
+            d3 = basis.representative(vectors[d1] ^ vectors[d2])
+            plane = sorted({reps[d1], reps[d2], d3}, key=_class_order)
             label = _field_name(plane[:2])
             if any(lbl == label for lbl, _, _ in table):
                 continue

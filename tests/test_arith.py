@@ -149,3 +149,47 @@ def test_linalg_solve_and_span():
     assert not linalg.in_span([(Fraction(1), Fraction(0))], (Fraction(0), Fraction(1)))
     assert linalg.nullspace([[Fraction(1), Fraction(1)]], 2) == \
         [(Fraction(-1), Fraction(1))]
+
+
+def test_factor_brent_rho_past_trial_division():
+    for p, q in ((1000000007, 1000000009), (274177, 67280421310721)):
+        assert arith.factor(p * q).as_dict() == {p: 1, q: 1}
+
+
+def test_factor_budget_raises_a_value_error():
+    # 2^61 - 1 is far beyond what rho finds within its budget
+    with pytest.raises(arith.FactoringError, match="cannot factor"):
+        arith.factor((2 ** 61 - 1) * (2 ** 89 - 1))
+    assert issubclass(arith.FactoringError, ValueError)
+
+
+def test_factor_splits_two_13_digit_primes():
+    # rho needs about 7 * 10^7 of its 2 * 10^8 budget units here
+    p, q = 3896947605673, 4174304656513
+    assert arith.factor(p * q).as_dict() == {p: 1, q: 1}
+
+
+def test_square_class_product_needs_no_factoring(monkeypatch):
+    six, m10_3 = arith.squarefree_part(F(6)), arith.squarefree_part(F(-10, 3))
+    assert (six.representative, six.primes) == (6, (2, 3))
+    monkeypatch.setattr(arith, "factor", None)
+    prod = six * m10_3
+    assert (prod.representative, prod.primes) == (-5, (5,))
+    assert (prod * prod).is_trivial()
+
+
+def test_prime_basis_vectors():
+    basis = arith.PrimeBasis(map(arith.squarefree_part, [F(-12, 5), F(50), F(9, 49)]))
+    assert basis.primes == (2, 3, 5)
+    # bit 0 the sign, then 2, 3, 5
+    assert basis.vectors == (0b1101, 0b0010, 0)
+    assert [basis.representative(v) for v in basis.vectors] == [-15, 2, 1]
+    assert basis.representative(basis.vectors[0] ^ basis.vectors[1]) == -30
+    assert arith.f2_rank(basis.vectors) == 2
+    # a class in the span is found by dividing by the basis primes alone
+    assert basis.vector(F(-12, 5) * 50 * 49) == basis.vectors[0] ^ basis.vectors[1]
+    assert basis.vector(F(-45, 4)) == 0b1001
+    with pytest.raises(ValueError, match="outside the basis"):
+        basis.vector(F(14))
+    with pytest.raises(ValueError, match="0 has no square-free part"):
+        basis.vector(F(0))

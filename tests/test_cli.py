@@ -22,6 +22,17 @@ GOLDEN_CASES = [
     (("lattice", "12", "--format", "dot"), "lattice_12.dot"),
     (("witt-verify", "3", "--format", "json"), "witt_verify_3.json"),
 ]
+# small, typical and large coldbench-sized triples for `embed --compare` and
+# `sl-search`, in text and JSON
+EMBED_TRIPLES = [(("2", "3", "-2"), "2_3_m2"),
+                 (("-1187/7", "-34119", "2176"), "m1187_7_m34119_2176"),
+                 (("66", "77650", "66536/9"), "66_77650_66536_9")]
+for _triple, _name in EMBED_TRIPLES:
+    for _fmt, _ext in (((), "txt"), (("--format", "json"), "json")):
+        GOLDEN_CASES += [
+            (("embed", *_triple, "--compare", *_fmt), f"embed_compare_{_name}.{_ext}"),
+            (("sl-search", *_triple, *_fmt), f"sl_search_{_name}.{_ext}"),
+        ]
 # every name `group-identify` accepts, in the order of its choices list
 GROUP_NAMES = ["C16", "C2^2:C4", "C4:C4", "C4xC2xC2", "C4xC4", "C8xC2", "D16",
                "D8xC2", "E16", "M4(2)", "Pauli", "Q16", "Q8xC2", "QD16",
@@ -158,6 +169,76 @@ def test_sl_search(capsys):
     code, out, _ = run(capsys, "sl-search", "2", "3", "-2")
     assert code == 0
     assert "triplet" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("embed", "2", "3", "6", "--compare"),
+    ("embed", "2", "3", "6", "--compare", "--format", "json"),
+    ("sl-search", "2", "3", "6"),
+    ("sl-search", "2", "3", "6", "--format", "json"),
+])
+def test_dependent_triple_golden(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.encode() == (GOLDEN / "embed_2_3_6.err").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("embed", "66", "77650", "66536/9", "--compare"),
+    ("sl-search", "-1187/7", "-34119", "2176"),
+])
+def test_embed_factors_each_input_once(capsys, monkeypatch, argv):
+    from fractions import Fraction
+
+    from pureoctic import arith
+    calls = []
+    factor = arith.factor
+
+    def counting(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(arith, "factor", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    values = [Fraction(v) for v in argv[1:4]]
+    nonunits = [n for q in values for n in (q.numerator, q.denominator) if abs(n) != 1]
+    assert len(calls) <= len(nonunits)
+
+
+# inputs that once ran without bound in `arith.factor`
+_BIG = str(10 ** 400 + 1)
+_M = str((2 ** 61 - 1) * (2 ** 89 - 1))
+
+
+@pytest.mark.parametrize("argv", [
+    ("lattice", _BIG),
+    ("embed", _BIG, "3", "-2"),
+    ("sl-search", _BIG, "3", "-2"),
+    ("lattice", _M),
+    ("embed", "3", "5", _M),
+], ids=["lattice-10^400+1", "embed-10^400+1", "sl-search-10^400+1",
+        "lattice-M61M89", "embed-M61M89"])
+def test_unfactorable_input_exits_within_budget(argv):
+    import os
+    import subprocess
+    import sys
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "pureoctic", *argv],
+                          capture_output=True, text=True, timeout=5, env=env)
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 2:
+        assert proc.stderr.startswith("error: cannot factor")
+
+
+@pytest.mark.parametrize("value", [_BIG, _M])
+def test_classify_and_witt_verify_need_no_factorization(capsys, value):
+    for argv in (("classify", value), ("witt-verify", value)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
 
 
 def test_oracle_pass(capsys):

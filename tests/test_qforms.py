@@ -224,3 +224,146 @@ def test_embedding_criterion_matches_splitting_field():
         for gen in (field.i, field.v2, field.i * field.r):
             assert linalg.in_span(vecs, gen.coeffs)
         assert qforms.pauli_embeddable(F(-1), k, F(-2))
+
+
+# --- square classes as F2 vectors over one prime basis ----------------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from pureoctic import arith  # noqa: E402
+
+_POOL = (2, 3, 5, 7, 11, 13)
+
+
+def _independent_classes(values) -> bool:
+    """Reference: do the square classes generate a subgroup of Q*/(Q*)^2 of
+    rank len(values)?  Checked by multiplying out all subsets."""
+    classes = set()
+    for mask in range(1, 2 ** len(values)):
+        prod = F(1)
+        for i, v in enumerate(values):
+            if mask >> i & 1:
+                prod *= F(v)
+        rep = squarefree_part(prod).representative
+        if rep == 1:
+            return False
+        classes.add(rep)
+    return len(classes) == 2 ** len(values) - 1
+
+
+@st.composite
+def _pool_rational(draw):
+    """sign * prod p^e / prod p^f over the small primes of _POOL."""
+    num = draw(st.sampled_from((1, -1)))
+    den = 1
+    for p in _POOL:
+        num *= p ** draw(st.integers(0, 3))
+        den *= p ** draw(st.integers(0, 2))
+    return F(num, den)
+
+
+_SETTINGS = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+
+
+@_SETTINGS
+@given(st.lists(_pool_rational(), min_size=1, max_size=4), st.data())
+def test_class_product_is_xor(values, data):
+    basis = arith.PrimeBasis(map(squarefree_part, values))
+    for q, v in zip(values, basis.vectors):
+        assert basis.representative(v) == squarefree_part(q).representative
+    mask = data.draw(st.integers(1, 2 ** len(values) - 1))
+    prod, vec = F(1), 0
+    for i, (q, v) in enumerate(zip(values, basis.vectors)):
+        if mask >> i & 1:
+            prod *= q
+            vec ^= v
+    assert basis.representative(vec) == squarefree_part(prod).representative
+    assert basis.vector(prod) == vec
+
+
+@_SETTINGS
+@given(st.lists(_pool_rational(), min_size=1, max_size=4))
+def test_rank_agrees_with_subset_products(values):
+    basis = arith.PrimeBasis(map(squarefree_part, values))
+    assert (arith.f2_rank(basis.vectors) == len(values)) == \
+        _independent_classes(values)
+
+
+@_SETTINGS
+@given(_pool_rational(), _pool_rational())
+def test_symbol_table_matches_hilbert(a, b):
+    space = qforms.ClassSpace(a, b)
+    u, w = space.vectors
+    # the table's places are exactly the relevant places of a and b
+    assert [Place(p) for p in space._tables] == qforms.relevant_places(a, b)
+    for p, rows in space._tables.items():
+        want = qforms.hilbert(a, b, Place(p))
+        assert qforms._symbol(rows, u, w) == (want == -1), (a, b, p)
+        assert qforms._symbol(rows, w, u) == (want == -1), (a, b, p)
+
+
+@_SETTINGS
+@given(_pool_rational(), _pool_rational())
+def test_symbol_table_matches_local_solubility_search(a, b):
+    space = qforms.ClassSpace(a, b)
+    u, w = space.vectors
+    ra, rb = (space.representative(v) for v in space.vectors)
+    for p, rows in space._tables.items():
+        if p is None:
+            continue
+        solvable = qforms.local_solubility_search(ra, rb, p)
+        assert qforms._symbol(rows, u, w) == (not solvable), (a, b, p)
+
+
+def _reference_equivalent(f: TernaryForm, g: TernaryForm) -> bool:
+    """Reference: `equivalent` by Hilbert symbols of rationals, with the
+    relevant places found by factoring each coefficient's square-free part."""
+    if qforms.discriminant_class(f) != qforms.discriminant_class(g):
+        return False
+    if qforms.signature(f) != qforms.signature(g):
+        return False
+    places = qforms.relevant_places(*f.coefficients, *g.coefficients)
+    return all(qforms.hasse_invariant(f, v) == qforms.hasse_invariant(g, v)
+               for v in places)
+
+
+@_SETTINGS
+@given(st.lists(_pool_rational(), min_size=6, max_size=6))
+def test_equivalent_matches_reference(coefficients):
+    f, g = TernaryForm.of(*coefficients[:3]), TernaryForm.of(*coefficients[3:])
+    want = _reference_equivalent(f, g)
+    assert qforms.equivalent(f, g) == want
+    # the same answer on a space built from more values
+    space = qforms.ClassSpace(*coefficients, F(-1), F(2))
+    assert qforms.equivalent(f, g, space) == want
+
+
+def test_equivalent_rejects_a_space_without_the_coefficients():
+    space = qforms.ClassSpace(F(2), F(3))
+    with pytest.raises(ValueError, match="outside the basis"):
+        qforms.equivalent(TernaryForm.of(2, 3, 5), TernaryForm.of(1, 1, 30), space)
+
+
+def test_class_space_criteria_match_form_equivalence():
+    # the vector criteria against the reference equivalence of TernaryForms
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 40:
+        a, b, c = (F(rng.choice((1, -1)) * rng.choice(_POOL + (1, 6, 10, 15)),
+                     rng.choice((1, 4, 9)))
+                   for _ in range(3))
+        if not _independent_classes([a, b, c]):
+            with pytest.raises(ValueError, match="independent"):
+                qforms.pauli_embeddable(a, b, c)
+            continue
+        checked += 1
+        holds_15 = _reference_equivalent(TernaryForm.of(a, b, a * b), TernaryForm.of(1, c, c))
+        assert qforms.pauli_embeddable(a, b, c) == holds_15
+        space = qforms.ClassSpace(a, b, c)
+        assert space.pauli_embeddable(*space.vectors) == holds_15
+        places = qforms.relevant_places(a, b, c, F(-1), a * b * c)
+        assert qforms.brauer_condition(a, b, c) == all(
+            qforms.hilbert(a * b * c, F(-1), v) == qforms.hilbert(a, b, v)
+            for v in places)
+        assert qforms.witt_embeddable(a, b) == _reference_equivalent(
+            TernaryForm.of(a, b, a * b), TernaryForm.of(1, 1, 1))

@@ -153,6 +153,20 @@ def test_label_table_reduces_each_class_once(monkeypatch, k):
     assert len(calls) <= 8
 
 
+@pytest.mark.parametrize("k", [F(3), F(5, 3), F(990051)])
+def test_lattice_factors_k_once(monkeypatch, k):
+    calls = []
+    factor = arith.factor
+
+    def counting(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(arith, "factor", counting)
+    SplittingField(k).lattice_report()
+    assert len(calls) <= sum(abs(n) != 1 for n in (k.numerator, k.denominator))
+
+
 def test_affine_aut_constraint():
     with pytest.raises(ValueError):
         AffineAut(0, 3)  # 3 != 2*0+1 mod 4
