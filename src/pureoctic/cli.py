@@ -255,6 +255,8 @@ def cmd_group_identify(args) -> int:
             perms = []
             for part in args.gens.split(";"):
                 images = [int(x) for x in part.replace(",", " ").split()]
+                if not images:
+                    return _fail(f"empty generator in --gens {args.gens!r}")
                 perms.append(groups.Perm(images))
             G = groups.closure(perms)
         else:
@@ -304,10 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Galois groups of pure octic polynomials X^8 + c over Q")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, formats=("text", "json")):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
         _allow_negative_rationals(p)
         return p
 
@@ -315,12 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Galois group of X^8 + c with the matched branch")
     p.add_argument("c", help="nonzero rational, e.g. 9 or -2/3")
 
-    p = sub.add_parser("lattice",
-                       help="subgroup <-> subfield lattice of X^8 + k^2")
-    p.set_defaults(func=cmd_lattice)
+    p = add("lattice", cmd_lattice, "subgroup <-> subfield lattice of X^8 + k^2",
+            formats=("text", "json", "dot"))
     p.add_argument("k", help="rational satisfying the Pauli condition")
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    _allow_negative_rationals(p)
 
     p = add("witt-verify", cmd_witt_verify,
             "exact verification of the quaternion-embedding identities")

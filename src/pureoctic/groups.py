@@ -20,6 +20,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
+from . import arith
+
 # the largest group the engine closes or enumerates subgroups of
 MAX_GROUP_ORDER = 64
 
@@ -472,7 +474,7 @@ def abelian_invariants(G: FinGroup) -> tuple[int, ...]:
         raise ValueError("group is not abelian")
     orders = [g.order() for g in G.elements]
     powers = []
-    for p, mult in _int_factor_pairs(G.order):
+    for p, mult in arith.factor(G.order).exponents:
         part = p ** mult
         # #{g : g^(p^j) = 1} = p^(sum_i min(j, e_i)) determines the e_i
         logs = [0]
@@ -486,22 +488,6 @@ def abelian_invariants(G: FinGroup) -> tuple[int, ...]:
             nxt = at_least[i + 1] if i + 1 < len(at_least) else 0
             powers.extend([p ** (i + 1)] * (cnt - nxt))
     return tuple(sorted(powers, reverse=True))
-
-
-def _int_factor_pairs(n: int):
-    pairs = []
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            pairs.append((d, e))
-        d += 1
-    if n > 1:
-        pairs.append((n, 1))
-    return pairs
 
 
 def abelian_name(invariants: tuple[int, ...]) -> str:

@@ -46,14 +46,6 @@ class Place:
         if self.p is not None and not arith.is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    @classmethod
-    def real(cls) -> "Place":
-        return cls(None)
-
-    @classmethod
-    def prime(cls, p: int) -> "Place":
-        return cls(p)
-
     @property
     def is_real(self) -> bool:
         return self.p is None
@@ -190,9 +182,6 @@ class TernaryForm:
     @property
     def coefficients(self):
         return (self.a, self.b, self.c)
-
-    def reduced(self) -> tuple[int, int, int]:
-        return tuple(squarefree_part(x).representative for x in self.coefficients)
 
     def __str__(self):
         return f"[{self.a}, {self.b}, {self.c}]"

@@ -6,9 +6,13 @@ e = 0..1), with the reduction rules a^8 = -k^2 and w^2 = a^4 / k.  The
 16 automorphisms a -> a*w^t, w -> w^s (s = 2t+1 mod 4) send each basis
 monomial a^j * w^e to a^j * w^(tj+se), a rational multiple of one basis
 monomial, so each acts as a permutation of the basis with scalings.  The
-fixed field of a subgroup is spanned by its orbit sums, the inverse of an
-element is the product of its other conjugates over its norm, and the full
-subgroup <-> subfield correspondence is assembled into a lattice report.
+fixed field of a subgroup is spanned by its orbit sums.  The stabiliser of
+an element is read off the same action, so a primitive element of a fixed
+field is the first candidate whose stabiliser is the subgroup, and a
+subfield label names the subgroup that stabilises its generators.  The
+inverse of an element is the product of its other conjugates over its
+norm, and the full subgroup <-> subfield correspondence is assembled into
+a lattice report.
 
 The module also certifies the quadratic-form change-of-basis matrix T over
 Q(sqrt(-2)) (det 1, transforms diag(2, k, 1/2k) to the identity) and the
@@ -303,23 +307,20 @@ class SplittingField:
         """Complex conjugate of a: a * w^7 = -a^5 * w / k."""
         return self.monomial(5, 1, -Fraction(1) / self.k)
 
+    @cached_property
+    def _square_roots(self) -> dict:
+        # the seven square classes attached to the field, in label order
+        k, i, r, v2 = self.k, self.i, self.r, self.v2
+        return {Fraction(-1): i, Fraction(2): r, Fraction(-2): i * r, k: v2,
+                -k: self.monomial(2, 1), 2 * k: r * v2, -2 * k: i * r * v2}
+
     def sqrt_of(self, d) -> FieldElt:
         """An exact square root of d, for d in the seven square classes
         {-1, 2, -2, k, -k, 2k, -2k} attached to the field."""
         d = Fraction(d)
-        k = self.k
-        roots = {
-            Fraction(-1): self.i,
-            Fraction(2): self.r,
-            Fraction(-2): self.i * self.r,
-            k: self.v2,
-            -k: self.monomial(2, 1),
-            2 * k: self.r * self.v2,
-            -2 * k: self.i * self.r * self.v2,
-        }
-        if d not in roots:
+        if d not in self._square_roots:
             raise KeyError(f"no stored square root of {d}")
-        return roots[d]
+        return self._square_roots[d]
 
     def roots(self) -> list[FieldElt]:
         """The eight roots a * w^m of X^8 + k^2."""
@@ -367,6 +368,16 @@ class SplittingField:
     def orbit(self, u: FieldElt) -> set:
         return {self.apply(s, u).coeffs for s in self._galois}
 
+    def _stabilizer(self, *elts: FieldElt) -> frozenset:
+        """The automorphisms fixing every given element: g fixes u iff
+        u[target] == scale * u[i] for each index i and its (target, scale)."""
+        return frozenset(
+            aut for aut, action in self._actions.items()
+            if all(u.coeffs[target] == scale * c
+                   for u in elts
+                   for (target, scale), c in zip(action, u.coeffs)
+                   if c or u.coeffs[target]))
+
     def _verify_construction(self):
         # generator relations imply each monomial action is a ring homomorphism
         minus_k2 = self.rational(-self.k ** 2)
@@ -394,10 +405,10 @@ class SplittingField:
     def fixed_field(self, subgroup) -> "FixedField":
         """Basis, degree and a certified primitive element of the subfield
         fixed by the given set of automorphisms."""
-        auts = sorted(set(subgroup))
-        if IDENTITY_AUT not in auts:
+        members = frozenset(subgroup)
+        auts = sorted(members)
+        if IDENTITY_AUT not in members:
             raise ValueError("subgroup must contain the identity")
-        members = set(auts)
         for s1 in auts:
             for s2 in auts:
                 if s1.compose(s2) not in members:
@@ -426,61 +437,45 @@ class SplittingField:
             raise AssertionError(
                 f"fixed space has dimension {len(basis_vecs)}, expected {degree}")
         basis = [FieldElt(self, v) for v in basis_vecs]
-        primitive = self._primitive_element(basis, degree)
-        return FixedField(tuple(auts), degree, basis, primitive,
-                          self._match_label(auts, degree))
+        return FixedField(tuple(auts), degree, basis,
+                          self._primitive_element(basis, members),
+                          self._label_table.get(members))
 
-    def _primitive_element(self, basis, degree) -> FieldElt:
-        if degree == 1:
-            return self.one()
+    def _primitive_element(self, basis, members) -> FieldElt:
+        # u in the fixed field of H generates it iff no larger subgroup fixes u
         for idxs, coeffs in _combination_stream(len(basis)):
-            u = self.zero()
-            for i, c in zip(idxs, coeffs):
-                u = u + c * basis[i]
-            if u.is_rational():
-                continue
-            if len(self.orbit(u)) == degree:
+            u = sum((c * basis[i] for i, c in zip(idxs, coeffs)), self.zero())
+            if self._stabilizer(u) == members:
                 return u
         raise RuntimeError("primitive element search exhausted")
 
     @cached_property
-    def _label_table(self):
-        k = self.k
-        quad_classes = [Fraction(-1), Fraction(2), Fraction(-2), k, -k, 2 * k, -2 * k]
+    def _label_table(self) -> dict:
+        """Subfield labels keyed by the stabiliser of their generators; where
+        several labels name one subgroup, the first listed wins."""
+        k, roots = self.k, self._square_roots
         # k is factored once; over its prime basis -1 is the vector 1 and 2
         # is the vector 2.  The Pauli condition makes these seven classes and
         # 1 a group C2^3 modulo squares, so the class of d1*d2 is the XOR of
         # theirs and is one of the seven
         basis = PrimeBasis((squarefree_part(k),))
         kv = basis.vectors[0]
-        vectors = dict(zip(quad_classes, (1, 2, 3, kv, kv ^ 1, kv ^ 2, kv ^ 3)))
+        vectors = dict(zip(roots, (1, 2, 3, kv, kv ^ 1, kv ^ 2, kv ^ 3)))
         reps = {d: basis.representative(v) for d, v in vectors.items()}
-        table = []
-        for d in quad_classes:
-            table.append((_field_name([reps[d]]), [self.sqrt_of(d)], 2))
-        for d1, d2 in itertools.combinations(quad_classes, 2):
+        labels = [(_field_name([reps[d]]), [root]) for d, root in roots.items()]
+        for d1, d2 in itertools.combinations(roots, 2):
             d3 = basis.representative(vectors[d1] ^ vectors[d2])
             plane = sorted({reps[d1], reps[d2], d3}, key=_class_order)
-            label = _field_name(plane[:2])
-            if any(lbl == label for lbl, _, _ in table):
-                continue
-            table.append((label, [self.sqrt_of(d1), self.sqrt_of(d2)], 4))
-        table.append(("Q(i, sqrt(2), sqrt(%s))" % reps[k],
-                      [self.i, self.r, self.v2], 8))
-        table.append(("Q(a)", [self.a], 8))
-        table.append(("Q(w*a)", [self.a * self.w], 8))
-        table.append(("Q(a+abar)", [self.a + self.a_bar], 8))
-        table.append(("Q(a-abar)", [self.a - self.a_bar], 8))
+            labels.append((_field_name(plane[:2]), [roots[d1], roots[d2]]))
+        labels += [("Q(i, sqrt(2), sqrt(%s))" % reps[k], [self.i, self.r, self.v2]),
+                   ("Q(a)", [self.a]),
+                   ("Q(w*a)", [self.a * self.w]),
+                   ("Q(a+abar)", [self.a + self.a_bar]),
+                   ("Q(a-abar)", [self.a - self.a_bar])]
+        table = {}
+        for label, gens in labels:
+            table.setdefault(self._stabilizer(*gens), label)
         return table
-
-    def _match_label(self, auts, degree):
-        # of equal degree, a label names the fixed field iff H fixes its generators
-        for label, gens, label_degree in self._label_table:
-            if label_degree != degree:
-                continue
-            if all(self.apply(aut, g) == g for aut in auts for g in gens):
-                return label
-        return None
 
     # --- lattice ----------------------------------------------------------
 

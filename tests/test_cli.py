@@ -20,6 +20,9 @@ GOLDEN_CASES = [
     (("lattice", "12"), "lattice_12.txt"),
     (("lattice", "12", "--format", "json"), "lattice_12.json"),
     (("lattice", "12", "--format", "dot"), "lattice_12.dot"),
+    (("lattice", "3/4", "--format", "json"), "lattice_3_4.json"),
+    # 990051 = 3 * 330017: k with a six-digit prime factor
+    (("lattice", "990051", "--format", "json"), "lattice_990051.json"),
     (("witt-verify", "3", "--format", "json"), "witt_verify_3.json"),
 ]
 # small, typical and large coldbench-sized triples for `embed --compare` and
@@ -303,6 +306,13 @@ def test_group_identify_gens_too_large(capsys):
                          "--gens", "1 2 3 4 5 6 7 0; 1 0 2 3 4 5 6 7")
     assert code == 2 and out == ""
     assert "more than 64 elements" in err
+
+
+@pytest.mark.parametrize("gens", [";", "1 0;"])
+def test_group_identify_empty_generator(capsys, gens):
+    code, out, err = run(capsys, "group-identify", "--gens", gens)
+    assert code == 2 and out == ""
+    assert "empty generator" in err
 
 
 def test_group_identify_unknown(capsys):

@@ -331,6 +331,48 @@ def test_primitive_elements_certified(E3):
         assert len(E3.orbit(row.primitive)) == row.degree
 
 
+LABEL_KS = [F(3), F(5, 3), F(12), F(3, 4), F(990051)]
+
+
+@pytest.mark.parametrize("k", LABEL_KS)
+def test_stabilizer_matches_apply(k):
+    E = SplittingField(k)
+    label_gens = _label_generators(E)
+    elts = [gen for gens in label_gens for gen in gens]
+    elts += [row.primitive for row in E.lattice_report().rows]
+    for u in elts:
+        assert E._stabilizer(u) == {g for g in E.galois_group()
+                                    if E.apply(g, u) == u}
+    for gens in label_gens:
+        assert E._stabilizer(*gens) == frozenset.intersection(
+            *(E._stabilizer(g) for g in gens))
+
+
+def _label_generators(E):
+    """The generators of the 19 labels: seven square roots, seven planes of
+    two, the triquadratic field and the four named octics."""
+    roots = [E.sqrt_of(d) for d in (-1, 2, -2, E.k, -E.k, 2 * E.k, -2 * E.k)]
+    planes = [[roots[i], roots[j]] for i, j in
+              ((0, 1), (0, 3), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4))]
+    octics = [[E.i, E.r, E.v2], [E.a], [E.a * E.w], [E.a + E.a_bar],
+              [E.a - E.a_bar]]
+    return [[root] for root in roots] + planes + octics
+
+
+@pytest.mark.parametrize("k", LABEL_KS)
+def test_nineteen_distinct_labels(k):
+    E = SplittingField(k)
+    rows = E.lattice_report().rows
+    labels = [row.label for row in rows if row.label]
+    assert len(labels) == 19 == len(set(labels))
+    # each label names the subgroup fixing its generators, of order 16/degree
+    stabilizers = {E._stabilizer(*gens) for gens in _label_generators(E)}
+    assert len(stabilizers) == 19
+    by_subgroup = {frozenset(row.subgroup): row for row in rows}
+    for H in stabilizers:
+        assert by_subgroup[H].label and by_subgroup[H].degree * len(H) == 16
+
+
 @pytest.mark.parametrize("k", [F(5), F(6), F(12), F(5, 3)])
 def test_other_k_values(k):
     E = SplittingField(k)
