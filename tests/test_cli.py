@@ -25,6 +25,13 @@ GOLDEN_CASES = [
     (("lattice", "990051", "--format", "json"), "lattice_990051.json"),
     (("witt-verify", "3", "--format", "json"), "witt_verify_3.json"),
 ]
+# the acceptance-1 vector, then values with a fractional d or k
+CLASSIFY_VALUES = ["9", "25", "36", "16", "2", "-2", "3", "4", "-1", "64",
+                   "81/16", "2/9", "9/4"]
+for _c in CLASSIFY_VALUES:
+    _name = "classify_" + _c.replace("-", "m").replace("/", "_")
+    GOLDEN_CASES += [(("classify", _c), f"{_name}.txt"),
+                     (("classify", _c, "--format", "json"), f"{_name}.json")]
 # small, typical and large coldbench-sized triples for `embed --compare` and
 # `sl-search`, in text and JSON
 EMBED_TRIPLES = [(("2", "3", "-2"), "2_3_m2"),
