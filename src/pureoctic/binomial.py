@@ -100,52 +100,57 @@ def pauli_condition_violation(k: Rational) -> str | None:
         return "k must be positive"
     r = arith.nth_root(k, 2)
     if r is not None:
-        return f"k = {k} is a rational square ({r}^2)"
+        return f"k = {k} is a rational square ({_squared(r)})"
     r = arith.nth_root(k / 2, 2)
     if r is not None:
-        return f"k = {k} is twice a rational square (2*{r}^2)"
+        return f"k = {k} is twice a rational square (2*{_squared(r)})"
     return None
+
+
+def _squared(r: Fraction) -> str:
+    """r^2 for display, with a fraction in parentheses: 3^2, (3/2)^2."""
+    return f"{r}^2" if r.denominator == 1 else f"({r})^2"
+
+
+# the branches in the order they are tried: (tag, splitting degree, the
+# value whose root is sought, root degree, branch text).  The first two are
+# the irreducibility criteria.  The Pauli k = sqrt(c) satisfies the Pauli
+# condition: k square would make c = d^4, k = 2*l^2 would make c = 4*l^4
+_OCTIC_BRANCHES = (
+    (TAG_REDUCIBLE, None, lambda c: -c, 2, "-c = {square} is a square (criterion a)"),
+    (TAG_REDUCIBLE, None, lambda c: c / 4, 4,
+     "c = 4*lambda^4 with lambda = {root} (criterion b)"),
+    (TAG_K8, 8, lambda c: c, 4, "c = d^4 with d = {root}"),
+    (TAG_D16, 16, lambda c: c / 2, 2, "c = 2*d^2 with d = {root}"),
+    (TAG_QD16, 16, lambda c: -c / 2, 2, "c = -2*d^2 with d = {root}"),
+    (TAG_PAULI, 16, lambda c: c, 2,
+     "c = k^2 with k = {root}, k neither a square nor twice a square"),
+)
+
+
+def octic_verdict(c: Rational) -> tuple[GaloisTag, str]:
+    """Galois group of X^8 + c and the matched branch of the list, each
+    root taken once."""
+    c = Fraction(c)
+    if c == 0:
+        raise ValueError("c must be nonzero")
+    for name, degree, value, n, text in _OCTIC_BRANCHES:
+        root = arith.nth_root(value(c), n)
+        if root is not None:
+            return (GaloisTag(name, degree),
+                    text.format(root=root, square=_squared(root)))
+    return (GaloisTag(TAG_B32, 32),
+            "c is not in any square class of the list (generic case)")
 
 
 def classify_octic(c: Rational) -> GaloisTag:
     """Galois group of X^8 + c over Q, for any nonzero rational c."""
-    c = Fraction(c)
-    if c == 0:
-        raise ValueError("c must be nonzero")
-    if not is_irreducible_binomial(8, c):
-        return GaloisTag(TAG_REDUCIBLE, None)
-    if arith.is_fourth_power(c):
-        return GaloisTag(TAG_K8, 8)
-    if arith.is_square(c / 2):
-        return GaloisTag(TAG_D16, 16)
-    if arith.is_square(-c / 2):
-        return GaloisTag(TAG_QD16, 16)
-    if arith.is_square(c):
-        # k = sqrt(c) automatically satisfies the Pauli condition here:
-        # k square would make c a fourth power, k = 2*l^2 would make c = 4*l^4
-        return GaloisTag(TAG_PAULI, 16)
-    return GaloisTag(TAG_B32, 32)
+    return octic_verdict(c)[0]
 
 
 def classification_branch(c: Rational) -> str:
     """The matched branch of the classification list, as a display string."""
-    c = Fraction(c)
-    tag = classify_octic(c)
-    if tag.name == TAG_REDUCIBLE:
-        rep = irreducibility_report(c)
-        if rep["square_root_of_minus_c"] is not None:
-            return f"-c = {rep['square_root_of_minus_c']}^2 is a square (criterion a)"
-        return f"c = 4*lambda^4 with lambda = {rep['lambda_with_c_eq_4lambda4']} (criterion b)"
-    if tag.name == TAG_K8:
-        return f"c = d^4 with d = {arith.nth_root(c, 4)}"
-    if tag.name == TAG_D16:
-        return f"c = 2*d^2 with d = {arith.nth_root(c / 2, 2)}"
-    if tag.name == TAG_QD16:
-        return f"c = -2*d^2 with d = {arith.nth_root(-c / 2, 2)}"
-    if tag.name == TAG_PAULI:
-        k = arith.nth_root(c, 2)
-        return f"c = k^2 with k = {k}, k neither a square nor twice a square"
-    return "c is not in any square class of the list (generic case)"
+    return octic_verdict(c)[1]
 
 
 def schinzel_abelian(n: int, c: Rational) -> bool:

@@ -53,32 +53,28 @@ def _poly_display(c: Fraction) -> str:
 def cmd_classify(args) -> int:
     try:
         c = parse_rational(args.c)
-        tag = binomial.classify_octic(c)
-        branch = binomial.classification_branch(c)
-        report = binomial.irreducibility_report(c)
+        tag, branch = binomial.octic_verdict(c)
     except ValueError as exc:
         return _fail(str(exc))
-    mu = report["square_root_of_minus_c"]
-    lam = report["lambda_with_c_eq_4lambda4"]
+    irreducible = tag.name != binomial.TAG_REDUCIBLE
     lines = [f"polynomial: {_poly_display(c)}"]
-    if report["irreducible"]:
+    if irreducible:
         lines.append("irreducible: yes"
                      " (-c is not a square; c is not of the form 4*lambda^4)")
     else:
-        clause = (f"-c = {mu}^2 is a square" if mu is not None
-                  else f"c = 4*lambda^4 with lambda = {lam}")
-        lines.append(f"irreducible: no ({clause})")
+        # the violated clause is the branch without its criterion letter
+        lines.append(f"irreducible: no ({branch.rpartition(' (criterion')[0]})")
     lines.append(f"branch: {branch}")
-    if tag.name == binomial.TAG_REDUCIBLE:
-        lines.append("galois group: Reducible (no transitive octic group)")
-    else:
+    if irreducible:
         extra = " = Hol(C8)" if tag.name == binomial.TAG_B32 else ""
         lines.append(f"galois group: {tag.name}{extra} (order {tag.group_order}),"
                      f" splitting field degree {tag.splitting_degree}")
+    else:
+        lines.append("galois group: Reducible (no transitive octic group)")
     payload = {
         "c": c,
         "polynomial": _poly_display(c),
-        "irreducible": report["irreducible"],
+        "irreducible": irreducible,
         "tag": tag.name,
         "group_order": tag.group_order,
         "splitting_degree": tag.splitting_degree,

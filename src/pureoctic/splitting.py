@@ -2,10 +2,12 @@
 X^8 + k^2, where a is a root and w is a primitive 8th root of unity.
 
 Elements are 16-vectors of rationals over the basis a^j * w^e (j = 0..7,
-e = 0..1), with the reduction rules a^8 = -k^2 and w^2 = a^4 / k.  The
-16 automorphisms a -> a*w^t, w -> w^s (s = 2t+1 mod 4) send each basis
-monomial a^j * w^e to a^j * w^(tj+se), a rational multiple of one basis
-monomial, so each acts as a permutation of the basis with scalings.  The
+e = 0..1).  One reduction rule, `_reduce`, writes a^j * w^m as a rational
+multiple of one basis monomial by a^8 = -k^2 and w^2 = a^4 / k; it gives
+the product table, the roots a * w^m and the Galois action.  The 16
+automorphisms a -> a*w^t, w -> w^s (s = 2t+1 mod 4) send a^j * w^e to
+a^j * w^(tj+se), a scaled permutation of the basis, and construction
+checks their defining relations on monomials, with no field product.  The
 fixed field of a subgroup is spanned by its orbit sums.  The stabiliser of
 an element is read off the same action, so a primitive element of a fixed
 field is the first candidate whose stabiliser is the subgroup, and a
@@ -30,6 +32,20 @@ from functools import cached_property
 from . import binomial, groups
 from .arith import PrimeBasis, Rational, squarefree_part
 from .groups import FinGroup, Perm
+
+# the basis monomials a^j * w^e as (j, e), in coordinate order 2j + e
+_MONOMIALS = tuple(divmod(idx, 2) for idx in range(16))
+
+
+def _reduce(k: Fraction, j: int, m: int) -> tuple[int, Fraction]:
+    """a^j * w^m as (index, scale): scale times basis monomial number index.
+
+    w^m = w^(m mod 2) * (a^4 / k)^(m // 2) by w^2 = a^4 / k, then a^8 = -k^2
+    reduces the power of a; the two rules give w^8 = 1, so m is taken mod 8.
+    """
+    half, e = divmod(m % 8, 2)
+    q, j = divmod(j + 4 * half, 8)
+    return 2 * j + e, Fraction(-k * k) ** q / k ** half
 
 
 @dataclass(frozen=True, order=True)
@@ -174,7 +190,8 @@ class FieldElt:
         return self.field.k == other.field.k and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a rational element equals its Fraction value, so it hashes as one
+        return hash(self.coeffs[0] if self.is_rational() else self.coeffs)
 
     def __str__(self):
         terms = []
@@ -219,39 +236,12 @@ class SplittingField:
         if violation is not None:
             raise ValueError(f"k = {k} rejected: {violation}")
         self.k = k
-        self._mul_table = self._build_mul_table(k)
-        self._w_pow = self._build_w_powers()
+        self._mul_table = tuple(
+            tuple(_reduce(k, j1 + j2, e1 + e2) for j2, e2 in _MONOMIALS)
+            for j1, e1 in _MONOMIALS)
         self._galois = tuple(AffineAut(t, s) for t, s in groups.PAULI_PAIRS)
         self._actions = {aut: self._monomial_action(aut) for aut in self._galois}
         self._verify_construction()
-
-    @staticmethod
-    def _build_mul_table(k):
-        # product of basis monomials is a single monomial times a scalar
-        table = []
-        for i1 in range(16):
-            j1, e1 = divmod(i1, 2)
-            row = []
-            for i2 in range(16):
-                j2, e2 = divmod(i2, 2)
-                j, e = j1 + j2, e1 + e2
-                scale = Fraction(1)
-                if e == 2:
-                    j += 4
-                    e = 0
-                    scale /= k       # w^2 = a^4 / k
-                while j >= 8:
-                    j -= 8
-                    scale *= -k * k  # a^8 = -k^2
-                row.append((2 * j + e, scale))
-            table.append(tuple(row))
-        return tuple(table)
-
-    def _build_w_powers(self):
-        powers = [self.one()]
-        for _ in range(7):
-            powers.append(powers[-1] * self.w)
-        return tuple(powers)
 
     # --- element constructors -------------------------------------------
 
@@ -259,24 +249,20 @@ class SplittingField:
         return FieldElt(self, coeffs)
 
     def zero(self) -> FieldElt:
-        return FieldElt(self, [0] * 16)
+        return self.monomial(0, 0, 0)
 
     def one(self) -> FieldElt:
-        return self.rational(1)
+        return self.monomial(0, 0)
 
     def rational(self, q) -> FieldElt:
-        coeffs = [Fraction(0)] * 16
-        coeffs[0] = Fraction(q)
-        return FieldElt(self, coeffs)
+        return self.monomial(0, 0, q)
 
     def basis_element(self, idx: int) -> FieldElt:
-        coeffs = [Fraction(0)] * 16
-        coeffs[idx] = Fraction(1)
-        return FieldElt(self, coeffs)
+        return self.monomial(*_MONOMIALS[idx])
 
     def monomial(self, j: int, e: int, coeff=1) -> FieldElt:
-        coeffs = [Fraction(0)] * 16
-        coeffs[2 * j + e] = Fraction(coeff)
+        coeffs = [0] * 16
+        coeffs[2 * j + e] = coeff
         return FieldElt(self, coeffs)
 
     @property
@@ -324,7 +310,8 @@ class SplittingField:
 
     def roots(self) -> list[FieldElt]:
         """The eight roots a * w^m of X^8 + k^2."""
-        return [self.a * self._w_pow[m] for m in range(8)]
+        return [self.monomial(*_MONOMIALS[idx], scale)
+                for idx, scale in (_reduce(self.k, 1, m) for m in range(8))]
 
     def defining_polynomial_check(self) -> bool:
         """Expand prod(X - a*w^m) in exact field arithmetic and compare
@@ -346,17 +333,11 @@ class SplittingField:
 
     def _monomial_action(self, aut: AffineAut) -> tuple:
         # a^j*w^e -> a^j*w^(tj+se): one (target index, scale) per basis index
-        action = []
-        for idx in range(16):
-            j, e = divmod(idx, 2)
-            target, scale = 2 * j, Fraction(1)
-            for _ in range((aut.t * j + aut.s * e) % 8):
-                target, factor = self._mul_table[target][1]  # times w
-                scale *= factor
-            action.append((target, scale))
+        action = tuple(_reduce(self.k, j, aut.t * j + aut.s * e)
+                       for j, e in _MONOMIALS)
         if sorted(target for target, _ in action) != list(range(16)):
             raise AssertionError(f"{aut} does not permute the basis monomials")
-        return tuple(action)
+        return action
 
     def apply(self, aut: AffineAut, u: FieldElt) -> FieldElt:
         """Image of u under a -> a*w^t, w -> w^s (an exact ring map)."""
@@ -379,14 +360,14 @@ class SplittingField:
                    if c or u.coeffs[target]))
 
     def _verify_construction(self):
-        # generator relations imply each monomial action is a ring homomorphism
-        minus_k2 = self.rational(-self.k ** 2)
+        # generator relations imply each monomial action is a ring homomorphism;
+        # the images a*w^t and w^s are monomials, and so are their powers
+        k = self.k
         for aut in self._galois:
-            a_img = self.a * self._w_pow[aut.t]
-            w_img = self._w_pow[aut.s]
-            if a_img ** 8 != minus_k2:
+            if _reduce(k, 8, 8 * aut.t) != (0, -k * k):
                 raise AssertionError(f"{aut}: image of a is not a root")
-            if w_img * w_img != (a_img ** 4) / self.k:
+            idx, scale = _reduce(k, 4, 4 * aut.t)
+            if _reduce(k, 0, 2 * aut.s) != (idx, scale / k):
                 raise AssertionError(f"{aut}: images break w^2 = a^4/k")
         perm_group = self.galois_permutation_group()
         if set(perm_group) != {aut.root_permutation() for aut in self._galois}:

@@ -109,6 +109,46 @@ def test_classify_json_deterministic(capsys):
     assert payload["splitting_degree"] == 16
 
 
+def test_classify_fractional_square_witness(capsys):
+    code, out, _ = run(capsys, "classify", "-9/4")
+    assert code == 0
+    assert "irreducible: no (-c = (3/2)^2 is a square)\n" in out
+    assert "branch: -c = (3/2)^2 is a square (criterion a)\n" in out
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("lattice", "9/4"),
+     "error: k = 9/4 rejected: k = 9/4 is a rational square ((3/2)^2)\n"),
+    (("lattice", "9/2"),
+     "error: k = 9/2 rejected: k = 9/2 is twice a rational square (2*(3/2)^2)\n"),
+    (("witt-verify", "9/2"),
+     "error: k = 9/2 is twice a rational square (2*(3/2)^2)\n"),
+    # an integer witness prints without parentheses
+    (("lattice", "8"),
+     "error: k = 8 rejected: k = 8 is twice a rational square (2*2^2)\n"),
+])
+def test_pauli_violation_witness(capsys, argv, err):
+    code, out, got = run(capsys, *argv)
+    assert (code, out, got) == (2, "", err)
+
+
+def test_classify_takes_each_root_once(capsys, monkeypatch):
+    from pureoctic import arith
+
+    # two irreducibility clauses, then one root per K8/D16/QD16/Pauli branch
+    calls = []
+    nth_root = arith.nth_root
+
+    def counting(q, n):
+        calls.append((q, n))
+        return nth_root(q, n)
+
+    monkeypatch.setattr(arith, "nth_root", counting)
+    code, out, _ = run(capsys, "classify", "3")
+    assert code == 0 and "B32" in out
+    assert len(calls) == len(set(calls)) == 6
+
+
 def test_lattice_text(capsys):
     code, out, _ = run(capsys, "lattice", "3")
     assert code == 0

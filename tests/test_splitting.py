@@ -10,8 +10,32 @@ from pureoctic import arith, groups, linalg
 from pureoctic.splitting import (
     IDENTITY_AUT,
     AffineAut,
+    FieldElt,
     SplittingField,
 )
+
+
+def _reference_mul_table(k):
+    """Products of basis monomials by the two rules applied one step at a
+    time: a single monomial times a scalar."""
+    table = []
+    for i1 in range(16):
+        j1, e1 = divmod(i1, 2)
+        row = []
+        for i2 in range(16):
+            j2, e2 = divmod(i2, 2)
+            j, e = j1 + j2, e1 + e2
+            scale = F(1)
+            if e == 2:
+                j += 4
+                e = 0
+                scale /= k       # w^2 = a^4 / k
+            while j >= 8:
+                j -= 8
+                scale *= -k * k  # a^8 = -k^2
+            row.append((2 * j + e, scale))
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _basis_images(field, aut):
@@ -65,6 +89,32 @@ def test_reduction_rules(E3):
     assert E3.sqrt_of(-3) * E3.sqrt_of(-3) == E3.rational(-3)
     assert E3.sqrt_of(6) * E3.sqrt_of(6) == E3.rational(6)
     assert E3.sqrt_of(-6) * E3.sqrt_of(-6) == E3.rational(-6)
+
+
+@pytest.mark.parametrize("k", [F(3), F(5, 3), F(3, 4), F(12), F(990051)])
+def test_mul_table_matches_reference(k):
+    assert SplittingField(k)._mul_table == _reference_mul_table(k)
+
+
+def test_construction_makes_no_field_products(monkeypatch):
+    calls = []
+    mul = FieldElt.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElt, "__mul__", counting)
+    E = SplittingField(F(5))
+    assert calls == []
+    E.a * E.w  # the counter does see a product
+    assert len(calls) == 1
+
+
+def test_rational_elements_hash_as_fractions(E3):
+    assert E3.one() == 1 and hash(E3.one()) == hash(1)
+    assert len({E3.one(), 1}) == 1 and E3.one() in {1}
+    assert E3.rational(F(7, 2)) in {F(7, 2)}
 
 
 def test_ring_axioms_random(E3):
@@ -204,15 +254,17 @@ def test_apply_composition_matches_group_law(E3):
             assert E3.apply(s1.compose(s2), u) == E3.apply(s1, E3.apply(s2, u))
 
 
-def test_automorphisms_act_monomially(E3):
+@pytest.mark.parametrize("k", [F(3), F(5, 3), F(3, 4)])
+def test_automorphisms_act_monomially(k):
     # each basis monomial goes to one nonzero multiple of one basis monomial
-    for aut in E3.galois_group():
+    E = SplittingField(k)
+    for aut in E.galois_group():
         targets = set()
-        for idx, image in enumerate(_basis_images(E3, aut)):
+        for idx, image in enumerate(_basis_images(E, aut)):
             support = [i for i, c in enumerate(image.coeffs) if c]
             assert len(support) == 1
             targets.update(support)
-            assert E3.apply(aut, E3.basis_element(idx)) == image
+            assert E.apply(aut, E.basis_element(idx)) == image
         assert len(targets) == 16
 
 
