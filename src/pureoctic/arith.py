@@ -17,6 +17,7 @@ so that a product of classes is an XOR and no product is factored again.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from collections.abc import Iterable
@@ -366,7 +367,7 @@ def primes_below(bound: int) -> list[int]:
     for i in range(2, math.isqrt(bound - 1) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(bound) if sieve[i]]
+    return list(itertools.compress(range(bound), sieve))
 
 
 def parse_rational(text: str) -> Rational:

@@ -70,20 +70,6 @@ def is_irreducible_binomial(n: int, c: Rational) -> bool:
     return True
 
 
-def irreducibility_report(c: Rational) -> dict:
-    """Clause-by-clause irreducibility diagnosis for X^8 + c."""
-    c = Fraction(c)
-    if c == 0:
-        raise ValueError("c must be nonzero")
-    mu = arith.nth_root(-c, 2)
-    lam = arith.nth_root(c / 4, 4)
-    return {
-        "square_root_of_minus_c": mu,     # criterion (a) witness, q = 2
-        "lambda_with_c_eq_4lambda4": lam,  # criterion (b) witness
-        "irreducible": mu is None and lam is None,
-    }
-
-
 def pauli_condition(k: Rational) -> bool:
     """True iff k > 0 is neither a rational square nor twice one: exactly the
     values for which X^8 + k^2 has the Pauli group as Galois group."""

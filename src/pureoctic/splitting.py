@@ -234,7 +234,7 @@ class SplittingField:
             raise ValueError(f"k = {k} rejected: k must be positive")
         violation = binomial.pauli_condition_violation(k)
         if violation is not None:
-            raise ValueError(f"k = {k} rejected: {violation}")
+            raise ValueError(violation)
         self.k = k
         self._mul_table = tuple(
             tuple(_reduce(k, j1 + j2, e1 + e2) for j2, e2 in _MONOMIALS)

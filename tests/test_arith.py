@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: factorization, square classes, symbols."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -111,6 +112,13 @@ def test_legendre_against_enumeration():
 def test_primes_below():
     assert arith.primes_below(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(arith.primes_below(50000)) == 5133
+
+
+def test_primes_below_against_trial_division():
+    reference = [n for n in range(2, 2000)
+                 if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    for bound in range(2001):  # 0, 1, 2, 3, 4 and every bound up to 2000
+        assert arith.primes_below(bound) == [p for p in reference if p < bound]
 
 
 def test_parse_rational():

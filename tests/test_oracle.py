@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from pureoctic import binomial, groups, oracle
+from pureoctic.arith import primes_below
 
 
 # --- exhaustive trial division over F_p: the independent reference ----------
@@ -124,6 +125,40 @@ def test_factor_mod_p_against_brute_force():
                 brute_force_factor_degrees(c, p), (c, p)
 
 
+def test_keyed_degrees_every_residue(monkeypatch):
+    # the (p mod 8, ord b) table against Mobius inversion at every nonzero
+    # residue of every odd prime below 500; 11 keys occur
+    monkeypatch.setattr(oracle, "_DEGREES", {})
+    for p in primes_below(500)[1:]:
+        for a in range(1, p):
+            assert oracle._degrees(a, p) == oracle._frobenius_degrees(a, p), (a, p)
+    assert len(oracle._DEGREES) == 11
+
+
+@pytest.mark.parametrize("c", [F(9), F(-7, 5)])
+def test_keyed_degrees_every_good_prime(c):
+    for p in primes_below(200000)[1:]:
+        if c.numerator % p == 0 or c.denominator % p == 0:
+            continue
+        a = -c.numerator * pow(c.denominator, -1, p) % p
+        assert oracle._degrees(a, p) == oracle._frobenius_degrees(a, p), p
+
+
+def test_census_fills_the_table_at_most_11_times(monkeypatch):
+    calls = []
+    frobenius_degrees = oracle._frobenius_degrees
+
+    def counting(a, p):
+        calls.append((a, p))
+        return frobenius_degrees(a, p)
+
+    monkeypatch.setattr(oracle, "_DEGREES", {})
+    monkeypatch.setattr(oracle, "_frobenius_degrees", counting)
+    cns = oracle.census(F(9), 200000)
+    assert cns.total == len(primes_below(200000)) - 2
+    assert 0 < len(calls) <= 11
+
+
 def test_degrees_always_sum_to_eight():
     rng = random.Random(99)
     for _ in range(60):
@@ -161,7 +196,6 @@ def test_group_cycle_types_wrong_degree():
 
 def test_census_bookkeeping():
     cns = oracle.census(F(9), 200)
-    from pureoctic.arith import primes_below
     good = [p for p in primes_below(200) if p not in (2, 3)]
     assert cns.total == len(good)
     assert cns.skipped == (2, 3)
