@@ -376,7 +376,10 @@ def parse_rational(text: str) -> Rational:
     literal = text.strip()
     if not _RATIONAL_LITERAL.fullmatch(literal):
         raise ValueError(f"not a rational number: {text!r}")
+    # int() takes the underscores on every supported Python; Fraction(str)
+    # only from 3.11
+    num, _, den = literal.partition("/")
     try:
-        return Fraction(literal)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc

@@ -6,15 +6,15 @@ e = 0..1).  One reduction rule, `_reduce`, writes a^j * w^m as a rational
 multiple of one basis monomial by a^8 = -k^2 and w^2 = a^4 / k; it gives
 the product table, the roots a * w^m and the Galois action.  The 16
 automorphisms a -> a*w^t, w -> w^s (s = 2t+1 mod 4) send a^j * w^e to
-a^j * w^(tj+se), a scaled permutation of the basis, and construction
-checks their defining relations on monomials, with no field product.  The
-fixed field of a subgroup is spanned by its orbit sums.  The stabiliser of
-an element is read off the same action, so a primitive element of a fixed
-field is the first candidate whose stabiliser is the subgroup, and a
-subfield label names the subgroup that stabilises its generators.  The
-inverse of an element is the product of its other conjugates over its
-norm, and the full subgroup <-> subfield correspondence is assembled into
-a lattice report.
+a^j * w^(tj+se), a scaled permutation of the basis; the tests check that
+they respect the defining relations and act on the roots as the Pauli
+group.  The fixed field of a subgroup is spanned by its orbit sums.  The
+stabiliser of an element is read off the same action, so a primitive
+element of a fixed field is the first candidate whose stabiliser is the
+subgroup, and a subfield label names the subgroup that stabilises its
+generators.  The inverse of an element is the product of its other
+conjugates over its norm, and the full subgroup <-> subfield
+correspondence is assembled into a lattice report.
 
 The module also certifies the quadratic-form change-of-basis matrix T over
 Q(sqrt(-2)) (det 1, transforms diag(2, k, 1/2k) to the identity) and the
@@ -241,7 +241,6 @@ class SplittingField:
             for j1, e1 in _MONOMIALS)
         self._galois = tuple(AffineAut(t, s) for t, s in groups.PAULI_PAIRS)
         self._actions = {aut: self._monomial_action(aut) for aut in self._galois}
-        self._verify_construction()
 
     # --- element constructors -------------------------------------------
 
@@ -333,11 +332,8 @@ class SplittingField:
 
     def _monomial_action(self, aut: AffineAut) -> tuple:
         # a^j*w^e -> a^j*w^(tj+se): one (target index, scale) per basis index
-        action = tuple(_reduce(self.k, j, aut.t * j + aut.s * e)
-                       for j, e in _MONOMIALS)
-        if sorted(target for target, _ in action) != list(range(16)):
-            raise AssertionError(f"{aut} does not permute the basis monomials")
-        return action
+        return tuple(_reduce(self.k, j, aut.t * j + aut.s * e)
+                     for j, e in _MONOMIALS)
 
     def apply(self, aut: AffineAut, u: FieldElt) -> FieldElt:
         """Image of u under a -> a*w^t, w -> w^s (an exact ring map)."""
@@ -358,22 +354,6 @@ class SplittingField:
                    for u in elts
                    for (target, scale), c in zip(action, u.coeffs)
                    if c or u.coeffs[target]))
-
-    def _verify_construction(self):
-        # generator relations imply each monomial action is a ring homomorphism;
-        # the images a*w^t and w^s are monomials, and so are their powers
-        k = self.k
-        for aut in self._galois:
-            if _reduce(k, 8, 8 * aut.t) != (0, -k * k):
-                raise AssertionError(f"{aut}: image of a is not a root")
-            idx, scale = _reduce(k, 4, 4 * aut.t)
-            if _reduce(k, 0, 2 * aut.s) != (idx, scale / k):
-                raise AssertionError(f"{aut}: images break w^2 = a^4/k")
-        perm_group = self.galois_permutation_group()
-        if set(perm_group) != {aut.root_permutation() for aut in self._galois}:
-            raise AssertionError("affine maps do not form a group")
-        if groups.identify(perm_group) != "Pauli":
-            raise AssertionError("root action lacks the Pauli fingerprint")
 
     def galois_permutation_group(self) -> FinGroup:
         return groups.pauli_affine_model()

@@ -131,6 +131,11 @@ def test_parse_rational():
     for literal in ("1e3", "0.5", "1."):
         with pytest.raises(ValueError):
             arith.parse_rational(literal)
+    assert arith.parse_rational("1_000") == 1000
+    assert arith.parse_rational("-1_2/3_0") == F(-2, 5)
+    for literal in ("1__0", "_1"):
+        with pytest.raises(ValueError, match="not a rational number"):
+            arith.parse_rational(literal)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 8])

@@ -23,8 +23,17 @@ GOLDEN_CASES = [
     (("lattice", "3/4", "--format", "json"), "lattice_3_4.json"),
     # 990051 = 3 * 330017: k with a six-digit prime factor
     (("lattice", "990051", "--format", "json"), "lattice_990051.json"),
+    (("witt-verify", "3"), "witt_verify_3.txt"),
     (("witt-verify", "3", "--format", "json"), "witt_verify_3.json"),
 ]
+# one value per oracle outcome: K8, D16, QD16, Pauli, B32
+ORACLE_VALUES = ["16", "2", "-2", "9", "3"]
+for _c in ORACLE_VALUES:
+    _name = "oracle_" + _c.replace("-", "m")
+    GOLDEN_CASES += [
+        (("oracle", _c, "--primes", "20000"), f"{_name}.txt"),
+        (("oracle", _c, "--primes", "20000", "--format", "json"), f"{_name}.json"),
+    ]
 # the acceptance-1 vector, then values with a fractional d or k
 CLASSIFY_VALUES = ["9", "25", "36", "16", "2", "-2", "3", "4", "-1", "64",
                    "81/16", "2/9", "9/4"]
@@ -185,6 +194,24 @@ def test_golden_output(capsys, argv, golden):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+def test_request_paths_identify_no_group(capsys, monkeypatch):
+    # the group models are proved in the tests; a request only uses them
+    from pureoctic import groups, oracle
+
+    def refuse(*_):
+        raise AssertionError("a request path identified a group")
+
+    oracle.stock_models.cache_clear()
+    monkeypatch.setattr(groups, "identify", refuse)
+    monkeypatch.setattr(groups, "fingerprint", refuse)
+    for argv, golden in [(("oracle", "9", "--primes", "20000"), "oracle_9.txt"),
+                         (("lattice", "3"), "lattice_3.txt"),
+                         (("witt-verify", "3"), "witt_verify_3.txt")]:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_witt_verify(capsys):

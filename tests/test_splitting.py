@@ -182,8 +182,12 @@ def test_galois_permutation_group_is_shared():
     field = SplittingField(F(3))
     G = field.galois_permutation_group()
     assert field.galois_permutation_group() is G
-    # construction enumerated the subgroups once; the lattice reuses them
-    assert G._subgroups is not None
+    # the first lattice enumerates the subgroups once; later ones reuse them
+    field.lattice_report()
+    subgroups = G._subgroups
+    assert subgroups is not None
+    SplittingField(F(5)).lattice_report()
+    assert G._subgroups is subgroups
     assert [field.aut_from_permutation(p) for p in G] == \
         sorted(field.galois_group(), key=lambda s: s.root_permutation())
 
