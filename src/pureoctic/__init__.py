@@ -7,15 +7,8 @@ forms decide the quaternion and triquadratic embedding criteria; and a
 mod-p factorization census independently checks every verdict.
 """
 
-from .arith import Rational, SquareClass, factor, is_square, legendre, squarefree_part, valuation
-from .binomial import (
-    GaloisTag,
-    classify_octic,
-    full_subgroup_bound,
-    is_irreducible_binomial,
-    pauli_condition,
-    schinzel_abelian,
-)
+from .arith import Rational, SquareClass, factor, is_square, legendre, squarefree_part
+from .binomial import GaloisTag, classify_octic, pauli_condition
 from .groups import (
     FinGroup,
     Perm,
@@ -24,7 +17,6 @@ from .groups import (
     hol_c8_model,
     identify,
     pauli_matrix_group,
-    quotient_type,
 )
 from .oracle import census, consistent, factor_mod_p, group_cycle_types
 from .qforms import (
@@ -32,9 +24,7 @@ from .qforms import (
     TernaryForm,
     brauer_condition,
     equivalent,
-    hasse_invariant,
     hilbert,
-    isotropic,
     pauli_embeddable,
     sl_search,
     witt_embeddable,
@@ -48,10 +38,8 @@ __all__ = [
     "Rational", "SplittingField", "SquareClass", "TernaryForm",
     "brauer_condition", "census", "classify_octic", "closure", "consistent",
     "equivalent", "factor", "factor_mod_p", "fingerprint",
-    "full_subgroup_bound", "group_cycle_types", "hasse_invariant", "hilbert",
-    "hol_c8_model", "identify", "is_irreducible_binomial", "is_square",
-    "isotropic", "legendre", "pauli_condition", "pauli_embeddable",
-    "pauli_matrix_group", "quotient_type", "schinzel_abelian", "sl_search",
-    "squarefree_part", "valuation", "witt_T", "witt_beta_rho",
+    "group_cycle_types", "hilbert", "hol_c8_model", "identify", "is_square",
+    "legendre", "pauli_condition", "pauli_embeddable", "pauli_matrix_group",
+    "sl_search", "squarefree_part", "witt_T", "witt_beta_rho",
     "witt_embeddable",
 ]

@@ -1,5 +1,5 @@
 """Exact integer and rational arithmetic: factorization, square classes,
-valuations and Legendre symbols.
+integer roots and Legendre symbols.
 
 Everything downstream (the octic classifier, Hilbert symbols, the splitting
 field) works over Q with exact arithmetic; this module is the substrate.
@@ -126,15 +126,6 @@ class Factorization:
     sign: int
     exponents: tuple[tuple[int, int], ...]
 
-    def value(self) -> int:
-        v = self.sign
-        for p, e in self.exponents:
-            v *= p ** e
-        return v
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.exponents)
-
 
 def factor(n: int) -> Factorization:
     """Factor a nonzero integer: trial division to 10^6, then Brent's rho
@@ -181,8 +172,8 @@ class SquareClass:
     and the primes dividing it, ascending.
 
     Two rationals land in the same class iff their quotient is a rational
-    square; multiplication is the group law of Q*/(Q*)^2, which multiplies
-    the signs and takes the symmetric difference of the primes.
+    square.  Products of classes are taken as F2 vectors over a
+    `PrimeBasis`.
     """
 
     representative: int
@@ -193,17 +184,6 @@ class SquareClass:
             raise ValueError("square class of 0 is undefined")
         if math.prod(self.primes) != abs(self.representative):
             raise ValueError("primes do not match the representative")
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        primes = tuple(sorted(set(self.primes).symmetric_difference(other.primes)))
-        negative = (self.representative < 0) != (other.representative < 0)
-        return SquareClass(math.prod(primes, start=-1 if negative else 1), primes)
-
-    def is_trivial(self) -> bool:
-        return self.representative == 1
-
-    def __str__(self) -> str:
-        return str(self.representative)
 
 
 def squarefree_part(q: Rational | int) -> SquareClass:
@@ -321,30 +301,6 @@ def is_nth_power(q: Rational, k: int) -> bool:
 def is_square(q: Rational) -> bool:
     """True iff q = x^2 for some rational x (q = 0 included)."""
     return is_nth_power(Fraction(q), 2)
-
-
-def is_fourth_power(q: Rational) -> bool:
-    """True iff q = x^4 for some rational x."""
-    return is_nth_power(Fraction(q), 4)
-
-
-def valuation(q: Rational, p: int) -> int:
-    """The exponent v with q = p^v * (p-adic unit); q must be nonzero."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("valuation of 0 is undefined")
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
 
 
 def legendre(a: int, p: int) -> int:

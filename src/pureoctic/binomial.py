@@ -1,5 +1,5 @@
-"""Irreducibility of pure polynomials X^n + c over Q and the complete
-Galois-group classification for the octic family X^8 + c.
+"""The octic classifier: irreducibility of X^8 + c over Q and its Galois
+group, decided by one list of branches.
 
 For irreducible X^8 + c the Galois group is determined by the square class
 of c alone:
@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from . import arith, groups
+from . import arith
 from .arith import Rational
 
 TAG_REDUCIBLE = "Reducible"
@@ -48,26 +47,6 @@ class GaloisTag:
     def group_order(self) -> int | None:
         # |Gal(E/Q)| = [E:Q]
         return self.splitting_degree
-
-
-def _prime_divisors(n: int) -> list[int]:
-    return [p for p, _ in arith.factor(n).exponents]
-
-
-def is_irreducible_binomial(n: int, c: Rational) -> bool:
-    """Irreducibility of X^n + c over Q: -c must not be a q-th power for any
-    prime q | n, and when 4 | n, c must not be of the form 4*lambda^4."""
-    c = Fraction(c)
-    if n < 1:
-        raise ValueError("degree must be positive")
-    if c == 0:
-        raise ValueError("X^n alone is not a binomial: c must be nonzero")
-    for q in _prime_divisors(n):
-        if arith.is_nth_power(-c, q):
-            return False
-    if n % 4 == 0 and arith.is_fourth_power(c / 4):
-        return False
-    return True
 
 
 def pauli_condition(k: Rational) -> bool:
@@ -133,37 +112,3 @@ def classify_octic(c: Rational) -> GaloisTag:
     """Galois group of X^8 + c over Q, for any nonzero rational c."""
     return octic_verdict(c)[0]
 
-
-def classification_branch(c: Rational) -> str:
-    """The matched branch of the classification list, as a display string."""
-    return octic_verdict(c)[1]
-
-
-def schinzel_abelian(n: int, c: Rational) -> bool:
-    """Abelianity test for the Galois group of X^n + c: true iff c^2 is an
-    n-th power in Q.  For irreducible X^n + c this forces a cyclic group when
-    4 does not divide n, and C2 x C(n/2) otherwise."""
-    c = Fraction(c)
-    if n < 1:
-        raise ValueError("degree must be positive")
-    if c == 0:
-        raise ValueError("c must be nonzero")
-    return arith.is_nth_power(c * c, n)
-
-
-@lru_cache(maxsize=None)
-def _hol_subgroup_fingerprints() -> set:
-    hol = groups.hol_c8_model()
-    return {groups.fingerprint(H) for H, _ in hol.subgroups()}
-
-
-def full_subgroup_bound(tag: GaloisTag | str) -> bool:
-    """Check that the tagged group's order divides |Hol(C8)| = 32 and that a
-    subgroup of the Hol(C8) model has the tagged group's fingerprint."""
-    name = tag.name if isinstance(tag, GaloisTag) else tag
-    if name == TAG_REDUCIBLE:
-        raise ValueError("reducible polynomials carry no transitive group")
-    model = groups.group_models()[name].group
-    if 32 % model.order != 0:
-        return False
-    return groups.fingerprint(model) in _hol_subgroup_fingerprints()

@@ -225,18 +225,6 @@ class FinGroup:
         members = {self._index[h.images] for h in H}
         return all(t[t[g][h]][inv[g]] in members for g in outer for h in members)
 
-    def is_transitive(self) -> bool:
-        orbit = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g in self.generators:
-                y = g(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return len(orbit) == self.degree
-
     def _join(self, H: int, gens: tuple[int, ...]) -> int:
         """The bitmask of the subgroup generated by the subgroup H (a bitmask)
         and the elements with indices gens, closed by right multiplication."""
@@ -303,11 +291,6 @@ def from_multiplication(elements, mult) -> FinGroup:
     return FinGroup(perms)
 
 
-def regular_representation(G: FinGroup) -> FinGroup:
-    """The same abstract group acting on itself by left multiplication."""
-    return from_multiplication(range(G.order), lambda a, b: G._table[a][b])
-
-
 def cyclic(n: int) -> FinGroup:
     gen = Perm([(i + 1) % n for i in range(n)])
     return closure([gen])
@@ -340,13 +323,6 @@ def quotient_group(G: FinGroup, N: FinGroup) -> FinGroup:
             reps.append(g)
     return from_multiplication(range(len(reps)),
                                lambda a, b: coset[t[reps[a]][reps[b]]])
-
-
-def relabel(G: FinGroup, pi: Perm) -> FinGroup:
-    """Conjugate every element by a relabeling of the point set."""
-    inv = pi.inverse()
-    return FinGroup([pi * g * inv for g in G.elements],
-                    generators=[pi * g * inv for g in G.generators])
 
 
 def affine_map(t: int, s: int) -> Perm:
@@ -689,21 +665,3 @@ def identify(G: FinGroup) -> str:
         raise LookupError(f"unrecognized group of order {G.order}")
     return name
 
-
-def quotient_type(G: FinGroup, N: FinGroup) -> str:
-    """Isomorphism type of G/N (N must be normal in G)."""
-    return identify(quotient_group(G, N))
-
-
-def subgroup_count_conventions(G: FinGroup) -> dict[str, int]:
-    """Subgroup tallies under both readings of 'proper subgroups'."""
-    subs = G.subgroups()
-    total = len(subs)
-    return {
-        "total": total,
-        "proper": total - 1,
-        "proper_nontrivial": total - 2,
-        "normal_total": sum(1 for _, nrm in subs if nrm),
-        "normal_proper_nontrivial": sum(
-            1 for H, nrm in subs if nrm and 1 < H.order < G.order),
-    }

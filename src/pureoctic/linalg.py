@@ -1,7 +1,9 @@
 """Tiny exact linear algebra over Fraction: reduced row echelon form,
-nullspaces, linear solves and span membership.  Matrices are lists of row
-tuples; everything stays exact.  The tests use it as the dense reference
-for the fixed fields that `splitting` reads off the monomial Galois action."""
+nullspaces, rank and span membership.  Matrices are lists of row tuples;
+everything stays exact.  The tests use it as the dense reference for the
+fixed fields that `splitting` reads off the monomial Galois action; no
+subcommand runs it, and it stays in the package because `coldbench`
+traces `rref`, `nullspace` and `in_span` by name."""
 
 from __future__ import annotations
 
@@ -60,16 +62,3 @@ def in_span(vectors: list, v) -> bool:
         return all(x == 0 for x in v)
     return rank(list(vectors)) == rank(list(vectors) + [list(v)])
 
-
-def solve(matrix: list, rhs: list):
-    """One solution of A x = b, or None if inconsistent (A given by rows)."""
-    n = len(matrix)
-    ncols = len(matrix[0])
-    augmented = [list(matrix[i]) + [Fraction(rhs[i])] for i in range(n)]
-    reduced, pivots = rref(augmented)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, pcol in zip(reduced, pivots):
-        x[pcol] = row[-1]
-    return tuple(x)

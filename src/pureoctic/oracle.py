@@ -235,20 +235,6 @@ def stock_models() -> dict[str, FinGroup | None]:
     return {name: table[name].model8 for name in _CANDIDATES}
 
 
-def transitive_8pt_obstruction(name: str) -> str | None:
-    """Why a candidate group has no faithful transitive action on 8 points:
-    a point stabilizer would be an order-2 subgroup with trivial core, and
-    these groups have none (every order-2 subgroup is normal)."""
-    if name not in _CANDIDATES or groups.group_models()[name].pairs is not None:
-        return None
-    G = groups.group_models()[name].group
-    order2 = [(H, nrm) for H, nrm in G.subgroups() if H.order == 2]
-    if all(nrm for _, nrm in order2):
-        return (f"every order-2 subgroup of {name} is normal, so no point"
-                " stabilizer has trivial core")
-    return None
-
-
 def model_for_tag(tag: binomial.GaloisTag | str) -> FinGroup:
     """The 8-point permutation model matching a classifier verdict."""
     name = tag.name if isinstance(tag, binomial.GaloisTag) else tag

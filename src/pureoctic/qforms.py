@@ -1,5 +1,5 @@
-"""Hilbert symbols over Q, Hasse invariants and equivalence of ternary
-diagonal forms, and the embedding criteria they decide.
+"""Hilbert symbols over Q, equivalence of ternary diagonal forms, and the
+embedding criteria they decide.
 
 (a, b)_v = +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution over the
 completion of Q at the place v.  Two quaternion criteria are exposed:
@@ -20,20 +20,19 @@ then an F2 vector over it, and each relevant place gets one table of the
 Hilbert symbols of the generators.  Each criterion takes an optional
 space, so that a caller asking several questions of the same a, b, c
 factors them once; the 210 ordered triplets of the S_L search are table
-lookups.  `hilbert`, `relevant_places` and `hasse_invariant` keep the
-direct route from rationals, one factorization per square-free part.
+lookups.  The scalar `hilbert`, from rationals by the local unit formulas,
+and `relevant_places` are the reference that the tables are tested
+against.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 
 from . import arith
-from .arith import Rational, SquareClass, squarefree_part
+from .arith import Rational, squarefree_part
 
 
 @dataclass(frozen=True)
@@ -113,57 +112,6 @@ def relevant_places(*values: Rational) -> list[Place]:
     return [REAL_PLACE, Place(2)] + [Place(p) for p in sorted(primes)]
 
 
-@lru_cache(maxsize=None)
-def _square_set(q: int) -> frozenset:
-    return frozenset(z * z % q for z in range(q))
-
-
-@lru_cache(maxsize=None)
-def local_solubility_search(a: int, b: int, p: int) -> bool:
-    """Brute-force decision of z^2 = a x^2 + b y^2 over Q_p, independent of
-    the symbol formulas: search nonsingular solutions mod p (which lift by
-    Hensel), then search primitive solutions mod p^(2B+1), a depth at which
-    existence is equivalent to p-adic solubility."""
-    a = squarefree_part(Fraction(a)).representative
-    b = squarefree_part(Fraction(b)).representative
-    # fast path: a zero mod p with nonzero gradient lifts
-    squares = {}
-    for z in range(p):
-        squares.setdefault(z * z % p, z)
-    for x in range(p):
-        for y in range(p):
-            t = (a * x * x + b * y * y) % p
-            z = squares.get(t)
-            if z is None:
-                continue
-            if (x % p, y % p, z % p) == (0, 0, 0):
-                continue
-            if any(g % p for g in (2 * a * x, 2 * b * y, 2 * z)):
-                return True
-    # primitive search at the certified depth: a primitive solution has a
-    # unit coordinate, which scaling normalizes to 1
-    B = (1 if p == 2 else 0) + max(abs_val(a, p), abs_val(b, p))
-    q = p ** (2 * B + 1)
-    sq = _square_set(q)
-    a_sq = {a * s % q for s in sq}
-    b_sq = {b * s % q for s in sq}
-    if not {(1 - s) % q for s in a_sq}.isdisjoint(b_sq):
-        return True  # z = 1
-    if not {(a + s) % q for s in b_sq}.isdisjoint(sq):
-        return True  # x = 1
-    if not {(b + s) % q for s in a_sq}.isdisjoint(sq):
-        return True  # y = 1
-    return False
-
-
-def abs_val(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 @dataclass(frozen=True)
 class TernaryForm:
     """A nondegenerate diagonal form <a, b, c> over Q."""
@@ -187,21 +135,6 @@ class TernaryForm:
         return f"[{self.a}, {self.b}, {self.c}]"
 
 
-def hasse_invariant(f: TernaryForm, place: Place) -> int:
-    """prod over i < j of (f_i, f_j)_v."""
-    a, b, c = f.coefficients
-    return hilbert(a, b, place) * hilbert(a, c, place) * hilbert(b, c, place)
-
-
-def signature(f: TernaryForm) -> tuple[int, int]:
-    pos = sum(1 for x in f.coefficients if x > 0)
-    return (pos, 3 - pos)
-
-
-def discriminant_class(f: TernaryForm) -> SquareClass:
-    return squarefree_part(f.a * f.b * f.c)
-
-
 def equivalent(f: TernaryForm, g: TernaryForm, space: ClassSpace | None = None) -> bool:
     """Rational equivalence of ternary forms: same discriminant class, same
     signature, same Hasse invariant at every relevant place.  `space`, a
@@ -210,42 +143,6 @@ def equivalent(f: TernaryForm, g: TernaryForm, space: ClassSpace | None = None) 
     space = space or ClassSpace(*f.coefficients, *g.coefficients)
     return space.equivalent(tuple(map(space.vector, f.coefficients)),
                             tuple(map(space.vector, g.coefficients)))
-
-
-def isotropic(f: TernaryForm) -> bool:
-    """Does f represent 0 nontrivially over Q?  Local-global: at the real
-    place this means indefinite; at p it means the Hasse invariant equals
-    (-1, -disc)_p."""
-    if signature(f)[0] in (0, 3):
-        return False
-    d = f.a * f.b * f.c
-    for v in relevant_places(*f.coefficients):
-        if v.is_real:
-            continue
-        if hasse_invariant(f, v) != hilbert(Fraction(-1), -d, v):
-            return False
-    return True
-
-
-def isotropy_witness(f: TernaryForm, bound: int = 30):
-    """A small nontrivial integer zero of f (signs are immaterial for a
-    diagonal form), or None within the bound."""
-    scale = math.lcm(*(q.denominator for q in f.coefficients))
-    A, B, C = (int(q * scale) for q in f.coefficients)
-    squares = [n * n for n in range(bound + 1)]
-    for x in range(bound + 1):
-        ax = A * squares[x]
-        for y in range(bound + 1):
-            target = -(ax + B * squares[y])
-            if target % C:
-                continue
-            t = target // C
-            if t < 0 or t > squares[-1]:
-                continue
-            z = math.isqrt(t)
-            if z * z == t and (x, y, z) != (0, 0, 0):
-                return (x, y, z)
-    return None
 
 
 def _symbol_rows(primes: tuple[int, ...], p: int | None) -> tuple[int, ...]:
@@ -289,7 +186,8 @@ def _symbol(rows: tuple[int, ...], u: int, w: int) -> int:
 
 
 def _hasse(rows: tuple[int, ...], form) -> int:
-    """`hasse_invariant` of a form of class vectors, as an F2 exponent."""
+    """The Hasse invariant prod over i < j of (f_i, f_j)_p of a form of
+    class vectors, as an F2 exponent."""
     a, b, c = form
     return _symbol(rows, a, b) ^ _symbol(rows, a, c) ^ _symbol(rows, b, c)
 

@@ -4,7 +4,7 @@ X^8 + k^2, where a is a root and w is a primitive 8th root of unity.
 Elements are 16-vectors of rationals over the basis a^j * w^e (j = 0..7,
 e = 0..1).  One reduction rule, `_reduce`, writes a^j * w^m as a rational
 multiple of one basis monomial by a^8 = -k^2 and w^2 = a^4 / k; it gives
-the product table, the roots a * w^m and the Galois action.  The 16
+the product table and the Galois action.  The 16
 automorphisms a -> a*w^t, w -> w^s (s = 2t+1 mod 4) send a^j * w^e to
 a^j * w^(tj+se), a scaled permutation of the basis; the tests check that
 they respect the defining relations and act on the roots as the Pauli
@@ -299,32 +299,6 @@ class SplittingField:
         return {Fraction(-1): i, Fraction(2): r, Fraction(-2): i * r, k: v2,
                 -k: self.monomial(2, 1), 2 * k: r * v2, -2 * k: i * r * v2}
 
-    def sqrt_of(self, d) -> FieldElt:
-        """An exact square root of d, for d in the seven square classes
-        {-1, 2, -2, k, -k, 2k, -2k} attached to the field."""
-        d = Fraction(d)
-        if d not in self._square_roots:
-            raise KeyError(f"no stored square root of {d}")
-        return self._square_roots[d]
-
-    def roots(self) -> list[FieldElt]:
-        """The eight roots a * w^m of X^8 + k^2."""
-        return [self.monomial(*_MONOMIALS[idx], scale)
-                for idx, scale in (_reduce(self.k, 1, m) for m in range(8))]
-
-    def defining_polynomial_check(self) -> bool:
-        """Expand prod(X - a*w^m) in exact field arithmetic and compare
-        against X^8 + k^2 coefficient-wise."""
-        poly = [self.one()]
-        for root in self.roots():
-            new = [self.zero()] * (len(poly) + 1)
-            for i, coeff in enumerate(poly):
-                new[i + 1] = new[i + 1] + coeff
-                new[i] = new[i] - root * coeff
-            poly = new
-        want = [self.rational(self.k ** 2)] + [self.zero()] * 7 + [self.one()]
-        return poly == want
-
     # --- Galois action ---------------------------------------------------
 
     def galois_group(self) -> tuple[AffineAut, ...]:
@@ -534,13 +508,6 @@ class LatticeReport:
     k: Fraction
     rows: tuple[LatticeRow, ...]
 
-    def degree_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for row in self.rows:
-            if 1 < row.degree < 16:
-                counts[row.degree] = counts.get(row.degree, 0) + 1
-        return counts
-
     def as_text(self) -> str:
         lines = [
             f"splitting field of X^8 + {self.k ** 2} = Q(w, a), degree 16 over Q",
@@ -708,10 +675,6 @@ class WittCertificate:
     beta_matches_matrix_diagonal: bool
     a_minus_abar_nonzero: bool
     generates_E_over_L: bool
-
-    def all_hold(self) -> bool:
-        return (self.factorization_holds and self.beta_matches_matrix_diagonal
-                and self.a_minus_abar_nonzero and self.generates_E_over_L)
 
 
 def witt_beta_rho(field: SplittingField) -> WittCertificate:

