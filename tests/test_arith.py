@@ -50,8 +50,6 @@ def test_squarefree_part_examples():
     assert arith.squarefree_part(F(9)).representative == 1
     assert arith.squarefree_part(F(-2)).representative == -2
     assert arith.squarefree_part(F(8, 25)).representative == 2
-    six = arith.squarefree_part(F(6))
-    assert (six.representative, six.primes) == (6, (2, 3))
 
 
 def test_squarefree_part_properties_random():
@@ -183,6 +181,17 @@ def test_factor_splits_two_13_digit_primes():
     # rho needs about 7 * 10^7 of its 2 * 10^8 budget units here
     p, q = 3896947605673, 4174304656513
     assert dict(arith.factor(p * q).exponents) == {p: 1, q: 1}
+
+
+def test_square_class_product_needs_no_factoring(monkeypatch):
+    six, m10_3 = arith.squarefree_part(F(6)), arith.squarefree_part(F(-10, 3))
+    assert (six.representative, six.primes) == (6, (2, 3))
+    monkeypatch.setattr(arith, "factor", None)
+    basis = arith.PrimeBasis([six, m10_3])
+    prod = basis.vectors[0] ^ basis.vectors[1]
+    assert basis.representative(prod) == -5
+    assert basis.vector(F(-5)) == prod
+    assert prod ^ prod == 0
 
 
 def test_prime_basis_vectors():
