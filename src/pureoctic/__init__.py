@@ -29,12 +29,12 @@ from .qforms import (
     sl_search,
     witt_embeddable,
 )
-from .splitting import AffineAut, FieldElt, SplittingField, witt_T, witt_beta_rho
+from .splitting import FieldElt, SplittingField, witt_T, witt_beta_rho
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineAut", "FieldElt", "FinGroup", "GaloisTag", "Perm", "Place",
+    "FieldElt", "FinGroup", "GaloisTag", "Perm", "Place",
     "Rational", "SplittingField", "SquareClass", "TernaryForm",
     "brauer_condition", "census", "classify_octic", "closure", "consistent",
     "equivalent", "factor", "factor_mod_p", "fingerprint",

@@ -38,11 +38,6 @@ class GaloisTag:
     name: str
     splitting_degree: int | None
 
-    def __str__(self):
-        if self.splitting_degree is None:
-            return self.name
-        return f"{self.name} (degree {self.splitting_degree})"
-
     @property
     def group_order(self) -> int | None:
         # |Gal(E/Q)| = [E:Q]

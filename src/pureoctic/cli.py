@@ -4,7 +4,8 @@ verification, embedding criteria and the mod-p census oracle.
 Rationals on the command line are integers or 'p/q' literals; there is no
 floating point anywhere in the interface.  Exit codes: 0 success, 1 a
 verification failed, 2 invalid input, including a value whose square class
-needs a factorization beyond `arith.factor`'s budget.
+needs a factorization beyond `arith.factor`'s budget or whose output holds
+an integer too long for the interpreter to print.
 """
 
 from __future__ import annotations
@@ -51,11 +52,8 @@ def _poly_display(c: Fraction) -> str:
 
 
 def cmd_classify(args) -> int:
-    try:
-        c = parse_rational(args.c)
-        tag, branch = binomial.octic_verdict(c)
-    except ValueError as exc:
-        return _fail(str(exc))
+    c = parse_rational(args.c)
+    tag, branch = binomial.octic_verdict(c)
     irreducible = tag.name != binomial.TAG_REDUCIBLE
     lines = [f"polynomial: {_poly_display(c)}"]
     if irreducible:
@@ -85,11 +83,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    try:
-        k = parse_rational(args.k)
-        report = splitting.SplittingField(k).lattice_report()
-    except ValueError as exc:
-        return _fail(str(exc))
+    k = parse_rational(args.k)
+    report = splitting.SplittingField(k).lattice_report()
     if args.format == "dot":
         print(report.as_dot())
     else:
@@ -98,12 +93,9 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_witt_verify(args) -> int:
-    try:
-        k = parse_rational(args.k)
-        matrix = splitting.witt_matrix_identities(k)
-        field = splitting.SplittingField(k)
-    except ValueError as exc:
-        return _fail(str(exc))
+    k = parse_rational(args.k)
+    matrix = splitting.witt_matrix_identities(k)
+    field = splitting.SplittingField(k)
     cert = splitting.witt_beta_rho(field)
     checks = {
         "det(T) = 1": matrix["det_is_one"],
@@ -127,17 +119,14 @@ def cmd_witt_verify(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    try:
-        a = parse_rational(args.a)
-        b = parse_rational(args.b)
-        c = parse_rational(args.c)
-        # a, b and c are factored once here; every criterion below reuses it
-        space = qforms.ClassSpace(a, b, c)
-        holds_15 = qforms.pauli_embeddable(a, b, c, space)
-        holds_14 = qforms.brauer_condition(a, b, c, space)
-        triplets = qforms.sl_search(a, b, c, space)
-    except ValueError as exc:
-        return _fail(str(exc))
+    a = parse_rational(args.a)
+    b = parse_rational(args.b)
+    c = parse_rational(args.c)
+    # a, b and c are factored once here; every criterion below reuses it
+    space = qforms.ClassSpace(a, b, c)
+    holds_15 = qforms.pauli_embeddable(a, b, c, space)
+    holds_14 = qforms.brauer_condition(a, b, c, space)
+    triplets = qforms.sl_search(a, b, c, space)
     classes = qforms.sl_classes(a, b, c, space)
     lines = [f"square classes of (a, b, c) = ({a}, {b}, {c}): independent",
              f"S_L = {{{', '.join(map(str, classes))}}}",
@@ -197,13 +186,10 @@ def _compare_table(space):
 
 
 def cmd_sl_search(args) -> int:
-    try:
-        a = parse_rational(args.a)
-        b = parse_rational(args.b)
-        c = parse_rational(args.c)
-        triplets = qforms.sl_search(a, b, c)
-    except ValueError as exc:
-        return _fail(str(exc))
+    a = parse_rational(args.a)
+    b = parse_rational(args.b)
+    c = parse_rational(args.c)
+    triplets = qforms.sl_search(a, b, c)
     lines = [f"S_L search for (a, b, c) = ({a}, {b}, {c}):"
              f" {len(triplets)} triplet(s) satisfy [u,v,uv] ~ [1,x,x]"]
     lines.extend(f"  (u, v, x) = {t}" for t in triplets)
@@ -213,17 +199,14 @@ def cmd_sl_search(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        c = parse_rational(args.c)
-        tolerance = parse_rational(args.tolerance)
-        tag = binomial.classify_octic(c)
-        if tag.name == binomial.TAG_REDUCIBLE:
-            return _fail(f"{_poly_display(c)} is reducible: no transitive group to test")
-        cns = oracle.census(c, args.primes)
-        model = oracle.model_for_tag(tag)
-        verdict = oracle.consistent(cns, model, tolerance)
-    except ValueError as exc:
-        return _fail(str(exc))
+    c = parse_rational(args.c)
+    tolerance = parse_rational(args.tolerance)
+    tag = binomial.classify_octic(c)
+    if tag.name == binomial.TAG_REDUCIBLE:
+        return _fail(f"{_poly_display(c)} is reducible: no transitive group to test")
+    cns = oracle.census(c, args.primes)
+    model = oracle.model_for_tag(tag)
+    verdict = oracle.consistent(cns, model, tolerance)
     lines = [f"classifier: {tag.name}",
              cns.as_text(),
              f"verdict vs {tag.name} model: {verdict}"]
@@ -263,7 +246,7 @@ def cmd_group_identify(args) -> int:
             G = groups.group_models()[args.name].group
         fp = groups.fingerprint(G)
         name = groups.identify(G)
-    except (ValueError, LookupError) as exc:
+    except LookupError as exc:
         return _fail(str(exc))
     lines = [f"order: {G.order}",
              f"identified as: {name}",
@@ -358,7 +341,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "group-identify" and not args.name and not args.gens:
         return _fail("need a group name or --gens")
-    return args.func(args)
+    # every ValueError is bad input, or a value too long for str() to render
+    # (the interpreter's integer-digit limit); a command prints only once
+    # its whole output is rendered, so stdout stays empty
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

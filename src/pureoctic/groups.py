@@ -9,7 +9,9 @@ order 16.  The 16-element group generated by the three 2x2 Pauli spin
 matrices is built over exact Gaussian integers and identified by three
 structural criteria: no element of order 8, some non-normal subgroup, and
 a quaternion Q8 subgroup.  Named groups live in one lazily built registry,
-`group_models()`; an affine map m -> s*m + t of Z/8 is its pair (t, s).
+`group_models()`.  An affine map m -> s*m + t of Z/8 is the Perm
+`affine_map(t, s)`; those of `pauli_affine_model()` are the automorphisms
+of the splitting field in `splitting`.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ class Perm:
         p.images = images
         return p
 
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls._unchecked(tuple(range(n)))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -61,12 +59,6 @@ class Perm:
             raise ValueError("permutation degrees differ")
         images = self.images
         return Perm._unchecked(tuple(images[j] for j in other.images))
-
-    def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm._unchecked(tuple(inv))
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths in decreasing order (a partition of the degree)."""
@@ -87,9 +79,6 @@ class Perm:
     def order(self) -> int:
         return math.lcm(*self.cycle_type())
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
 
@@ -98,9 +87,6 @@ class Perm:
 
     def __lt__(self, other):
         return self.images < other.images
-
-    def __repr__(self):
-        return f"Perm{self.images}"
 
 
 def _product_closure(gens) -> set:
@@ -189,12 +175,6 @@ class FinGroup:
 
     def __hash__(self):
         return hash(self._members)
-
-    def __repr__(self):
-        return f"<FinGroup of order {self.order} on {self.degree} points>"
-
-    def identity(self) -> Perm:
-        return Perm.identity(self.degree)
 
     def is_subgroup(self, other: "FinGroup") -> bool:
         return self._members <= other._members
@@ -334,7 +314,7 @@ def affine_pair(p: Perm) -> tuple[int, int]:
     """The (t, s) with p = affine_map(t, s): the inverse of affine_map."""
     t, s = p(0), (p(1) - p(0)) % 8
     if s % 2 == 0 or affine_map(t, s) != p:
-        raise ValueError(f"{p} is not an affine map of Z/8")
+        raise ValueError(f"{p.images} is not an affine map of Z/8")
     return t, s
 
 
@@ -386,9 +366,6 @@ class GaussianMatrix:
 
     def __hash__(self):
         return hash(self.entries)
-
-    def __repr__(self):
-        return f"GaussianMatrix{self.entries}"
 
 
 PAULI_X = GaussianMatrix([(0, 0), (1, 0), (1, 0), (0, 0)])

@@ -49,9 +49,6 @@ class Place:
     def is_real(self) -> bool:
         return self.p is None
 
-    def __str__(self):
-        return "oo" if self.p is None else str(self.p)
-
 
 REAL_PLACE = Place(None)
 
@@ -130,9 +127,6 @@ class TernaryForm:
     @property
     def coefficients(self):
         return (self.a, self.b, self.c)
-
-    def __str__(self):
-        return f"[{self.a}, {self.b}, {self.c}]"
 
 
 def equivalent(f: TernaryForm, g: TernaryForm, space: ClassSpace | None = None) -> bool:

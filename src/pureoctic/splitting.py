@@ -4,12 +4,15 @@ X^8 + k^2, where a is a root and w is a primitive 8th root of unity.
 Elements are 16-vectors of rationals over the basis a^j * w^e (j = 0..7,
 e = 0..1).  One reduction rule, `_reduce`, writes a^j * w^m as a rational
 multiple of one basis monomial by a^8 = -k^2 and w^2 = a^4 / k; it gives
-the product table and the Galois action.  The 16
-automorphisms a -> a*w^t, w -> w^s (s = 2t+1 mod 4) send a^j * w^e to
-a^j * w^(tj+se), a scaled permutation of the basis; the tests check that
-they respect the defining relations and act on the roots as the Pauli
-group.  The fixed field of a subgroup is spanned by its orbit sums.  The
-stabiliser of an element is read off the same action, so a primitive
+the product table and the Galois action.  The 16 automorphisms
+a -> a*w^t, w -> w^s, where a^2 = w * v^2 with sigma(v^2) = +-v^2 forces
+s = 2t+1 (mod 4), are the elements of `groups.pauli_affine_model()`: the
+permutations m -> s*m + t of the roots a*w^m.  (t, s) is read back with
+`groups.affine_pair` only to print it.  Each automorphism sends a^j * w^e
+to a^j * w^(tj+se), a scaled permutation of the basis; the tests check
+that they respect the defining relations and act on the roots as the
+Pauli group.  The fixed field of a subgroup is spanned by its orbit sums.
+The stabiliser of an element is read off the same action, so a primitive
 element of a fixed field is the first candidate whose stabiliser is the
 subgroup, and a subfield label names the subgroup that stabilises its
 generators.  The inverse of an element is the product of its other
@@ -48,44 +51,6 @@ def _reduce(k: Fraction, j: int, m: int) -> tuple[int, Fraction]:
     return 2 * j + e, Fraction(-k * k) ** q / k ** half
 
 
-@dataclass(frozen=True, order=True)
-class AffineAut:
-    """The automorphism a -> a*w^t, w -> w^s; on root indices m -> s*m + t.
-
-    The compatibility of a^2 = w * v^2 with sigma(v^2) = +-v^2 forces
-    s = 2t+1 (mod 4); the 16 admissible pairs form the Galois group.
-    """
-
-    t: int
-    s: int
-
-    def __post_init__(self):
-        if (self.t, self.s) not in groups.PAULI_PAIRS:
-            raise ValueError(f"(t={self.t}, s={self.s}) is not a pair of residues"
-                             " mod 8 with s = 2t+1 mod 4")
-
-    def compose(self, other: "AffineAut") -> "AffineAut":
-        # self after other
-        return AffineAut((self.s * other.t + self.t) % 8,
-                         (self.s * other.s) % 8)
-
-    def inverse(self) -> "AffineAut":
-        s_inv = pow(self.s, -1, 8)
-        return AffineAut((-s_inv * self.t) % 8, s_inv)
-
-    def is_identity(self) -> bool:
-        return self.t == 0 and self.s == 1
-
-    def root_permutation(self) -> Perm:
-        return groups.affine_map(self.t, self.s)
-
-    def __str__(self):
-        return f"({self.t},{self.s})"
-
-
-IDENTITY_AUT = AffineAut(0, 1)
-
-
 class FieldElt:
     """An element of E as 16 rational coordinates over the a^j*w^e basis."""
 
@@ -103,7 +68,7 @@ class FieldElt:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
+            other = self.field.monomial(0, 0, other)
         self._check(other)
         return FieldElt(self.field, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
@@ -114,11 +79,8 @@ class FieldElt:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
+            other = self.field.monomial(0, 0, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -139,18 +101,6 @@ class FieldElt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
@@ -163,9 +113,9 @@ class FieldElt:
             raise ZeroDivisionError("inversion of 0 in the splitting field")
         field = self.field
         others = field.one()
-        for aut in field.galois_group():
-            if not aut.is_identity():
-                others = others * field.apply(aut, self)
+        for g in field.galois_group():
+            if g.order() > 1:
+                others = others * field.apply(g, self)
         norm = self * others
         if not norm.is_rational():
             raise ArithmeticError("norm of a field element is not rational")
@@ -184,14 +134,10 @@ class FieldElt:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
+            other = self.field.monomial(0, 0, other)
         if not isinstance(other, FieldElt):
             return NotImplemented
         return self.field.k == other.field.k and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        # a rational element equals its Fraction value, so it hashes as one
-        return hash(self.coeffs[0] if self.is_rational() else self.coeffs)
 
     def __str__(self):
         terms = []
@@ -221,17 +167,12 @@ class FieldElt:
             out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return out
 
-    def __repr__(self):
-        return f"<{self} in Q(w, a), a^8 = {-self.field.k ** 2}>"
-
 
 class SplittingField:
     """Multiplication-ready context for E = Q(w, a) with a^8 = -k^2."""
 
     def __init__(self, k: Rational):
         k = Fraction(k)
-        if k <= 0:
-            raise ValueError(f"k = {k} rejected: k must be positive")
         violation = binomial.pauli_condition_violation(k)
         if violation is not None:
             raise ValueError(violation)
@@ -239,25 +180,20 @@ class SplittingField:
         self._mul_table = tuple(
             tuple(_reduce(k, j1 + j2, e1 + e2) for j2, e2 in _MONOMIALS)
             for j1, e1 in _MONOMIALS)
-        self._galois = tuple(AffineAut(t, s) for t, s in groups.PAULI_PAIRS)
-        self._actions = {aut: self._monomial_action(aut) for aut in self._galois}
+        # the automorphism (t, s) sends a^j*w^e to a^j*w^(tj+se): one
+        # (target index, scale) per basis index, keyed by its root permutation
+        self._actions = {
+            groups.affine_map(t, s): tuple(_reduce(k, j, t * j + s * e)
+                                           for j, e in _MONOMIALS)
+            for t, s in groups.PAULI_PAIRS}
 
     # --- element constructors -------------------------------------------
-
-    def element(self, coeffs) -> FieldElt:
-        return FieldElt(self, coeffs)
 
     def zero(self) -> FieldElt:
         return self.monomial(0, 0, 0)
 
     def one(self) -> FieldElt:
         return self.monomial(0, 0)
-
-    def rational(self, q) -> FieldElt:
-        return self.monomial(0, 0, q)
-
-    def basis_element(self, idx: int) -> FieldElt:
-        return self.monomial(*_MONOMIALS[idx])
 
     def monomial(self, j: int, e: int, coeff=1) -> FieldElt:
         coeffs = [0] * 16
@@ -301,58 +237,51 @@ class SplittingField:
 
     # --- Galois action ---------------------------------------------------
 
-    def galois_group(self) -> tuple[AffineAut, ...]:
-        return self._galois
+    def galois_group(self) -> FinGroup:
+        """The 16 automorphisms as permutations m -> s*m + t of the roots
+        a*w^m; groups.affine_pair(g) gives the (t, s) of g."""
+        return groups.pauli_affine_model()
 
-    def _monomial_action(self, aut: AffineAut) -> tuple:
-        # a^j*w^e -> a^j*w^(tj+se): one (target index, scale) per basis index
-        return tuple(_reduce(self.k, j, aut.t * j + aut.s * e)
-                     for j, e in _MONOMIALS)
+    def _action(self, g: Perm) -> tuple:
+        try:
+            return self._actions[g]
+        except KeyError:
+            raise ValueError(f"{g.images} is not an affine map m -> s*m + t"
+                             " of Z/8 with s = 2t+1 mod 4") from None
 
-    def apply(self, aut: AffineAut, u: FieldElt) -> FieldElt:
-        """Image of u under a -> a*w^t, w -> w^s (an exact ring map)."""
+    def apply(self, g: Perm, u: FieldElt) -> FieldElt:
+        """Image of u under the automorphism g (an exact ring map)."""
         out = [Fraction(0)] * 16
-        for (target, scale), c in zip(self._actions[aut], u.coeffs):
+        for (target, scale), c in zip(self._action(g), u.coeffs):
             out[target] = c * scale
         return FieldElt(self, out)
 
     def orbit(self, u: FieldElt) -> set:
-        return {self.apply(s, u).coeffs for s in self._galois}
+        return {self.apply(g, u).coeffs for g in self._actions}
 
     def _stabilizer(self, *elts: FieldElt) -> frozenset:
         """The automorphisms fixing every given element: g fixes u iff
         u[target] == scale * u[i] for each index i and its (target, scale)."""
         return frozenset(
-            aut for aut, action in self._actions.items()
+            g for g, action in self._actions.items()
             if all(u.coeffs[target] == scale * c
                    for u in elts
                    for (target, scale), c in zip(action, u.coeffs)
                    if c or u.coeffs[target]))
 
-    def galois_permutation_group(self) -> FinGroup:
-        return groups.pauli_affine_model()
-
-    def aut_from_permutation(self, p: Perm) -> AffineAut:
-        return AffineAut(*groups.affine_pair(p))
-
     # --- fixed fields -----------------------------------------------------
 
     def fixed_field(self, subgroup) -> "FixedField":
         """Basis, degree and a certified primitive element of the subfield
-        fixed by the given set of automorphisms."""
-        members = frozenset(subgroup)
-        auts = sorted(members)
-        if IDENTITY_AUT not in members:
-            raise ValueError("subgroup must contain the identity")
-        for s1 in auts:
-            for s2 in auts:
-                if s1.compose(s2) not in members:
-                    raise ValueError("set of automorphisms is not closed")
+        fixed by the given subgroup of galois_group() (a FinGroup or any
+        collection of its elements; anything else raises ValueError)."""
+        H = FinGroup(subgroup)
+        members = frozenset(H)
         # H acts on the basis by scaled permutations: each orbit carries at
         # most one fixed vector, its orbit sum, and distinct orbits have
         # disjoint supports.  Scaled to 1 at the last support index and sorted
         # by it, the nonzero sums are the canonical RREF nullspace basis.
-        actions = [self._actions[aut] for aut in auts]
+        actions = [self._action(g) for g in H]
         sums = {}
         seen = set()
         for idx in range(16):
@@ -367,12 +296,12 @@ class SplittingField:
             if last is not None:
                 sums[last] = tuple(c / vec[last] for c in vec)
         basis_vecs = [sums[last] for last in sorted(sums)]
-        degree = 16 // len(auts)
+        degree = 16 // H.order
         if len(basis_vecs) != degree:
             raise AssertionError(
                 f"fixed space has dimension {len(basis_vecs)}, expected {degree}")
         basis = [FieldElt(self, v) for v in basis_vecs]
-        return FixedField(tuple(auts), degree, basis,
+        return FixedField(H.elements, degree, basis,
                           self._primitive_element(basis, members),
                           self._label_table.get(members))
 
@@ -416,21 +345,21 @@ class SplittingField:
 
     def lattice_report(self) -> "LatticeReport":
         """The full subgroup <-> fixed-field correspondence."""
-        G = self.galois_permutation_group()
         rows = []
-        for H, normal in G.subgroups():
-            auts = tuple(sorted(self.aut_from_permutation(p) for p in H))
-            fixed = self.fixed_field(auts)
+        for H, normal in self.galois_group().subgroups():
+            fixed = self.fixed_field(H)
+            elements = tuple(sorted(H, key=groups.affine_pair))
             rows.append(LatticeRow(
-                subgroup=auts,
-                order=len(auts),
+                subgroup=elements,
+                order=H.order,
                 normal=normal,
                 degree=fixed.degree,
                 primitive=fixed.primitive,
                 label=fixed.label,
-                generators=_generating_pairs(auts),
+                generators=_generators(elements),
             ))
-        rows.sort(key=lambda row: (row.order, row.subgroup))
+        rows.sort(key=lambda row: (row.order,
+                                   list(map(groups.affine_pair, row.subgroup))))
         return LatticeReport(self.k, tuple(rows))
 
 
@@ -459,24 +388,28 @@ def _combination_stream(nbasis: int):
                     yield idxs, coeffs
 
 
-def _generating_pairs(auts) -> tuple[AffineAut, ...]:
+def _generators(elements) -> tuple[Perm, ...]:
     """A small generating set of a subgroup given as a closed tuple: each
-    member not yet generated by the earlier choices is chosen, in order."""
+    member not yet generated by the earlier choices is chosen, in order;
+    the trivial group is generated by its identity."""
     chosen = []
-    generated = {IDENTITY_AUT.root_permutation()}
-    for aut in auts:
-        if aut.root_permutation() in generated:
-            continue
-        chosen.append(aut)
-        generated = groups.closure([c.root_permutation() for c in chosen])
-    return tuple(chosen) if chosen else (IDENTITY_AUT,)
+    generated = ()
+    for g in elements:
+        if g.order() > 1 and g not in generated:
+            chosen.append(g)
+            generated = groups.closure(chosen)
+    return tuple(chosen) or elements
+
+
+def _pair_text(g: Perm) -> str:
+    return "(%d,%d)" % groups.affine_pair(g)
 
 
 @dataclass
 class FixedField:
     """The subfield of E fixed pointwise by a subgroup of automorphisms."""
 
-    subgroup: tuple[AffineAut, ...]
+    subgroup: tuple[Perm, ...]
     degree: int
     basis: list
     primitive: FieldElt
@@ -485,13 +418,13 @@ class FixedField:
 
 @dataclass(frozen=True)
 class LatticeRow:
-    subgroup: tuple[AffineAut, ...]
+    subgroup: tuple[Perm, ...]
     order: int
     normal: bool
     degree: int
     primitive: FieldElt
     label: str | None
-    generators: tuple[AffineAut, ...]
+    generators: tuple[Perm, ...]
 
     def field_display(self) -> str:
         if self.label:
@@ -519,7 +452,7 @@ class LatticeReport:
             " of those normal",
         ]
         for row in self.rows:
-            gens = ",".join(str(s) for s in row.generators)
+            gens = ",".join(map(_pair_text, row.generators))
             nflag = "normal    " if row.normal else "non-normal"
             lines.append(
                 f"  [order {row.order:2d}] <{gens}> {nflag}"
@@ -535,8 +468,8 @@ class LatticeReport:
                 {
                     "order": row.order,
                     "normal": row.normal,
-                    "generators": [str(s) for s in row.generators],
-                    "elements": [str(s) for s in row.subgroup],
+                    "generators": list(map(_pair_text, row.generators)),
+                    "elements": list(map(_pair_text, row.subgroup)),
                     "fixed_field_degree": row.degree,
                     "fixed_field": row.field_display(),
                     "primitive_element": str(row.primitive),
@@ -554,7 +487,7 @@ class LatticeReport:
             "  node [shape=box, fontname=monospace];",
         ]
         for row in self.rows:
-            gens = ",".join(str(s) for s in row.generators)
+            gens = ",".join(map(_pair_text, row.generators))
             shape = ", peripheries=2" if row.normal else ""
             lines.append(
                 f'  {ids[row.subgroup]} [label="order {row.order}\\n<{gens}>\\n'
@@ -596,9 +529,6 @@ class QuadExtElt:
     def __sub__(self, other):
         return QuadExtElt(self.x - other.x, self.y - other.y)
 
-    def __neg__(self):
-        return QuadExtElt(-self.x, -self.y)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QuadExtElt.of(other)
@@ -606,12 +536,6 @@ class QuadExtElt:
                           self.x * other.y + self.y * other.x)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "QuadExtElt":
-        return QuadExtElt(self.x, -self.y)
-
-    def is_rational(self) -> bool:
-        return self.y == 0
 
     def __str__(self):
         if self.y == 0:
@@ -626,8 +550,9 @@ def witt_T(k: Rational):
     """The determinant-1 matrix over Q(sqrt(-2)) carrying the diagonal form
     <2, k, 1/2k> to <1, 1, 1>; K = k + 1/2, kappa = k - 1/2."""
     k = Fraction(k)
-    if not binomial.pauli_condition(k):
-        raise ValueError(binomial.pauli_condition_violation(k))
+    violation = binomial.pauli_condition_violation(k)
+    if violation is not None:
+        raise ValueError(violation)
     K = k + Fraction(1, 2)
     kap = k - Fraction(1, 2)
     half = Fraction(-1, 2)
@@ -694,7 +619,7 @@ def witt_beta_rho(field: SplittingField) -> WittCertificate:
     sqrt_rho_beta = (field.a - field.a_bar) * w * (field.one() + r * v2)
     factorization = rho_elt * beta == sqrt_rho_beta * sqrt_rho_beta
     # Gal(E/L) is generated by a -> -a, w -> w; the generator must flip the root
-    flip = field.apply(AffineAut(4, 1), sqrt_rho_beta)
+    flip = field.apply(groups.affine_map(4, 1), sqrt_rho_beta)
     return WittCertificate(
         beta=beta,
         rho=rho,

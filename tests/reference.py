@@ -115,7 +115,7 @@ def regular_representation(G: FinGroup) -> FinGroup:
 
 def relabel(G: FinGroup, pi: Perm) -> FinGroup:
     """Conjugate every element by a relabeling of the point set."""
-    inv = pi.inverse()
+    inv = Perm(sorted(range(pi.degree), key=pi))
     return FinGroup([pi * g * inv for g in G.elements],
                     generators=[pi * g * inv for g in G.generators])
 
@@ -176,7 +176,7 @@ def defining_polynomial_check(E: SplittingField) -> bool:
             new[i + 1] = new[i + 1] + coeff
             new[i] = new[i] - root * coeff
         poly = new
-    want = [E.rational(E.k ** 2)] + [E.zero()] * 7 + [E.one()]
+    want = [E.monomial(0, 0, E.k ** 2)] + [E.zero()] * 7 + [E.one()]
     return poly == want
 
 

@@ -135,10 +135,35 @@ def test_classify_fractional_square_witness(capsys):
     # an integer witness prints without parentheses
     (("lattice", "8"),
      "error: k = 8 is twice a rational square (2*2^2)\n"),
+    # both subcommands word a nonpositive k alike
+    (("lattice", "-3"), "error: k must be positive\n"),
+    (("lattice", "0"), "error: k must be positive\n"),
+    (("witt-verify", "-3"), "error: k must be positive\n"),
 ])
 def test_pauli_violation_witness(capsys, argv, err):
     code, out, got = run(capsys, *argv)
     assert (code, out, got) == (2, "", err)
+
+
+# k = 3 * 2^7150 has 2153 digits and factors at once, but k^2 has more
+# digits than the interpreter converts to a string
+_HUGE_K = str(3 * 2 ** 7150)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("lattice", _HUGE_K), 2),
+    (("lattice", _HUGE_K, "--format", "json"), 2),
+    (("witt-verify", _HUGE_K), 2),
+    (("witt-verify", _HUGE_K, "--format", "json"), 2),
+    (("lattice", _HUGE_K, "--format", "dot"), 0),
+], ids=["lattice", "lattice-json", "witt-verify", "witt-verify-json", "lattice-dot"])
+def test_unprintable_output_exits_2(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert out.startswith("digraph") and err == ""
 
 
 def test_classify_takes_each_root_once(capsys, monkeypatch):
