@@ -8,7 +8,7 @@ mod-p factorization census independently checks every verdict.
 """
 
 from .arith import Rational, SquareClass, factor, is_square, legendre, squarefree_part
-from .binomial import GaloisTag, classify_octic, pauli_condition
+from .binomial import GaloisTag, classify_octic
 from .groups import (
     FinGroup,
     Perm,
@@ -39,7 +39,6 @@ __all__ = [
     "brauer_condition", "census", "classify_octic", "closure", "consistent",
     "equivalent", "factor", "factor_mod_p", "fingerprint",
     "group_cycle_types", "hilbert", "hol_c8_model", "identify", "is_square",
-    "legendre", "pauli_condition", "pauli_embeddable", "pauli_matrix_group",
-    "sl_search", "squarefree_part", "witt_T", "witt_beta_rho",
-    "witt_embeddable",
+    "legendre", "pauli_embeddable", "pauli_matrix_group", "sl_search",
+    "squarefree_part", "witt_T", "witt_beta_rho", "witt_embeddable",
 ]

@@ -44,17 +44,10 @@ class GaloisTag:
         return self.splitting_degree
 
 
-def pauli_condition(k: Rational) -> bool:
-    """True iff k > 0 is neither a rational square nor twice one: exactly the
-    values for which X^8 + k^2 has the Pauli group as Galois group."""
-    k = Fraction(k)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    return not arith.is_square(k) and not arith.is_square(k / 2)
-
-
 def pauli_condition_violation(k: Rational) -> str | None:
-    """Human-readable violated clause, or None when the condition holds."""
+    """The violated clause of the Pauli condition, or None when it holds:
+    k > 0 is neither a rational square nor twice one, exactly the values for
+    which X^8 + k^2 has the Pauli group as Galois group."""
     k = Fraction(k)
     if k <= 0:
         return "k must be positive"

@@ -4,8 +4,8 @@ verification, embedding criteria and the mod-p census oracle.
 Rationals on the command line are integers or 'p/q' literals; there is no
 floating point anywhere in the interface.  Exit codes: 0 success, 1 a
 verification failed, 2 invalid input, including a value whose square class
-needs a factorization beyond `arith.factor`'s budget or whose output holds
-an integer too long for the interpreter to print.
+needs a factorization beyond `arith.factor`'s budget or a number with
+more digits than the interpreter reads or prints.
 """
 
 from __future__ import annotations
@@ -94,12 +94,11 @@ def cmd_lattice(args) -> int:
 
 def cmd_witt_verify(args) -> int:
     k = parse_rational(args.k)
-    matrix = splitting.witt_matrix_identities(k)
-    field = splitting.SplittingField(k)
-    cert = splitting.witt_beta_rho(field)
+    cert = splitting.witt_beta_rho(splitting.SplittingField(k))
+    rho = f"{cert.rho}*sqrt(-2)"
     checks = {
-        "det(T) = 1": matrix["det_is_one"],
-        "T^t * diag(2, k, 1/2k) * T = identity": matrix["congruence_is_identity"],
+        "det(T) = 1": cert.det_is_one,
+        "T^t * diag(2, k, 1/2k) * T = identity": cert.congruence_is_identity,
         "rho*beta = (a - abar)^2 * (w*(1 + sqrt(2k)))^2":
             cert.factorization_holds and cert.beta_matches_matrix_diagonal,
         "sqrt(rho*beta) generates E over L (flips under Gal(E/L))":
@@ -107,11 +106,11 @@ def cmd_witt_verify(args) -> int:
     }
     lines = [f"Witt verification for k = {k} (ground field Q(sqrt(-2)))",
              f"  beta = {cert.beta}",
-             f"  rho  = {cert.rho}",
+             f"  rho  = {rho}",
              f"  sqrt(rho*beta) = {cert.sqrt_rho_beta}"]
     for label, ok in checks.items():
         lines.append(f"  {label}: {'PASS' if ok else 'FAIL'}")
-    payload = {"k": k, "beta": str(cert.beta), "rho": str(cert.rho),
+    payload = {"k": k, "beta": str(cert.beta), "rho": rho,
                "sqrt_rho_beta": str(cert.sqrt_rho_beta),
                "checks": {lbl: bool(ok) for lbl, ok in checks.items()}}
     _emit(payload, args.format, "\n".join(lines))
@@ -341,12 +340,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "group-identify" and not args.name and not args.gens:
         return _fail("need a group name or --gens")
-    # every ValueError is bad input, or a value too long for str() to render
-    # (the interpreter's integer-digit limit); a command prints only once
-    # its whole output is rendered, so stdout stays empty
+    # every ValueError is bad input, or a number past the interpreter's
+    # integer-digit limit, whose own message advises a Python call; a command
+    # prints only once its whole output is rendered, so stdout stays empty
     try:
         return args.func(args)
     except ValueError as exc:
+        if "integer string conversion" in str(exc):
+            return _fail("a number exceeds the digit limit: integers of more than"
+                         f" {sys.get_int_max_str_digits()} decimal digits can be"
+                         " neither read nor printed")
         return _fail(str(exc))
 
 

@@ -22,7 +22,8 @@ correspondence is assembled into a lattice report.
 The module also certifies the quadratic-form change-of-basis matrix T over
 Q(sqrt(-2)) (det 1, transforms diag(2, k, 1/2k) to the identity) and the
 factorization rho * beta = (a - abar)^2 * (w * (1 + sqrt(2k)))^2 that
-exhibits E as a square-root extension of its triquadratic subfield.
+exhibits E as a square-root extension of its triquadratic subfield.  Both
+are computed in E itself, where sqrt(-2) = i * sqrt(2).
 """
 
 from __future__ import annotations
@@ -512,56 +513,19 @@ class LatticeReport:
 # the change-of-basis matrix over Q(sqrt(-2)) and the square-root generator
 
 
-@dataclass(frozen=True)
-class QuadExtElt:
-    """x + y*sqrt(-2) with rational x, y: the ground field Q(sqrt(-2))."""
-
-    x: Fraction
-    y: Fraction
-
-    @classmethod
-    def of(cls, x, y=0) -> "QuadExtElt":
-        return cls(Fraction(x), Fraction(y))
-
-    def __add__(self, other):
-        return QuadExtElt(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        return QuadExtElt(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadExtElt.of(other)
-        return QuadExtElt(self.x * other.x - 2 * self.y * other.y,
-                          self.x * other.y + self.y * other.x)
-
-    __rmul__ = __mul__
-
-    def __str__(self):
-        if self.y == 0:
-            return str(self.x)
-        if self.x == 0:
-            return f"{self.y}*sqrt(-2)"
-        sign = "+" if self.y > 0 else "-"
-        return f"{self.x} {sign} {abs(self.y)}*sqrt(-2)"
-
-
-def witt_T(k: Rational):
+def witt_T(field: SplittingField) -> list[list[FieldElt]]:
     """The determinant-1 matrix over Q(sqrt(-2)) carrying the diagonal form
-    <2, k, 1/2k> to <1, 1, 1>; K = k + 1/2, kappa = k - 1/2."""
-    k = Fraction(k)
-    violation = binomial.pauli_condition_violation(k)
-    if violation is not None:
-        raise ValueError(violation)
+    <2, k, 1/2k> to <1, 1, 1>, with entries in E, where sqrt(-2) = i*sqrt(2);
+    K = k + 1/2, kappa = k - 1/2."""
+    k = field.k
     K = k + Fraction(1, 2)
     kap = k - Fraction(1, 2)
-    half = Fraction(-1, 2)
-    rows = [
-        [QuadExtElt.of(1), QuadExtElt.of(1), QuadExtElt.of(0)],
-        [QuadExtElt.of(-K / k), QuadExtElt.of(K / k), QuadExtElt.of(0, -kap / k)],
-        [QuadExtElt.of(0, kap), QuadExtElt.of(0, -kap), QuadExtElt.of(-2 * K)],
-    ]
-    return [[half * entry for entry in row] for row in rows]
+    m, half = field.monomial, Fraction(1, 2)
+    s = field._square_roots[Fraction(-2)]
+    # -1/2 times [[1, 1, 0], [-K/k, K/k, -kap/k s], [kap s, -kap s, -2K]]
+    return [[m(0, 0, -half), m(0, 0, -half), field.zero()],
+            [m(0, 0, K / (2 * k)), m(0, 0, -K / (2 * k)), s * (kap / (2 * k))],
+            [s * (-kap / 2), s * (kap / 2), m(0, 0, K)]]
 
 
 def _det3(m):
@@ -570,32 +534,13 @@ def _det3(m):
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def witt_matrix_identities(k: Rational) -> dict[str, bool]:
-    """Exact checks: det(T) = 1 and T^t diag(2, k, 1/2k) T = identity."""
-    k = Fraction(k)
-    T = witt_T(k)
-    diag = [Fraction(2), k, Fraction(1) / (2 * k)]
-    product = [[QuadExtElt.of(0)] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            acc = QuadExtElt.of(0)
-            for l in range(3):
-                acc = acc + diag[l] * T[l][i] * T[l][j]
-            product[i][j] = acc
-    identity = all(
-        product[i][j] == QuadExtElt.of(1 if i == j else 0)
-        for i in range(3) for j in range(3))
-    return {
-        "det_is_one": _det3(T) == QuadExtElt.of(1),
-        "congruence_is_identity": identity,
-    }
-
-
 @dataclass(frozen=True)
 class WittCertificate:
     beta: FieldElt
-    rho: QuadExtElt
+    rho: Fraction  # rho = -4k * sqrt(-2), given by its rational coefficient
     sqrt_rho_beta: FieldElt
+    det_is_one: bool
+    congruence_is_identity: bool
     factorization_holds: bool
     beta_matches_matrix_diagonal: bool
     a_minus_abar_nonzero: bool
@@ -603,27 +548,37 @@ class WittCertificate:
 
 
 def witt_beta_rho(field: SplittingField) -> WittCertificate:
-    """Certify rho * beta = (a - abar)^2 * (w(1 + sqrt(2k)))^2 exactly and
-    that its square root generates E over the triquadratic subfield."""
+    """Certify exactly in E that det(T) = 1 and T^t diag(2, k, 1/2k) T is the
+    identity, that rho * beta = (a - abar)^2 * (w(1 + sqrt(2k)))^2, and that
+    its square root generates E over the triquadratic subfield."""
     k = field.k
     K = k + Fraction(1, 2)
     r, v2, w = field.r, field.v2, field.w
+    roots = field._square_roots  # sqrt(-2) and sqrt(2k), built once
+    s, r_v2 = roots[Fraction(-2)], roots[2 * k]
     beta = (field.one() - Fraction(1, 2) * r
-            - (K / (2 * k)) * v2 + (K / (2 * k)) * (r * v2))
-    T = witt_T(k)
-    sqrt_a3 = (r * v2) / (2 * k)  # sqrt(1/2k) = sqrt(2k)/(2k)
-    beta_from_T = (field.one() + T[0][0].x * r + T[1][1].x * v2
-                   + T[2][2].x * sqrt_a3)
-    rho = QuadExtElt.of(0, -4 * k)           # -4k * sqrt(-2)
-    rho_elt = (-4 * k) * (field.i * field.r)  # the same element inside E
-    sqrt_rho_beta = (field.a - field.a_bar) * w * (field.one() + r * v2)
-    factorization = rho_elt * beta == sqrt_rho_beta * sqrt_rho_beta
+            - (K / (2 * k)) * v2 + (K / (2 * k)) * r_v2)
+    T = witt_T(field)
+    # T^t D T is symmetric, so only i <= j is checked; with the rows of T
+    # scaled by D, its entry (i, j) is the sum over l of T[l][i] * (D T)[l][j]
+    DT = [[d * entry for entry in row]
+          for d, row in zip((Fraction(2), k, 1 / (2 * k)), T)]
+    congruence = all(
+        T[0][i] * DT[0][j] + T[1][i] * DT[1][j] + T[2][i] * DT[2][j] == int(i == j)
+        for i in range(3) for j in range(i, 3))
+    sqrt_a3 = r_v2 / (2 * k)  # sqrt(1/2k) = sqrt(2k)/(2k)
+    beta_from_T = field.one() + T[0][0] * r + T[1][1] * v2 + T[2][2] * sqrt_a3
+    rho = -4 * k
+    sqrt_rho_beta = (field.a - field.a_bar) * w * (field.one() + r_v2)
+    factorization = rho * s * beta == sqrt_rho_beta * sqrt_rho_beta
     # Gal(E/L) is generated by a -> -a, w -> w; the generator must flip the root
     flip = field.apply(groups.affine_map(4, 1), sqrt_rho_beta)
     return WittCertificate(
         beta=beta,
         rho=rho,
         sqrt_rho_beta=sqrt_rho_beta,
+        det_is_one=_det3(T) == 1,
+        congruence_is_identity=congruence,
         factorization_holds=factorization,
         beta_matches_matrix_diagonal=beta == beta_from_T,
         a_minus_abar_nonzero=not (field.a - field.a_bar).is_zero(),

@@ -25,6 +25,12 @@ GOLDEN_CASES = [
     (("lattice", "990051", "--format", "json"), "lattice_990051.json"),
     (("witt-verify", "3"), "witt_verify_3.txt"),
     (("witt-verify", "3", "--format", "json"), "witt_verify_3.json"),
+    # a fractional rho, and the k of the lattice goldens above
+    (("witt-verify", "5/3"), "witt_verify_5_3.txt"),
+    (("witt-verify", "5/3", "--format", "json"), "witt_verify_5_3.json"),
+    (("witt-verify", "12"), "witt_verify_12.txt"),
+    (("witt-verify", "3/4", "--format", "json"), "witt_verify_3_4.json"),
+    (("witt-verify", "990051", "--format", "json"), "witt_verify_990051.json"),
 ]
 # one value per oracle outcome: K8, D16, QD16, Pauli, B32
 ORACLE_VALUES = ["16", "2", "-2", "9", "3"]
@@ -146,7 +152,8 @@ def test_pauli_violation_witness(capsys, argv, err):
 
 
 # k = 3 * 2^7150 has 2153 digits and factors at once, but k^2 has more
-# digits than the interpreter converts to a string
+# digits than the interpreter converts to a string; a 4400-digit literal is
+# past the same limit on input
 _HUGE_K = str(3 * 2 ** 7150)
 
 
@@ -156,12 +163,16 @@ _HUGE_K = str(3 * 2 ** 7150)
     (("witt-verify", _HUGE_K), 2),
     (("witt-verify", _HUGE_K, "--format", "json"), 2),
     (("lattice", _HUGE_K, "--format", "dot"), 0),
-], ids=["lattice", "lattice-json", "witt-verify", "witt-verify-json", "lattice-dot"])
+    (("classify", "7" * 4400), 2),
+], ids=["lattice", "lattice-json", "witt-verify", "witt-verify-json", "lattice-dot",
+        "classify-4400-digits"])
 def test_unprintable_output_exits_2(capsys, argv, code):
     got, out, err = run(capsys, *argv)
     assert got == code
     if code == 2:
+        # the digit limit is named, not the interpreter's advice to call Python
         assert out == "" and err.startswith("error: ")
+        assert "digit limit" in err and "sys." not in err
     else:
         assert out.startswith("digraph") and err == ""
 
@@ -272,6 +283,22 @@ def test_witt_verify(capsys):
     assert code == 0
     code, _, err = run(capsys, "witt-verify", "4")
     assert code == 2
+
+
+def test_witt_verify_checks_pauli_and_builds_T_once(capsys, monkeypatch):
+    from pureoctic import binomial, splitting
+
+    calls = []
+    for module, name in ((binomial, "pauli_condition_violation"),
+                         (splitting, "witt_T")):
+        def counting(*args, _fn=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    code, out, _ = run(capsys, "witt-verify", "3")
+    assert code == 0 and "FAIL" not in out
+    assert sorted(calls) == ["pauli_condition_violation", "witt_T"]
 
 
 def test_embed(capsys):

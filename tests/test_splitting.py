@@ -89,6 +89,7 @@ def test_reduction_rules(E3):
     assert i * i == -1
     assert E3.r * E3.r == 2
     assert E3.v2 * E3.v2 == 3
+    assert reference.sqrt_of(E3, -2) * reference.sqrt_of(E3, -2) == -2
     assert reference.sqrt_of(E3, -3) * reference.sqrt_of(E3, -3) == -3
     assert reference.sqrt_of(E3, 6) * reference.sqrt_of(E3, 6) == 6
     assert reference.sqrt_of(E3, -6) * reference.sqrt_of(E3, -6) == -6
