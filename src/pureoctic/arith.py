@@ -314,6 +314,10 @@ def legendre(a: int, p: int) -> int:
     return 1 if s == 1 else -1
 
 
+# the largest census bound: the sieve allocates one byte per integer below it
+MAX_CENSUS_BOUND = 10 ** 7
+
+
 def primes_below(bound: int) -> list[int]:
     """All primes < bound by a plain sieve."""
     if bound <= 2:

@@ -16,8 +16,8 @@ import re
 import sys
 from fractions import Fraction
 
-from . import binomial, groups, oracle, qforms, splitting
-from .arith import parse_rational
+# each command imports the modules it runs, so a request compiles no other
+from .arith import MAX_CENSUS_BOUND, parse_rational
 
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
 
@@ -52,6 +52,7 @@ def _poly_display(c: Fraction) -> str:
 
 
 def cmd_classify(args) -> int:
+    from . import binomial
     c = parse_rational(args.c)
     tag, branch = binomial.octic_verdict(c)
     irreducible = tag.name != binomial.TAG_REDUCIBLE
@@ -83,6 +84,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    from . import splitting
     k = parse_rational(args.k)
     report = splitting.SplittingField(k).lattice_report()
     if args.format == "dot":
@@ -93,6 +95,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_witt_verify(args) -> int:
+    from . import splitting
     k = parse_rational(args.k)
     cert = splitting.witt_beta_rho(splitting.SplittingField(k))
     rho = f"{cert.rho}*sqrt(-2)"
@@ -118,6 +121,7 @@ def cmd_witt_verify(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from . import qforms
     a = parse_rational(args.a)
     b = parse_rational(args.b)
     c = parse_rational(args.c)
@@ -185,6 +189,7 @@ def _compare_table(space):
 
 
 def cmd_sl_search(args) -> int:
+    from . import qforms
     a = parse_rational(args.a)
     b = parse_rational(args.b)
     c = parse_rational(args.c)
@@ -198,6 +203,7 @@ def cmd_sl_search(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import binomial, oracle
     c = parse_rational(args.c)
     tolerance = parse_rational(args.tolerance)
     tag = binomial.classify_octic(c)
@@ -228,6 +234,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_group_identify(args) -> int:
+    from . import groups
     try:
         if args.gens:
             perms = []
@@ -322,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("c", help="nonzero rational")
     p.add_argument("--primes", type=int, default=50000,
                    help="census all good primes below this bound"
-                        f" (at most {oracle.MAX_CENSUS_BOUND})")
+                        f" (at most {MAX_CENSUS_BOUND})")
     p.add_argument("--tolerance", default="1/20",
                    help="absolute frequency tolerance (rational)")
 

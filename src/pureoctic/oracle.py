@@ -34,15 +34,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import arith, binomial, groups
-from .arith import Rational
+from .arith import MAX_CENSUS_BOUND, Rational
 from .groups import FinGroup
 
 CycleType = tuple[int, ...]
 
 # the Mobius function on 1..8 (index 0 unused)
 _MOBIUS = (0, 1, -1, -1, 0, -1, 1, -1, 0)
-# the largest census bound: the sieve allocates one byte per integer below it
-MAX_CENSUS_BOUND = 10 ** 7
 
 
 def factor_mod_p(c: Rational, p: int) -> CycleType:

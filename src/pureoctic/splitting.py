@@ -63,6 +63,14 @@ class FieldElt:
         if len(self.coeffs) != 16:
             raise ValueError("need 16 coordinates")
 
+    @classmethod
+    def _unchecked(cls, field: "SplittingField", coeffs: tuple) -> "FieldElt":
+        # results of field operations are already 16 Fractions
+        u = object.__new__(cls)
+        u.field = field
+        u.coeffs = coeffs
+        return u
+
     def _check(self, other):
         if self.field.k != other.field.k:
             raise ValueError("elements live in different splitting fields")
@@ -71,12 +79,13 @@ class FieldElt:
         if isinstance(other, (int, Fraction)):
             other = self.field.monomial(0, 0, other)
         self._check(other)
-        return FieldElt(self.field, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        return FieldElt._unchecked(
+            self.field, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElt(self.field, tuple(-x for x in self.coeffs))
+        return FieldElt._unchecked(self.field, tuple(-x for x in self.coeffs))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -85,7 +94,8 @@ class FieldElt:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FieldElt(self.field, tuple(Fraction(other) * x for x in self.coeffs))
+            other = Fraction(other)
+            return FieldElt._unchecked(self.field, tuple(other * x for x in self.coeffs))
         self._check(other)
         out = [Fraction(0)] * 16
         table = self.field._mul_table
@@ -98,7 +108,7 @@ class FieldElt:
                     continue
                 idx, scale = row[j]
                 out[idx] += ci * cj * scale
-        return FieldElt(self.field, out)
+        return FieldElt._unchecked(self.field, tuple(out))
 
     __rmul__ = __mul__
 
@@ -255,7 +265,7 @@ class SplittingField:
         out = [Fraction(0)] * 16
         for (target, scale), c in zip(self._action(g), u.coeffs):
             out[target] = c * scale
-        return FieldElt(self, out)
+        return FieldElt._unchecked(self, tuple(out))
 
     def orbit(self, u: FieldElt) -> set:
         return {self.apply(g, u).coeffs for g in self._actions}
@@ -493,17 +503,10 @@ class LatticeReport:
             lines.append(
                 f'  {ids[row.subgroup]} [label="order {row.order}\\n<{gens}>\\n'
                 f'{row.field_display()}"{shape}];')
+        # in a 2-group H < K is a cover exactly when H has index 2 in K
         for lo in self.rows:
             for hi in self.rows:
-                if lo.order >= hi.order:
-                    continue
-                if not set(lo.subgroup) <= set(hi.subgroup):
-                    continue
-                covered = any(
-                    set(lo.subgroup) < set(mid.subgroup) < set(hi.subgroup)
-                    for mid in self.rows
-                    if lo.order < mid.order < hi.order)
-                if not covered:
+                if hi.order == 2 * lo.order and set(lo.subgroup) <= set(hi.subgroup):
                     lines.append(f"  {ids[lo.subgroup]} -> {ids[hi.subgroup]};")
         lines.append("}")
         return "\n".join(lines)

@@ -1,6 +1,9 @@
 """The command-line interface: output shapes, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,6 +71,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args, **kwargs):
+    """A fresh interpreter with the package sources first on its path."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, **kwargs)
 
 
 def test_classify_pauli(capsys):
@@ -232,6 +244,17 @@ def test_golden_output(capsys, argv, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+@pytest.mark.parametrize("argv, golden", [((), "help.txt"),
+                                          (("oracle",), "help_oracle.txt")])
+def test_help_golden(capsys, monkeypatch, argv, golden):
+    # argparse wraps help text to $COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+
 def test_request_paths_identify_no_group(capsys, monkeypatch):
     # the group models are proved in the tests; a request only uses them
     from pureoctic import groups, oracle
@@ -374,14 +397,7 @@ _M = str((2 ** 61 - 1) * (2 ** 89 - 1))
 ], ids=["lattice-10^400+1", "embed-10^400+1", "sl-search-10^400+1",
         "lattice-M61M89", "embed-M61M89"])
 def test_unfactorable_input_exits_within_budget(argv):
-    import os
-    import subprocess
-    import sys
-    src = str(Path(__file__).parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "pureoctic", *argv],
-                          capture_output=True, text=True, timeout=5, env=env)
+    proc = run_python("-m", "pureoctic", *argv, timeout=5)
     assert proc.returncode in (0, 2)
     assert "Traceback" not in proc.stderr
     if proc.returncode == 2:
@@ -483,8 +499,37 @@ def test_group_identify_golden(capsys):
 
 
 def test_python_dash_m_entry():
-    import subprocess
-    import sys
-    proc = subprocess.run([sys.executable, "-m", "pureoctic", "classify", "9"],
-                          capture_output=True, text=True)
+    proc = run_python("-m", "pureoctic", "classify", "9")
     assert proc.returncode == 0 and "Pauli" in proc.stdout
+
+
+# runs `python -m pureoctic ARGV` and prints, as its last stderr line, the
+# package modules loaded by the time the request exits
+_MODULE_PROBE = """
+import runpy, sys
+sys.argv = ["pureoctic", *sys.argv[1:]]
+try:
+    runpy.run_module("pureoctic", run_name="__main__", alter_sys=True)
+finally:
+    print(" ".join(sorted(m for m in sys.modules
+                          if m.partition(".")[0] == "pureoctic")), file=sys.stderr)
+"""
+_BASE_MODULES = {"pureoctic", "pureoctic.cli", "pureoctic.arith"}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (("--help",), set()),
+    (("classify", "9"), {"binomial"}),
+    (("embed", "2", "3", "-2", "--compare"), {"qforms"}),
+    (("sl-search", "2", "3", "-2"), {"qforms"}),
+    (("lattice", "3"), {"binomial", "groups", "splitting"}),
+    (("witt-verify", "3"), {"binomial", "groups", "splitting"}),
+    (("oracle", "9", "--primes", "20000"), {"binomial", "groups", "oracle"}),
+    (("group-identify", "QD16"), {"groups"}),
+], ids=["help", "classify", "embed", "sl-search", "lattice", "witt-verify",
+        "oracle", "group-identify"])
+def test_each_subcommand_loads_only_its_modules(argv, extra):
+    proc = run_python("-c", _MODULE_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert loaded == _BASE_MODULES | {f"pureoctic.{m}" for m in extra}

@@ -129,6 +129,27 @@ def test_construction_makes_no_field_products(monkeypatch):
     assert groups_built
 
 
+def test_lattice_constructs_few_fractions(monkeypatch):
+    # results of field operations skip the public constructor's conversion;
+    # converting every coordinate of every result made 35120 Fractions here
+    count = 0
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    SplittingField(F(5)).lattice_report()
+    assert 0 < count < 30000
+    E = SplittingField(F(5))
+    # the public constructor still converts; an unchecked result is exact too
+    for u in (FieldElt(E, [1] * 16), E.a * 3, -E.w, E.a + 1, E.apply(
+            groups.affine_map(1, 3), E.a)):
+        assert all(type(c) is F for c in u.coeffs)
+
+
 def test_ring_axioms_random(E3):
     rng = random.Random(101)
     for _ in range(1000):
