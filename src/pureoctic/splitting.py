@@ -1,34 +1,31 @@
 """Exact arithmetic in the degree-16 splitting field E = Q(w, a) of
 X^8 + k^2, where a is a root and w is a primitive 8th root of unity.
 
-Elements are 16-vectors of rationals over the basis a^j * w^e (j = 0..7,
-e = 0..1).  One reduction rule, `_reduce`, writes a^j * w^m as a rational
-multiple of one basis monomial by a^8 = -k^2 and w^2 = a^4 / k; it gives
-the product table and the Galois action.  The 16 automorphisms
-a -> a*w^t, w -> w^s, where a^2 = w * v^2 with sigma(v^2) = +-v^2 forces
-s = 2t+1 (mod 4), are the elements of `groups.pauli_affine_model()`: the
-permutations m -> s*m + t of the roots a*w^m.  (t, s) is read back with
-`groups.affine_pair` only to print it.  Each automorphism sends a^j * w^e
-to a^j * w^(tj+se), a scaled permutation of the basis; the tests check
-that they respect the defining relations and act on the roots as the
-Pauli group.  The fixed field of a subgroup is spanned by its orbit sums.
-The stabiliser of an element is read off the same action, so a primitive
-element of a fixed field is the first candidate whose stabiliser is the
-subgroup, and a subfield label names the subgroup that stabilises its
-generators.  The inverse of an element is the product of its other
-conjugates over its norm, and the full subgroup <-> subfield
-correspondence is assembled into a lattice report.
+An element is 16 integer numerators over one positive denominator, with no
+common factor, in the basis a^j * w^e (j = 0..7, e = 0..1); Fractions
+appear only where k is read and where coordinates are read back or printed.
+`_reduce` writes a^j * w^m as +-k^e times one basis monomial, by a^8 = -k^2
+and w^2 = a^4 / k, and keeps the scale as an integer pair; it gives the
+product table and the Galois action.  The 16 automorphisms a -> a*w^t,
+w -> w^s (s = 2t+1 mod 4) are the elements of `groups.pauli_affine_model()`,
+the maps m -> s*m + t of the roots a*w^m, and each sends a^j * w^e to
+a scaled a^j * w^(tj+se).  So g fixes u iff u[target] * den = num * u[i] on
+the support of u, compared in integers.  The fixed field of a subgroup H is
+spanned by its orbit sums; a candidate in it generates it iff no
+automorphism outside H fixes it.  A subfield label names the subgroup that
+fixes its generators, and the inverse is the product of the other
+conjugates over the norm.
 
-The module also certifies the quadratic-form change-of-basis matrix T over
-Q(sqrt(-2)) (det 1, transforms diag(2, k, 1/2k) to the identity) and the
-factorization rho * beta = (a - abar)^2 * (w * (1 + sqrt(2k)))^2 that
-exhibits E as a square-root extension of its triquadratic subfield.  Both
-are computed in E itself, where sqrt(-2) = i * sqrt(2).
+The module also certifies, in E, where sqrt(-2) = i * sqrt(2), the
+change-of-basis matrix T over Q(sqrt(-2)) (det 1, carrying diag(2, k, 1/2k)
+to the identity) and rho * beta = (a - abar)^2 * (w * (1 + sqrt(2k)))^2,
+which exhibits E as a square-root extension of its triquadratic subfield.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,83 +36,118 @@ from .groups import FinGroup, Perm
 
 # the basis monomials a^j * w^e as (j, e), in coordinate order 2j + e
 _MONOMIALS = tuple(divmod(idx, 2) for idx in range(16))
+# their names in printed elements: "" for the constant term, then w, a, a*w, ...
+_NAMES = tuple("*".join(filter(None, (f"a^{j}" if j > 1 else "a" * j, "w" * e)))
+               for j, e in _MONOMIALS)
+# the exact scalar types; bool is an int subclass and is not one of them
+_EXACT = (int, Fraction)
 
 
-def _reduce(k: Fraction, j: int, m: int) -> tuple[int, Fraction]:
-    """a^j * w^m as (index, scale): scale times basis monomial number index.
-
-    w^m = w^(m mod 2) * (a^4 / k)^(m // 2) by w^2 = a^4 / k, then a^8 = -k^2
-    reduces the power of a; the two rules give w^8 = 1, so m is taken mod 8.
-    """
+def _reduce(k: Fraction, j: int, m: int) -> tuple[int, int, int]:
+    """a^j * w^m as (index, num, den): num/den = +-k^e times basis monomial
+    number index, by w^m = w^(m mod 2) * (a^4 / k)^(m // 2), then a^8 = -k^2;
+    the two rules give w^8 = 1, so m is taken mod 8."""
     half, e = divmod(m % 8, 2)
     q, j = divmod(j + 4 * half, 8)
-    return 2 * j + e, Fraction(-k * k) ** q / k ** half
+    power = 2 * q - half
+    num, den = (k.numerator, k.denominator) if power >= 0 else (k.denominator, k.numerator)
+    return 2 * j + e, (-1) ** q * num ** abs(power), den ** abs(power)
+
+
+def _combine(terms) -> tuple[list[int], int]:
+    """Sum num/den * basis[index] over (index, num, den) over one lcm."""
+    den = math.lcm(*(d for _, _, d in terms))
+    nums = [0] * 16
+    for idx, num, d in terms:
+        nums[idx] += num * (den // d)
+    return nums, den
+
+
+def _fixes(action: tuple, nums) -> bool:
+    """True iff the action's (target, num, den) entries fix nums."""
+    # on the support: an action that keeps the support permutes it
+    return all(nums[target] * den == num * c
+               for c, (target, num, den) in zip(nums, action) if c)
 
 
 class FieldElt:
-    """An element of E as 16 rational coordinates over the a^j*w^e basis."""
+    """An element of E: 16 integer numerators over one positive denominator,
+    in lowest terms, in the a^j * w^e basis."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: "SplittingField", coeffs):
-        self.field = field
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(self.coeffs) != 16:
+        coeffs = tuple(coeffs)
+        if len(coeffs) != 16:
             raise ValueError("need 16 coordinates")
+        if any(type(c) not in _EXACT for c in coeffs):
+            raise TypeError("coordinates must be int or Fraction")
+        # over the lcm of lowest-terms denominators no common factor is left
+        self.field = field
+        self.den = math.lcm(*(c.denominator for c in coeffs))
+        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in coeffs)
 
     @classmethod
-    def _unchecked(cls, field: "SplittingField", coeffs: tuple) -> "FieldElt":
-        # results of field operations are already 16 Fractions
+    def _reduced(cls, field: "SplittingField", nums, den: int) -> "FieldElt":
+        # nums / den for a nonzero den, sign and common factor taken out
+        g = math.gcd(den, *nums) * (1 if den > 0 else -1)
         u = object.__new__(cls)
         u.field = field
-        u.coeffs = coeffs
+        u.nums = tuple(x // g for x in nums)
+        u.den = den // g
         return u
 
-    def _check(self, other):
-        if self.field.k != other.field.k:
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
+    def _operand(self, other):
+        # other in this field, or None for a foreign operand
+        if type(other) in _EXACT:
+            return self.field.monomial(0, 0, other)
+        if isinstance(other, FieldElt) and self.field.k != other.field.k:
             raise ValueError("elements live in different splitting fields")
+        return other if isinstance(other, FieldElt) else None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.monomial(0, 0, other)
-        self._check(other)
-        return FieldElt._unchecked(
-            self.field, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return FieldElt._reduced(
+            self.field, [x * other.den + y * self.den
+                         for x, y in zip(self.nums, other.nums)],
+            self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElt._unchecked(self.field, tuple(-x for x in self.coeffs))
+        return FieldElt._reduced(self.field, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.monomial(0, 0, other)
-        return self + (-other)
+        if isinstance(other, FieldElt) or type(other) in _EXACT:
+            other = -other
+        return self.__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return FieldElt._unchecked(self.field, tuple(other * x for x in self.coeffs))
-        self._check(other)
-        out = [Fraction(0)] * 16
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         table = self.field._mul_table
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            row = table[i]
-            for j, cj in enumerate(other.coeffs):
-                if cj == 0:
-                    continue
-                idx, scale = row[j]
-                out[idx] += ci * cj * scale
-        return FieldElt._unchecked(self.field, tuple(out))
+        nums, den = _combine([
+            (idx, ci * cj * num, d)
+            for ci, row in zip(self.nums, table) if ci
+            for cj, (idx, num, d) in zip(other.nums, row) if cj])
+        return FieldElt._reduced(self.field, nums, den * self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return self * other.inverse()
+        if isinstance(other, FieldElt):
+            other = other.inverse()
+        elif type(other) in _EXACT:
+            # the reciprocal; ZeroDivisionError at 0
+            other = Fraction(other.denominator, other.numerator)
+        return self.__mul__(other)
 
     def inverse(self) -> "FieldElt":
         """Multiplicative inverse: the product of the 15 other conjugates
@@ -123,60 +155,40 @@ class FieldElt:
         if self.is_zero():
             raise ZeroDivisionError("inversion of 0 in the splitting field")
         field = self.field
-        others = field.one()
-        for g in field.galois_group():
-            if g.order() > 1:
-                others = others * field.apply(g, self)
+        others = math.prod((field.apply(g, self) for g in field.galois_group()
+                            if g.order() > 1), start=field.one())
         norm = self * others
         if not norm.is_rational():
             raise ArithmeticError("norm of a field element is not rational")
-        return others / norm.rational_value()
+        return FieldElt._reduced(field, [x * norm.den for x in others.nums],
+                                 others.den * norm.nums[0])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is irrational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.monomial(0, 0, other)
-        if not isinstance(other, FieldElt):
+        if isinstance(other, FieldElt) and self.field.k != other.field.k:
+            return False
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return self.field.k == other.field.k and self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __str__(self):
         terms = []
-        for idx, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            j, e = divmod(idx, 2)
-            name = ""
-            if j == 1:
-                name = "a"
-            elif j > 1:
-                name = f"a^{j}"
-            if e:
-                name = f"{name}*w" if name else "w"
-            if not name:
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(name)
-            elif c == -1:
-                terms.append(f"-{name}")
-            else:
-                terms.append(f"{c}*{name}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        for name, c in zip(_NAMES, self.coeffs):
+            if c:
+                terms.append(str(c) if not name else name if c == 1 else
+                             f"-{name}" if c == -1 else f"{c}*{name}")
+        return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
 class SplittingField:
@@ -192,7 +204,7 @@ class SplittingField:
             tuple(_reduce(k, j1 + j2, e1 + e2) for j2, e2 in _MONOMIALS)
             for j1, e1 in _MONOMIALS)
         # the automorphism (t, s) sends a^j*w^e to a^j*w^(tj+se): one
-        # (target index, scale) per basis index, keyed by its root permutation
+        # (target index, num, den) per basis index, keyed by its root permutation
         self._actions = {
             groups.affine_map(t, s): tuple(_reduce(k, j, t * j + s * e)
                                            for j, e in _MONOMIALS)
@@ -262,23 +274,17 @@ class SplittingField:
 
     def apply(self, g: Perm, u: FieldElt) -> FieldElt:
         """Image of u under the automorphism g (an exact ring map)."""
-        out = [Fraction(0)] * 16
-        for (target, scale), c in zip(self._action(g), u.coeffs):
-            out[target] = c * scale
-        return FieldElt._unchecked(self, tuple(out))
+        nums, den = _combine([(target, c * num, d) for (target, num, d), c
+                              in zip(self._action(g), u.nums) if c])
+        return FieldElt._reduced(self, nums, den * u.den)
 
     def orbit(self, u: FieldElt) -> set:
         return {self.apply(g, u).coeffs for g in self._actions}
 
     def _stabilizer(self, *elts: FieldElt) -> frozenset:
-        """The automorphisms fixing every given element: g fixes u iff
-        u[target] == scale * u[i] for each index i and its (target, scale)."""
-        return frozenset(
-            g for g, action in self._actions.items()
-            if all(u.coeffs[target] == scale * c
-                   for u in elts
-                   for (target, scale), c in zip(action, u.coeffs)
-                   if c or u.coeffs[target]))
+        """The automorphisms fixing every given element."""
+        return frozenset(g for g, action in self._actions.items()
+                         if all(_fixes(action, u.nums) for u in elts))
 
     # --- fixed fields -----------------------------------------------------
 
@@ -298,30 +304,37 @@ class SplittingField:
         for idx in range(16):
             if idx in seen:
                 continue
-            vec = [Fraction(0)] * 16
-            for action in actions:
-                target, scale = action[idx]
-                vec[target] += scale
-                seen.add(target)
+            images = [action[idx] for action in actions]
+            seen.update(target for target, _, _ in images)
+            vec, _ = _combine(images)
             last = max((i for i, c in enumerate(vec) if c), default=None)
             if last is not None:
-                sums[last] = tuple(c / vec[last] for c in vec)
-        basis_vecs = [sums[last] for last in sorted(sums)]
+                sums[last] = FieldElt._reduced(self, vec, vec[last])
+        basis = [sums[last] for last in sorted(sums)]
         degree = 16 // H.order
-        if len(basis_vecs) != degree:
+        if len(basis) != degree:
             raise AssertionError(
-                f"fixed space has dimension {len(basis_vecs)}, expected {degree}")
-        basis = [FieldElt(self, v) for v in basis_vecs]
+                f"fixed space has dimension {len(basis)}, expected {degree}")
         return FixedField(H.elements, degree, basis,
                           self._primitive_element(basis, members),
                           self._label_table.get(members))
 
     def _primitive_element(self, basis, members) -> FieldElt:
-        # u in the fixed field of H generates it iff no larger subgroup fixes u
+        # u in the fixed field of H is fixed by H; it generates that field
+        # iff no automorphism outside H fixes it.  The basis vectors have
+        # disjoint supports, and over one denominator a candidate is an
+        # integer combination of their numerators
+        outside = [action for g, action in self._actions.items() if g not in members]
+        den = math.lcm(*(b.den for b in basis))
+        vecs = [[(i, x * (den // b.den)) for i, x in enumerate(b.nums) if x]
+                for b in basis]
         for idxs, coeffs in _combination_stream(len(basis)):
-            u = sum((c * basis[i] for i, c in zip(idxs, coeffs)), self.zero())
-            if self._stabilizer(u) == members:
-                return u
+            nums = [0] * 16
+            for b, c in zip(idxs, coeffs):
+                for i, x in vecs[b]:
+                    nums[i] = c * x
+            if not any(_fixes(action, nums) for action in outside):
+                return FieldElt._reduced(self, nums, den)
         raise RuntimeError("primitive element search exhausted")
 
     @cached_property
@@ -520,10 +533,8 @@ def witt_T(field: SplittingField) -> list[list[FieldElt]]:
     """The determinant-1 matrix over Q(sqrt(-2)) carrying the diagonal form
     <2, k, 1/2k> to <1, 1, 1>, with entries in E, where sqrt(-2) = i*sqrt(2);
     K = k + 1/2, kappa = k - 1/2."""
-    k = field.k
-    K = k + Fraction(1, 2)
-    kap = k - Fraction(1, 2)
-    m, half = field.monomial, Fraction(1, 2)
+    k, m, half = field.k, field.monomial, Fraction(1, 2)
+    K, kap = k + half, k - half
     s = field._square_roots[Fraction(-2)]
     # -1/2 times [[1, 1, 0], [-K/k, K/k, -kap/k s], [kap s, -kap s, -2K]]
     return [[m(0, 0, -half), m(0, 0, -half), field.zero()],

@@ -160,10 +160,46 @@ def transitive_8pt_obstruction(name: str) -> str | None:
 # --- splitting ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def reference_mul_table(k: Fraction) -> tuple:
+    """Products of basis monomials by the two rules applied one step at a
+    time, as (index, Fraction scale): a single monomial times a scalar."""
+    table = []
+    for i1 in range(16):
+        j1, e1 = divmod(i1, 2)
+        row = []
+        for i2 in range(16):
+            j2, e2 = divmod(i2, 2)
+            j, e = j1 + j2, e1 + e2
+            scale = Fraction(1)
+            if e == 2:
+                j += 4
+                e = 0
+                scale /= k       # w^2 = a^4 / k
+            while j >= 8:
+                j -= 8
+                scale *= -k * k  # a^8 = -k^2
+            row.append((2 * j + e, scale))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def mul(u: FieldElt, v: FieldElt) -> tuple[Fraction, ...]:
+    """The coordinates of u * v, multiplied in Fractions by
+    reference_mul_table, independent of the package's integer layout."""
+    table = reference_mul_table(u.field.k)
+    out = [Fraction(0)] * 16
+    for i, x in enumerate(u.coeffs):
+        for j, y in enumerate(v.coeffs):
+            idx, scale = table[i][j]
+            out[idx] += x * y * scale
+    return tuple(out)
+
+
 def roots(E: SplittingField) -> list[FieldElt]:
     """The eight roots a * w^m of X^8 + k^2."""
-    return [E.monomial(*_MONOMIALS[idx], scale)
-            for idx, scale in (_reduce(E.k, 1, m) for m in range(8))]
+    return [E.monomial(*_MONOMIALS[idx], Fraction(num, den))
+            for idx, num, den in (_reduce(E.k, 1, m) for m in range(8))]
 
 
 def defining_polynomial_check(E: SplittingField) -> bool:

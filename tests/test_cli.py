@@ -26,6 +26,8 @@ GOLDEN_CASES = [
     (("lattice", "3/4", "--format", "json"), "lattice_3_4.json"),
     # 990051 = 3 * 330017: k with a six-digit prime factor
     (("lattice", "990051", "--format", "json"), "lattice_990051.json"),
+    # a benchmark-shaped k: a denominator and a prime factor near 3e5
+    (("lattice", "1618980/289", "--format", "json"), "lattice_1618980_289.json"),
     (("witt-verify", "3"), "witt_verify_3.txt"),
     (("witt-verify", "3", "--format", "json"), "witt_verify_3.json"),
     # a fractional rho, and the k of the lattice goldens above
@@ -34,6 +36,7 @@ GOLDEN_CASES = [
     (("witt-verify", "12"), "witt_verify_12.txt"),
     (("witt-verify", "3/4", "--format", "json"), "witt_verify_3_4.json"),
     (("witt-verify", "990051", "--format", "json"), "witt_verify_990051.json"),
+    (("witt-verify", "27175/54", "--format", "json"), "witt_verify_27175_54.json"),
 ]
 # one value per oracle outcome: K8, D16, QD16, Pauli, B32
 ORACLE_VALUES = ["16", "2", "-2", "9", "3"]

@@ -7,35 +7,13 @@ from fractions import Fraction as F
 
 import pytest
 import reference
+from hypothesis import given, settings, strategies as st
 
-from pureoctic import arith, groups, linalg
+from pureoctic import arith, binomial, groups, linalg
 from pureoctic.groups import affine_map, affine_pair
 from pureoctic.splitting import FieldElt, SplittingField, witt_beta_rho
 
 IDENTITY = affine_map(0, 1)
-
-
-def _reference_mul_table(k):
-    """Products of basis monomials by the two rules applied one step at a
-    time: a single monomial times a scalar."""
-    table = []
-    for i1 in range(16):
-        j1, e1 = divmod(i1, 2)
-        row = []
-        for i2 in range(16):
-            j2, e2 = divmod(i2, 2)
-            j, e = j1 + j2, e1 + e2
-            scale = F(1)
-            if e == 2:
-                j += 4
-                e = 0
-                scale /= k       # w^2 = a^4 / k
-            while j >= 8:
-                j -= 8
-                scale *= -k * k  # a^8 = -k^2
-            row.append((2 * j + e, scale))
-        table.append(tuple(row))
-    return tuple(table)
 
 
 def _basis_images(field, aut):
@@ -97,7 +75,9 @@ def test_reduction_rules(E3):
 
 @pytest.mark.parametrize("k", [F(3), F(5, 3), F(3, 4), F(12), F(990051)])
 def test_mul_table_matches_reference(k):
-    assert SplittingField(k)._mul_table == _reference_mul_table(k)
+    table = tuple(tuple((idx, F(num, den)) for idx, num, den in row)
+                  for row in SplittingField(k)._mul_table)
+    assert table == reference.reference_mul_table(k)
 
 
 def test_construction_makes_no_field_products(monkeypatch):
@@ -129,9 +109,8 @@ def test_construction_makes_no_field_products(monkeypatch):
     assert groups_built
 
 
-def test_lattice_constructs_few_fractions(monkeypatch):
-    # results of field operations skip the public constructor's conversion;
-    # converting every coordinate of every result made 35120 Fractions here
+def _count_fractions(monkeypatch, fn):
+    """How many Fractions fn() constructs."""
     count = 0
     new = F.__new__
 
@@ -140,14 +119,59 @@ def test_lattice_constructs_few_fractions(monkeypatch):
         count += 1
         return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(F, "__new__", counting)
-    SplittingField(F(5)).lattice_report()
-    assert 0 < count < 30000
+    with monkeypatch.context() as patch:
+        patch.setattr(F, "__new__", counting)
+        fn()
+    return count
+
+
+def test_lattice_constructs_few_fractions(monkeypatch):
+    # elements are integer numerators over one denominator, so Fractions
+    # appear only at the edges (k, labels, printing); a layout of 16
+    # Fractions per element made 23790 here
+    count = _count_fractions(
+        monkeypatch, lambda: SplittingField(F(5)).lattice_report())
+    assert 0 < count < 1000
+    # 61 here; the Fraction layout made 4917
+    count = _count_fractions(monkeypatch, lambda: witt_beta_rho(SplittingField(F(5))))
+    assert 0 < count < 100
     E = SplittingField(F(5))
-    # the public constructor still converts; an unchecked result is exact too
+    # the coordinates read back as Fractions, from any route
     for u in (FieldElt(E, [1] * 16), E.a * 3, -E.w, E.a + 1, E.apply(
             groups.affine_map(1, 3), E.a)):
         assert all(type(c) is F for c in u.coeffs)
+
+
+def test_elements_are_reduced_over_one_denominator(E3):
+    u = FieldElt(E3, [F(1, 6), F(-1, 4)] + [F(2, 3)] * 14)
+    assert u.den == 12 and u.nums[:3] == (2, -3, 8)
+    assert (u - u).nums == (0,) * 16 and (u - u).den == 1
+    v = (E3.a / 3) * 3
+    assert v.den == 1 and v == E3.a
+
+
+@pytest.mark.parametrize("bad", [0.1, True, "1", None], ids=repr)
+def test_constructor_takes_only_exact_coordinates(E3, bad):
+    # a float would be stored as its binary value, 0.1 as 3602879701896397/2^55
+    with pytest.raises(TypeError):
+        FieldElt(E3, [F(1, 2)] + [0] * 14 + [bad])
+
+
+@pytest.mark.parametrize("op", [
+    lambda u: u + 0.5, lambda u: 0.5 + u, lambda u: u - 0.5,
+    lambda u: u * 2.0, lambda u: 2.0 * u, lambda u: u / 2.0,
+    lambda u: u + True, lambda u: u * False, lambda u: u + "1"],
+    ids=["add-float", "radd-float", "sub-float", "mul-float", "rmul-float",
+         "div-float", "add-bool", "mul-bool", "add-str"])
+def test_foreign_operands_raise_type_error(E3, op):
+    with pytest.raises(TypeError):
+        op(E3.a)
+
+
+def test_foreign_operands_are_not_equal(E3):
+    one = E3.one()
+    assert one == 1 and one == F(1)
+    assert not (one == 1.0 or one == True or one == "1")
 
 
 def test_ring_axioms_random(E3):
@@ -160,6 +184,31 @@ def test_ring_axioms_random(E3):
         assert u * (v + t) == u * v + u * t
         assert u * v == v * u
     assert E3.zero() * E3.a == E3.zero()
+
+
+# k over the Pauli condition with a numerator and a denominator, and sparse
+# elements with small fractional coordinates
+PAULI_K = st.builds(F, st.integers(1, 10**6), st.integers(1, 10**3)).filter(
+    lambda k: binomial.pauli_condition_violation(k) is None)
+
+
+COORDS = st.dictionaries(
+    st.integers(0, 15), st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
+    max_size=5).map(lambda d: [d.get(i, 0) for i in range(16)])
+
+
+@given(PAULI_K, COORDS, COORDS, COORDS)
+@settings(max_examples=40, deadline=None)
+def test_ring_axioms_against_fraction_reference(k, cu, cv, ct):
+    E = SplittingField(k)
+    u, v, t = (FieldElt(E, c) for c in (cu, cv, ct))
+    assert (u * v).coeffs == reference.mul(u, v)
+    assert (u + v).coeffs == tuple(x + y for x, y in zip(u.coeffs, v.coeffs))
+    assert (u * v) * t == u * (v * t)
+    assert u * (v + t) == u * v + u * t
+    assert u * v == v * u
+    if not u.is_zero():
+        assert u * u.inverse() == 1
 
 
 def test_inverse(E3):
@@ -422,6 +471,8 @@ def test_stabilizer_matches_apply(k):
     label_gens = _label_generators(E)
     elts = [gen for gens in label_gens for gen in gens]
     elts += [row.primitive for row in E.lattice_report().rows]
+    # every basis monomial, so each coordinate of the test is exercised
+    elts += [E.monomial(*divmod(idx, 2), F(idx + 1, 3)) for idx in range(16)]
     for u in elts:
         assert E._stabilizer(u) == {g for g in E.galois_group()
                                     if E.apply(g, u) == u}
