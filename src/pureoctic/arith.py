@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
@@ -119,12 +119,11 @@ def _brent_rho(n: int, budget: int) -> tuple[int, int]:
                          " rho failed for every c < 100")
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """sign * prod(p^e) with primes in increasing order and all e != 0."""
+class Factorization(namedtuple("Factorization", "sign exponents")):
+    """sign * prod(p^e): exponents holds the pairs (p, e), primes in
+    increasing order and all e != 0."""
 
-    sign: int
-    exponents: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def factor(n: int) -> Factorization:
@@ -166,24 +165,23 @@ def factor(n: int) -> Factorization:
     return Factorization(sign, tuple(sorted(exps.items())))
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class SquareClass(namedtuple("SquareClass", "representative primes")):
     """A coset of Q*/(Q*)^2, represented by its signed square-free integer
-    and the primes dividing it, ascending.
+    and the tuple of the primes dividing it, ascending.
 
     Two rationals land in the same class iff their quotient is a rational
     square.  Products of classes are taken as F2 vectors over a
     `PrimeBasis`.
     """
 
-    representative: int
-    primes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.representative == 0:
+    def __new__(cls, representative: int, primes: tuple[int, ...]):
+        if representative == 0:
             raise ValueError("square class of 0 is undefined")
-        if math.prod(self.primes) != abs(self.representative):
+        if math.prod(primes) != abs(representative):
             raise ValueError("primes do not match the representative")
+        return super().__new__(cls, representative, primes)
 
 
 def squarefree_part(q: Rational | int) -> SquareClass:

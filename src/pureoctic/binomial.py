@@ -17,7 +17,7 @@ checks every verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import arith
@@ -31,12 +31,11 @@ TAG_PAULI = "Pauli"
 TAG_B32 = "B32"
 
 
-@dataclass(frozen=True)
-class GaloisTag:
-    """Classifier verdict for X^8 + c, with predicted splitting degree."""
+class GaloisTag(namedtuple("GaloisTag", "name splitting_degree")):
+    """Classifier verdict for X^8 + c, with predicted splitting degree
+    (None when reducible)."""
 
-    name: str
-    splitting_degree: int | None
+    __slots__ = ()
 
     @property
     def group_order(self) -> int | None:

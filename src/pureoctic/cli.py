@@ -86,6 +86,10 @@ def cmd_classify(args) -> int:
 def cmd_lattice(args) -> int:
     from . import splitting
     k = parse_rational(args.k)
+    if args.format != "dot":
+        # the text and JSON reports print k^2: a k^2 past the digit limit
+        # raises here, before the field is built and k factored
+        str(k ** 2)
     report = splitting.SplittingField(k).lattice_report()
     if args.format == "dot":
         print(report.as_dot())
@@ -210,8 +214,7 @@ def cmd_oracle(args) -> int:
     if tag.name == binomial.TAG_REDUCIBLE:
         return _fail(f"{_poly_display(c)} is reducible: no transitive group to test")
     cns = oracle.census(c, args.primes)
-    model = oracle.model_for_tag(tag)
-    verdict = oracle.consistent(cns, model, tolerance)
+    verdict = oracle.consistent(cns, oracle.model_cycle_types(tag.name), tolerance)
     lines = [f"classifier: {tag.name}",
              cns.as_text(),
              f"verdict vs {tag.name} model: {verdict}"]

@@ -17,9 +17,7 @@ of the splitting field in `splitting`.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property, lru_cache, reduce
 
 from . import arith
@@ -448,17 +446,14 @@ def abelian_name(invariants: tuple[int, ...]) -> str:
 # fingerprint and identification
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """Isomorphism-invariant profile; separates all 14 groups of order 16."""
+class Fingerprint(namedtuple("Fingerprint", (
+        "order element_orders center_type abelianization subgroup_profile"
+        " has_q8_subgroup has_order8_element"))):
+    """Isomorphism-invariant profile; separates all 14 groups of order 16.
+    element_orders holds (order, count) pairs and subgroup_profile holds
+    ((order, normal), count) pairs, both sorted."""
 
-    order: int
-    element_orders: tuple[tuple[int, int], ...]
-    center_type: str
-    abelianization: str
-    subgroup_profile: tuple[tuple[tuple[int, bool], int], ...]
-    has_q8_subgroup: bool
-    has_order8_element: bool
+    __slots__ = ()
 
 
 def _looks_like_q8(H: FinGroup) -> bool:
@@ -545,17 +540,12 @@ def _dihedral8() -> FinGroup:
 # the registry of named groups
 
 
-@dataclass(frozen=True)
-class GroupModel:
+class GroupModel(namedtuple("GroupModel", "name build pairs identity")):
     """A named group: its abstract construction (None when the 8-point model
     is that construction), the (t, s) pairs of its transitive 8-point model
     in Hol(C8) (None when it has none), and the name identify() returns for
-    it.  An alias is an entry whose identity names another entry."""
-
-    name: str
-    build: Callable[[], FinGroup] | None
-    pairs: tuple[tuple[int, int], ...] | None
-    identity: str
+    it.  An alias is an entry whose identity names another entry.  No
+    __slots__, so that the cached properties have a __dict__."""
 
     @cached_property
     def model8(self) -> FinGroup | None:

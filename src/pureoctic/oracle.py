@@ -23,19 +23,24 @@ on p mod 8 and on the order of b = a^((p-1)/g), g = gcd(8, p - 1), so each
 prime costs one modular power and at most three squarings, and the degrees
 are read from a table that the Mobius inversion fills on first use of each
 key (see `_degrees`).
+
+The verdict compares against `CYCLE_TYPE_COUNTS`, a literal table of how
+many elements of each cycle type the 8-point model of each classifier
+outcome has, so a request builds no group; a test proves the table against
+the group engine (`group_cycle_types` of `stock_models()`).  The table
+describes the five models, not a verdict, so the oracle stays independent
+of the classifier.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from . import arith, binomial, groups
+from . import arith, binomial
 from .arith import MAX_CENSUS_BOUND, Rational
-from .groups import FinGroup
 
 CycleType = tuple[int, ...]
 
@@ -107,15 +112,11 @@ def _degrees(a: int, p: int) -> CycleType:
 # --- census ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Census:
-    """Cycle-type counts over all good primes below a bound."""
+class Census(namedtuple("Census", "c bound counts total skipped")):
+    """Cycle-type counts over all good primes below a bound: counts holds
+    (cycle type, count) pairs, total their sum, skipped the bad primes."""
 
-    c: Fraction
-    bound: int
-    counts: tuple[tuple[CycleType, int], ...]
-    total: int
-    skipped: tuple[int, ...]
+    __slots__ = ()
 
     def frequencies(self) -> dict[CycleType, Fraction]:
         return {t: Fraction(n, self.total) for t, n in self.counts}
@@ -154,20 +155,19 @@ def census(c: Rational, bound: int) -> Census:
     return Census(c, bound, ordered, total, tuple(skipped))
 
 
-def group_cycle_types(G: FinGroup) -> dict[CycleType, Fraction]:
-    """Cycle-type proportions of a permutation group on 8 points."""
+def group_cycle_types(G) -> dict[CycleType, Fraction]:
+    """Cycle-type proportions of a `groups.FinGroup` on 8 points."""
     if G.degree != 8:
         raise ValueError("need a permutation group on exactly 8 points")
     counts = Counter(g.cycle_type() for g in G)
     return {t: Fraction(n, G.order) for t, n in sorted(counts.items(), reverse=True)}
 
 
-@dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    worst_deviation: Fraction
-    worst_type: CycleType | None
-    foreign_types: tuple[CycleType, ...]
+class Verdict(namedtuple("Verdict", "passed worst_deviation worst_type foreign_types")):
+    """The result of `consistent`; worst_type is None when every observed
+    frequency equals its model proportion."""
+
+    __slots__ = ()
 
     def __str__(self):
         state = "PASS" if self.passed else "FAIL"
@@ -188,16 +188,16 @@ def _decimal(q: Fraction, places: int = 4) -> str:
     return f"{text[:-places]}.{text[-places:]}"
 
 
-def consistent(cns: Census, G: FinGroup, tolerance: Rational) -> Verdict:
-    """PASS iff every observed cycle type occurs in the group's model and
-    every observed frequency is within the absolute tolerance of the model
-    proportion."""
+def consistent(cns: Census, model: dict[CycleType, Fraction],
+               tolerance: Rational) -> Verdict:
+    """PASS iff every observed cycle type occurs in the model, given by its
+    cycle-type proportions, and every observed frequency is within the
+    absolute tolerance of the model proportion."""
     if cns.total < 500:
         raise ValueError(f"census of {cns.total} primes is too small (need 500)")
     tolerance = Fraction(tolerance)
     if tolerance < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
-    model = group_cycle_types(G)
     freqs = cns.frequencies()
     foreign = tuple(t for t in freqs if t not in model)
     worst: Fraction = Fraction(0)
@@ -217,27 +217,45 @@ def consistent(cns: Census, G: FinGroup, tolerance: Rational) -> Verdict:
 # --- stock comparison models -------------------------------------------------
 
 
+# the count of each cycle type in the transitive 8-point model of each
+# classifier outcome, summing to the group order
+CYCLE_TYPE_COUNTS = {
+    binomial.TAG_K8: {(4, 4): 4, (2, 2, 2, 2): 3, (1,) * 8: 1},
+    binomial.TAG_D16: {(8,): 4, (4, 4): 2, (2, 2, 2, 2): 5, (2, 2, 2, 1, 1): 4,
+                       (1,) * 8: 1},
+    binomial.TAG_QD16: {(8,): 4, (4, 4): 6, (2, 2, 2, 2): 1, (2, 2, 2, 1, 1): 4,
+                        (1,) * 8: 1},
+    binomial.TAG_PAULI: {(4, 4): 8, (2, 2, 2, 2): 5, (2, 2, 1, 1, 1, 1): 2,
+                         (1,) * 8: 1},
+    binomial.TAG_B32: {(8,): 8, (4, 4): 8, (2, 2, 2, 2): 5, (2, 2, 2, 1, 1): 8,
+                       (2, 2, 1, 1, 1, 1): 2, (1,) * 8: 1},
+}
+
+
+def model_cycle_types(name: str) -> dict[CycleType, Fraction]:
+    """Cycle-type proportions of the 8-point model matching the classifier
+    tag of that name, read from `CYCLE_TYPE_COUNTS`."""
+    if name == binomial.TAG_REDUCIBLE:
+        raise ValueError("reducible polynomials have no transitive model")
+    counts = CYCLE_TYPE_COUNTS[name]
+    order = sum(counts.values())
+    return {t: Fraction(n, order) for t, n in counts.items()}
+
+
 # the classifier outcomes, then candidate groups with no transitive 8-point model
 _CANDIDATES = (binomial.TAG_K8, binomial.TAG_D16, binomial.TAG_QD16,
                binomial.TAG_PAULI, binomial.TAG_B32, "C16", "C8xC2", "Q8xC2")
 
 
 @lru_cache(maxsize=None)
-def stock_models() -> dict[str, FinGroup | None]:
-    """Transitive 8-point models of the classifier outcomes, plus candidate
-    groups that admit no such model (mapped to None).
+def stock_models() -> dict:
+    """Transitive 8-point models (`groups.FinGroup`s) of the classifier
+    outcomes, plus candidate groups that admit no such model (mapped to
+    None).  No request builds them: they are the source of
+    `CYCLE_TYPE_COUNTS`.
 
     The transitive models are full affine subgroups of Hol(C8).
     """
+    from . import groups
     table = groups.group_models()
     return {name: table[name].model8 for name in _CANDIDATES}
-
-
-def model_for_tag(tag: binomial.GaloisTag | str) -> FinGroup:
-    """The 8-point permutation model matching a classifier verdict."""
-    name = tag.name if isinstance(tag, binomial.GaloisTag) else tag
-    if name == binomial.TAG_REDUCIBLE:
-        raise ValueError("reducible polynomials have no transitive model")
-    model = stock_models()[name]
-    assert model is not None
-    return model

@@ -28,22 +28,22 @@ against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import arith
 from .arith import Rational, squarefree_part
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(namedtuple("Place", "p")):
     """A place of Q: a prime number, or None for the real place."""
 
-    p: int | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p is not None and not arith.is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __new__(cls, p: int | None):
+        if p is not None and not arith.is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return super().__new__(cls, p)
 
     @property
     def is_real(self) -> bool:
@@ -109,13 +109,10 @@ def relevant_places(*values: Rational) -> list[Place]:
     return [REAL_PLACE, Place(2)] + [Place(p) for p in sorted(primes)]
 
 
-@dataclass(frozen=True)
-class TernaryForm:
-    """A nondegenerate diagonal form <a, b, c> over Q."""
+class TernaryForm(namedtuple("TernaryForm", "a b c")):
+    """A nondegenerate diagonal form <a, b, c> over Q, Fraction coefficients."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    __slots__ = ()
 
     @classmethod
     def of(cls, a, b, c) -> "TernaryForm":

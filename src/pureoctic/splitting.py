@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -429,26 +429,20 @@ def _pair_text(g: Perm) -> str:
     return "(%d,%d)" % groups.affine_pair(g)
 
 
-@dataclass
-class FixedField:
-    """The subfield of E fixed pointwise by a subgroup of automorphisms."""
+class FixedField(namedtuple("FixedField", "subgroup degree basis primitive label")):
+    """The subfield of E fixed pointwise by a subgroup of automorphisms: its
+    elements, degree, basis, a primitive element and its label or None."""
 
-    subgroup: tuple[Perm, ...]
-    degree: int
-    basis: list
-    primitive: FieldElt
-    label: str | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LatticeRow:
-    subgroup: tuple[Perm, ...]
-    order: int
-    normal: bool
-    degree: int
-    primitive: FieldElt
-    label: str | None
-    generators: tuple[Perm, ...]
+class LatticeRow(namedtuple("LatticeRow", (
+        "subgroup order normal degree primitive label generators"))):
+    """One subgroup of the lattice (its sorted elements, order, normality and
+    generators) and the degree, primitive element and label of its fixed
+    field."""
+
+    __slots__ = ()
 
     def field_display(self) -> str:
         if self.label:
@@ -460,10 +454,10 @@ class LatticeRow:
         return f"Q({self.primitive})"
 
 
-@dataclass(frozen=True)
-class LatticeReport:
-    k: Fraction
-    rows: tuple[LatticeRow, ...]
+class LatticeReport(namedtuple("LatticeReport", "k rows")):
+    """The subgroup <-> fixed-field correspondence for X^8 + k^2."""
+
+    __slots__ = ()
 
     def as_text(self) -> str:
         lines = [
@@ -548,17 +542,14 @@ def _det3(m):
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-@dataclass(frozen=True)
-class WittCertificate:
-    beta: FieldElt
-    rho: Fraction  # rho = -4k * sqrt(-2), given by its rational coefficient
-    sqrt_rho_beta: FieldElt
-    det_is_one: bool
-    congruence_is_identity: bool
-    factorization_holds: bool
-    beta_matches_matrix_diagonal: bool
-    a_minus_abar_nonzero: bool
-    generates_E_over_L: bool
+class WittCertificate(namedtuple("WittCertificate", (
+        "beta rho sqrt_rho_beta det_is_one congruence_is_identity"
+        " factorization_holds beta_matches_matrix_diagonal a_minus_abar_nonzero"
+        " generates_E_over_L"))):
+    """beta, rho = -4k * sqrt(-2) given by its rational coefficient, and
+    sqrt(rho * beta), with the result of each check."""
+
+    __slots__ = ()
 
 
 def witt_beta_rho(field: SplittingField) -> WittCertificate:

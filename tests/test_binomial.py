@@ -61,7 +61,7 @@ def test_classification_degrees():
     for c, name in CLASSIFICATION_VECTOR.items():
         tag = binomial.classify_octic(c)
         if name != "Reducible":
-            assert tag.group_order == oracle.model_for_tag(tag).order
+            assert tag.group_order == oracle.stock_models()[tag.name].order
 
 
 def test_classify_rejects_zero():

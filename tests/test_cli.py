@@ -192,6 +192,21 @@ def test_unprintable_output_exits_2(capsys, argv, code):
         assert out.startswith("digraph") and err == ""
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_lattice_unprintable_square_fails_before_factoring(capsys, monkeypatch, fmt):
+    # a 2200-digit k reads, but its 4400-digit square cannot be printed: the
+    # request is refused before the field is built and k factored
+    from pureoctic import arith
+
+    def refuse(n):
+        raise AssertionError("k was factored")
+
+    monkeypatch.setattr(arith, "factor", refuse)
+    code, out, err = run(capsys, "lattice", "7" * 2200, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("error: a number exceeds the digit limit")
+
+
 def test_classify_takes_each_root_once(capsys, monkeypatch):
     from pureoctic import arith
 
@@ -420,6 +435,16 @@ def test_oracle_pass(capsys):
     assert "PASS" in out and "classifier: Pauli" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_oracle_fail_golden(capsys, fmt):
+    # a failed verification prints its whole verdict and exits 1
+    code, out, _ = run(capsys, "oracle", "9", "--primes", "20000",
+                       "--tolerance", "1/1000", "--format", fmt)
+    assert code == 1
+    ext = "txt" if fmt == "text" else "json"
+    assert out.encode() == (GOLDEN / f"oracle_9_fail.{ext}").read_bytes()
+
+
 def test_oracle_reducible_rejected(capsys):
     code, _, err = run(capsys, "oracle", "4")
     assert code == 2 and "reducible" in err
@@ -507,7 +532,8 @@ def test_python_dash_m_entry():
 
 
 # runs `python -m pureoctic ARGV` and prints, as its last stderr line, the
-# package modules loaded by the time the request exits
+# package modules loaded by the time the request exits, and those of
+# `dataclasses` and `inspect` (13 ms of start-up together) that are loaded
 _MODULE_PROBE = """
 import runpy, sys
 sys.argv = ["pureoctic", *sys.argv[1:]]
@@ -515,7 +541,8 @@ try:
     runpy.run_module("pureoctic", run_name="__main__", alter_sys=True)
 finally:
     print(" ".join(sorted(m for m in sys.modules
-                          if m.partition(".")[0] == "pureoctic")), file=sys.stderr)
+                          if m.partition(".")[0] == "pureoctic"
+                          or m in ("dataclasses", "inspect"))), file=sys.stderr)
 """
 _BASE_MODULES = {"pureoctic", "pureoctic.cli", "pureoctic.arith"}
 
@@ -527,7 +554,7 @@ _BASE_MODULES = {"pureoctic", "pureoctic.cli", "pureoctic.arith"}
     (("sl-search", "2", "3", "-2"), {"qforms"}),
     (("lattice", "3"), {"binomial", "groups", "splitting"}),
     (("witt-verify", "3"), {"binomial", "groups", "splitting"}),
-    (("oracle", "9", "--primes", "20000"), {"binomial", "groups", "oracle"}),
+    (("oracle", "9", "--primes", "20000"), {"binomial", "oracle"}),
     (("group-identify", "QD16"), {"groups"}),
 ], ids=["help", "classify", "embed", "sl-search", "lattice", "witt-verify",
         "oracle", "group-identify"])

@@ -228,12 +228,13 @@ def test_census_deterministic():
 def test_consistent_requires_samples():
     cns = oracle.census(F(9), 1000)  # 167 good primes
     with pytest.raises(ValueError):
-        oracle.consistent(cns, groups.pauli_affine_model(), F(1, 20))
+        oracle.consistent(cns, oracle.group_cycle_types(groups.pauli_affine_model()),
+                          F(1, 20))
 
 
 def test_consistent_monotone_in_tolerance():
     cns = oracle.census(F(9), 10000)
-    model = groups.pauli_affine_model()
+    model = oracle.group_cycle_types(groups.pauli_affine_model())
     verdicts = [oracle.consistent(cns, model, t).passed
                 for t in (F(1, 1000), F(1, 100), F(1, 20), F(1, 2))]
     assert verdicts == sorted(verdicts)  # False cannot follow True
@@ -247,7 +248,7 @@ def test_census_against_all_models():
         if model is None:
             assert reference.transitive_8pt_obstruction(name) is not None
             continue
-        verdict = oracle.consistent(cns, model, F(1, 20))
+        verdict = oracle.consistent(cns, oracle.group_cycle_types(model), F(1, 20))
         assert verdict.passed == (name == "Pauli"), name
 
 
@@ -270,9 +271,24 @@ def test_stock_models_fingerprints():
 
 def test_model_for_tag():
     tag = binomial.classify_octic(F(2))
-    assert groups.identify(oracle.model_for_tag(tag)) == "D16"
-    with pytest.raises(ValueError):
-        oracle.model_for_tag("Reducible")
+    assert groups.identify(oracle.stock_models()[tag.name]) == "D16"
+    with pytest.raises(ValueError, match="no transitive model"):
+        oracle.model_cycle_types("Reducible")
+
+
+def test_cycle_type_table_is_the_models():
+    # the literal table a request reads, derived from the group engine: the
+    # counts of each outcome's 8-point model, summing to its group order
+    models = oracle.stock_models()
+    tags = [binomial.classify_octic(F(c)) for c in (16, 2, -2, 9, 3)]
+    assert [tag.name for tag in tags] == list(oracle.CYCLE_TYPE_COUNTS)
+    for tag in tags:
+        counts = oracle.CYCLE_TYPE_COUNTS[tag.name]
+        order = sum(counts.values())
+        assert order == tag.group_order == models[tag.name].order
+        want = oracle.group_cycle_types(models[tag.name])
+        assert {t: F(n, order) for t, n in counts.items()} == want
+        assert oracle.model_cycle_types(tag.name) == want
 
 
 def test_obstruction_table():
