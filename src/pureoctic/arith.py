@@ -40,7 +40,9 @@ _TRIAL_BOUND = 10 ** 6
 # any size, enough for two 13-digit prime factors
 _RHO_BUDGET = 200_000_000
 _RHO_BATCH = 128
-_RATIONAL_LITERAL = re.compile(r"[+-]?\d+(_\d+)*(/\d+(_\d+)*)?")
+# an unsigned integer or p/q literal, with underscores between digit groups
+UNSIGNED_RATIONAL = r"\d+(_\d+)*(/\d+(_\d+)*)?"
+_RATIONAL_LITERAL = re.compile(f"[+-]?{UNSIGNED_RATIONAL}")
 
 
 def is_prime(n: int) -> bool:

@@ -17,24 +17,22 @@ import sys
 from fractions import Fraction
 
 # each command imports the modules it runs, so a request compiles no other
-from .arith import MAX_CENSUS_BOUND, parse_rational
+from .arith import MAX_CENSUS_BOUND, UNSIGNED_RATIONAL, parse_rational
 
-_NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
+# lets a bare negative literal like -2/3 or -1_000 parse as a positional
+_NEGATIVE_RATIONAL = re.compile(f"^-{UNSIGNED_RATIONAL}$")
 
 
-def _jsonify(obj):
+def _json_default(obj):
+    # Fractions print as 'p/q'; any other object json cannot write is a bug
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(payload: dict, fmt: str, text: str) -> None:
     if fmt == "json":
-        print(json.dumps(_jsonify(payload), sort_keys=True, indent=2))
+        print(json.dumps(payload, default=_json_default, sort_keys=True, indent=2))
     else:
         print(text)
 
@@ -280,14 +278,6 @@ def cmd_group_identify(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _allow_negative_rationals(parser: argparse.ArgumentParser) -> None:
-    # let bare negative fractions like -2/3 parse as positionals
-    try:
-        parser._negative_number_matcher = _NEGATIVE_RATIONAL
-    except AttributeError:  # pragma: no cover
-        pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pureoctic",
@@ -298,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--format", choices=formats, default="text")
-        _allow_negative_rationals(p)
+        p._negative_number_matcher = _NEGATIVE_RATIONAL
         return p
 
     p = add("classify", cmd_classify,

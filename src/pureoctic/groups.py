@@ -1,17 +1,17 @@
 """A small exact engine for permutation groups on any number of points;
 closure and subgroup enumeration stop at MAX_GROUP_ORDER elements.
 
-Each group indexes its sorted elements and holds their Cayley table, and
-subgroups are enumerated as bitmasks over those indices.  Provides
-multiplication closure, subgroup lattices, quotients, and an
-isomorphism fingerprint strong enough to tell apart all 14 groups of
-order 16.  The 16-element group generated by the three 2x2 Pauli spin
-matrices is built over exact Gaussian integers and identified by three
-structural criteria: no element of order 8, some non-normal subgroup, and
-a quaternion Q8 subgroup.  Named groups live in one lazily built registry,
-`group_models()`.  An affine map m -> s*m + t of Z/8 is the Perm
-`affine_map(t, s)`; those of `pauli_affine_model()` are the automorphisms
-of the splitting field in `splitting`.
+Each group indexes its sorted elements and holds their Cayley table;
+subgroups are enumerated, and their generating sets chosen, as bitmasks
+over those indices.  Provides multiplication closure, subgroup lattices,
+quotients, and an isomorphism fingerprint strong enough to tell apart all
+14 groups of order 16.  The 16-element group generated by the three 2x2
+Pauli spin matrices is built over exact Gaussian integers and identified
+by three structural criteria: no element of order 8, some non-normal
+subgroup, and a quaternion Q8 subgroup.  Named groups live in one lazily
+built registry, `group_models()`.  An affine map m -> s*m + t of Z/8 is
+the Perm `affine_map(t, s)`; those of `pauli_affine_model()` are the
+automorphisms of the splitting field in `splitting`.
 """
 
 from __future__ import annotations
@@ -215,6 +215,19 @@ class FinGroup:
                     H |= 1 << y
                     members.append(y)
         return H
+
+    def generating_set(self, elements) -> tuple[Perm, ...]:
+        """A small generating set of the subgroup the given elements generate:
+        each one the earlier choices do not generate is chosen, in order; the
+        trivial group is generated by its identity."""
+        chosen = []
+        H = 1 << self._identity
+        for g in elements:
+            i = self._index[g.images]
+            if not H >> i & 1:
+                chosen.append(i)
+                H = self._join(H, tuple(chosen))
+        return tuple(self.elements[i] for i in chosen or [self._identity])
 
     def _subgroup(self, H: int, gens=()) -> "FinGroup":
         return FinGroup([self.elements[i] for i in _bits(H)],

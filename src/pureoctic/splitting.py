@@ -10,11 +10,12 @@ product table and the Galois action.  The 16 automorphisms a -> a*w^t,
 w -> w^s (s = 2t+1 mod 4) are the elements of `groups.pauli_affine_model()`,
 the maps m -> s*m + t of the roots a*w^m, and each sends a^j * w^e to
 a scaled a^j * w^(tj+se).  So g fixes u iff u[target] * den = num * u[i] on
-the support of u, compared in integers.  The fixed field of a subgroup H is
-spanned by its orbit sums; a candidate in it generates it iff no
-automorphism outside H fixes it.  A subfield label names the subgroup that
-fixes its generators, and the inverse is the product of the other
-conjugates over the norm.
+the support of u, compared in integers.  The fixed field of a subgroup H,
+a FinGroup taken as `subgroups()` returns it, is spanned by its orbit sums;
+a candidate in it generates it iff no automorphism outside H fixes it.  A
+subfield label names the subgroup that fixes its generators, the lattice
+reads each subgroup's generators off the Galois group's Cayley table, and
+the inverse is the product of the other conjugates over the norm.
 
 The module also certifies, in E, where sqrt(-2) = i * sqrt(2), the
 change-of-basis matrix T over Q(sqrt(-2)) (det 1, carrying diag(2, k, 1/2k)
@@ -290,9 +291,10 @@ class SplittingField:
 
     def fixed_field(self, subgroup) -> "FixedField":
         """Basis, degree and a certified primitive element of the subfield
-        fixed by the given subgroup of galois_group() (a FinGroup or any
-        collection of its elements; anything else raises ValueError)."""
-        H = FinGroup(subgroup)
+        fixed by the given subgroup of galois_group(): a FinGroup, taken as
+        it is, or any collection of its elements that FinGroup() accepts;
+        anything else raises ValueError."""
+        H = subgroup if isinstance(subgroup, FinGroup) else FinGroup(subgroup)
         members = frozenset(H)
         # H acts on the basis by scaled permutations: each orbit carries at
         # most one fixed vector, its orbit sum, and distinct orbits have
@@ -315,7 +317,7 @@ class SplittingField:
         if len(basis) != degree:
             raise AssertionError(
                 f"fixed space has dimension {len(basis)}, expected {degree}")
-        return FixedField(H.elements, degree, basis,
+        return FixedField(degree, basis,
                           self._primitive_element(basis, members),
                           self._label_table.get(members))
 
@@ -369,8 +371,9 @@ class SplittingField:
 
     def lattice_report(self) -> "LatticeReport":
         """The full subgroup <-> fixed-field correspondence."""
+        G = self.galois_group()
         rows = []
-        for H, normal in self.galois_group().subgroups():
+        for H, normal in G.subgroups():
             fixed = self.fixed_field(H)
             elements = tuple(sorted(H, key=groups.affine_pair))
             rows.append(LatticeRow(
@@ -380,7 +383,7 @@ class SplittingField:
                 degree=fixed.degree,
                 primitive=fixed.primitive,
                 label=fixed.label,
-                generators=_generators(elements),
+                generators=G.generating_set(elements),
             ))
         rows.sort(key=lambda row: (row.order,
                                    list(map(groups.affine_pair, row.subgroup))))
@@ -412,26 +415,13 @@ def _combination_stream(nbasis: int):
                     yield idxs, coeffs
 
 
-def _generators(elements) -> tuple[Perm, ...]:
-    """A small generating set of a subgroup given as a closed tuple: each
-    member not yet generated by the earlier choices is chosen, in order;
-    the trivial group is generated by its identity."""
-    chosen = []
-    generated = ()
-    for g in elements:
-        if g.order() > 1 and g not in generated:
-            chosen.append(g)
-            generated = groups.closure(chosen)
-    return tuple(chosen) or elements
-
-
 def _pair_text(g: Perm) -> str:
     return "(%d,%d)" % groups.affine_pair(g)
 
 
-class FixedField(namedtuple("FixedField", "subgroup degree basis primitive label")):
+class FixedField(namedtuple("FixedField", "degree basis primitive label")):
     """The subfield of E fixed pointwise by a subgroup of automorphisms: its
-    elements, degree, basis, a primitive element and its label or None."""
+    degree, basis, a primitive element and its label or None."""
 
     __slots__ = ()
 

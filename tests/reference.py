@@ -125,6 +125,20 @@ def quotient_type(G: FinGroup, N: FinGroup) -> str:
     return groups.identify(groups.quotient_group(G, N))
 
 
+def greedy_generators(elements) -> tuple[Perm, ...]:
+    """A small generating set of a subgroup given as a closed tuple, closing
+    a new group after each choice: each member not yet generated by the
+    earlier choices is chosen, in order; the trivial group is generated by
+    its identity."""
+    chosen = []
+    generated = ()
+    for g in elements:
+        if g.order() > 1 and g not in generated:
+            chosen.append(g)
+            generated = groups.closure(chosen)
+    return tuple(chosen) or elements
+
+
 def subgroup_count_conventions(G: FinGroup) -> dict[str, int]:
     """Subgroup tallies under both readings of 'proper subgroups'."""
     subs = G.subgroups()

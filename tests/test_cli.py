@@ -110,6 +110,23 @@ def test_classify_negative_fraction_argument(capsys):
     assert "QD16" in out  # -2/9 = -2 * (1/3)^2
 
 
+@pytest.mark.parametrize("argv", [("classify", "-1_000"), ("classify", "-1_2/3_0"),
+                                  ("embed", "-1_0", "3", "5")])
+def test_negative_underscored_literals_parse(capsys, argv):
+    # a negative literal with underscore groups is a positional, as after --
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert (code, out) == run(capsys, argv[0], "--", *argv[1:])[:2]
+
+
+def test_malformed_negative_literal_is_not_a_positional(capsys):
+    # a doubled underscore is no literal: argparse reads an option and no c
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "-1__0"])
+    assert exc.value.code == 2
+    assert "required: c" in capsys.readouterr().err
+
+
 def test_classify_invalid(capsys):
     code, _, err = run(capsys, "classify", "0")
     assert code == 2 and "nonzero" in err

@@ -253,6 +253,16 @@ def test_subgroups_match_closure_reference():
     assert len(checked) == 25
 
 
+@pytest.mark.parametrize("model", [groups.pauli_affine_model, groups.hol_c8_model])
+def test_generating_set_matches_closure_reference(model):
+    G = model()
+    for H, _ in G.subgroups():
+        for elements in (tuple(sorted(H, key=groups.affine_pair)), H.elements):
+            gens = G.generating_set(elements)
+            assert gens == reference.greedy_generators(elements)
+            assert groups.closure(gens) == H
+
+
 def test_subgroups_golden():
     # the (element indices, normal) rows, recorded from the closure-based
     # enumerator before the Cayley-table engine replaced it

@@ -3,6 +3,7 @@ the lattice correspondence."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -107,6 +108,27 @@ def test_construction_makes_no_field_products(monkeypatch):
     assert groups_built == []
     E.galois_group()  # the counter does see a group
     assert groups_built
+
+
+def test_lattice_builds_no_group(monkeypatch):
+    # the subgroups come from the Galois group's enumeration, their
+    # generators from its Cayley table, and fixed_field takes each as it is
+    SplittingField(F(5)).galois_group().subgroups()
+    calls = Counter()
+    closure, init = groups.closure, groups.FinGroup.__init__
+
+    def counted_closure(gens):
+        calls["closure"] += 1
+        return closure(gens)
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groups, "closure", counted_closure)
+    monkeypatch.setattr(groups.FinGroup, "__init__", counted_init)
+    assert len(SplittingField(F(5)).lattice_report().rows) == 23
+    assert calls == Counter()
 
 
 def _count_fractions(monkeypatch, fn):
