@@ -18,11 +18,11 @@ counts over F_p, ..., F_(p^8) determine the factor degrees by Mobius
 inversion.  The count rests only on F_q^* being cyclic, never on the
 classifier.
 
-The inversion runs at most 11 times per process.  The degrees depend only
-on p mod 8 and on the order of b = a^((p-1)/g), g = gcd(8, p - 1), so each
-prime costs one modular power and at most three squarings, and the degrees
-are read from a table that the Mobius inversion fills on first use of each
-key (see `_degrees`).
+The degrees depend only on p mod 8 and on the order of b = a^((p-1)/g),
+g = gcd(8, p - 1) (see `_key`), and not on scaling a by an 8th power, so
+`census` takes x = -num * den^7 = -c * den^8 mod p with no inverse: a good
+prime costs two remainders, one modular power and at most one squaring.
+The census tallies the 11 keys and maps each key it saw to degrees once.
 
 The verdict compares against `CYCLE_TYPE_COUNTS`, a literal table of how
 many elements of each cycle type the 8-point model of each classifier
@@ -58,7 +58,7 @@ def factor_mod_p(c: Rational, p: int) -> CycleType:
         raise ValueError(f"{p} is not an odd prime")
     if c.numerator % p == 0 or c.denominator % p == 0:
         raise ValueError(f"{p} divides c = {c}: bad prime")
-    return _degrees(-c.numerator * pow(c.denominator, -1, p) % p, p)
+    return _frobenius_degrees(-c.numerator * pow(c.denominator, -1, p) % p, p)
 
 
 def _frobenius_degrees(a: int, p: int) -> CycleType:
@@ -80,33 +80,23 @@ def _frobenius_degrees(a: int, p: int) -> CycleType:
     return tuple(degrees)
 
 
-# factor degrees by (p mod 8, order of b); `_degrees` fills it on first use
-_DEGREES: dict[tuple[int, int], CycleType] = {}
-
-
-def _degrees(a: int, p: int) -> CycleType:
-    """`_frobenius_degrees(a, p)` from one modular power and a table lookup,
-    for an odd prime p and a nonzero residue a, unchecked.
-
-    Why (p mod 8, ord b) with b = a^((p-1)/g), g = gcd(8, p - 1), is a key:
-    write a = z^m for a generator z of F_p^*.  Then x^8 = a has roots in
-    F_(p^d) iff v2(g_d) <= v2(m) + v2((p^d - 1)/(p - 1)), where
-    g_d = gcd(8, p^d - 1).  Both g_d and that 2-adic valuation, capped at 3,
-    depend only on p mod 8, and v2(m) >= v2(g) already makes every condition
-    hold.  The conditions therefore see m only through
-    min(v2(m), v2(g)) = log2(g / ord b).  b^g = 1, so ord b is 1, 2, 4 or 8
-    and at most three squarings find it; 11 keys occur in all.
+def _key(x: int, p: int) -> int:
+    """(p mod 8) << 2 | log2(ord b), b = x^((p-1)/g), g = gcd(8, p - 1), for
+    an odd prime p and a nonzero residue x, unchecked: 11 keys occur, and
+    each determines `_frobenius_degrees(x, p)`.  Why: write x = z^m for a
+    generator z of F_p^*.  X^8 = x has roots in F_(p^d) iff v2(g_d) <=
+    v2(m) + v2((p^d - 1)/(p - 1)), g_d = gcd(8, p^d - 1).  g_d and that
+    valuation, capped at 3, depend only on p mod 8, and v2(m) >= v2(g)
+    makes every condition hold, so they see m only through
+    min(v2(m), v2(g)) = log2(g / ord b).  ord b divides 8, since b^g = 1.
     """
-    b = pow(a, (p - 1) // math.gcd(8, p - 1), p)
-    order = 1
-    while b != 1:
-        b = b * b % p
-        order *= 2
-    key = (p & 7, order)
-    degrees = _DEGREES.get(key)
-    if degrees is None:
-        degrees = _DEGREES[key] = _frobenius_degrees(a, p)
-    return degrees
+    r = p & 7
+    if r & 2:  # g = 2: b = +-1
+        return r << 2 | (pow(x, p >> 1, p) != 1)
+    b = pow(x, p >> (3 if r == 1 else 2), p)
+    if b == 1 or b == p - 1:
+        return r << 2 | (b != 1)
+    return r << 2 | (2 if b * b % p == p - 1 else 3)
 
 
 # --- census ----------------------------------------------------------------
@@ -131,9 +121,8 @@ class Census(namedtuple("Census", "c bound counts total skipped")):
 
 
 def census(c: Rational, bound: int) -> Census:
-    """factor_mod_p over every good prime below the bound (deterministic);
-    the sieve's primes skip factor_mod_p's primality check and go straight
-    to the keyed degree table."""
+    """factor_mod_p over every good prime below the bound (deterministic):
+    each sieved prime tallies its `_key`, with no primality check."""
     c = Fraction(c)
     if c == 0:
         raise ValueError("c must be nonzero")
@@ -143,16 +132,26 @@ def census(c: Rational, bound: int) -> Census:
         raise ValueError(f"bound must be at most {MAX_CENSUS_BOUND}")
     # Fraction's numerator and denominator are properties: read them once
     num, den = c.numerator, c.denominator
-    counts: Counter = Counter()
-    skipped = []
-    for p in arith.primes_below(bound):
-        if p == 2 or num % p == 0 or den % p == 0:
+    # per key: the number of primes, and the first (x, p) seen
+    tally, first = [0] * 32, {}
+    primes = arith.primes_below(bound)
+    skipped = [2]
+    for p in primes[1:]:
+        # -c * den^8 mod p, zero iff p divides num or den; reduce num and
+        # den first, so a huge c costs two remainders
+        x = -(num % p) * (den % p) ** 7 % p
+        if not x:
             skipped.append(p)
             continue
-        counts[_degrees(-num * pow(den, -1, p) % p, p)] += 1
-    total = sum(counts.values())
-    ordered = tuple(sorted(counts.items(), key=lambda kv: kv[0], reverse=True))
-    return Census(c, bound, ordered, total, tuple(skipped))
+        key = _key(x, p)
+        if not tally[key]:
+            first[key] = x, p
+        tally[key] += 1
+    counts: Counter = Counter()
+    for key, witness in first.items():
+        counts[_frobenius_degrees(*witness)] += tally[key]
+    ordered = tuple(sorted(counts.items(), reverse=True))
+    return Census(c, bound, ordered, len(primes) - len(skipped), tuple(skipped))
 
 
 def group_cycle_types(G) -> dict[CycleType, Fraction]:

@@ -11,6 +11,7 @@ module is imported by the tests and never collected.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -169,6 +170,22 @@ def transitive_8pt_obstruction(name: str) -> str | None:
         return (f"every order-2 subgroup of {name} is normal, so no point"
                 " stabilizer has trivial core")
     return None
+
+
+def reference_census(c: Rational, bound: int) -> oracle.Census:
+    """`oracle.census` the direct way: the residue a = -c mod p through a
+    modular inverse, then Mobius inversion at every good prime."""
+    c = Fraction(c)
+    num, den = c.numerator, c.denominator
+    counts: Counter = Counter()
+    skipped = []
+    for p in arith.primes_below(bound):
+        if p == 2 or num % p == 0 or den % p == 0:
+            skipped.append(p)
+            continue
+        counts[oracle._frobenius_degrees(-num * pow(den, -1, p) % p, p)] += 1
+    ordered = tuple(sorted(counts.items(), reverse=True))
+    return oracle.Census(c, bound, ordered, sum(counts.values()), tuple(skipped))
 
 
 # --- splitting ----------------------------------------------------------------

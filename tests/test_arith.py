@@ -115,6 +115,20 @@ def test_primes_below_against_trial_division():
         assert arith.primes_below(bound) == [p for p in by_trial if p < bound]
 
 
+def _is_prime_by_trial(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primes_below_at_odd_prime_squares():
+    # the sieve runs over odd numbers only: where its index arithmetic could
+    # slip by one, at and around the square each odd prime starts striking at
+    by_trial = [n for n in range(10 ** 4 + 3) if _is_prime_by_trial(n)]
+    for p in arith.primes_below(100)[1:]:
+        for bound in (p * p - 1, p * p, p * p + 1, p * p + 2):
+            assert arith.primes_below(bound) == [q for q in by_trial if q < bound]
+    assert len(arith.primes_below(10 ** 6)) == 78498
+
+
 def test_parse_rational():
     assert arith.parse_rational("-3/4") == F(-3, 4)
     assert arith.parse_rational("17") == F(17)

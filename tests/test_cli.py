@@ -38,10 +38,12 @@ GOLDEN_CASES = [
     (("witt-verify", "990051", "--format", "json"), "witt_verify_990051.json"),
     (("witt-verify", "27175/54", "--format", "json"), "witt_verify_27175_54.json"),
 ]
-# one value per oracle outcome: K8, D16, QD16, Pauli, B32
-ORACLE_VALUES = ["16", "2", "-2", "9", "3"]
+# one value per oracle outcome: K8, D16, QD16, Pauli, B32; then a B32 c with
+# denominator 3^8 * 5^2, whose bad primes divide both its numerator and its
+# denominator
+ORACLE_VALUES = ["16", "2", "-2", "9", "3", "-6826150911957955064/164025"]
 for _c in ORACLE_VALUES:
-    _name = "oracle_" + _c.replace("-", "m")
+    _name = "oracle_" + _c.replace("-", "m").replace("/", "_")
     GOLDEN_CASES += [
         (("oracle", _c, "--primes", "20000"), f"{_name}.txt"),
         (("oracle", _c, "--primes", "20000", "--format", "json"), f"{_name}.json"),

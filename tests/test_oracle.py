@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 import reference
+from hypothesis import given, settings, strategies as st
 
 from pureoctic import binomial, groups, oracle
 from pureoctic.arith import primes_below
@@ -126,23 +127,37 @@ def test_factor_mod_p_against_brute_force():
                 brute_force_factor_degrees(c, p), (c, p)
 
 
-def test_keyed_degrees_every_residue(monkeypatch):
-    # the (p mod 8, ord b) table against Mobius inversion at every nonzero
-    # residue of every odd prime below 500; 11 keys occur
-    monkeypatch.setattr(oracle, "_DEGREES", {})
-    for p in primes_below(500)[1:]:
+def _key_table(primes):
+    """The degrees of every key seen over every nonzero residue of each
+    prime, asserting on the way that the key determines them."""
+    table = {}
+    for p in primes:
         for a in range(1, p):
-            assert oracle._degrees(a, p) == oracle._frobenius_degrees(a, p), (a, p)
-    assert len(oracle._DEGREES) == 11
+            degrees = oracle._frobenius_degrees(a, p)
+            assert table.setdefault(oracle._key(a, p), degrees) == degrees, (a, p)
+    return table
+
+
+def test_keyed_degrees_every_residue():
+    # the (p mod 8, ord b) key against Mobius inversion at every nonzero
+    # residue of every odd prime below 500; 11 keys occur
+    assert len(_key_table(primes_below(500)[1:])) == 11
 
 
 @pytest.mark.parametrize("c", [F(9), F(-7, 5)])
 def test_keyed_degrees_every_good_prime(c):
+    # the census's residue -num * den^7 has the key of -c, and that key
+    # determines the degrees at every good prime below 2 * 10^5
+    table = _key_table(primes_below(60)[1:])
+    num, den = c.numerator, c.denominator
     for p in primes_below(200000)[1:]:
-        if c.numerator % p == 0 or c.denominator % p == 0:
+        if num % p == 0 or den % p == 0:
             continue
-        a = -c.numerator * pow(c.denominator, -1, p) % p
-        assert oracle._degrees(a, p) == oracle._frobenius_degrees(a, p), p
+        a = -num * pow(den, -1, p) % p
+        x = -(num % p) * (den % p) ** 7 % p
+        key = oracle._key(x, p)
+        assert key == oracle._key(a, p), p
+        assert table[key] == oracle._frobenius_degrees(a, p), p
 
 
 def test_census_fills_the_table_at_most_11_times(monkeypatch):
@@ -153,11 +168,55 @@ def test_census_fills_the_table_at_most_11_times(monkeypatch):
         calls.append((a, p))
         return frobenius_degrees(a, p)
 
-    monkeypatch.setattr(oracle, "_DEGREES", {})
     monkeypatch.setattr(oracle, "_frobenius_degrees", counting)
     cns = oracle.census(F(9), 200000)
     assert cns.total == len(primes_below(200000)) - 2
     assert 0 < len(calls) <= 11
+
+
+def test_census_takes_no_inverse(monkeypatch):
+    # one modular power per good prime and 8 per key mapped to degrees:
+    # a work count, so a regression shows without any timing
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pow(*args)
+
+    want = reference.reference_census(F(-7, 5), 20000)
+    monkeypatch.setattr(oracle, "pow", counting, raising=False)
+    cns = oracle.census(F(-7, 5), 20000)
+    assert cns == want
+    assert not [args for args in calls if args[1] == -1]
+    assert len(calls) <= cns.total + 8 * 11
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@st.composite
+def _rationals(draw):
+    """Nonzero c with numerators up to 10^40 and denominators up to 10^25,
+    often with small prime factors forced in, so bad primes occur."""
+    num = draw(st.integers(1, 10 ** 40)) * draw(st.sampled_from((1, -1)))
+    den = draw(st.integers(1, 10 ** 25))
+    for p in draw(st.lists(st.sampled_from(_SMALL_PRIMES), max_size=3)):
+        num *= p
+    for p in draw(st.lists(st.sampled_from(_SMALL_PRIMES), max_size=3)):
+        den *= p
+    return F(num, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rationals(), st.integers(100, 3000))
+def test_census_matches_reference(c, bound):
+    assert oracle.census(c, bound) == reference.reference_census(c, bound)
+
+
+def test_census_of_huge_c_matches_reference():
+    rng = random.Random(4300)
+    c = F(-rng.randrange(10 ** 3999, 10 ** 4000), rng.randrange(10 ** 3999, 10 ** 4000))
+    assert oracle.census(c, 2000) == reference.reference_census(c, 2000)
 
 
 def test_degrees_always_sum_to_eight():
