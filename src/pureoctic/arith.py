@@ -26,9 +26,11 @@ from fractions import Fraction
 
 Rational = Fraction
 
-# the 12-prime base set is proven deterministic below 3.317e24 (~2^81);
-# past that, a wider fixed set keeps the test deterministic and is far
-# beyond any input this package factors
+# the 12-prime base set is proven deterministic below _MR_PROVEN_BOUND
+# (3.317e24, ~2^81).  Past it the wider fixed set is a heuristic, not a
+# proof: inputs reach 4300 digits, and Arnault (Math. Comp. 64, 1995)
+# built a 337-digit composite that is a strong pseudoprime to every prime
+# base below 200.  ROADMAP direction 3 plans BPSW for that range
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BASES_WIDE = _MR_BASES + (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
@@ -46,7 +48,7 @@ _RATIONAL_LITERAL = re.compile(f"[+-]?{UNSIGNED_RATIONAL}")
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test."""
+    """Miller-Rabin with fixed bases, a proof only below _MR_PROVEN_BOUND."""
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -6,12 +6,13 @@ subgroups are enumerated, and their generating sets chosen, as bitmasks
 over those indices.  Provides multiplication closure, subgroup lattices,
 quotients, and an isomorphism fingerprint strong enough to tell apart all
 14 groups of order 16.  The 16-element group generated by the three 2x2
-Pauli spin matrices is built over exact Gaussian integers and identified
-by three structural criteria: no element of order 8, some non-normal
-subgroup, and a quaternion Q8 subgroup.  Named groups live in one lazily
-built registry, `group_models()`.  An affine map m -> s*m + t of Z/8 is
-the Perm `affine_map(t, s)`; those of `pauli_affine_model()` are the
-automorphisms of the splitting field in `splitting`.
+Pauli spin matrices is built over exact Gaussian integers and named by its
+registry fingerprint, off which `pauli_criteria` reads the paper's three
+criteria: no element of order 8, a non-normal subgroup, a Q8 subgroup.
+Named groups live in one lazily built registry, `group_models()`.  An
+affine map m -> s*m + t of Z/8 is the Perm `affine_map(t, s)`; those of
+`pauli_affine_model()` are the automorphisms of the splitting field in
+`splitting`.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def closure(generators) -> "FinGroup":
         raise ValueError("need at least one generator")
     if len({g.degree for g in gens}) != 1:
         raise ValueError("generators act on different point sets")
-    return FinGroup(_product_closure(gens), generators=gens)
+    return FinGroup(_product_closure(gens))
 
 
 class FinGroup:
@@ -128,7 +129,7 @@ class FinGroup:
     Its Cayley table holds the index of elements[i] * elements[j] (elements
     sorted) at [i][j]; building the table is the closure check."""
 
-    def __init__(self, elements, generators=None):
+    def __init__(self, elements):
         elements = sorted(set(elements))
         if not elements:
             raise ValueError("empty element set")
@@ -152,7 +153,6 @@ class FinGroup:
         self._inverse = [row.index(identity) for row in table]
         self._identity = identity
         self.degree = n
-        self.generators = tuple(generators) if generators else self.elements
         self._subgroups: list | None = None
 
     @property
@@ -177,17 +177,20 @@ class FinGroup:
     def is_subgroup(self, other: "FinGroup") -> bool:
         return self._members <= other._members
 
+    def _central(self) -> int:
+        # the bitmask of the elements whose row of the table equals their
+        # column: those that commute with every element
+        t = self._table
+        return sum(1 << g for g, col in enumerate(zip(*t)) if list(col) == t[g])
+
     def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(a * b == b * a for a in gens for b in gens)
+        return self._central() == (1 << self.order) - 1
 
     def element_orders(self) -> Counter:
         return Counter(g.order() for g in self.elements)
 
     def center(self) -> "FinGroup":
-        central = [g for g in self.elements
-                   if all(g * h == h * g for h in self.generators)]
-        return FinGroup(central)
+        return self._subgroup(self._central())
 
     def commutator_subgroup(self) -> "FinGroup":
         t, inv = self._table, self._inverse
@@ -195,13 +198,12 @@ class FinGroup:
                  for a in range(self.order) for b in range(self.order)}
         return self._subgroup(self._join(1 << self._identity, tuple(comms)))
 
-    def is_normal_subgroup(self, H: "FinGroup") -> bool:
-        if not H.is_subgroup(self):
-            raise ValueError("not a subgroup")
+    def _is_normal(self, H: int) -> bool:
+        # does conjugation by every element keep the subgroup H (a bitmask)?
         t, inv = self._table, self._inverse
-        outer = [self._index[g.images] for g in self.generators]
-        members = {self._index[h.images] for h in H}
-        return all(t[t[g][h]][inv[g]] in members for g in outer for h in members)
+        members = _bits(H)
+        return all(H >> t[t[g][h]][inv[g]] & 1
+                   for g in range(self.order) for h in members)
 
     def _join(self, H: int, gens: tuple[int, ...]) -> int:
         """The bitmask of the subgroup generated by the subgroup H (a bitmask)
@@ -229,9 +231,8 @@ class FinGroup:
                 H = self._join(H, tuple(chosen))
         return tuple(self.elements[i] for i in chosen or [self._identity])
 
-    def _subgroup(self, H: int, gens=()) -> "FinGroup":
-        return FinGroup([self.elements[i] for i in _bits(H)],
-                        generators=[self.elements[i] for i in gens])
+    def _subgroup(self, H: int) -> "FinGroup":
+        return FinGroup([self.elements[i] for i in _bits(H)])
 
     def subgroups(self) -> list[tuple["FinGroup", bool]]:
         """All subgroups with normality flags, ordered by (order, elements).
@@ -259,9 +260,8 @@ class FinGroup:
                     if K not in found:
                         found[K] = gens
                         frontier.append(K)
-        subs = [self._subgroup(H, found[H])
-                for H in sorted(found, key=lambda H: (H.bit_count(), _bits(H)))]
-        self._subgroups = [(H, self.is_normal_subgroup(H)) for H in subs]
+        ordered = sorted(found, key=lambda H: (H.bit_count(), _bits(H)))
+        self._subgroups = [(self._subgroup(H), self._is_normal(H)) for H in ordered]
         return self._subgroups
 
 
@@ -289,23 +289,20 @@ def cyclic(n: int) -> FinGroup:
 
 def direct_product(G: FinGroup, H: FinGroup) -> FinGroup:
     """G x H acting on the disjoint union of the two point sets."""
-    n, m = G.degree, H.degree
-    els = []
-    for g in G.elements:
-        for h in H.elements:
-            els.append(Perm(list(g.images) + [n + x for x in h.images]))
-    gens = [Perm(list(g.images) + list(range(n, n + m))) for g in G.generators]
-    gens += [Perm(list(range(n)) + [n + x for x in h.images]) for h in H.generators]
-    return FinGroup(els, generators=gens)
+    n = G.degree
+    return FinGroup(Perm(g.images + tuple(n + x for x in h.images))
+                    for g in G.elements for h in H.elements)
 
 
 def quotient_group(G: FinGroup, N: FinGroup) -> FinGroup:
     """G/N as a permutation group (regular action on cosets); N normal.
     The cosets are numbered in the order of their least elements."""
-    if not G.is_normal_subgroup(N):
+    if not N.is_subgroup(G):
+        raise ValueError("not a subgroup")
+    normal = [G._index[n.images] for n in N]
+    if not G._is_normal(sum(1 << n for n in normal)):
         raise ValueError("subgroup is not normal")
     t = G._table
-    normal = [G._index[n.images] for n in N]
     coset, reps = {}, []
     for g in range(G.order):
         if g not in coset:
@@ -495,14 +492,12 @@ def fingerprint(G: FinGroup) -> Fingerprint:
 
 
 def pauli_criteria(G: FinGroup) -> tuple[bool, bool, bool]:
-    """(no element of order 8, has non-normal subgroups, has a Q8 subgroup):
-    an order-16 group is the Pauli group iff all three hold."""
-    subs = G.subgroups()
-    return (
-        G.element_orders().get(8, 0) == 0,
-        any(not normal for _, normal in subs),
-        any(_looks_like_q8(H) for H, _ in subs),
-    )
+    """(no element of order 8, a non-normal subgroup, a Q8 subgroup) read off
+    the fingerprint: an order-16 group is the Pauli group iff all three hold."""
+    fp = fingerprint(G)
+    return (not fp.has_order8_element,
+            any(not normal for (_, normal), _ in fp.subgroup_profile),
+            fp.has_q8_subgroup)
 
 
 def _q16_model() -> FinGroup:
@@ -630,16 +625,13 @@ def _nonabelian_registry() -> dict[tuple[int, Fingerprint], str]:
 def identify(G: FinGroup) -> str:
     """Canonical name of a group of order <= 32.
 
-    Abelian groups are named from their invariants; for order 16 the Pauli
-    verdict comes from the three structural criteria, everything else from
-    the fingerprint registry of stock models.
+    Abelian groups are named from their invariants, every other group
+    (Pauli included) from the fingerprint registry of stock models.
     """
     if G.order > 32:
         raise ValueError("identification supported up to order 32")
     if G.is_abelian():
         return abelian_name(abelian_invariants(G))
-    if G.order == 16 and all(pauli_criteria(G)):
-        return "Pauli"
     name = _nonabelian_registry().get((G.order, fingerprint(G)))
     if name is None:
         raise LookupError(f"unrecognized group of order {G.order}")

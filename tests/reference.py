@@ -95,18 +95,9 @@ def schinzel_abelian(n: int, c: Rational) -> bool:
 
 
 def is_transitive(G: FinGroup) -> bool:
-    """Does G move point 0 to every point?  An orbit search over the
-    generators."""
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in G.generators:
-            y = g(x)
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return len(orbit) == G.degree
+    """Does G move point 0 to every point?  The orbit of 0 is its images
+    under the elements."""
+    return len({g(0) for g in G.elements}) == G.degree
 
 
 def regular_representation(G: FinGroup) -> FinGroup:
@@ -117,8 +108,16 @@ def regular_representation(G: FinGroup) -> FinGroup:
 def relabel(G: FinGroup, pi: Perm) -> FinGroup:
     """Conjugate every element by a relabeling of the point set."""
     inv = Perm(sorted(range(pi.degree), key=pi))
-    return FinGroup([pi * g * inv for g in G.elements],
-                    generators=[pi * g * inv for g in G.generators])
+    return FinGroup([pi * g * inv for g in G.elements])
+
+
+def pauli_criteria(G: FinGroup) -> tuple[bool, bool, bool]:
+    """(no element of order 8, a non-normal subgroup, a Q8 subgroup) read
+    directly: the element orders, then one walk over the subgroups."""
+    subs = G.subgroups()
+    return (G.element_orders().get(8, 0) == 0,
+            any(not normal for _, normal in subs),
+            any(groups._looks_like_q8(H) for H, _ in subs))
 
 
 def quotient_type(G: FinGroup, N: FinGroup) -> str:

@@ -60,7 +60,7 @@ def _reference_subgroups(G):
                     frontier.append(K)
     return [(tuple(sorted(H)),
              all(g * h * Perm(sorted(range(G.degree), key=g)) in H
-                 for g in G.generators for h in H))
+                 for g in G.elements for h in H))
             for H in sorted(found, key=lambda H: (len(H), sorted(H)))]
 
 
@@ -167,6 +167,25 @@ def test_criteria_reject_all_thirteen_others():
     for name, M in groups.order16_stock_models().items():
         crit = groups.pauli_criteria(M)
         assert all(crit) == (name == "Pauli"), name
+
+
+def test_pauli_criteria_match_the_direct_reading(monkeypatch):
+    rng = random.Random(20)
+    for name, M in groups.order16_stock_models().items():
+        regular = reference.regular_representation(M)
+        relabeled = reference.relabel(M, Perm(rng.sample(range(M.degree), M.degree)))
+        for G in (M, regular, relabeled):
+            assert groups.pauli_criteria(G) == reference.pauli_criteria(G), name
+        assert groups.identify(regular) == name
+    # with the fingerprint cached, the criteria walk no subgroups
+    P = groups.pauli_matrix_group()
+    groups.fingerprint(P)
+    calls = []
+    subgroups = groups.FinGroup.subgroups
+    monkeypatch.setattr(groups.FinGroup, "subgroups",
+                        lambda G: calls.append(G) or subgroups(G))
+    assert groups.pauli_criteria(P) == (True, True, True)
+    assert calls == []
 
 
 def test_identify_matches_construction_names():
