@@ -222,13 +222,12 @@ def cmd_oracle(args) -> int:
         "primes_bound": args.primes,
         "good_primes": cns.total,
         "skipped_primes": list(cns.skipped),
-        "counts": {"+".join(map(str, t)): n for t, n in cns.counts},
+        "counts": {oracle.shape(t): n for t, n in cns.counts},
         "tolerance": tolerance,
         "passed": verdict.passed,
         "worst_deviation": verdict.worst_deviation,
-        "worst_type": ("+".join(map(str, verdict.worst_type))
-                       if verdict.worst_type else None),
-        "foreign_types": ["+".join(map(str, t)) for t in verdict.foreign_types],
+        "worst_type": oracle.shape(verdict.worst_type) if verdict.worst_type else None,
+        "foreign_types": list(map(oracle.shape, verdict.foreign_types)),
     }
     _emit(payload, args.format, "\n".join(lines))
     return 0 if verdict.passed else 1
@@ -246,13 +245,17 @@ def cmd_group_identify(args) -> int:
                 perms.append(groups.Perm(images))
             G = groups.closure(perms)
         else:
-            choices = sorted(groups.order16_stock_models()) + sorted(groups.aliases())
+            choices = sorted(groups.order16_stock_models()) + sorted(groups.ALIASES)
             if args.name not in choices:
                 return _fail(f"unknown group {args.name!r}; choices: {choices},"
                              " or pass --gens")
-            G = groups.group_models()[args.name].group
+            # a stock name is its own answer: a test proves identify agrees
+            name = groups.ALIASES.get(args.name, args.name)
+            G = groups.group_models()[name].group
+        # fingerprint first: a --gens group of order 33 to 64 fails on its bound
         fp = groups.fingerprint(G)
-        name = groups.identify(G)
+        if args.gens:
+            name = groups.identify(G)
     except LookupError as exc:
         return _fail(str(exc))
     lines = [f"order: {G.order}",

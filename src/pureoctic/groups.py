@@ -9,10 +9,10 @@ quotients, and an isomorphism fingerprint strong enough to tell apart all
 Pauli spin matrices is built over exact Gaussian integers and named by its
 registry fingerprint, off which `pauli_criteria` reads the paper's three
 criteria: no element of order 8, a non-normal subgroup, a Q8 subgroup.
-Named groups live in one lazily built registry, `group_models()`.  An
+Named groups live in one lazily built registry of canonical entries,
+`group_models()`, and `ALIASES` maps the CLI's other names to entries.  An
 affine map m -> s*m + t of Z/8 is the Perm `affine_map(t, s)`; those of
-`pauli_affine_model()` are the automorphisms of the splitting field in
-`splitting`.
+`pauli_affine_model()` are the automorphisms of the splitting field.
 """
 
 from __future__ import annotations
@@ -327,8 +327,8 @@ def affine_pair(p: Perm) -> tuple[int, int]:
 
 
 def affine_group_mod8(pairs) -> FinGroup:
-    """The group generated by the affine maps of the given (t, s) pairs."""
-    return closure(affine_map(t, s) for t, s in pairs)
+    """The group of the affine maps of the given (t, s) pairs."""
+    return FinGroup(affine_map(t, s) for t, s in pairs)
 
 
 def _affine_pairs(rule) -> tuple[tuple[int, int], ...]:
@@ -548,11 +548,11 @@ def _dihedral8() -> FinGroup:
 # the registry of named groups
 
 
-class GroupModel(namedtuple("GroupModel", "name build pairs identity")):
+class GroupModel(namedtuple("GroupModel", "name build pairs")):
     """A named group: its abstract construction (None when the 8-point model
-    is that construction), the (t, s) pairs of its transitive 8-point model
-    in Hol(C8) (None when it has none), and the name identify() returns for
-    it.  An alias is an entry whose identity names another entry.  No
+    is that construction) and the (t, s) pairs of its transitive 8-point
+    model in Hol(C8) (None when it has none).  The name is canonical, the one
+    identify() returns (K8's group is C4xC2); other names are `ALIASES`.  No
     __slots__, so that the cached properties have a __dict__."""
 
     @cached_property
@@ -568,58 +568,45 @@ class GroupModel(namedtuple("GroupModel", "name build pairs identity")):
 def group_models() -> dict[str, GroupModel]:
     """Every named group model, each group built on first use."""
     entries = [
-        GroupModel("C16", lambda: cyclic(16), None, "C16"),
-        GroupModel("C8xC2", lambda: _abelian(8, 2), None, "C8xC2"),
-        GroupModel("C4xC4", lambda: _abelian(4, 4), None, "C4xC4"),
-        GroupModel("C4xC2xC2", lambda: _abelian(4, 2, 2), None, "C4xC2xC2"),
-        GroupModel("E16", lambda: _abelian(2, 2, 2, 2), None, "E16"),
-        GroupModel("D16", None, _affine_pairs(lambda t, s: s in (1, 7)), "D16"),
-        GroupModel("QD16", None, _affine_pairs(lambda t, s: s in (1, 3)), "QD16"),
-        GroupModel("M4(2)", None, _affine_pairs(lambda t, s: s in (1, 5)), "M4(2)"),
-        GroupModel("Q16", _q16_model, None, "Q16"),
-        GroupModel("D8xC2", lambda: direct_product(_dihedral8(), cyclic(2)),
-                   None, "D8xC2"),
+        GroupModel("C16", lambda: cyclic(16), None),
+        GroupModel("C8xC2", lambda: _abelian(8, 2), None),
+        GroupModel("C4xC4", lambda: _abelian(4, 4), None),
+        GroupModel("C4xC2xC2", lambda: _abelian(4, 2, 2), None),
+        GroupModel("E16", lambda: _abelian(2, 2, 2, 2), None),
+        GroupModel("D16", None, _affine_pairs(lambda t, s: s in (1, 7))),
+        GroupModel("QD16", None, _affine_pairs(lambda t, s: s in (1, 3))),
+        GroupModel("M4(2)", None, _affine_pairs(lambda t, s: s in (1, 5))),
+        GroupModel("Q16", _q16_model, None),
+        GroupModel("D8xC2", lambda: direct_product(_dihedral8(), cyclic(2)), None),
         GroupModel("Q8xC2", lambda: direct_product(quaternion_group(), cyclic(2)),
-                   None, "Q8xC2"),
-        GroupModel("Pauli", pauli_matrix_group, PAULI_PAIRS, "Pauli"),
-        GroupModel("C4:C4", _c4_semi_c4_model, None, "C4:C4"),
-        GroupModel("C2^2:C4", _v4_semi_c4_model, None, "C2^2:C4"),
+                   None),
+        GroupModel("Pauli", pauli_matrix_group, PAULI_PAIRS),
+        GroupModel("C4:C4", _c4_semi_c4_model, None),
+        GroupModel("C2^2:C4", _v4_semi_c4_model, None),
         GroupModel("K8", lambda: _abelian(4, 2),
-                   _affine_pairs(lambda t, s: s == (2 * t + 1) % 8), "C4xC2"),
-        GroupModel("B32", None, _affine_pairs(lambda t, s: True), "B32"),
-        GroupModel("D8", _dihedral8, None, "D8"),
-        GroupModel("Q8", quaternion_group, None, "Q8"),
-        GroupModel("pauli-matrices", pauli_matrix_group, None, "Pauli"),
-        GroupModel("pauli-affine", pauli_affine_model, None, "Pauli"),
-        GroupModel("hol-c8", hol_c8_model, None, "B32"),
-        GroupModel("q8", quaternion_group, None, "Q8"),
-        GroupModel("d8", _dihedral8, None, "D8"),
+                   _affine_pairs(lambda t, s: s == (2 * t + 1) % 8)),
+        GroupModel("B32", None, _affine_pairs(lambda t, s: True)),
+        GroupModel("D8", _dihedral8, None),
+        GroupModel("Q8", quaternion_group, None),
     ]
     return {m.name: m for m in entries}
 
 
-def aliases() -> list[str]:
-    """Names of the entries that name another entry's group."""
-    models = group_models()
-    return [name for name, m in models.items()
-            if m.identity != name and m.identity in models]
+# the other names the CLI accepts for registry entries
+ALIASES = {"pauli-matrices": "Pauli", "pauli-affine": "Pauli", "hol-c8": "B32",
+           "q8": "Q8", "d8": "D8"}
 
 
 @lru_cache(maxsize=None)
 def order16_stock_models() -> dict[str, FinGroup]:
     """Faithful permutation models of all fourteen groups of order 16."""
-    return {name: m.group for name, m in group_models().items()
-            if m.identity == name and m.group.order == 16}
+    return {name: m.group for name, m in group_models().items() if m.group.order == 16}
 
 
 @lru_cache(maxsize=None)
 def _nonabelian_registry() -> dict[tuple[int, Fingerprint], str]:
-    # aliases stay out, so every fingerprint maps to one canonical name
-    registry = {}
-    for name, m in group_models().items():
-        if m.identity == name and not m.group.is_abelian():
-            registry[(m.group.order, fingerprint(m.group))] = name
-    return registry
+    return {(m.group.order, fingerprint(m.group)): name
+            for name, m in group_models().items() if not m.group.is_abelian()}
 
 
 def identify(G: FinGroup) -> str:

@@ -44,6 +44,12 @@ from .arith import MAX_CENSUS_BOUND, Rational
 
 CycleType = tuple[int, ...]
 
+
+def shape(t: CycleType) -> str:
+    """How a cycle type prints: its lengths joined by '+', e.g. 4+4."""
+    return "+".join(map(str, t))
+
+
 # the Mobius function on 1..8 (index 0 unused)
 _MOBIUS = (0, 1, -1, -1, 0, -1, 1, -1, 0)
 
@@ -115,8 +121,7 @@ class Census(namedtuple("Census", "c bound counts total skipped")):
         lines = [f"census of X^8 + {self.c} over primes < {self.bound}:"
                  f" {self.total} good, skipped {list(self.skipped)}"]
         for t, n in self.counts:
-            shape = "+".join(map(str, t))
-            lines.append(f"  {shape:15s} {n:6d}  ({Fraction(n, self.total)})")
+            lines.append(f"  {shape(t):15s} {n:6d}  ({Fraction(n, self.total)})")
         return "\n".join(lines)
 
 
@@ -172,12 +177,11 @@ class Verdict(namedtuple("Verdict", "passed worst_deviation worst_type foreign_t
         state = "PASS" if self.passed else "FAIL"
         bits = [state]
         if self.foreign_types:
-            shapes = ", ".join("+".join(map(str, t)) for t in self.foreign_types)
+            shapes = ", ".join(map(shape, self.foreign_types))
             bits.append(f"observed types outside the model: {shapes}")
         if self.worst_type is not None:
-            shape = "+".join(map(str, self.worst_type))
             bits.append(f"worst deviation {_decimal(self.worst_deviation)}"
-                        f" (= {self.worst_deviation}) at {shape}")
+                        f" (= {self.worst_deviation}) at {shape(self.worst_type)}")
         return "; ".join(bits)
 
 

@@ -158,7 +158,8 @@ def _symbol_rows(primes: tuple[int, ...], p: int | None) -> tuple[int, ...]:
             for i in range(len(gens)))
     # at odd p only p itself pairs nontrivially: (p, g)_p = (g/p), (p, p)_p = (-1/p)
     at = gens.index(p)
-    chi = [int(arith.legendre(-1 if g == p else g, p) == -1) for g in gens]
+    # Euler's criterion, unchecked: `factor` has already proved p prime
+    chi = [int(pow(-1 if g == p else g, p >> 1, p) == p - 1) for g in gens]
     return tuple(sum(bit << j for j, bit in enumerate(chi)) if i == at else chi[i] << at
                  for i in range(len(gens)))
 

@@ -545,6 +545,36 @@ def test_group_identify_golden(capsys):
         (GOLDEN / "group_identify.txt").read_bytes()
 
 
+# --gens generator sets: QD16, V4 through the abelian branch, S4, which the
+# registry does not name, and S4 x C2, past the fingerprint's order bound
+GENS_CASES = ["1 2 3 4 5 6 7 0; 0 3 6 1 4 7 2 5", "1 0 2 3; 0 1 3 2",
+              "1 0 2 3; 1 2 3 0", "1 0 2 3 4 5; 1 2 3 0 4 5; 0 1 2 3 5 4"]
+
+
+def test_group_identify_gens_golden(capsys):
+    blocks = []
+    for gens in GENS_CASES:
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "group-identify", "--gens", gens,
+                                 "--format", fmt)
+            blocks.append(f"# group-identify --gens '{gens}' --format {fmt}:"
+                          f" exit {code}\n## stdout\n{out}## stderr\n{err}")
+    assert "".join(blocks).encode() == \
+        (GOLDEN / "group_identify_gens.txt").read_bytes()
+
+
+def test_named_group_identify_builds_no_registry(capsys, monkeypatch):
+    # a stock name is printed as it was looked up: the request fingerprints
+    # its one group and builds no fingerprint registry
+    from pureoctic import groups
+    monkeypatch.setattr(groups, "_nonabelian_registry", lambda: pytest.fail(
+        "a named request built the fingerprint registry"))
+    groups.fingerprint.cache_clear()
+    code, out, _ = run(capsys, "group-identify", "QD16")
+    assert code == 0 and "identified as: QD16" in out
+    assert groups.fingerprint.cache_info().misses == 1
+
+
 def test_python_dash_m_entry():
     proc = run_python("-m", "pureoctic", "classify", "9")
     assert proc.returncode == 0 and "Pauli" in proc.stdout

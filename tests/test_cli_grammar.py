@@ -1,0 +1,104 @@
+"""A grammar fuzz of `cli.main`, in process: every argument list drawn from
+the subcommands' grammar, well formed or not, ends with an exit code and a
+message, never a traceback.  Values stay below about 10^6 and census bounds
+at most 20000, so no draw spends a factoring budget."""
+
+import contextlib
+import io
+
+from hypothesis import given, settings, strategies as st
+
+from pureoctic.cli import main
+
+_MALFORMED = ["", " ", "1/", "/2", "1.5", "2e3", "1__0", "_1", "1_", "0x10",
+              "abc", "-", "--", "+", "1/2/3", "3/-4", "1/0", "0", "-0", "+7",
+              " 7 ", "٧", "1 2"]
+
+
+@st.composite
+def _rational(draw):
+    """An integer, underscored, negative or 'p/q' literal, or a malformed one."""
+    n = draw(st.integers(-10 ** 6, 10 ** 6))
+    kind = draw(st.sampled_from(("int", "underscored", "fraction", "malformed")))
+    if kind == "int":
+        return str(n)
+    if kind == "underscored":
+        return f"{n:_}"
+    if kind == "fraction":
+        return f"{n}/{draw(st.integers(0, 10 ** 6))}"
+    return draw(st.sampled_from(_MALFORMED))
+
+
+def _option(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+_FORMAT = _option("--format", st.sampled_from(("text", "json", "dot", "yaml")))
+_PRIMES = _option("--primes", st.one_of(st.integers(-10, 20000).map(str),
+                                        st.sampled_from(("abc", "1e4", ""))))
+_NAMES = st.sampled_from(("QD16", "Pauli", "C16", "E16", "M4(2)", "C2^2:C4",
+                          "pauli-affine", "hol-c8", "q8", "d8", "K8", "B32",
+                          "D8", "nonsense", ""))
+
+
+@st.composite
+def _gens(draw):
+    """Semicolon-separated image lists: permutations of up to 8 points, or
+    lists that are not permutations, with a malformed part now and then."""
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(1, 8))
+        images = draw(st.one_of(st.permutations(range(n)),
+                                st.lists(st.integers(-1, 8), max_size=n)))
+        parts.append(" ".join(map(str, images)))
+    if draw(st.booleans()):
+        parts.append(draw(st.sampled_from(("", "a b", "1,0", "0 0", "-1"))))
+    return ";".join(parts)
+
+
+_ONE = st.lists(_rational(), min_size=1, max_size=1)
+_THREE = st.lists(_rational(), min_size=3, max_size=3)
+_COMMANDS = st.one_of(
+    st.tuples(st.just(["classify"]), _ONE, _FORMAT),
+    st.tuples(st.just(["lattice"]), _ONE, _FORMAT),
+    st.tuples(st.just(["witt-verify"]), _ONE, _FORMAT),
+    st.tuples(st.just(["embed"]), _THREE, _FORMAT,
+              st.sampled_from(([], ["--compare"]))),
+    st.tuples(st.just(["sl-search"]), _THREE, _FORMAT),
+    st.tuples(st.just(["oracle"]), _ONE, _PRIMES,
+              _option("--tolerance", _rational()), _FORMAT),
+    st.tuples(st.just(["group-identify"]),
+              st.one_of(st.just([]), _NAMES.map(lambda n: [n])),
+              _option("--gens", _gens()), _FORMAT),
+)
+
+
+@st.composite
+def _argv(draw):
+    """A command line of one subcommand, sometimes with one argument
+    dropped or one stray token inserted."""
+    argv = [a for part in draw(_COMMANDS) for a in part]
+    edit = draw(st.sampled_from(("none", "none", "drop", "insert")))
+    if edit == "drop":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif edit == "insert":
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(("--bogus", "-x", "extra", "--format",
+                                          "--compare", "-1", "--"))))
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_argv())
+def test_cli_grammar_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue().startswith(("error:", "usage:")), argv
+    if code == 1:
+        assert argv[0] in ("oracle", "witt-verify"), argv

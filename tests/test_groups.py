@@ -247,18 +247,22 @@ def test_affine_pair_inverts_affine_map():
 
 
 def test_group_models_identify_as_their_identity():
+    # every entry is canonical: identify returns its name, except that K8's
+    # group is C4xC2; a named group-identify prints the name without identify
     models = groups.group_models()
     for name, m in models.items():
         assert m.name == name
-        assert groups.identify(m.group) == m.identity, name
+        identity = "C4xC2" if name == "K8" else name
+        assert groups.identify(m.group) == identity, name
         if m.model8 is not None:
             assert m.model8.degree == 8 and reference.is_transitive(m.model8), name
-            assert groups.identify(m.model8) == m.identity, name
+            assert groups.identify(m.model8) == identity, name
             assert m.model8.is_subgroup(groups.hol_c8_model()), name
-    assert sorted(groups.aliases()) == ["d8", "hol-c8", "pauli-affine",
-                                        "pauli-matrices", "q8"]
+    assert sorted(groups.ALIASES) == ["d8", "hol-c8", "pauli-affine",
+                                      "pauli-matrices", "q8"]
+    assert set(groups.ALIASES.values()) <= set(models)
     # aliases never name a fingerprint: identify answers with canonical names
-    assert set(groups._nonabelian_registry().values()).isdisjoint(groups.aliases())
+    assert set(groups._nonabelian_registry().values()).isdisjoint(groups.ALIASES)
     assert groups.pauli_affine_model() is models["Pauli"].model8
 
 
@@ -266,10 +270,10 @@ def test_subgroups_match_closure_reference():
     checked = []
     for label, G in _engine_cases():
         if any(G is H for H in checked):
-            continue  # an alias shares its entry's group object
+            continue  # an entry whose group is its 8-point model
         checked.append(G)
         assert _engine_subgroups(G) == _reference_subgroups(G), label
-    assert len(checked) == 25
+    assert len(checked) == 24
 
 
 @pytest.mark.parametrize("model", [groups.pauli_affine_model, groups.hol_c8_model])

@@ -367,3 +367,22 @@ def test_class_space_criteria_match_form_equivalence():
             for v in places)
         assert qforms.witt_embeddable(a, b) == _reference_equivalent(
             TernaryForm.of(a, b, a * b), TernaryForm.of(1, 1, 1))
+
+
+def test_embed_proves_each_basis_prime_once(monkeypatch, capsys):
+    # the symbol tables read Legendre symbols modulo primes that `factor`
+    # has already proved prime: a work count, so a regression shows without
+    # any timing
+    from pureoctic import arith, cli
+    big = 2 ** 521 - 1  # a 157-digit prime
+    proved = []
+    is_prime = arith.is_prime
+
+    def counting(n):
+        proved.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    assert cli.main(["embed", str(big), "3", "5"]) == 0
+    assert "S_L = " in capsys.readouterr().out
+    assert proved.count(big) == 1
