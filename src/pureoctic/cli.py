@@ -245,13 +245,14 @@ def cmd_group_identify(args) -> int:
                 perms.append(groups.Perm(images))
             G = groups.closure(perms)
         else:
-            choices = sorted(groups.order16_stock_models()) + sorted(groups.ALIASES)
-            if args.name not in choices:
-                return _fail(f"unknown group {args.name!r}; choices: {choices},"
-                             " or pass --gens")
             # a stock name is its own answer: a test proves identify agrees
             name = groups.ALIASES.get(args.name, args.name)
-            G = groups.group_models()[name].group
+            model = groups.group_models().get(name)
+            if model is None or (name == args.name and model.group.order != 16):
+                choices = sorted(groups.order16_stock_models()) + sorted(groups.ALIASES)
+                return _fail(f"unknown group {args.name!r}; choices: {choices},"
+                             " or pass --gens")
+            G = model.group
         # fingerprint first: a --gens group of order 33 to 64 fails on its bound
         fp = groups.fingerprint(G)
         if args.gens:
@@ -341,8 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "group-identify" and not args.name and not args.gens:
-        return _fail("need a group name or --gens")
+    if args.command == "group-identify":
+        if not args.name and not args.gens:
+            return _fail("need a group name or --gens")
+        if args.name is not None and args.gens is not None:
+            return _fail("give a group name or --gens, not both")
     # every ValueError is bad input, or a number past the interpreter's
     # integer-digit limit, whose own message advises a Python call; a command
     # prints only once its whole output is rendered, so stdout stays empty

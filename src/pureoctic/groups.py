@@ -5,10 +5,11 @@ Each group indexes its sorted elements and holds their Cayley table;
 subgroups are enumerated, and their generating sets chosen, as bitmasks
 over those indices.  Provides multiplication closure, subgroup lattices,
 quotients, and an isomorphism fingerprint strong enough to tell apart all
-14 groups of order 16.  The 16-element group generated by the three 2x2
-Pauli spin matrices is built over exact Gaussian integers and named by its
-registry fingerprint, off which `pauli_criteria` reads the paper's three
-criteria: no element of order 8, a non-normal subgroup, a Q8 subgroup.
+14 groups of order 16.  The Pauli group P = <X, Y, Z> of the three 2x2
+spin matrices is generated by their monomial permutations of the eight
+vectors i^u * e_j, and is named by its registry fingerprint, off which
+`pauli_criteria` reads the paper's three criteria: no element of order 8,
+a non-normal subgroup, a Q8 subgroup.
 Named groups live in one lazily built registry of canonical entries,
 `group_models()`, and `ALIASES` maps the CLI's other names to entries.  An
 affine map m -> s*m + t of Z/8 is the Perm `affine_map(t, s)`; those of
@@ -88,12 +89,22 @@ class Perm:
         return self.images < other.images
 
 
-def _product_closure(gens) -> set:
-    """All products of the generators, breadth first: for elements of a
-    finite group, the subgroup they generate (the identity included).
+def _bits(mask: int) -> list[int]:
+    """The set bits of a bitmask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def closure(generators) -> "FinGroup":
+    """The permutation group generated by the given permutations: all their
+    products, breadth first (the identity included, the group being finite).
     Raises ValueError once that exceeds MAX_GROUP_ORDER elements."""
+    gens = sorted(set(generators))
+    if not gens:
+        raise ValueError("need at least one generator")
+    if len({g.degree for g in gens}) != 1:
+        raise ValueError("generators act on different point sets")
     els = set(gens)
-    boundary = list(els)
+    boundary = gens
     while boundary:
         fresh = []
         for a in gens:
@@ -106,22 +117,7 @@ def _product_closure(gens) -> set:
             raise ValueError(f"the generated group has more than"
                              f" {MAX_GROUP_ORDER} elements")
         boundary = fresh
-    return els
-
-
-def _bits(mask: int) -> list[int]:
-    """The set bits of a bitmask, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def closure(generators) -> "FinGroup":
-    """The permutation group generated by the given permutations."""
-    gens = sorted(set(generators))
-    if not gens:
-        raise ValueError("need at least one generator")
-    if len({g.degree for g in gens}) != 1:
-        raise ValueError("generators act on different point sets")
-    return FinGroup(_product_closure(gens))
+    return FinGroup(els)
 
 
 class FinGroup:
@@ -341,66 +337,32 @@ PAULI_PAIRS = _affine_pairs(lambda t, s: (s - 2 * t - 1) % 4 == 0)
 
 
 # ---------------------------------------------------------------------------
-# Pauli matrices over the Gaussian integers
+# Pauli matrices as monomial permutations
 
 
-class GaussianMatrix:
-    """A 2x2 matrix with exact Gaussian-integer entries (re, im) pairs."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(tuple(e) for e in entries)
-        if len(self.entries) != 4 or any(len(e) != 2 for e in self.entries):
-            raise ValueError("need 4 Gaussian-integer entries (row major)")
-
-    def __mul__(self, other: "GaussianMatrix") -> "GaussianMatrix":
-        a, b, c, d = self.entries
-        e, f, g, h = other.entries
-
-        def gm(u, v):
-            return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
-        def ga(u, v):
-            return (u[0] + v[0], u[1] + v[1])
-
-        return GaussianMatrix([
-            ga(gm(a, e), gm(b, g)), ga(gm(a, f), gm(b, h)),
-            ga(gm(c, e), gm(d, g)), ga(gm(c, f), gm(d, h)),
-        ])
-
-    def __eq__(self, other):
-        return isinstance(other, GaussianMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
+def _monomial(images, units) -> Perm:
+    """The 2x2 monomial matrix over Z[i] that sends e_j to
+    i^units[j] * e_images[j], as its permutation of the eight vectors
+    i^u * e_j (point 4j + u); products of these are matrix products."""
+    return Perm(4 * images[j] + (u + units[j]) % 4 for j in (0, 1) for u in range(4))
 
 
-PAULI_X = GaussianMatrix([(0, 0), (1, 0), (1, 0), (0, 0)])
-PAULI_Y = GaussianMatrix([(0, 0), (0, -1), (0, 1), (0, 0)])
-PAULI_Z = GaussianMatrix([(1, 0), (0, 0), (0, 0), (-1, 0)])
+PAULI_X = _monomial((1, 0), (0, 0))
+PAULI_Y = _monomial((1, 0), (1, 3))
+PAULI_Z = _monomial((0, 1), (0, 2))
 
 
 @lru_cache(maxsize=None)
 def pauli_matrix_group() -> FinGroup:
-    """The 16-element matrix group <X, Y, Z> in its regular representation."""
-    matrices = _product_closure([PAULI_X, PAULI_Y, PAULI_Z])
-    elements = sorted(matrices, key=lambda m: m.entries)
-    return from_multiplication(elements, lambda a, b: a * b)
+    """The 16-element matrix group <X, Y, Z>, on the 8 points of its vectors."""
+    return closure([PAULI_X, PAULI_Y, PAULI_Z])
 
 
 @lru_cache(maxsize=None)
 def quaternion_group() -> FinGroup:
-    """Q8 = <iX, iY> in its regular representation (8 points)."""
-    i = GaussianMatrix([(0, 1), (0, 0), (0, 0), (0, 1)])
-    matrices = _product_closure([i * PAULI_X, i * PAULI_Y])
-    elements = sorted(matrices, key=lambda m: m.entries)
-    return from_multiplication(elements, lambda a, b: a * b)
-
-
-def hol_c8_model() -> FinGroup:
-    """Hol(C8): all affine maps m -> s*m + t on Z/8, order 32, on 8 points."""
-    return group_models()["B32"].model8
+    """Q8 = <iX, iY>, on the 8 points of its vectors."""
+    i = _monomial((0, 1), (1, 1))
+    return closure([i * PAULI_X, i * PAULI_Y])
 
 
 def pauli_affine_model() -> FinGroup:

@@ -565,14 +565,22 @@ def test_group_identify_gens_golden(capsys):
 
 def test_named_group_identify_builds_no_registry(capsys, monkeypatch):
     # a stock name is printed as it was looked up: the request fingerprints
-    # its one group and builds no fingerprint registry
+    # its one group and builds neither the fingerprint registry nor the
+    # other stock groups
     from pureoctic import groups
     monkeypatch.setattr(groups, "_nonabelian_registry", lambda: pytest.fail(
         "a named request built the fingerprint registry"))
+    monkeypatch.setattr(groups, "order16_stock_models", lambda: pytest.fail(
+        "a named request built every order-16 stock group"))
     groups.fingerprint.cache_clear()
     code, out, _ = run(capsys, "group-identify", "QD16")
     assert code == 0 and "identified as: QD16" in out
     assert groups.fingerprint.cache_info().misses == 1
+
+
+def test_group_identify_refuses_a_name_with_gens(capsys):
+    code, out, err = run(capsys, "group-identify", "QD16", "--gens", "1 0")
+    assert (code, out, err) == (2, "", "error: give a group name or --gens, not both\n")
 
 
 def test_python_dash_m_entry():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import operator
 import random
 from collections import Counter
 from pathlib import Path
@@ -39,6 +40,17 @@ def _engine_cases():
         yield name, _gens_group(text)
 
 
+def _generated(gens, mul=operator.mul):
+    """All products of the generators, breadth first: for elements of a
+    finite group, the group they generate."""
+    els, boundary = set(gens), list(gens)
+    while boundary:
+        fresh = {mul(a, b) for a in gens for b in boundary} - els
+        els |= fresh
+        boundary = list(fresh)
+    return els
+
+
 def _reference_subgroups(G):
     """The closure-based enumerator the Cayley-table engine replaced, with
     permutation products only: join every known subgroup H with one element
@@ -54,7 +66,7 @@ def _reference_subgroups(G):
             if g not in done:
                 done |= {h * g for h in H}
                 gens = found[H] + (g,)
-                K = frozenset(groups._product_closure(gens))
+                K = frozenset(_generated(gens))
                 if K not in found:
                     found[K] = gens
                     frontier.append(K)
@@ -93,13 +105,41 @@ def test_closure_examples():
 def test_pauli_matrix_closures():
     # two of the spin matrices only reach a dihedral half: the scalar i
     # needs the third generator (the group has rank 3)
-    xy = groups._product_closure([groups.PAULI_X, groups.PAULI_Y])
-    assert len(xy) == 8
-    from_two = groups.from_multiplication(sorted(xy, key=lambda g: g.entries),
-                                          lambda a, b: a * b)
-    assert groups.identify(from_two) == "D8"
-    xyz = groups._product_closure([groups.PAULI_X, groups.PAULI_Y, groups.PAULI_Z])
-    assert len(xyz) == 16
+    xy = groups.closure([groups.PAULI_X, groups.PAULI_Y])
+    assert xy.order == 8 and groups.identify(xy) == "D8"
+    xyz = groups.closure([groups.PAULI_X, groups.PAULI_Y, groups.PAULI_Z])
+    assert xyz.order == 16 and xyz == groups.pauli_matrix_group()
+
+
+# the eight vectors i^u * e_j of Z[i]^2, point 4j + u of the monomial
+# permutations, and 2x2 matrices over Z[i] as row tuples of exact complexes
+UNITS = (1, 1j, -1, -1j)
+VECTORS = [tuple(UNITS[u] if k == j else 0 for k in (0, 1))
+           for j in (0, 1) for u in range(4)]
+
+
+def _matmul(A, B):
+    return tuple(tuple(sum(A[r][k] * B[k][c] for k in (0, 1)) for c in (0, 1))
+                 for r in (0, 1))
+
+
+def _action(M):
+    """The permutation of VECTORS by the matrix M (a monomial matrix)."""
+    return Perm(VECTORS.index(tuple(sum(M[r][k] * v[k] for k in (0, 1))
+                                    for r in (0, 1))) for v in VECTORS)
+
+
+def test_pauli_perms_are_the_matrix_actions():
+    X, Y, Z = ((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1))
+    iX, iY = ((0, 1j), (1j, 0)), ((0, 1), (-1, 0))
+    assert (_action(X), _action(Y), _action(Z)) == \
+        (groups.PAULI_X, groups.PAULI_Y, groups.PAULI_Z)
+    assert _action(iX) == _action(((1j, 0), (0, 1j))) * groups.PAULI_X
+    assert _action(iY) == _action(((1j, 0), (0, 1j))) * groups.PAULI_Y
+    P, Q8 = _generated([X, Y, Z], _matmul), _generated([iX, iY], _matmul)
+    assert (len(P), len(Q8)) == (16, 8)
+    assert set(map(_action, P)) == set(groups.pauli_matrix_group())
+    assert set(map(_action, Q8)) == set(groups.quaternion_group())
 
 
 def test_pauli_matrix_group_facts():
@@ -213,7 +253,7 @@ def test_fingerprint_invariant_under_relabeling():
 
 
 def test_hol_c8_model():
-    hol = groups.hol_c8_model()
+    hol = groups.group_models()["B32"].model8
     assert hol.order == 32
     assert reference.is_transitive(hol)
     assert groups.identify(hol) == "B32"
@@ -257,7 +297,7 @@ def test_group_models_identify_as_their_identity():
         if m.model8 is not None:
             assert m.model8.degree == 8 and reference.is_transitive(m.model8), name
             assert groups.identify(m.model8) == identity, name
-            assert m.model8.is_subgroup(groups.hol_c8_model()), name
+            assert m.model8.is_subgroup(models["B32"].model8), name
     assert sorted(groups.ALIASES) == ["d8", "hol-c8", "pauli-affine",
                                       "pauli-matrices", "q8"]
     assert set(groups.ALIASES.values()) <= set(models)
@@ -276,9 +316,9 @@ def test_subgroups_match_closure_reference():
     assert len(checked) == 24
 
 
-@pytest.mark.parametrize("model", [groups.pauli_affine_model, groups.hol_c8_model])
-def test_generating_set_matches_closure_reference(model):
-    G = model()
+@pytest.mark.parametrize("name", ["Pauli", "B32"])
+def test_generating_set_matches_closure_reference(name):
+    G = groups.group_models()[name].model8
     for H, _ in G.subgroups():
         for elements in (tuple(sorted(H, key=groups.affine_pair)), H.elements):
             gens = G.generating_set(elements)

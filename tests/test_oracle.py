@@ -251,7 +251,7 @@ def test_group_cycle_types_pauli_model():
 
 def test_group_cycle_types_wrong_degree():
     with pytest.raises(ValueError):
-        oracle.group_cycle_types(groups.pauli_matrix_group())  # 16 points
+        oracle.group_cycle_types(groups.cyclic(16))  # 16 points
 
 
 def test_census_bookkeeping():
@@ -359,3 +359,31 @@ def test_obstruction_table():
     golden = Path(__file__).parent / "golden" / "obstructions.json"
     assert (json.dumps(table, indent=2) + "\n").encode() == golden.read_bytes()
     assert reference.transitive_8pt_obstruction("nonsense") is None
+
+
+# --- the classifier against Frobenius ----------------------------------------
+
+# k > 0 with a small numerator and denominator, neither a square nor twice one
+_PAULI_K = st.builds(F, st.integers(1, 999), st.integers(1, 99)).filter(
+    lambda k: binomial.pauli_condition_violation(k) is None)
+_D = st.builds(F, st.integers(1, 99), st.integers(1, 20))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_D, _PAULI_K, st.builds(F, st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                               st.integers(1, 10 ** 3)))
+def test_no_frobenius_outside_the_verdict(d, k, generic):
+    # Frobenius at a good prime lies in the Galois group, so a census cycle
+    # type outside the verdict's model would disprove the verdict
+    built = [(binomial.TAG_REDUCIBLE, -d ** 2), (binomial.TAG_REDUCIBLE, 4 * d ** 4),
+             (binomial.TAG_K8, d ** 4), (binomial.TAG_D16, 2 * d ** 2),
+             (binomial.TAG_QD16, -2 * d ** 2), (binomial.TAG_PAULI, k ** 2),
+             (None, generic)]
+    for branch, c in built:
+        tag = binomial.classify_octic(c).name
+        if branch is not None:
+            assert tag == branch, c
+        if tag == binomial.TAG_REDUCIBLE:
+            continue
+        types = {t for t, _ in oracle.census(c, 3000).counts}
+        assert types <= set(oracle.CYCLE_TYPE_COUNTS[tag]), (c, tag)

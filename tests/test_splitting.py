@@ -537,3 +537,18 @@ def test_other_k_values(k):
     fix = [s for s in E.galois_group() if E.apply(s, ir) == ir]
     H = groups.closure(fix)
     assert groups.identify(H) == "Q8"
+
+
+# PAULI_K's numerators and denominators are at most 10^6: trial division
+# factors them, and no rho budget is spent
+@given(PAULI_K)
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+def test_lattice_and_witt_on_generated_k(k):
+    E = SplittingField(k)
+    report = E.lattice_report()
+    assert len(report.rows) == 23
+    assert all(row.degree * row.order == 16 for row in report.rows)
+    assert reference.degree_counts(report) == {2: 7, 4: 7, 8: 7}
+    cert = witt_beta_rho(E)
+    # every field after beta, rho and sqrt(rho * beta) is a check
+    assert all(cert[3:]), cert
