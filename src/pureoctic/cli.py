@@ -246,10 +246,11 @@ def cmd_group_identify(args) -> int:
             G = groups.closure(perms)
         else:
             # a stock name is its own answer: a test proves identify agrees
+            # (K8's group is C4xC2)
             name = groups.ALIASES.get(args.name, args.name)
             model = groups.group_models().get(name)
-            if model is None or (name == args.name and model.group.order != 16):
-                choices = sorted(groups.order16_stock_models()) + sorted(groups.ALIASES)
+            if model is None:
+                choices = sorted(groups.group_models()) + sorted(groups.ALIASES)
                 return _fail(f"unknown group {args.name!r}; choices: {choices},"
                              " or pass --gens")
             G = model.group

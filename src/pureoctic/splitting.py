@@ -7,7 +7,7 @@ appear only where k is read and where coordinates are read back or printed.
 `_reduce` writes a^j * w^m as +-k^e times one basis monomial, by a^8 = -k^2
 and w^2 = a^4 / k, and keeps the scale as an integer pair; it gives the
 product table and the Galois action.  The 16 automorphisms a -> a*w^t,
-w -> w^s (s = 2t+1 mod 4) are the elements of `groups.pauli_affine_model()`,
+w -> w^s (s = 2t+1 mod 4) are the elements of `perms.pauli_affine_model()`,
 the maps m -> s*m + t of the roots a*w^m, and each sends a^j * w^e to
 a scaled a^j * w^(tj+se).  So g fixes u iff u[target] * den = num * u[i] on
 the support of u, compared in integers.  The fixed field of a subgroup H,
@@ -31,9 +31,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from . import binomial, groups
+from . import binomial, perms
 from .arith import PrimeBasis, Rational, squarefree_part
-from .groups import FinGroup, Perm
+from .perms import FinGroup, Perm
 
 # the basis monomials a^j * w^e as (j, e), in coordinate order 2j + e
 _MONOMIALS = tuple(divmod(idx, 2) for idx in range(16))
@@ -207,9 +207,9 @@ class SplittingField:
         # the automorphism (t, s) sends a^j*w^e to a^j*w^(tj+se): one
         # (target index, num, den) per basis index, keyed by its root permutation
         self._actions = {
-            groups.affine_map(t, s): tuple(_reduce(k, j, t * j + s * e)
-                                           for j, e in _MONOMIALS)
-            for t, s in groups.PAULI_PAIRS}
+            perms.affine_map(t, s): tuple(_reduce(k, j, t * j + s * e)
+                                          for j, e in _MONOMIALS)
+            for t, s in perms.PAULI_PAIRS}
 
     # --- element constructors -------------------------------------------
 
@@ -263,8 +263,8 @@ class SplittingField:
 
     def galois_group(self) -> FinGroup:
         """The 16 automorphisms as permutations m -> s*m + t of the roots
-        a*w^m; groups.affine_pair(g) gives the (t, s) of g."""
-        return groups.pauli_affine_model()
+        a*w^m; perms.affine_pair(g) gives the (t, s) of g."""
+        return perms.pauli_affine_model()
 
     def _action(self, g: Perm) -> tuple:
         try:
@@ -375,7 +375,7 @@ class SplittingField:
         rows = []
         for H, normal in G.subgroups():
             fixed = self.fixed_field(H)
-            elements = tuple(sorted(H, key=groups.affine_pair))
+            elements = tuple(sorted(H, key=perms.affine_pair))
             rows.append(LatticeRow(
                 subgroup=elements,
                 order=H.order,
@@ -386,7 +386,7 @@ class SplittingField:
                 generators=G.generating_set(elements),
             ))
         rows.sort(key=lambda row: (row.order,
-                                   list(map(groups.affine_pair, row.subgroup))))
+                                   list(map(perms.affine_pair, row.subgroup))))
         return LatticeReport(self.k, tuple(rows))
 
 
@@ -416,7 +416,7 @@ def _combination_stream(nbasis: int):
 
 
 def _pair_text(g: Perm) -> str:
-    return "(%d,%d)" % groups.affine_pair(g)
+    return "(%d,%d)" % perms.affine_pair(g)
 
 
 class FixedField(namedtuple("FixedField", "degree basis primitive label")):
@@ -567,7 +567,7 @@ def witt_beta_rho(field: SplittingField) -> WittCertificate:
     sqrt_rho_beta = (field.a - field.a_bar) * w * (field.one() + r_v2)
     factorization = rho * s * beta == sqrt_rho_beta * sqrt_rho_beta
     # Gal(E/L) is generated by a -> -a, w -> w; the generator must flip the root
-    flip = field.apply(groups.affine_map(4, 1), sqrt_rho_beta)
+    flip = field.apply(perms.affine_map(4, 1), sqrt_rho_beta)
     return WittCertificate(
         beta=beta,
         rho=rho,

@@ -11,7 +11,7 @@ import pytest
 import reference
 from hypothesis import assume, given, settings, strategies as st
 
-from pureoctic import groups
+from pureoctic import groups, perms
 from pureoctic.groups import Perm
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -280,10 +280,10 @@ def test_abelian_invariants():
 
 def test_affine_pair_inverts_affine_map():
     pairs = [(t, s) for t in range(8) for s in (1, 3, 5, 7)]
-    assert [groups.affine_pair(groups.affine_map(t, s)) for t, s in pairs] == pairs
+    assert [perms.affine_pair(perms.affine_map(t, s)) for t, s in pairs] == pairs
     assert len(groups.PAULI_PAIRS) == 16
     with pytest.raises(ValueError):
-        groups.affine_pair(Perm([1, 0, 2, 3, 4, 5, 6, 7]))  # a transposition
+        perms.affine_pair(Perm([1, 0, 2, 3, 4, 5, 6, 7]))  # a transposition
 
 
 def test_group_models_identify_as_their_identity():
@@ -320,7 +320,7 @@ def test_subgroups_match_closure_reference():
 def test_generating_set_matches_closure_reference(name):
     G = groups.group_models()[name].model8
     for H, _ in G.subgroups():
-        for elements in (tuple(sorted(H, key=groups.affine_pair)), H.elements):
+        for elements in (tuple(sorted(H, key=perms.affine_pair)), H.elements):
             gens = G.generating_set(elements)
             assert gens == reference.greedy_generators(elements)
             assert groups.closure(gens) == H
@@ -354,7 +354,7 @@ def test_fingroup_rejects_bad_element_sets():
 
 def test_subgroups_refuse_groups_above_max_order():
     s5 = groups.FinGroup(Perm(p) for p in itertools.permutations(range(5)))
-    assert s5.order == 120 > groups.MAX_GROUP_ORDER
+    assert s5.order == 120 > perms.MAX_GROUP_ORDER
     with pytest.raises(ValueError, match="supported up to order"):
         s5.subgroups()
 
@@ -363,7 +363,7 @@ def test_subgroup_enumeration_takes_no_closures(monkeypatch):
     hol = groups.affine_group_mod8(groups.group_models()["B32"].pairs)
     pauli = groups.affine_group_mod8(groups.PAULI_PAIRS)
     calls = Counter()
-    closure, mul = groups.closure, Perm.__mul__
+    closure, mul = perms.closure, Perm.__mul__
 
     def counted_closure(gens):
         calls["closure"] += 1
@@ -373,11 +373,39 @@ def test_subgroup_enumeration_takes_no_closures(monkeypatch):
         calls["mul"] += 1
         return mul(p, q)
 
-    monkeypatch.setattr(groups, "closure", counted_closure)
+    monkeypatch.setattr(perms, "closure", counted_closure)
     monkeypatch.setattr(Perm, "__mul__", counted_mul)
     assert len(hol.subgroups()) == 58
     assert len(pauli.subgroups()) == 23
     assert calls == Counter()
+
+
+def _table_state(G):
+    return G.elements, G._index, G._table, G._inverse, G._identity, G.degree
+
+
+def test_subgroups_are_read_off_the_parent_table(monkeypatch):
+    G = perms.pauli_affine_model.__wrapped__()  # a fresh, unenumerated model
+    built = []
+    init = perms.FinGroup.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(perms.FinGroup, "__init__", counted_init)
+    assert len(G.subgroups()) == 23
+    assert built == []
+    monkeypatch.undo()
+    # a subgroup read off its parent is the group FinGroup() builds from its
+    # elements, down to its lattice and center
+    for label, G in _engine_cases():
+        for H, _ in G.subgroups():
+            fresh = perms.FinGroup(H.elements)
+            assert _table_state(H) == _table_state(fresh), label
+            assert [(_table_state(K), normal) for K, normal in H.subgroups()] == \
+                [(_table_state(K), normal) for K, normal in fresh.subgroups()], label
+            assert _table_state(H.center()) == _table_state(fresh.center()), label
 
 
 @st.composite

@@ -10,8 +10,8 @@ import pytest
 import reference
 from hypothesis import given, settings, strategies as st
 
-from pureoctic import arith, binomial, groups, linalg
-from pureoctic.groups import affine_map, affine_pair
+from pureoctic import arith, binomial, groups, linalg, perms
+from pureoctic.perms import Perm, affine_map, affine_pair
 from pureoctic.splitting import FieldElt, SplittingField, witt_beta_rho
 
 IDENTITY = affine_map(0, 1)
@@ -98,8 +98,8 @@ def test_construction_makes_no_field_products(monkeypatch):
 
     monkeypatch.setattr(FieldElt, "__mul__", counting)
     monkeypatch.setattr(groups.FinGroup, "__init__", counting_init)
-    # uncached, so a call would build the group models afresh and be counted
-    monkeypatch.setattr(groups, "group_models", groups.group_models.__wrapped__)
+    # uncached, so a call would build the Galois group afresh and be counted
+    monkeypatch.setattr(perms, "pauli_affine_model", perms.pauli_affine_model.__wrapped__)
     E = SplittingField(F(5))
     assert calls == []
     E.a * E.w  # the counter does see a product
@@ -115,7 +115,7 @@ def test_lattice_builds_no_group(monkeypatch):
     # generators from its Cayley table, and fixed_field takes each as it is
     SplittingField(F(5)).galois_group().subgroups()
     calls = Counter()
-    closure, init = groups.closure, groups.FinGroup.__init__
+    closure, init = perms.closure, groups.FinGroup.__init__
 
     def counted_closure(gens):
         calls["closure"] += 1
@@ -125,10 +125,34 @@ def test_lattice_builds_no_group(monkeypatch):
         calls["init"] += 1
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(groups, "closure", counted_closure)
+    monkeypatch.setattr(perms, "closure", counted_closure)
     monkeypatch.setattr(groups.FinGroup, "__init__", counted_init)
     assert len(SplittingField(F(5)).lattice_report().rows) == 23
     assert calls == Counter()
+
+
+def test_lattice_reads_each_affine_pair_once(monkeypatch):
+    E = SplittingField(F(5))
+    E.galois_group()  # cached per process: count the lattice's own work
+    perms.affine_pair.cache_clear()
+    calls = []
+    original = perms.affine_map
+
+    def counted(t, s):
+        calls.append((t, s))
+        return original(t, s)
+
+    monkeypatch.setattr(perms, "affine_map", counted)
+    assert len(E.lattice_report().rows) == 23
+    assert len(calls) <= 16
+    # a Perm that is no affine map is refused on every call, not cached
+    for bad in (Perm([1, 0, 2, 3, 4, 5, 6, 7]), Perm([0, 1, 3, 2, 4, 5, 6, 7])):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                perms.affine_pair(bad)
+            errors.append(str(info.value))
+        assert errors == [f"{bad.images} is not an affine map of Z/8"] * 2
 
 
 def _count_fractions(monkeypatch, fn):
@@ -160,7 +184,7 @@ def test_lattice_constructs_few_fractions(monkeypatch):
     E = SplittingField(F(5))
     # the coordinates read back as Fractions, from any route
     for u in (FieldElt(E, [1] * 16), E.a * 3, -E.w, E.a + 1, E.apply(
-            groups.affine_map(1, 3), E.a)):
+            affine_map(1, 3), E.a)):
         assert all(type(c) is F for c in u.coeffs)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 import reference
 
-from pureoctic.groups import affine_map
+from pureoctic.perms import affine_map
 from pureoctic.splitting import SplittingField, witt_beta_rho
 
 
