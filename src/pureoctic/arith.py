@@ -1,5 +1,5 @@
-"""Exact integer and rational arithmetic: factorization, square classes,
-integer roots and Legendre symbols.
+"""Exact integer and rational arithmetic: primality, factorization, square
+classes and integer roots.
 
 Everything downstream (the octic classifier, Hilbert symbols, the splitting
 field) works over Q with exact arithmetic; this module is the substrate.
@@ -294,26 +294,6 @@ def nth_root(q: Rational, k: int) -> Rational | None:
     if not okd:
         return None
     return Fraction(rn, rd)
-
-
-def is_nth_power(q: Rational, k: int) -> bool:
-    return nth_root(q, k) is not None
-
-
-def is_square(q: Rational) -> bool:
-    """True iff q = x^2 for some rational x (q = 0 included)."""
-    return is_nth_power(Fraction(q), 2)
-
-
-def legendre(a: int, p: int) -> int:
-    """Quadratic-residue symbol (a/p) for an odd prime p: +1, -1, or 0."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    s = pow(a, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
 
 
 # the largest census bound: the sieve allocates one byte per integer below it

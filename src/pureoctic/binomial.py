@@ -33,14 +33,9 @@ TAG_B32 = "B32"
 
 class GaloisTag(namedtuple("GaloisTag", "name splitting_degree")):
     """Classifier verdict for X^8 + c, with predicted splitting degree
-    (None when reducible)."""
+    (None when reducible), which is also the order of the Galois group."""
 
     __slots__ = ()
-
-    @property
-    def group_order(self) -> int | None:
-        # |Gal(E/Q)| = [E:Q]
-        return self.splitting_degree
 
 
 def pauli_condition_violation(k: Rational) -> str | None:

@@ -64,7 +64,7 @@ def cmd_classify(args) -> int:
     lines.append(f"branch: {branch}")
     if irreducible:
         extra = " = Hol(C8)" if tag.name == binomial.TAG_B32 else ""
-        lines.append(f"galois group: {tag.name}{extra} (order {tag.group_order}),"
+        lines.append(f"galois group: {tag.name}{extra} (order {tag.splitting_degree}),"
                      f" splitting field degree {tag.splitting_degree}")
     else:
         lines.append("galois group: Reducible (no transitive octic group)")
@@ -73,7 +73,8 @@ def cmd_classify(args) -> int:
         "polynomial": _poly_display(c),
         "irreducible": irreducible,
         "tag": tag.name,
-        "group_order": tag.group_order,
+        # |Gal(E/Q)| = [E:Q]
+        "group_order": tag.splitting_degree,
         "splitting_degree": tag.splitting_degree,
         "branch": branch,
     }
@@ -245,8 +246,9 @@ def cmd_group_identify(args) -> int:
                 perms.append(groups.Perm(images))
             G = groups.closure(perms)
         else:
-            # a stock name is its own answer: a test proves identify agrees
-            # (K8's group is C4xC2)
+            # a stock name is its own answer, and a test proves identify
+            # agrees; an abelian group is named by its invariants (K8's group
+            # is C4xC2), which builds no fingerprint registry
             name = groups.ALIASES.get(args.name, args.name)
             model = groups.group_models().get(name)
             if model is None:
@@ -256,7 +258,7 @@ def cmd_group_identify(args) -> int:
             G = model.group
         # fingerprint first: a --gens group of order 33 to 64 fails on its bound
         fp = groups.fingerprint(G)
-        if args.gens:
+        if args.gens or G.is_abelian():
             name = groups.identify(G)
     except LookupError as exc:
         return _fail(str(exc))

@@ -1,7 +1,9 @@
 """The catalogue of named groups, on the permutation engine `perms`.
 
-Provides constructions, quotients, and an isomorphism fingerprint strong
-enough to tell apart all 14 groups of order 16.  The Pauli group
+Provides constructions, abelian invariants, and an isomorphism fingerprint
+strong enough to tell apart all 14 groups of order 16.  The invariants of
+an abelian quotient G/N are read off G's own Cayley table, so the
+abelianization G/G' is never built as a group.  The Pauli group
 P = <X, Y, Z> of the three 2x2 spin matrices is generated by their monomial
 permutations of the eight vectors i^u * e_j, and is named by its registry
 fingerprint, off which `pauli_criteria` reads the paper's three criteria: no
@@ -50,25 +52,6 @@ def direct_product(G: FinGroup, H: FinGroup) -> FinGroup:
                     for g in G.elements for h in H.elements)
 
 
-def quotient_group(G: FinGroup, N: FinGroup) -> FinGroup:
-    """G/N as a permutation group (regular action on cosets); N normal.
-    The cosets are numbered in the order of their least elements."""
-    if not N.is_subgroup(G):
-        raise ValueError("not a subgroup")
-    normal = [G._index[n.images] for n in N]
-    if not G._is_normal(sum(1 << n for n in normal)):
-        raise ValueError("subgroup is not normal")
-    t = G._table
-    coset, reps = {}, []
-    for g in range(G.order):
-        if g not in coset:
-            for n in normal:
-                coset[t[g][n]] = len(reps)
-            reps.append(g)
-    return from_multiplication(range(len(reps)),
-                               lambda a, b: coset[t[reps[a]][reps[b]]])
-
-
 # ---------------------------------------------------------------------------
 # Pauli matrices as monomial permutations
 
@@ -114,18 +97,42 @@ def _exact_log(n: int, p: int) -> int:
 
 def abelian_invariants(G: FinGroup) -> tuple[int, ...]:
     """Primary decomposition of an abelian group: prime powers, descending."""
-    if not G.is_abelian():
+    return _quotient_invariants(G, 1 << G._identity)
+
+
+def quotient_invariants(G: FinGroup, N: FinGroup) -> tuple[int, ...]:
+    """`abelian_invariants` of G/N, for a normal subgroup N of G with G/N
+    abelian; ValueError otherwise."""
+    if not N._members <= G._members:
+        raise ValueError("not a subgroup")
+    return _quotient_invariants(G, sum(1 << G._index[n.images] for n in N))
+
+
+def _quotient_invariants(G: FinGroup, N: int) -> tuple[int, ...]:
+    # G/N for the subgroup N of G (a bitmask), read off G's table: the order
+    # of gN is the least m with g^m in N, and each coset has |N| elements
+    if not G._is_normal(N):
+        raise ValueError("subgroup is not normal")
+    t, inv, size = G._table, G._inverse, N.bit_count()
+    # G/N is abelian iff ab(ba)^-1 lies in N for all a, b
+    if any(not N >> t[t[a][b]][inv[t[b][a]]] & 1
+           for a in range(G.order) for b in range(a)):
         raise ValueError("group is not abelian")
-    orders = [g.order() for g in G.elements]
+    orders = []
+    for g in range(G.order):
+        x, m = g, 1
+        while not N >> x & 1:
+            x, m = t[x][g], m + 1
+        orders.append(m)
     powers = []
-    for p, mult in arith.factor(G.order).exponents:
+    for p, mult in arith.factor(G.order // size).exponents:
         part = p ** mult
-        # #{g : g^(p^j) = 1} = p^(sum_i min(j, e_i)) determines the e_i
+        # #{gN : g^(p^j) in N} = p^(sum_i min(j, e_i)) determines the e_i
         logs = [0]
         j = 1
         while p ** logs[-1] < part:
             pj = p ** j
-            logs.append(_exact_log(sum(1 for o in orders if pj % o == 0), p))
+            logs.append(_exact_log(sum(1 for o in orders if pj % o == 0) // size, p))
             j += 1
         at_least = [logs[i] - logs[i - 1] for i in range(1, len(logs))]
         for i, cnt in enumerate(at_least):
@@ -168,13 +175,11 @@ def fingerprint(G: FinGroup) -> Fingerprint:
     orders = G.element_orders()
     subs = G.subgroups()
     profile = Counter((H.order, normal) for H, normal in subs)
-    center = G.center()
-    ab = quotient_group(G, G.commutator_subgroup())
     return Fingerprint(
         order=G.order,
         element_orders=tuple(sorted(orders.items())),
-        center_type=abelian_name(abelian_invariants(center)),
-        abelianization=abelian_name(abelian_invariants(ab)),
+        center_type=abelian_name(abelian_invariants(G.center())),
+        abelianization=abelian_name(quotient_invariants(G, G.commutator_subgroup())),
         subgroup_profile=tuple(sorted(profile.items())),
         has_q8_subgroup=any(_looks_like_q8(H) for H, _ in subs),
         has_order8_element=orders.get(8, 0) > 0,

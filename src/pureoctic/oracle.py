@@ -185,10 +185,10 @@ class Verdict(namedtuple("Verdict", "passed worst_deviation worst_type foreign_t
         return "; ".join(bits)
 
 
-def _decimal(q: Fraction, places: int = 4) -> str:
-    scaled = round(q * 10 ** places)
-    text = f"{scaled:0{places + 1}d}"
-    return f"{text[:-places]}.{text[-places:]}"
+def _decimal(q: Fraction) -> str:
+    """q rounded to four decimal places."""
+    text = f"{round(q * 10 ** 4):05d}"
+    return f"{text[:-4]}.{text[-4:]}"
 
 
 def consistent(cns: Census, model: dict[CycleType, Fraction],

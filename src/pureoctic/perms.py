@@ -165,9 +165,6 @@ class FinGroup:
     def __hash__(self):
         return hash(self._members)
 
-    def is_subgroup(self, other: "FinGroup") -> bool:
-        return self._members <= other._members
-
     def _central(self) -> int:
         # the bitmask of the elements whose row of the table equals their
         # column: those that commute with every element

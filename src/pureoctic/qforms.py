@@ -12,7 +12,9 @@ completion of Q at the place v.  Two quaternion criteria are exposed:
     rewritten triplets inside S_L = {a, b, ab, c, ac, bc, abc}.
 
 Everything is decided at the finitely many relevant places: infinity, 2,
-and the odd primes dividing a square-free part of a coefficient.
+and the odd primes dividing a square-free part of a coefficient.  A
+diagonal ternary form <a, b, c> is the triple (a, b, c) of nonzero
+rationals.
 
 `equivalent` and the criteria run on a `ClassSpace`: the inputs are
 factored once into an `arith.PrimeBasis`, every class in their span is
@@ -87,14 +89,10 @@ def hilbert(a: Rational, b: Rational, place: Place) -> int:
     if p == 2:
         exponent = _eps(u) * _eps(w) + alpha * _omega(w) + beta * _omega(u)
         return -1 if exponent % 2 else 1
-    sign = 1
-    if alpha * beta % 2 and (p - 1) // 2 % 2:
-        sign = -sign
-    if beta % 2:
-        sign *= arith.legendre(u, p)
-    if alpha % 2:
-        sign *= arith.legendre(w, p)
-    return sign
+    # (-1)^(alpha beta eps(p)) (u/p)^beta (w/p)^alpha is the residue symbol
+    # of (-1)^(alpha beta) u^beta w^alpha, read by Euler's criterion
+    x = (-1) ** (alpha * beta) * u ** (beta % 2) * w ** (alpha % 2)
+    return 1 if pow(x, p >> 1, p) == 1 else -1
 
 
 def relevant_places(*values: Rational) -> list[Place]:
@@ -109,31 +107,14 @@ def relevant_places(*values: Rational) -> list[Place]:
     return [REAL_PLACE, Place(2)] + [Place(p) for p in sorted(primes)]
 
 
-class TernaryForm(namedtuple("TernaryForm", "a b c")):
-    """A nondegenerate diagonal form <a, b, c> over Q, Fraction coefficients."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, a, b, c) -> "TernaryForm":
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        if 0 in (a, b, c):
-            raise ValueError("form coefficients must be nonzero")
-        return cls(a, b, c)
-
-    @property
-    def coefficients(self):
-        return (self.a, self.b, self.c)
-
-
-def equivalent(f: TernaryForm, g: TernaryForm, space: ClassSpace | None = None) -> bool:
-    """Rational equivalence of ternary forms: same discriminant class, same
-    signature, same Hasse invariant at every relevant place.  `space`, a
-    `ClassSpace` whose basis holds every coefficient's class, spares
-    factoring the coefficients."""
-    space = space or ClassSpace(*f.coefficients, *g.coefficients)
-    return space.equivalent(tuple(map(space.vector, f.coefficients)),
-                            tuple(map(space.vector, g.coefficients)))
+def equivalent(f, g, space: ClassSpace | None = None) -> bool:
+    """Rational equivalence of ternary forms, each a triple of nonzero
+    rationals: same discriminant class, same signature, same Hasse invariant
+    at every relevant place.  `space`, a `ClassSpace` whose basis holds
+    every coefficient's class, spares factoring the coefficients.  A zero
+    coefficient raises ValueError."""
+    space = space or ClassSpace(*f, *g)
+    return space.equivalent(tuple(map(space.vector, f)), tuple(map(space.vector, g)))
 
 
 def _symbol_rows(primes: tuple[int, ...], p: int | None) -> tuple[int, ...]:
@@ -256,7 +237,7 @@ def witt_embeddable(a1: Rational, a2: Rational, space: ClassSpace | None = None)
     space = space or ClassSpace(a1, a2)
     space.independent((a1, a2), "a1, a2 must be quadratically independent"
                                 " non-squares (the V4 hypothesis fails)")
-    return equivalent(TernaryForm.of(a1, a2, a1 * a2), TernaryForm.of(1, 1, 1), space)
+    return equivalent((a1, a2, a1 * a2), (1, 1, 1), space)
 
 
 def pauli_embeddable(a: Rational, b: Rational, c: Rational,
@@ -266,7 +247,7 @@ def pauli_embeddable(a: Rational, b: Rational, c: Rational,
     [a, b, ab] ~ [1, c, c]."""
     space = space or ClassSpace(a, b, c)
     space.independent((a, b, c), _INDEPENDENT)
-    return equivalent(TernaryForm.of(a, b, a * b), TernaryForm.of(1, c, c), space)
+    return equivalent((a, b, a * b), (1, c, c), space)
 
 
 def brauer_condition(a: Rational, b: Rational, c: Rational,

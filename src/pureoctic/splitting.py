@@ -170,11 +170,6 @@ class FieldElt:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is irrational")
-        return Fraction(self.nums[0], self.den)
-
     def __eq__(self, other):
         if isinstance(other, FieldElt) and self.field.k != other.field.k:
             return False
@@ -289,12 +284,10 @@ class SplittingField:
 
     # --- fixed fields -----------------------------------------------------
 
-    def fixed_field(self, subgroup) -> "FixedField":
+    def fixed_field(self, H: FinGroup) -> "FixedField":
         """Basis, degree and a certified primitive element of the subfield
-        fixed by the given subgroup of galois_group(): a FinGroup, taken as
-        it is, or any collection of its elements that FinGroup() accepts;
-        anything else raises ValueError."""
-        H = subgroup if isinstance(subgroup, FinGroup) else FinGroup(subgroup)
+        fixed by the subgroup H of galois_group(); an element that is not an
+        automorphism of E raises ValueError."""
         members = frozenset(H)
         # H acts on the basis by scaled permutations: each orbit carries at
         # most one fixed vector, its orbit sum, and distinct orbits have

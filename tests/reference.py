@@ -18,7 +18,7 @@ from functools import lru_cache
 from pureoctic import arith, groups, oracle
 from pureoctic.arith import Rational, SquareClass, squarefree_part
 from pureoctic.groups import FinGroup, Perm
-from pureoctic.qforms import Place, TernaryForm, hilbert, relevant_places
+from pureoctic.qforms import Place, hilbert, relevant_places
 from pureoctic.splitting import (
     FieldElt,
     LatticeReport,
@@ -33,7 +33,7 @@ from pureoctic.splitting import (
 
 def is_fourth_power(q: Rational) -> bool:
     """True iff q = x^4 for some rational x."""
-    return arith.is_nth_power(Fraction(q), 4)
+    return arith.nth_root(Fraction(q), 4) is not None
 
 
 def valuation(q: Rational, p: int) -> int:
@@ -72,7 +72,7 @@ def is_irreducible_binomial(n: int, c: Rational) -> bool:
     if c == 0:
         raise ValueError("X^n alone is not a binomial: c must be nonzero")
     for q in _prime_divisors(n):
-        if arith.is_nth_power(-c, q):
+        if arith.nth_root(-c, q) is not None:
             return False
     if n % 4 == 0 and is_fourth_power(c / 4):
         return False
@@ -88,7 +88,7 @@ def schinzel_abelian(n: int, c: Rational) -> bool:
         raise ValueError("degree must be positive")
     if c == 0:
         raise ValueError("c must be nonzero")
-    return arith.is_nth_power(c * c, n)
+    return arith.nth_root(c * c, n) is not None
 
 
 # --- groups -------------------------------------------------------------------
@@ -120,9 +120,19 @@ def pauli_criteria(G: FinGroup) -> tuple[bool, bool, bool]:
             any(groups._looks_like_q8(H) for H, _ in subs))
 
 
-def quotient_type(G: FinGroup, N: FinGroup) -> str:
-    """Isomorphism type of G/N (N must be normal in G)."""
-    return groups.identify(groups.quotient_group(G, N))
+def quotient_group(G: FinGroup, N: FinGroup) -> FinGroup:
+    """G/N, for N normal in G, as the regular permutation group on the
+    cosets, numbered in the order of their least elements."""
+    t = G._table
+    members = [G._index[n.images] for n in N]
+    coset, reps = {}, []
+    for g in range(G.order):
+        if g not in coset:
+            for n in members:
+                coset[t[g][n]] = len(reps)
+            reps.append(g)
+    return groups.from_multiplication(range(len(reps)),
+                                      lambda a, b: coset[t[reps[a]][reps[b]]])
 
 
 def greedy_generators(elements) -> tuple[Perm, ...]:
@@ -267,6 +277,7 @@ def all_hold(cert: WittCertificate) -> bool:
 
 
 # --- qforms -------------------------------------------------------------------
+# a diagonal ternary form is the triple of its nonzero rational coefficients
 
 
 @lru_cache(maxsize=None)
@@ -312,29 +323,29 @@ def local_solubility_search(a: int, b: int, p: int) -> bool:
     return False
 
 
-def hasse_invariant(f: TernaryForm, place: Place) -> int:
+def hasse_invariant(f, place: Place) -> int:
     """prod over i < j of (f_i, f_j)_v."""
-    a, b, c = f.coefficients
+    a, b, c = f
     return hilbert(a, b, place) * hilbert(a, c, place) * hilbert(b, c, place)
 
 
-def signature(f: TernaryForm) -> tuple[int, int]:
-    pos = sum(1 for x in f.coefficients if x > 0)
+def signature(f) -> tuple[int, int]:
+    pos = sum(1 for x in f if x > 0)
     return (pos, 3 - pos)
 
 
-def discriminant_class(f: TernaryForm) -> SquareClass:
-    return squarefree_part(f.a * f.b * f.c)
+def discriminant_class(f) -> SquareClass:
+    return squarefree_part(math.prod(f))
 
 
-def isotropic(f: TernaryForm) -> bool:
+def isotropic(f) -> bool:
     """Does f represent 0 nontrivially over Q?  Local-global: at the real
     place this means indefinite; at p it means the Hasse invariant equals
     (-1, -disc)_p."""
     if signature(f)[0] in (0, 3):
         return False
-    d = f.a * f.b * f.c
-    for v in relevant_places(*f.coefficients):
+    d = math.prod(f)
+    for v in relevant_places(*f):
         if v.is_real:
             continue
         if hasse_invariant(f, v) != hilbert(Fraction(-1), -d, v):
@@ -342,11 +353,11 @@ def isotropic(f: TernaryForm) -> bool:
     return True
 
 
-def isotropy_witness(f: TernaryForm, bound: int = 30):
+def isotropy_witness(f, bound: int = 30):
     """A small nontrivial integer zero of f (signs are immaterial for a
     diagonal form), or None within the bound."""
-    scale = math.lcm(*(q.denominator for q in f.coefficients))
-    A, B, C = (int(q * scale) for q in f.coefficients)
+    scale = math.lcm(*(q.denominator for q in f))
+    A, B, C = (int(q * scale) for q in f)
     squares = [n * n for n in range(bound + 1)]
     for x in range(bound + 1):
         ax = A * squares[x]

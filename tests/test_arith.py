@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 import reference
 
-from pureoctic import arith
+from pureoctic import arith, qforms
 
 
 def test_factor_hand_examples():
@@ -58,7 +58,7 @@ def test_squarefree_part_properties_random():
         q = F(rng.randint(1, 5000) * rng.choice([1, -1]), rng.randint(1, 5000))
         t = arith.squarefree_part(q).representative
         # q / t is a square and t is square-free
-        assert arith.is_square(q / t)
+        assert arith.nth_root(q / t, 2) is not None
         assert all(e == 1 for _, e in arith.factor(abs(t)).exponents) or abs(t) == 1
         m = rng.randint(1, 60)
         assert arith.squarefree_part(q * m * m).representative == t
@@ -68,15 +68,16 @@ def test_is_square_iff_trivial_class():
     rng = random.Random(4)
     for _ in range(200):
         q = F(rng.randint(1, 2000), rng.randint(1, 2000))
-        assert arith.is_square(q) == (arith.squarefree_part(q).representative == 1)
+        assert (arith.nth_root(q, 2) is not None) == \
+            (arith.squarefree_part(q).representative == 1)
 
 
 def test_square_and_fourth_power_examples():
-    assert arith.is_square(F(16)) and reference.is_fourth_power(F(16))
-    assert arith.is_square(F(4)) and not reference.is_fourth_power(F(4))
-    assert not arith.is_square(F(2, 9)) and not reference.is_fourth_power(F(2, 9))
-    assert arith.is_square(F(0))
-    assert not arith.is_square(F(-4))
+    assert arith.nth_root(F(16), 2) == 4 and reference.is_fourth_power(F(16))
+    assert arith.nth_root(F(4), 2) == 2 and not reference.is_fourth_power(F(4))
+    assert arith.nth_root(F(2, 9), 2) is None and not reference.is_fourth_power(F(2, 9))
+    assert arith.nth_root(F(0), 2) == 0
+    assert arith.nth_root(F(-4), 2) is None
     assert arith.nth_root(F(-8, 27), 3) == F(-2, 3)
 
 
@@ -91,16 +92,16 @@ def test_valuation():
 
 
 def test_legendre_against_enumeration():
-    # oracle: enumerate the squares mod p directly
+    # (a, p)_p of a unit a is the residue symbol (a/p): enumerate the squares
+    # mod p directly
     for p in (3, 5, 7, 11, 13, 17, 19):
         squares = {x * x % p for x in range(1, p)}
         for a in range(-30, 31):
-            want = 0 if a % p == 0 else (1 if a % p in squares else -1)
-            assert arith.legendre(a, p) == want
-    assert arith.legendre(2, 3) == -1
-    assert arith.legendre(5, 3) == -1
-    with pytest.raises(ValueError):
-        arith.legendre(1, 2)
+            if a % p:
+                want = 1 if a % p in squares else -1
+                assert qforms.hilbert(a, p, qforms.Place(p)) == want, (a, p)
+    assert qforms.hilbert(2, 3, qforms.Place(3)) == -1
+    assert qforms.hilbert(5, 3, qforms.Place(3)) == -1
 
 
 def test_primes_below():

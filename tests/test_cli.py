@@ -583,6 +583,23 @@ def test_named_group_identify_builds_no_registry(capsys, monkeypatch):
     assert groups.fingerprint.cache_info().misses == 1
 
 
+def test_named_group_identify_prints_the_name_identify_gives(capsys, monkeypatch):
+    # one name per group: an abelian group is named by its invariants (K8's
+    # group is C4xC2), and no named request builds the fingerprint registry
+    from pureoctic import groups
+    monkeypatch.setattr(groups, "_nonabelian_registry", lambda: pytest.fail(
+        "a named request built the fingerprint registry"))
+    printed = {}
+    for name in GROUP_NAMES:
+        code, out, _ = run(capsys, "group-identify", name, "--format", "json")
+        assert code == 0, name
+        printed[name] = json.loads(out)["name"]
+    monkeypatch.undo()
+    for name in GROUP_NAMES:
+        G = groups.group_models()[groups.ALIASES.get(name, name)].group
+        assert printed[name] == groups.identify(G), name
+
+
 def test_group_identify_refuses_a_name_with_gens(capsys):
     code, out, err = run(capsys, "group-identify", "QD16", "--gens", "1 0")
     assert (code, out, err) == (2, "", "error: give a group name or --gens, not both\n")

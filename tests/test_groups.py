@@ -168,22 +168,75 @@ def test_pauli_subgroup_lattice_structure():
     assert len(non_normal) == 6 and all(H.order == 2 for H in non_normal)
 
 
+def _quotient_type(G, N):
+    return groups.abelian_name(groups.quotient_invariants(G, N))
+
+
 def test_pauli_quotients():
     P = groups.pauli_matrix_group()
     subs = P.subgroups()
     center = P.center()
-    assert reference.quotient_type(P, center) == "V4"
+    assert _quotient_type(P, center) == "V4"
     minus_e = next(H for H, nrm in subs if H.order == 2 and nrm)
-    assert reference.quotient_type(P, minus_e) == "E8"
-    assert reference.quotient_type(P, P) == "C1"
+    assert _quotient_type(P, minus_e) == "E8"
+    assert _quotient_type(P, P) == "C1"
     # every nontrivial proper quotient is elementary abelian
     for H, nrm in subs:
         if nrm and 1 < H.order < 16:
-            assert reference.quotient_type(P, H) in {"C2", "V4", "E8"}
-    with pytest.raises(ValueError):
-        q8 = next(H for H, _ in subs if groups._looks_like_q8(H))
-        non_normal = next(H for H, nrm in subs if not nrm)
-        groups.quotient_group(q8, non_normal)
+            assert _quotient_type(P, H) in {"C2", "V4", "E8"}
+    non_normal = next(H for H, nrm in subs if not nrm)
+    with pytest.raises(ValueError, match="not normal"):
+        groups.quotient_invariants(P, non_normal)
+    # P itself is not abelian, and Q8 does not hold a non-normal subgroup of P
+    with pytest.raises(ValueError, match="not abelian"):
+        groups.quotient_invariants(P, subs[0][0])
+    q8 = next(H for H, _ in subs if groups._looks_like_q8(H))
+    with pytest.raises(ValueError, match="not a subgroup"):
+        groups.quotient_invariants(q8, non_normal)
+
+
+def _registry_groups():
+    for name, m in groups.group_models().items():
+        yield name, m.group
+        if m.model8 is not None:
+            yield f"{name} on 8 points", m.model8
+
+
+def test_quotient_invariants_match_the_coset_group():
+    # every abelian quotient G/N of every registry group and 8-point model,
+    # against the regular permutation group on the cosets of N: the element
+    # orders of the abelian group of those invariants are its element orders
+    pairs = 0
+    for label, G in _registry_groups():
+        derived = G.commutator_subgroup()
+        for N, normal in G.subgroups():
+            if not (normal and set(derived) <= set(N)):
+                continue
+            invariants = groups.quotient_invariants(G, N)
+            Q = reference.quotient_group(G, N)
+            assert Q.is_abelian(), label
+            assert Q.element_orders() == \
+                groups._abelian(1, *invariants).element_orders(), (label, N.order)
+            pairs += 1
+    assert pairs == 304
+
+
+def test_fingerprint_builds_no_group(monkeypatch):
+    # G/G' is read off G's table: fingerprinting every registry group and
+    # 8-point model builds no FinGroup
+    cases = list(_registry_groups())
+    built = []
+    init = perms.FinGroup.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(perms.FinGroup, "__init__", counted_init)
+    groups.fingerprint.cache_clear()
+    for _, G in cases:
+        groups.fingerprint(G)
+    assert built == []
 
 
 def test_q8_all_subgroups_normal():
@@ -297,7 +350,7 @@ def test_group_models_identify_as_their_identity():
         if m.model8 is not None:
             assert m.model8.degree == 8 and reference.is_transitive(m.model8), name
             assert groups.identify(m.model8) == identity, name
-            assert m.model8.is_subgroup(models["B32"].model8), name
+            assert set(m.model8) <= set(models["B32"].model8), name
     assert sorted(groups.ALIASES) == ["d8", "hol-c8", "pauli-affine",
                                       "pauli-matrices", "q8"]
     assert set(groups.ALIASES.values()) <= set(models)

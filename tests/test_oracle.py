@@ -344,7 +344,7 @@ def test_cycle_type_table_is_the_models():
     for tag in tags:
         counts = oracle.CYCLE_TYPE_COUNTS[tag.name]
         order = sum(counts.values())
-        assert order == tag.group_order == models[tag.name].order
+        assert order == tag.splitting_degree == models[tag.name].order
         want = oracle.group_cycle_types(models[tag.name])
         assert {t: F(n, order) for t, n in counts.items()} == want
         assert oracle.model_cycle_types(tag.name) == want
