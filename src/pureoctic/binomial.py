@@ -54,6 +54,11 @@ def pauli_condition_violation(k: Rational) -> str | None:
     return None
 
 
+def poly_display(c: Fraction) -> str:
+    """X^8 + c as printed: X^8 - 2 for c = -2."""
+    return f"X^8 - {-c}" if c < 0 else f"X^8 + {c}"
+
+
 def _squared(r: Fraction) -> str:
     """r^2 for display, with a fraction in parentheses: 3^2, (3/2)^2."""
     return f"{r}^2" if r.denominator == 1 else f"({r})^2"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -30,20 +31,25 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit(payload: dict, fmt: str, text: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, default=_json_default, sort_keys=True, indent=2))
-    else:
+def _write(text: str) -> None:
+    # a reader that closed the pipe early gets nothing, and the command still
+    # returns its own exit code; with stdout on devnull the interpreter's
+    # exit flush stays quiet
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _emit(payload: dict, fmt: str, text: str) -> None:
+    _write(json.dumps(payload, default=_json_default, sort_keys=True, indent=2)
+           if fmt == "json" else text)
 
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _poly_display(c: Fraction) -> str:
-    return f"X^8 - {-c}" if c < 0 else f"X^8 + {c}"
 
 
 # --- subcommands -------------------------------------------------------------
@@ -54,7 +60,7 @@ def cmd_classify(args) -> int:
     c = parse_rational(args.c)
     tag, branch = binomial.octic_verdict(c)
     irreducible = tag.name != binomial.TAG_REDUCIBLE
-    lines = [f"polynomial: {_poly_display(c)}"]
+    lines = [f"polynomial: {binomial.poly_display(c)}"]
     if irreducible:
         lines.append("irreducible: yes"
                      " (-c is not a square; c is not of the form 4*lambda^4)")
@@ -70,7 +76,7 @@ def cmd_classify(args) -> int:
         lines.append("galois group: Reducible (no transitive octic group)")
     payload = {
         "c": c,
-        "polynomial": _poly_display(c),
+        "polynomial": binomial.poly_display(c),
         "irreducible": irreducible,
         "tag": tag.name,
         # |Gal(E/Q)| = [E:Q]
@@ -91,7 +97,7 @@ def cmd_lattice(args) -> int:
         str(k ** 2)
     report = splitting.SplittingField(k).lattice_report()
     if args.format == "dot":
-        print(report.as_dot())
+        _write(report.as_dot())
     else:
         _emit(report.as_dict(), args.format, report.as_text())
     return 0
@@ -211,7 +217,8 @@ def cmd_oracle(args) -> int:
     tolerance = parse_rational(args.tolerance)
     tag = binomial.classify_octic(c)
     if tag.name == binomial.TAG_REDUCIBLE:
-        return _fail(f"{_poly_display(c)} is reducible: no transitive group to test")
+        return _fail(f"{binomial.poly_display(c)} is reducible:"
+                     " no transitive group to test")
     cns = oracle.census(c, args.primes)
     verdict = oracle.consistent(cns, oracle.model_cycle_types(tag.name), tolerance)
     lines = [f"classifier: {tag.name}",

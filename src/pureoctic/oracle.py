@@ -118,7 +118,7 @@ class Census(namedtuple("Census", "c bound counts total skipped")):
         return {t: Fraction(n, self.total) for t, n in self.counts}
 
     def as_text(self) -> str:
-        lines = [f"census of X^8 + {self.c} over primes < {self.bound}:"
+        lines = [f"census of {binomial.poly_display(self.c)} over primes < {self.bound}:"
                  f" {self.total} good, skipped {list(self.skipped)}"]
         for t, n in self.counts:
             lines.append(f"  {shape(t):15s} {n:6d}  ({Fraction(n, self.total)})")

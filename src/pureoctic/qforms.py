@@ -100,10 +100,7 @@ def relevant_places(*values: Rational) -> list[Place]:
     Hilbert symbols of the given values are +1 everywhere else."""
     primes = set()
     for v in values:
-        rep = squarefree_part(v).representative
-        for p, _ in arith.factor(rep).exponents:
-            if p != 2:
-                primes.add(p)
+        primes.update(p for p in squarefree_part(v).primes if p != 2)
     return [REAL_PLACE, Place(2)] + [Place(p) for p in sorted(primes)]
 
 

@@ -13,9 +13,11 @@ a scaled a^j * w^(tj+se).  So g fixes u iff u[target] * den = num * u[i] on
 the support of u, compared in integers.  The fixed field of a subgroup H,
 a FinGroup taken as `subgroups()` returns it, is spanned by its orbit sums;
 a candidate in it generates it iff no automorphism outside H fixes it.  A
-subfield label names the subgroup that fixes its generators, the lattice
-reads each subgroup's generators off the Galois group's Cayley table, and
-the inverse is the product of the other conjugates over the norm.
+label names the subgroup fixing its generators: for the fifteen subfields of
+L = Q(i, sqrt(2), sqrt(k)) it is read off whether g negates i, sqrt(2) and
+sqrt(k), for the four named octics off stabilisers.  The lattice reads
+generating sets off the Galois group's Cayley table, and the inverse is the
+product of the other conjugates over the norm.
 
 The module also certifies, in E, where sqrt(-2) = i * sqrt(2), the
 change-of-basis matrix T over Q(sqrt(-2)) (det 1, carrying diag(2, k, 1/2k)
@@ -247,13 +249,6 @@ class SplittingField:
         """Complex conjugate of a: a * w^7 = -a^5 * w / k."""
         return self.monomial(5, 1, -Fraction(1) / self.k)
 
-    @cached_property
-    def _square_roots(self) -> dict:
-        # the seven square classes attached to the field, in label order
-        k, i, r, v2 = self.k, self.i, self.r, self.v2
-        return {Fraction(-1): i, Fraction(2): r, Fraction(-2): i * r, k: v2,
-                -k: self.monomial(2, 1), 2 * k: r * v2, -2 * k: i * r * v2}
-
     # --- Galois action ---------------------------------------------------
 
     def galois_group(self) -> FinGroup:
@@ -277,10 +272,10 @@ class SplittingField:
     def orbit(self, u: FieldElt) -> set:
         return {self.apply(g, u).coeffs for g in self._actions}
 
-    def _stabilizer(self, *elts: FieldElt) -> frozenset:
-        """The automorphisms fixing every given element."""
+    def _stabilizer(self, u: FieldElt) -> frozenset:
+        """The automorphisms fixing u."""
         return frozenset(g for g, action in self._actions.items()
-                         if all(_fixes(action, u.nums) for u in elts))
+                         if _fixes(action, u.nums))
 
     # --- fixed fields -----------------------------------------------------
 
@@ -336,29 +331,34 @@ class SplittingField:
     def _label_table(self) -> dict:
         """Subfield labels keyed by the stabiliser of their generators; where
         several labels name one subgroup, the first listed wins."""
-        k, roots = self.k, self._square_roots
+        # L = Q(i, sqrt(2), sqrt(k)) has the seven quadratic subfields
+        # Q(sqrt(d_n)), d_n = (-1)^(n&1) * 2^(n>>1&1) * k^(n>>2) for n = 1..7.
+        # Bit b of flips[g] says whether g negates the b-th of i, sqrt(2) and
+        # sqrt(k), so g fixes sqrt(d_n) iff flips[g] & n has even weight
+        gens = (self.i.nums, self.r.nums, self.v2.nums)
+        flips = {g: sum(1 << b for b, u in enumerate(gens) if not _fixes(action, u))
+                 for g, action in self._actions.items()}
+
+        def fixing(*ns):
+            return frozenset(g for g, f in flips.items()
+                             if not any((f & n).bit_count() & 1 for n in ns))
+
         # k is factored once; over its prime basis -1 is the vector 1 and 2
-        # is the vector 2.  The Pauli condition makes these seven classes and
-        # 1 a group C2^3 modulo squares, so the class of d1*d2 is the XOR of
-        # theirs and is one of the seven
-        basis = PrimeBasis((squarefree_part(k),))
+        # is the vector 2.  The Pauli condition makes the seven classes and 1
+        # a group C2^3 modulo squares, so d_n has the vector of n below
+        basis = PrimeBasis((squarefree_part(self.k),))
         kv = basis.vectors[0]
-        vectors = dict(zip(roots, (1, 2, 3, kv, kv ^ 1, kv ^ 2, kv ^ 3)))
-        reps = {d: basis.representative(v) for d, v in vectors.items()}
-        labels = [(_field_name([reps[d]]), [root]) for d, root in roots.items()]
-        for d1, d2 in itertools.combinations(roots, 2):
-            d3 = basis.representative(vectors[d1] ^ vectors[d2])
-            plane = sorted({reps[d1], reps[d2], d3}, key=_class_order)
-            labels.append((_field_name(plane[:2]), [roots[d1], roots[d2]]))
-        labels += [("Q(i, sqrt(2), sqrt(%s))" % reps[k], [self.i, self.r, self.v2]),
-                   ("Q(a)", [self.a]),
-                   ("Q(w*a)", [self.a * self.w]),
-                   ("Q(a+abar)", [self.a + self.a_bar]),
-                   ("Q(a-abar)", [self.a - self.a_bar])]
-        table = {}
-        for label, gens in labels:
-            table.setdefault(self._stabilizer(*gens), label)
-        return table
+        reps = [basis.representative((n & 3) ^ kv * (n >> 2)) for n in range(8)]
+        labels = [(fixing(n), _field_name([reps[n]])) for n in range(1, 8)]
+        # each plane {n1, n2, n1^n2} once, named by its two least classes
+        labels += [(fixing(n1, n2), _field_name(sorted(
+                       (reps[n1], reps[n2], reps[n1 ^ n2]), key=_class_order)[:2]))
+                   for n1, n2 in itertools.combinations(range(1, 8), 2) if n1 ^ n2 > n2]
+        labels.append((fixing(1, 2, 4), "Q(i, sqrt(2), sqrt(%s))" % reps[4]))
+        labels += [(self._stabilizer(u), label) for label, u in (
+            ("Q(a)", self.a), ("Q(w*a)", self.a * self.w),
+            ("Q(a+abar)", self.a + self.a_bar), ("Q(a-abar)", self.a - self.a_bar))]
+        return dict(reversed(labels))
 
     # --- lattice ----------------------------------------------------------
 
@@ -512,7 +512,7 @@ def witt_T(field: SplittingField) -> list[list[FieldElt]]:
     K = k + 1/2, kappa = k - 1/2."""
     k, m, half = field.k, field.monomial, Fraction(1, 2)
     K, kap = k + half, k - half
-    s = field._square_roots[Fraction(-2)]
+    s = field.i * field.r
     # -1/2 times [[1, 1, 0], [-K/k, K/k, -kap/k s], [kap s, -kap s, -2K]]
     return [[m(0, 0, -half), m(0, 0, -half), field.zero()],
             [m(0, 0, K / (2 * k)), m(0, 0, -K / (2 * k)), s * (kap / (2 * k))],
@@ -542,8 +542,7 @@ def witt_beta_rho(field: SplittingField) -> WittCertificate:
     k = field.k
     K = k + Fraction(1, 2)
     r, v2, w = field.r, field.v2, field.w
-    roots = field._square_roots  # sqrt(-2) and sqrt(2k), built once
-    s, r_v2 = roots[Fraction(-2)], roots[2 * k]
+    s, r_v2 = field.i * r, r * v2  # sqrt(-2) and sqrt(2k)
     beta = (field.one() - Fraction(1, 2) * r
             - (K / (2 * k)) * v2 + (K / (2 * k)) * r_v2)
     T = witt_T(field)

@@ -258,8 +258,11 @@ def defining_polynomial_check(E: SplittingField) -> bool:
 
 def sqrt_of(E: SplittingField, d) -> FieldElt:
     """An exact square root of d, for d in the seven square classes
-    {-1, 2, -2, k, -k, 2k, -2k} attached to the field."""
-    return E._square_roots[Fraction(d)]
+    {-1, 2, -2, k, -k, 2k, -2k} attached to the field: the product of those
+    of i, sqrt(2) and sqrt(k) whose squares multiply to d."""
+    n = 1 + [-1, 2, -2, E.k, -E.k, 2 * E.k, -2 * E.k].index(Fraction(d))
+    return math.prod((u for bit, u in enumerate((E.i, E.r, E.v2)) if n >> bit & 1),
+                     start=E.one())
 
 
 def degree_counts(report: LatticeReport) -> dict[int, int]:

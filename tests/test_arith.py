@@ -185,6 +185,7 @@ def test_factor_brent_rho_past_trial_division():
         assert dict(arith.factor(p * q).exponents) == {p: 1, q: 1}
 
 
+@pytest.mark.budget
 def test_factor_budget_raises_a_value_error():
     # 2^61 - 1 is far beyond what rho finds within its budget
     with pytest.raises(arith.FactoringError, match="cannot factor"):

@@ -83,7 +83,8 @@ def run_python(*args, **kwargs):
     src = str(Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True,
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], stderr=subprocess.PIPE,
                           text=True, env=env, **kwargs)
 
 
@@ -430,6 +431,7 @@ _BIG = str(10 ** 400 + 1)
 _M = str((2 ** 61 - 1) * (2 ** 89 - 1))
 
 
+@pytest.mark.budget
 @pytest.mark.parametrize("argv", [
     ("lattice", _BIG),
     ("embed", _BIG, "3", "-2"),
@@ -444,6 +446,23 @@ def test_unfactorable_input_exits_within_budget(argv):
     assert "Traceback" not in proc.stderr
     if proc.returncode == 2:
         assert proc.stderr.startswith("error: cannot factor")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("classify", "9"), 0),
+    (("lattice", "3", "--format", "json"), 0),
+    (("lattice", "3", "--format", "dot"), 0),
+    (("oracle", "9", "--primes", "20000", "--tolerance", "1/1000"), 1),
+], ids=["classify", "lattice-json", "lattice-dot", "oracle-fail"])
+def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(argv, code):
+    # the reader's end is closed before the command writes a byte
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_python("-m", "pureoctic", *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")
 
 
 @pytest.mark.parametrize("value", [_BIG, _M])

@@ -393,3 +393,19 @@ def test_embed_proves_each_basis_prime_once(monkeypatch, capsys):
     assert cli.main(["embed", str(big), "3", "5"]) == 0
     assert "S_L = " in capsys.readouterr().out
     assert proved.count(big) == 1
+
+
+def test_relevant_places_factor_each_value_once(monkeypatch):
+    # the odd primes are read off each value's square class, so 6, -10/21
+    # and 35 cost one factorization per numerator and denominator
+    calls = []
+    factor = arith.factor
+
+    def counting(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(arith, "factor", counting)
+    places = qforms.relevant_places(6, F(-10, 21), 35)
+    assert places == [REAL_PLACE, Place(2), Place(3), Place(5), Place(7)]
+    assert len(calls) == 4

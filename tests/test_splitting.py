@@ -514,28 +514,62 @@ LABEL_KS = [F(3), F(5, 3), F(12), F(3, 4), F(990051)]
 @pytest.mark.parametrize("k", LABEL_KS)
 def test_stabilizer_matches_apply(k):
     E = SplittingField(k)
-    label_gens = _label_generators(E)
-    elts = [gen for gens in label_gens for gen in gens]
+    elts = [gen for gens in _label_generators(E).values() for gen in gens]
     elts += [row.primitive for row in E.lattice_report().rows]
     # every basis monomial, so each coordinate of the test is exercised
     elts += [E.monomial(*divmod(idx, 2), F(idx + 1, 3)) for idx in range(16)]
     for u in elts:
         assert E._stabilizer(u) == {g for g in E.galois_group()
                                     if E.apply(g, u) == u}
-    for gens in label_gens:
-        assert E._stabilizer(*gens) == frozenset.intersection(
-            *(E._stabilizer(g) for g in gens))
+
+
+@pytest.mark.parametrize("k", LABEL_KS)
+def test_label_table_work(monkeypatch, k):
+    # 48 sign tests, three per automorphism, label L's fifteen subfields,
+    # and 64, one stabiliser per named octic, the rest; the one product is a*w
+    import pureoctic.splitting as splitting
+    calls = Counter()
+    fixes, mul = splitting._fixes, FieldElt.__mul__
+
+    def counting_fixes(*args):
+        calls["fixes"] += 1
+        return fixes(*args)
+
+    def counting_mul(*args):
+        calls["mul"] += 1
+        return mul(*args)
+
+    E = SplittingField(k)
+    monkeypatch.setattr(splitting, "_fixes", counting_fixes)
+    monkeypatch.setattr(FieldElt, "__mul__", counting_mul)
+    assert len(E._label_table) == 19
+    assert calls["fixes"] <= 112 and calls["mul"] <= 1
 
 
 def _label_generators(E):
-    """The generators of the 19 labels: seven square roots, seven planes of
-    two, the triquadratic field and the four named octics."""
-    roots = [reference.sqrt_of(E, d) for d in (-1, 2, -2, E.k, -E.k, 2 * E.k, -2 * E.k)]
-    planes = [[roots[i], roots[j]] for i, j in
-              ((0, 1), (0, 3), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4))]
-    octics = [[E.i, E.r, E.v2], [E.a], [E.a * E.w], [E.a + E.a_bar],
-              [E.a - E.a_bar]]
-    return [[root] for root in roots] + planes + octics
+    """The 19 labels and their generators: seven square roots, seven planes of
+    two, the triquadratic field and the four named octics.  A quadratic or
+    biquadratic field is named by the square-free parts of its classes."""
+    def rep(d):
+        return arith.squarefree_part(d).representative
+
+    def order(d):
+        return abs(d), d < 0
+
+    def name(*reps):
+        return "Q(%s)" % ", ".join("i" if d == -1 else f"sqrt({d})"
+                                   for d in sorted(reps, key=order))
+
+    k = E.k
+    labels = {name(rep(d)): [reference.sqrt_of(E, d)]
+              for d in (-1, 2, -2, k, -k, 2 * k, -2 * k)}
+    for d1, d2 in ((-1, 2), (-1, k), (-1, 2 * k), (2, k), (2, -k), (-2, k), (-2, -k)):
+        plane = sorted((rep(d1), rep(d2), rep(d1 * d2)), key=order)
+        labels[name(*plane[:2])] = [reference.sqrt_of(E, d1), reference.sqrt_of(E, d2)]
+    labels[f"Q(i, sqrt(2), sqrt({rep(k)}))"] = [E.i, E.r, E.v2]
+    labels.update({"Q(a)": [E.a], "Q(w*a)": [E.a * E.w],
+                   "Q(a+abar)": [E.a + E.a_bar], "Q(a-abar)": [E.a - E.a_bar]})
+    return labels
 
 
 @pytest.mark.parametrize("k", LABEL_KS)
@@ -545,7 +579,8 @@ def test_nineteen_distinct_labels(k):
     labels = [row.label for row in rows if row.label]
     assert len(labels) == 19 == len(set(labels))
     # each label names the subgroup fixing its generators, of order 16/degree
-    stabilizers = {E._stabilizer(*gens) for gens in _label_generators(E)}
+    stabilizers = {frozenset.intersection(*map(E._stabilizer, gens))
+                   for gens in _label_generators(E).values()}
     assert len(stabilizers) == 19
     by_subgroup = {frozenset(row.subgroup): row for row in rows}
     for H in stabilizers:
@@ -573,6 +608,14 @@ def test_lattice_and_witt_on_generated_k(k):
     assert len(report.rows) == 23
     assert all(row.degree * row.order == 16 for row in report.rows)
     assert reference.degree_counts(report) == {2: 7, 4: 7, 8: 7}
+    # each of the 19 labels names the subgroup that fixes its generators
+    labels = _label_generators(E)
+    assert len(labels) == 19
+    by_subgroup = {frozenset(row.subgroup): row.label for row in report.rows}
+    for label, gens in labels.items():
+        fixing = frozenset(g for g in E.galois_group()
+                           if all(E.apply(g, u) == u for u in gens))
+        assert by_subgroup[fixing] == label
     cert = witt_beta_rho(E)
     # every field after beta, rho and sqrt(rho * beta) is a check
     assert all(cert[3:]), cert
