@@ -5,7 +5,15 @@ There is no top-level API: import the module that answers the question.
 `splitting` realizes the order-16 case explicitly with its full
 subgroup/subfield lattice; `qforms` decides the quaternion and triquadratic
 embedding criteria by Hilbert symbols and ternary quadratic forms; `oracle`
-checks every verdict independently by a mod-p factorization census.
+checks every verdict independently by a mod-p factorization census.  `cli`
+is the `pureoctic` command.
+
+The package imports nothing.  It holds the one constant that both `cli`,
+which loads no arithmetic for `--help`, and `oracle.census` read:
+`MAX_CENSUS_BOUND`.
 """
 
 __version__ = "0.1.0"
+
+# the largest census bound: the sieve allocates one byte per integer below it
+MAX_CENSUS_BOUND = 10 ** 7

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
@@ -42,9 +41,6 @@ _TRIAL_BOUND = 10 ** 6
 # any size, enough for two 13-digit prime factors
 _RHO_BUDGET = 200_000_000
 _RHO_BATCH = 128
-# an unsigned integer or p/q literal, with underscores between digit groups
-UNSIGNED_RATIONAL = r"\d+(_\d+)*(/\d+(_\d+)*)?"
-_RATIONAL_LITERAL = re.compile(f"[+-]?{UNSIGNED_RATIONAL}")
 
 
 def is_prime(n: int) -> bool:
@@ -296,10 +292,6 @@ def nth_root(q: Rational, k: int) -> Rational | None:
     return Fraction(rn, rd)
 
 
-# the largest census bound: the sieve allocates one byte per integer below it
-MAX_CENSUS_BOUND = 10 ** 7
-
-
 def primes_below(bound: int) -> list[int]:
     """All primes < bound, by a sieve over the odd numbers."""
     if bound <= 2:
@@ -311,18 +303,3 @@ def primes_below(bound: int) -> list[int]:
         if sieve[p >> 1]:
             sieve[p * p >> 1 :: p] = bytes(len(range(p * p >> 1, len(sieve), p)))
     return [2, *itertools.compress(range(1, bound, 2), sieve)]
-
-
-def parse_rational(text: str) -> Rational:
-    """Parse 'p/q' or an integer literal into an exact Fraction; decimal and
-    exponent literals such as '0.5' or '1e3' are rejected."""
-    literal = text.strip()
-    if not _RATIONAL_LITERAL.fullmatch(literal):
-        raise ValueError(f"not a rational number: {text!r}")
-    # int() takes the underscores on every supported Python; Fraction(str)
-    # only from 3.11
-    num, _, den = literal.partition("/")
-    try:
-        return Fraction(int(num), int(den or 1))
-    except ZeroDivisionError as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc

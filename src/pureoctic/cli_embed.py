@@ -1,0 +1,85 @@
+"""The `embed` and `sl-search` subcommands: the triquadratic embedding
+criteria of `qforms` for square classes a, b, c."""
+
+from . import qforms
+from .cli import _emit, parse_rational
+
+
+def cmd_embed(args) -> int:
+    a = parse_rational(args.a)
+    b = parse_rational(args.b)
+    c = parse_rational(args.c)
+    # a, b and c are factored once here; every criterion below reuses it
+    space = qforms.ClassSpace(a, b, c)
+    holds_15 = qforms.pauli_embeddable(a, b, c, space)
+    holds_14 = qforms.brauer_condition(a, b, c, space)
+    triplets = qforms.sl_search(a, b, c, space)
+    classes = qforms.sl_classes(a, b, c, space)
+    lines = [f"square classes of (a, b, c) = ({a}, {b}, {c}): independent",
+             f"S_L = {{{', '.join(map(str, classes))}}}",
+             f"form condition (15) [a,b,ab] ~ [1,c,c]: "
+             f"{'HOLDS' if holds_15 else 'fails'}",
+             f"symbol condition (14) (abc,-1) = (a,b): "
+             f"{'HOLDS' if holds_14 else 'fails'}"]
+    pair_results = {}
+    for u, v in ((a, b), (a, c), (b, c)):
+        key = f"({u}, {v})"
+        pair_results[key] = qforms.witt_embeddable(u, v, space)
+        lines.append(f"quaternion condition for {key} [u,v,uv] ~ [1,1,1]: "
+                     f"{'HOLDS' if pair_results[key] else 'fails'}")
+    lines.append(f"rewritten triplets (u, v, x) from S_L satisfying (15):"
+                 f" {len(triplets)}")
+    for t in triplets:
+        lines.append(f"  {t}")
+    payload = {
+        "a": a, "b": b, "c": c,
+        "sl_classes": classes,
+        "pauli_embeddable_15": holds_15,
+        "brauer_condition_14": holds_14,
+        "witt_pairs": pair_results,
+        "sl_triplets": [list(t) for t in triplets],
+    }
+    if args.compare:
+        table, agreements, total = _compare_table(space)
+        lines.append("")
+        lines.append("agreement of (14) and (15) over ordered independent"
+                     f" triplets from S_L: {agreements}/{total}")
+        lines.extend(table)
+        payload["compare_agreements"] = agreements
+        payload["compare_total"] = total
+    _emit(payload, args.format, "\n".join(lines))
+    return 0
+
+
+def _compare_table(space):
+    """(14) against (15) on every ordered independent triplet from S_L, all
+    over the prime basis of `space`."""
+    rep = space.representative
+    rows = []
+    agreements = 0
+    total = 0
+    for u, v, x in space.triplets(space.sl_classes(*space.vectors)):
+        f15 = space.pauli_embeddable(u, v, x)
+        f14 = space.brauer_condition(u, v, x)
+        total += 1
+        if f14 == f15:
+            agreements += 1
+        else:
+            rows.append(f"  DISAGREE at (u,v,x)=({rep(u)},{rep(v)},{rep(x)}):"
+                        f" (14)={f14} (15)={f15}")
+    if not rows:
+        rows = ["  no disagreements"]
+    return rows, agreements, total
+
+
+def cmd_sl_search(args) -> int:
+    a = parse_rational(args.a)
+    b = parse_rational(args.b)
+    c = parse_rational(args.c)
+    triplets = qforms.sl_search(a, b, c)
+    lines = [f"S_L search for (a, b, c) = ({a}, {b}, {c}):"
+             f" {len(triplets)} triplet(s) satisfy [u,v,uv] ~ [1,x,x]"]
+    lines.extend(f"  (u, v, x) = {t}" for t in triplets)
+    payload = {"a": a, "b": b, "c": c, "triplets": [list(t) for t in triplets]}
+    _emit(payload, args.format, "\n".join(lines))
+    return 0

@@ -1,0 +1,36 @@
+"""The `oracle` subcommand: the mod-p cycle-type census of X^8 + c against
+the model of the classifier's verdict."""
+
+from . import binomial, oracle
+from .cli import _emit, _fail, parse_rational
+
+
+def cmd_oracle(args) -> int:
+    c = parse_rational(args.c)
+    tolerance = parse_rational(args.tolerance)
+    tag = binomial.classify_octic(c)
+    if tag.name == binomial.TAG_REDUCIBLE:
+        return _fail(f"{binomial.poly_display(c)} is reducible:"
+                     " no transitive group to test")
+    # bad input is refused before the census sieves
+    oracle.check_tolerance(tolerance)
+    cns = oracle.census(c, args.primes)
+    verdict = oracle.consistent(cns, oracle.model_cycle_types(tag.name), tolerance)
+    lines = [f"classifier: {tag.name}",
+             cns.as_text(),
+             f"verdict vs {tag.name} model: {verdict}"]
+    payload = {
+        "c": c,
+        "tag": tag.name,
+        "primes_bound": args.primes,
+        "good_primes": cns.total,
+        "skipped_primes": list(cns.skipped),
+        "counts": {oracle.shape(t): n for t, n in cns.counts},
+        "tolerance": tolerance,
+        "passed": verdict.passed,
+        "worst_deviation": verdict.worst_deviation,
+        "worst_type": oracle.shape(verdict.worst_type) if verdict.worst_type else None,
+        "foreign_types": list(map(oracle.shape, verdict.foreign_types)),
+    }
+    _emit(payload, args.format, "\n".join(lines))
+    return 0 if verdict.passed else 1

@@ -39,8 +39,8 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from . import arith, binomial
-from .arith import MAX_CENSUS_BOUND, Rational
+from . import MAX_CENSUS_BOUND, arith, binomial
+from .arith import Rational
 
 CycleType = tuple[int, ...]
 
@@ -191,6 +191,14 @@ def _decimal(q: Fraction) -> str:
     return f"{text[:-4]}.{text[-4:]}"
 
 
+def check_tolerance(tolerance: Rational) -> Fraction:
+    """The tolerance as a Fraction; ValueError if it is negative."""
+    tolerance = Fraction(tolerance)
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    return tolerance
+
+
 def consistent(cns: Census, model: dict[CycleType, Fraction],
                tolerance: Rational) -> Verdict:
     """PASS iff every observed cycle type occurs in the model, given by its
@@ -198,9 +206,7 @@ def consistent(cns: Census, model: dict[CycleType, Fraction],
     absolute tolerance of the model proportion."""
     if cns.total < 500:
         raise ValueError(f"census of {cns.total} primes is too small (need 500)")
-    tolerance = Fraction(tolerance)
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    tolerance = check_tolerance(tolerance)
     freqs = cns.frequencies()
     foreign = tuple(t for t in freqs if t not in model)
     worst: Fraction = Fraction(0)

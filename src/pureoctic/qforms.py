@@ -47,6 +47,11 @@ class Place(namedtuple("Place", "p")):
             raise ValueError(f"{p} is not prime")
         return super().__new__(cls, p)
 
+    @classmethod
+    def _unchecked(cls, p: int) -> "Place":
+        # a prime that `arith.factor` reported needs no second proof
+        return tuple.__new__(cls, (p,))
+
     @property
     def is_real(self) -> bool:
         return self.p is None
@@ -101,7 +106,7 @@ def relevant_places(*values: Rational) -> list[Place]:
     primes = set()
     for v in values:
         primes.update(p for p in squarefree_part(v).primes if p != 2)
-    return [REAL_PLACE, Place(2)] + [Place(p) for p in sorted(primes)]
+    return [REAL_PLACE, *map(Place._unchecked, [2, *sorted(primes)])]
 
 
 def equivalent(f, g, space: ClassSpace | None = None) -> bool:

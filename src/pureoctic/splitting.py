@@ -6,7 +6,8 @@ common factor, in the basis a^j * w^e (j = 0..7, e = 0..1); Fractions
 appear only where k is read and where coordinates are read back or printed.
 `_reduce` writes a^j * w^m as +-k^e times one basis monomial, by a^8 = -k^2
 and w^2 = a^4 / k, and keeps the scale as an integer pair; it gives the
-product table and the Galois action.  The 16 automorphisms a -> a*w^t,
+Galois action and the product table, built by the first field product (a
+lattice report takes none).  The 16 automorphisms a -> a*w^t,
 w -> w^s (s = 2t+1 mod 4) are the elements of `perms.pauli_affine_model()`,
 the maps m -> s*m + t of the roots a*w^m, and each sends a^j * w^e to
 a scaled a^j * w^(tj+se).  So g fixes u iff u[target] * den = num * u[i] on
@@ -198,15 +199,19 @@ class SplittingField:
         if violation is not None:
             raise ValueError(violation)
         self.k = k
-        self._mul_table = tuple(
-            tuple(_reduce(k, j1 + j2, e1 + e2) for j2, e2 in _MONOMIALS)
-            for j1, e1 in _MONOMIALS)
         # the automorphism (t, s) sends a^j*w^e to a^j*w^(tj+se): one
         # (target index, num, den) per basis index, keyed by its root permutation
         self._actions = {
             perms.affine_map(t, s): tuple(_reduce(k, j, t * j + s * e)
                                           for j, e in _MONOMIALS)
             for t, s in perms.PAULI_PAIRS}
+
+    @cached_property
+    def _mul_table(self) -> tuple:
+        """Row i, column j: the product of basis monomials i and j as
+        (index, num, den); built by the first field product."""
+        return tuple(tuple(_reduce(self.k, j1 + j2, e1 + e2) for j2, e2 in _MONOMIALS)
+                     for j1, e1 in _MONOMIALS)
 
     # --- element constructors -------------------------------------------
 
@@ -356,7 +361,7 @@ class SplittingField:
                    for n1, n2 in itertools.combinations(range(1, 8), 2) if n1 ^ n2 > n2]
         labels.append((fixing(1, 2, 4), "Q(i, sqrt(2), sqrt(%s))" % reps[4]))
         labels += [(self._stabilizer(u), label) for label, u in (
-            ("Q(a)", self.a), ("Q(w*a)", self.a * self.w),
+            ("Q(a)", self.a), ("Q(w*a)", self.monomial(1, 1)),
             ("Q(a+abar)", self.a + self.a_bar), ("Q(a-abar)", self.a - self.a_bar))]
         return dict(reversed(labels))
 

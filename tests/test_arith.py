@@ -130,23 +130,6 @@ def test_primes_below_at_odd_prime_squares():
     assert len(arith.primes_below(10 ** 6)) == 78498
 
 
-def test_parse_rational():
-    assert arith.parse_rational("-3/4") == F(-3, 4)
-    assert arith.parse_rational("17") == F(17)
-    with pytest.raises(ValueError):
-        arith.parse_rational("x")
-    with pytest.raises(ValueError):
-        arith.parse_rational("1/0")
-    for literal in ("1e3", "0.5", "1."):
-        with pytest.raises(ValueError):
-            arith.parse_rational(literal)
-    assert arith.parse_rational("1_000") == 1000
-    assert arith.parse_rational("-1_2/3_0") == F(-2, 5)
-    for literal in ("1__0", "_1"):
-        with pytest.raises(ValueError, match="not a rational number"):
-            arith.parse_rational(literal)
-
-
 @pytest.mark.parametrize("k", [3, 4, 5, 8])
 def test_iroot_floor_up_to_1e1000(k):
     rng = random.Random(k)

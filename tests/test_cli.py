@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from pureoctic.cli import main
+from pureoctic.cli import main, parse_rational
 
 # stdout of `pureoctic ARGV`, pinned byte for byte; regenerate a file with
 # `python -m pureoctic ARGV > tests/golden/NAME` only for an intended change
@@ -128,6 +129,23 @@ def test_malformed_negative_literal_is_not_a_positional(capsys):
         main(["classify", "-1__0"])
     assert exc.value.code == 2
     assert "required: c" in capsys.readouterr().err
+
+
+def test_parse_rational():
+    assert parse_rational("-3/4") == F(-3, 4)
+    assert parse_rational("17") == F(17)
+    with pytest.raises(ValueError):
+        parse_rational("x")
+    with pytest.raises(ValueError):
+        parse_rational("1/0")
+    for literal in ("1e3", "0.5", "1."):
+        with pytest.raises(ValueError):
+            parse_rational(literal)
+    assert parse_rational("1_000") == 1000
+    assert parse_rational("-1_2/3_0") == F(-2, 5)
+    for literal in ("1__0", "_1"):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(literal)
 
 
 def test_classify_invalid(capsys):
@@ -514,6 +532,19 @@ def test_oracle_rejects_bad_tolerance(capsys, tolerance, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_oracle_rejects_negative_tolerance_before_the_census(capsys, monkeypatch):
+    # the largest bound would sieve for seconds before the verdict read the
+    # tolerance; a reducible c keeps its own message
+    from pureoctic import oracle
+    monkeypatch.setattr(oracle, "census", lambda *_: pytest.fail("the census ran"))
+    code, out, err = run(capsys, "oracle", "9", "--primes", "10000000",
+                         "--tolerance", "-1")
+    assert (code, out, err) == (2, "", "error: tolerance must be nonnegative, got -1\n")
+    code, out, err = run(capsys, "oracle", "-1", "--tolerance", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: X^8 - 1 is reducible: no transitive group to test\n"
+
+
 def test_oracle_rejects_oversized_prime_bound(capsys):
     # refused before the sieve allocates a byte per integer
     code, out, err = run(capsys, "oracle", "9", "--primes", "1000000000000")
@@ -631,7 +662,8 @@ def test_python_dash_m_entry():
 
 # runs `python -m pureoctic ARGV` and prints, as its last stderr line, the
 # package modules loaded by the time the request exits, and those of
-# `dataclasses` and `inspect` (13 ms of start-up together) that are loaded
+# `dataclasses` and `inspect` (13 ms of start-up together), `json`, and
+# `fractions` with the `decimal` it imports, that are loaded
 _MODULE_PROBE = """
 import runpy, sys
 sys.argv = ["pureoctic", *sys.argv[1:]]
@@ -640,24 +672,35 @@ try:
 finally:
     print(" ".join(sorted(m for m in sys.modules
                           if m.partition(".")[0] == "pureoctic"
-                          or m in ("dataclasses", "inspect"))), file=sys.stderr)
+                          or m in ("dataclasses", "inspect", "json", "fractions",
+                                   "decimal"))), file=sys.stderr)
 """
-_BASE_MODULES = {"pureoctic", "pureoctic.cli", "pureoctic.arith"}
+_FRONT_END = {"pureoctic", "pureoctic.cli"}
 
 
-@pytest.mark.parametrize("argv, extra", [
-    (("--help",), set()),
-    (("classify", "9"), {"binomial"}),
-    (("embed", "2", "3", "-2", "--compare"), {"qforms"}),
-    (("sl-search", "2", "3", "-2"), {"qforms"}),
-    (("lattice", "3"), {"binomial", "perms", "splitting"}),
-    (("witt-verify", "3"), {"binomial", "perms", "splitting"}),
-    (("oracle", "9", "--primes", "20000"), {"binomial", "oracle"}),
-    (("group-identify", "QD16"), {"groups", "perms"}),
-], ids=["help", "classify", "embed", "sl-search", "lattice", "witt-verify",
-        "oracle", "group-identify"])
-def test_each_subcommand_loads_only_its_modules(argv, extra):
+@pytest.mark.parametrize("argv, code, handler, extra", [
+    (("--help",), 0, None, set()),
+    (("lattice",), 2, None, set()),
+    (("classify", "9"), 0, "cli_classify", {"binomial"}),
+    (("classify", "9", "--format", "json"), 0, "cli_classify", {"binomial"}),
+    (("embed", "2", "3", "-2", "--compare"), 0, "cli_embed", {"qforms"}),
+    (("sl-search", "2", "3", "-2"), 0, "cli_embed", {"qforms"}),
+    (("lattice", "3"), 0, "cli_lattice", {"binomial", "perms", "splitting"}),
+    (("witt-verify", "3"), 0, "cli_lattice", {"binomial", "perms", "splitting"}),
+    (("oracle", "9", "--primes", "20000"), 0, "cli_oracle", {"binomial", "oracle"}),
+    (("group-identify", "QD16"), 0, "cli_groups", {"groups", "perms"}),
+], ids=["help", "usage-error", "classify", "classify-json", "embed", "sl-search",
+        "lattice", "witt-verify", "oracle", "group-identify"])
+def test_each_subcommand_loads_only_its_modules(argv, code, handler, extra):
+    # help and a usage error compile the grammar and the parser alone; a
+    # request loads its own handler and no other, `json` only for JSON
+    # output, and `fractions` (with `decimal`) for the literals it parses
     proc = run_python("-c", _MODULE_PROBE, *argv)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     loaded = set(proc.stderr.splitlines()[-1].split())
-    assert loaded == _BASE_MODULES | {f"pureoctic.{m}" for m in extra}
+    if handler is None:
+        assert loaded == _FRONT_END
+        return
+    stdlib = {"fractions", "decimal"} | ({"json"} if "json" in argv else set())
+    assert loaded == _FRONT_END | stdlib | {
+        f"pureoctic.{m}" for m in {"arith", handler, *extra}}

@@ -22,6 +22,23 @@ def test_place_type():
         Place(6)
 
 
+def test_relevant_places_prove_no_prime_twice(monkeypatch):
+    # the primes come out of `arith.factor`, which proved the cofactor 7 of 35
+    # and of 21 prime; the places built from them prove nothing again
+    from pureoctic import arith
+    calls = []
+    is_prime = arith.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    places = qforms.relevant_places(6, F(-10, 21), 35)
+    assert len(calls) == 2
+    assert [v.p for v in places] == [None, 2, 3, 5, 7]
+
+
 def test_hilbert_trivial_first_argument():
     for b in (F(-5), F(7), F(2, 3)):
         for v in (REAL_PLACE, Place(2), Place(3), Place(5)):

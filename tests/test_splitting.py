@@ -526,7 +526,8 @@ def test_stabilizer_matches_apply(k):
 @pytest.mark.parametrize("k", LABEL_KS)
 def test_label_table_work(monkeypatch, k):
     # 48 sign tests, three per automorphism, label L's fifteen subfields,
-    # and 64, one stabiliser per named octic, the rest; the one product is a*w
+    # and 64, one stabiliser per named octic, the rest; every generator is a
+    # sum of basis monomials, so no product is taken
     import pureoctic.splitting as splitting
     calls = Counter()
     fixes, mul = splitting._fixes, FieldElt.__mul__
@@ -543,7 +544,11 @@ def test_label_table_work(monkeypatch, k):
     monkeypatch.setattr(splitting, "_fixes", counting_fixes)
     monkeypatch.setattr(FieldElt, "__mul__", counting_mul)
     assert len(E._label_table) == 19
-    assert calls["fixes"] <= 112 and calls["mul"] <= 1
+    assert calls["fixes"] <= 112 and calls["mul"] == 0
+    # the whole report takes no product either, so it builds no product table
+    E = SplittingField(k)
+    E.lattice_report()
+    assert calls["mul"] == 0 and "_mul_table" not in vars(E)
 
 
 def _label_generators(E):
