@@ -15,8 +15,6 @@ treats some classes as vectors over F2, a sign bit plus one bit per prime,
 so that a product of classes is an XOR and no product is factored again.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import namedtuple

@@ -15,8 +15,6 @@ rational solutions.  The mod-p Frobenius census in `oracle` independently
 checks every verdict.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 

@@ -2,10 +2,12 @@
 output and the exit codes.
 
 Each subcommand's handler, `cmd_<name>`, lives in the module its family
-names in `build_parser` (`cli_classify`, `cli_lattice`, `cli_embed`,
+names in `_SUBCOMMANDS` (`cli_classify`, `cli_lattice`, `cli_embed`,
 `cli_oracle`, `cli_groups`); `main` imports only the handler of the parsed
 subcommand, so `--help` and a usage error load this module alone, and a
-request compiles only its own handler and the modules it runs.  `json`
+request compiles only its own handler and the modules it runs.  `main`
+builds the parser of the subcommand named by the first argument alone;
+`--help`, a missing command and an unknown one build all seven.  `json`
 is imported only where JSON is written and `fractions` only where a
 literal is parsed.
 
@@ -82,67 +84,73 @@ def _fail(message: str) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each subcommand, in the order of the usage line: the module that holds its
+# handler cmd_<name> (main imports it on demand), its help, its --format
+# choices and its arguments as (name, add_argument options) pairs
+_TEXT_JSON = ("text", "json")
+_K = ("k", {"help": "rational satisfying the Pauli condition"})
+_ABC = (("a", {}), ("b", {}), ("c", {}))
+_SUBCOMMANDS = {
+    "classify": ("cli_classify", "Galois group of X^8 + c with the matched branch",
+                 _TEXT_JSON, [("c", {"help": "nonzero rational, e.g. 9 or -2/3"})]),
+    "lattice": ("cli_lattice", "subgroup <-> subfield lattice of X^8 + k^2",
+                ("text", "json", "dot"), [_K]),
+    "witt-verify": ("cli_lattice",
+                    "exact verification of the quaternion-embedding identities",
+                    _TEXT_JSON, [_K]),
+    "embed": ("cli_embed", "triquadratic embedding criteria for square classes a, b, c",
+              _TEXT_JSON, [*_ABC, ("--compare", {
+                  "action": "store_true",
+                  "help": "agreement table of the symbol and form conditions"})]),
+    "sl-search": ("cli_embed",
+                  "search rewritten triplets in S_L satisfying the form condition",
+                  _TEXT_JSON, _ABC),
+    "oracle": ("cli_oracle", "mod-p cycle-type census versus the predicted group",
+               _TEXT_JSON, [
+                   ("c", {"help": "nonzero rational"}),
+                   ("--primes", {"type": int, "default": 50000,
+                                 "help": "census all good primes below this bound"
+                                         f" (at most {MAX_CENSUS_BOUND})"}),
+                   ("--tolerance", {"default": "1/20",
+                                    "help": "absolute frequency tolerance (rational)"})]),
+    "group-identify": ("cli_groups", "identify a small permutation group", _TEXT_JSON, [
+        ("name", {"nargs": "?", "default": None,
+                  "help": "stock model name, e.g. Pauli, QD16, hol-c8"}),
+        ("--gens", {"default": None,
+                    "help": "semicolon-separated image lists, e.g. '1 2 3 0; 0 3 2 1'"})]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone when it names
+    one.  The usage line is the same either way."""
     parser = argparse.ArgumentParser(
         prog="pureoctic",
         description="Galois groups of pure octic polynomials X^8 + c over Q")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, module, help_text, formats=("text", "json")):
-        # `module` holds the handler cmd_<name>; main imports it on demand
+    if command in _SUBCOMMANDS:
+        # the usage line lists every choice, not just the one built; the full
+        # build keeps the default, under which argparse's messages name the
+        # argument `command`
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+        names = [command]
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = _SUBCOMMANDS
+    for name in names:
+        module, help_text, formats, arguments = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(module=module)
         p.add_argument("--format", choices=formats, default="text")
         p._negative_number_matcher = _NEGATIVE_RATIONAL
-        return p
-
-    p = add("classify", "cli_classify",
-            "Galois group of X^8 + c with the matched branch")
-    p.add_argument("c", help="nonzero rational, e.g. 9 or -2/3")
-
-    p = add("lattice", "cli_lattice", "subgroup <-> subfield lattice of X^8 + k^2",
-            formats=("text", "json", "dot"))
-    p.add_argument("k", help="rational satisfying the Pauli condition")
-
-    p = add("witt-verify", "cli_lattice",
-            "exact verification of the quaternion-embedding identities")
-    p.add_argument("k", help="rational satisfying the Pauli condition")
-
-    p = add("embed", "cli_embed",
-            "triquadratic embedding criteria for square classes a, b, c")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
-    p.add_argument("--compare", action="store_true",
-                   help="agreement table of the symbol and form conditions")
-
-    p = add("sl-search", "cli_embed",
-            "search rewritten triplets in S_L satisfying the form condition")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
-
-    p = add("oracle", "cli_oracle",
-            "mod-p cycle-type census versus the predicted group")
-    p.add_argument("c", help="nonzero rational")
-    p.add_argument("--primes", type=int, default=50000,
-                   help="census all good primes below this bound"
-                        f" (at most {MAX_CENSUS_BOUND})")
-    p.add_argument("--tolerance", default="1/20",
-                   help="absolute frequency tolerance (rational)")
-
-    p = add("group-identify", "cli_groups",
-            "identify a small permutation group")
-    p.add_argument("name", nargs="?", default=None,
-                   help="stock model name, e.g. Pauli, QD16, hol-c8")
-    p.add_argument("--gens", default=None,
-                   help="semicolon-separated image lists, e.g. '1 2 3 0; 0 3 2 1'")
-
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     if args.command == "group-identify":
         if not args.name and not args.gens:
             return _fail("need a group name or --gens")

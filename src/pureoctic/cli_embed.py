@@ -9,12 +9,14 @@ def cmd_embed(args) -> int:
     a = parse_rational(args.a)
     b = parse_rational(args.b)
     c = parse_rational(args.c)
-    # a, b and c are factored once here; every criterion below reuses it
+    # a, b and c are factored once here; every criterion below reuses the
+    # space, and (15) and (14) read the vectors of a, b and c off it
     space = qforms.ClassSpace(a, b, c)
-    holds_15 = qforms.pauli_embeddable(a, b, c, space)
-    holds_14 = qforms.brauer_condition(a, b, c, space)
+    x, y, z = space.independent(space.vectors)
+    holds_15 = space.pauli_embeddable(x, y, z)
+    holds_14 = space.brauer_condition(x, y, z)
     triplets = qforms.sl_search(a, b, c, space)
-    classes = qforms.sl_classes(a, b, c, space)
+    classes = [space.representative(v) for v in space.sl_classes(x, y, z)]
     lines = [f"square classes of (a, b, c) = ({a}, {b}, {c}): independent",
              f"S_L = {{{', '.join(map(str, classes))}}}",
              f"form condition (15) [a,b,ab] ~ [1,c,c]: "
@@ -53,13 +55,13 @@ def cmd_embed(args) -> int:
 
 def _compare_table(space):
     """(14) against (15) on every ordered independent triplet from S_L, all
-    over the prime basis of `space`."""
+    over the prime basis of `space`; (15) is the decision that `sl_search`
+    made on the same space."""
     rep = space.representative
     rows = []
     agreements = 0
     total = 0
-    for u, v, x in space.triplets(space.sl_classes(*space.vectors)):
-        f15 = space.pauli_embeddable(u, v, x)
+    for u, v, x, f15 in space.sl_decisions(*space.vectors):
         f14 = space.brauer_condition(u, v, x)
         total += 1
         if f14 == f15:

@@ -14,8 +14,6 @@ Pauli entry's 8-point model is the engine's `perms.pauli_affine_model()`,
 the automorphisms of the splitting field.
 """
 
-from __future__ import annotations
-
 from collections import Counter, namedtuple
 from functools import cached_property, lru_cache, reduce
 

@@ -5,8 +5,6 @@ fixed fields that `splitting` reads off the monomial Galois action; no
 subcommand runs it, and it stays in the package because `coldbench`
 traces `rref`, `nullspace` and `in_span` by name."""
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

@@ -32,8 +32,6 @@ describes the five models, not a verdict, so the oracle stays independent
 of the classifier.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction

@@ -9,8 +9,6 @@ An affine map m -> s*m + t of Z/8 is the Perm `affine_map(t, s)`; those of
 catalogue of named groups is `groups`.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter
 from functools import lru_cache

@@ -18,16 +18,18 @@ rationals.
 
 `equivalent` and the criteria run on a `ClassSpace`: the inputs are
 factored once into an `arith.PrimeBasis`, every class in their span is
-then an F2 vector over it, and each relevant place gets one table of the
-Hilbert symbols of the generators.  Each criterion takes an optional
-space, so that a caller asking several questions of the same a, b, c
-factors them once; the 210 ordered triplets of the S_L search are table
-lookups.  The scalar `hilbert`, from rationals by the local unit formulas,
-and `relevant_places` are the reference that the tables are tested
-against.
+then an F2 vector over it, and each unordered pair of classes gets one
+word, an int whose bit i is its Hilbert symbol at the i-th relevant
+place, computed the first time the pair is asked for.  A Hasse invariant
+at every place is then the XOR of three words, and each criterion
+compares two.  Each criterion takes an optional space, so that a caller
+asking several questions of the same a, b, c factors them once; the S_L
+search visits the 210 ordered triplets of its seven classes and decides
+(15) once on each of the 168 independent ones, a decision that the space
+keeps for the `embed` comparison table.  The scalar `hilbert`, from
+rationals by the local unit formulas, and `relevant_places` are the
+reference that the words are tested against.
 """
-
-from __future__ import annotations
 
 import itertools
 from collections import namedtuple
@@ -109,7 +111,7 @@ def relevant_places(*values: Rational) -> list[Place]:
     return [REAL_PLACE, *map(Place._unchecked, [2, *sorted(primes)])]
 
 
-def equivalent(f, g, space: ClassSpace | None = None) -> bool:
+def equivalent(f, g, space: "ClassSpace | None" = None) -> bool:
     """Rational equivalence of ternary forms, each a triple of nonzero
     rationals: same discriminant class, same signature, same Hasse invariant
     at every relevant place.  `space`, a `ClassSpace` whose basis holds
@@ -160,16 +162,12 @@ def _symbol(rows: tuple[int, ...], u: int, w: int) -> int:
     return (acc & w).bit_count() & 1
 
 
-def _hasse(rows: tuple[int, ...], form) -> int:
-    """The Hasse invariant prod over i < j of (f_i, f_j)_p of a form of
-    class vectors, as an F2 exponent."""
-    a, b, c = form
-    return _symbol(rows, a, b) ^ _symbol(rows, a, c) ^ _symbol(rows, b, c)
+_INDEPENDENT = "a, b, c must be quadratically independent"
 
 
 class ClassSpace:
     """The square classes of some nonzero rationals as F2 vectors over one
-    `arith.PrimeBasis`, with one table of Hilbert symbols per relevant place.
+    `arith.PrimeBasis`, with their Hilbert symbols at every relevant place.
 
     The values are factored once, when the space is built; every class in
     their span has a vector (`vector` finds it by dividing out the basis
@@ -185,17 +183,32 @@ class ClassSpace:
         self.vector = self.basis.vector
         self.representative = self.basis.representative
         # the real place, 2 and the odd basis primes, each of which divides
-        # a square-free part of some value
+        # a square-free part of some value; place i is bit i of a word
         self._tables = {p: _symbol_rows(self.basis.primes, p)
                         for p in (None,) + self.basis.primes}
+        self._words: dict[tuple[int, int], int] = {}
+        self._sl: dict[tuple[int, int, int], list] = {}
 
-    def independent(self, values, message: str) -> tuple[int, ...]:
-        """The vectors of `values`; ValueError(message) unless they are
+    def independent(self, vectors, message: str = _INDEPENDENT) -> tuple[int, ...]:
+        """The class vectors `vectors`; ValueError(message) unless they are
         independent."""
-        vectors = tuple(map(self.vector, values))
+        vectors = tuple(vectors)
         if arith.f2_rank(vectors) != len(vectors):
             raise ValueError(message)
         return vectors
+
+    def word(self, u: int, w: int) -> int:
+        """The Hilbert symbols of the class vectors u and w at every relevant
+        place, as an int whose bit i is 1 iff the symbol at place i is -1;
+        computed once per unordered pair."""
+        if not (u and w):
+            return 0  # a square pairs trivially with everything
+        key = (u, w) if u <= w else (w, u)
+        word = self._words.get(key)
+        if word is None:
+            word = self._words[key] = sum(
+                _symbol(rows, u, w) << i for i, rows in enumerate(self._tables.values()))
+        return word
 
     def equivalent(self, f, g) -> bool:
         """`equivalent` for forms given as triples of class vectors."""
@@ -204,8 +217,9 @@ class ClassSpace:
         # bit 0 is the sign, so this compares the signatures
         if sum(v & 1 for v in f) != sum(v & 1 for v in g):
             return False
-        return all(_hasse(rows, f) == _hasse(rows, g)
-                   for rows in self._tables.values())
+        # the Hasse invariants prod over i < j of (f_i, f_j), at every place
+        (a, b, c), (d, e, h), word = f, g, self.word
+        return word(a, b) ^ word(a, c) ^ word(b, c) == word(d, e) ^ word(d, h) ^ word(e, h)
 
     def pauli_embeddable(self, x: int, y: int, z: int) -> bool:
         """Condition (15) of `pauli_embeddable` for class vectors."""
@@ -213,23 +227,30 @@ class ClassSpace:
 
     def brauer_condition(self, x: int, y: int, z: int) -> bool:
         """`brauer_condition` for class vectors; -1 is the vector 1."""
-        return all(_symbol(rows, x ^ y ^ z, 1) == _symbol(rows, x, y)
-                   for rows in self._tables.values())
+        return self.word(x ^ y ^ z, 1) == self.word(x, y)
 
     @staticmethod
     def sl_classes(x: int, y: int, z: int) -> list[int]:
         """`sl_classes` as class vectors."""
         return [x, y, x ^ y, z, x ^ z, y ^ z, x ^ y ^ z]
 
-    @staticmethod
-    def triplets(classes):
-        """The ordered triplets (u, v, w) of distinct classes with w != uv:
-        on the seven classes of S_L, exactly the independent ones."""
-        return ((u, v, w) for u, v, w in itertools.permutations(classes, 3)
-                if w != u ^ v)
+    def sl_decisions(self, x: int, y: int, z: int) -> list[tuple[int, int, int, bool]]:
+        """(u, v, w, whether (15) holds for u, v, w) for each ordered
+        triplet of distinct classes of S_L with w != uv: on the seven classes,
+        exactly the independent ones.  Each space decides them once for
+        each x, y, z, and every later call reads the same list."""
+        decisions = self._sl.get((x, y, z))
+        if decisions is None:
+            decisions = self._sl[x, y, z] = [
+                (u, v, w, self.pauli_embeddable(u, v, w))
+                for u, v, w in itertools.permutations(self.sl_classes(x, y, z), 3)
+                if w != u ^ v]
+        return decisions
 
 
-_INDEPENDENT = "a, b, c must be quadratically independent"
+def _triple(space: ClassSpace, a: Rational, b: Rational, c: Rational) -> tuple[int, ...]:
+    """The class vectors of a, b and c; ValueError unless independent."""
+    return space.independent(map(space.vector, (a, b, c)))
 
 
 def witt_embeddable(a1: Rational, a2: Rational, space: ClassSpace | None = None) -> bool:
@@ -237,8 +258,9 @@ def witt_embeddable(a1: Rational, a2: Rational, space: ClassSpace | None = None)
     quaternion Q8-extension of Q?  Holds iff [a1, a2, a1*a2] ~ [1, 1, 1].
     `space`, as in `equivalent`, must hold the classes of a1 and a2."""
     space = space or ClassSpace(a1, a2)
-    space.independent((a1, a2), "a1, a2 must be quadratically independent"
-                                " non-squares (the V4 hypothesis fails)")
+    space.independent(map(space.vector, (a1, a2)),
+                       "a1, a2 must be quadratically independent"
+                       " non-squares (the V4 hypothesis fails)")
     return equivalent((a1, a2, a1 * a2), (1, 1, 1), space)
 
 
@@ -248,7 +270,7 @@ def pauli_embeddable(a: Rational, b: Rational, c: Rational,
     extension with the quaternion part over Q(sqrt(c)):
     [a, b, ab] ~ [1, c, c]."""
     space = space or ClassSpace(a, b, c)
-    space.independent((a, b, c), _INDEPENDENT)
+    _triple(space, a, b, c)
     return equivalent((a, b, a * b), (1, c, c), space)
 
 
@@ -257,7 +279,7 @@ def brauer_condition(a: Rational, b: Rational, c: Rational,
     """The quaternion-algebra form of the criterion: (abc, -1) = (a, b) as
     Hilbert symbols at every relevant place."""
     space = space or ClassSpace(a, b, c)
-    return space.brauer_condition(*space.independent((a, b, c), _INDEPENDENT))
+    return space.brauer_condition(*_triple(space, a, b, c))
 
 
 def sl_classes(a: Rational, b: Rational, c: Rational,
@@ -265,8 +287,7 @@ def sl_classes(a: Rational, b: Rational, c: Rational,
     """The seven nontrivial square classes {a, b, ab, c, ac, bc, abc} of the
     triquadratic field generated by a, b, c."""
     space = space or ClassSpace(a, b, c)
-    vectors = space.independent((a, b, c), _INDEPENDENT)
-    return [space.representative(v) for v in space.sl_classes(*vectors)]
+    return [space.representative(v) for v in space.sl_classes(*_triple(space, a, b, c))]
 
 
 def sl_search(a: Rational, b: Rational, c: Rational,
@@ -274,9 +295,8 @@ def sl_search(a: Rational, b: Rational, c: Rational,
     """All ordered triplets (u, v, x) of pairwise-distinct, quadratically
     independent classes from S_L with [u, v, uv] ~ [1, x, x].  A nonempty
     result rewrites the generating triplet so the embedding criterion holds
-    for the same field."""
+    for the same field.  The decisions are the space's `sl_decisions`."""
     space = space or ClassSpace(a, b, c)
     rep = space.representative
-    classes = space.sl_classes(*space.independent((a, b, c), _INDEPENDENT))
-    return [(rep(u), rep(v), rep(x)) for u, v, x in space.triplets(classes)
-            if space.pauli_embeddable(u, v, x)]
+    return [(rep(u), rep(v), rep(x))
+            for u, v, x, holds in space.sl_decisions(*_triple(space, a, b, c)) if holds]

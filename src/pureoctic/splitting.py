@@ -26,8 +26,6 @@ to the identity) and rho * beta = (a - abar)^2 * (w * (1 + sqrt(2k)))^2,
 which exhibits E as a square-root extension of its triquadratic subfield.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import namedtuple

@@ -18,7 +18,7 @@ from functools import lru_cache
 from pureoctic import arith, groups, oracle
 from pureoctic.arith import Rational, SquareClass, squarefree_part
 from pureoctic.groups import FinGroup, Perm
-from pureoctic.qforms import Place, hilbert, relevant_places
+from pureoctic.qforms import Place, _symbol, hilbert, relevant_places
 from pureoctic.splitting import (
     FieldElt,
     LatticeReport,
@@ -330,6 +330,38 @@ def hasse_invariant(f, place: Place) -> int:
     """prod over i < j of (f_i, f_j)_v."""
     a, b, c = f
     return hilbert(a, b, place) * hilbert(a, c, place) * hilbert(b, c, place)
+
+
+# the per-place route over a `qforms.ClassSpace`, which the space's pair words
+# replace: one Hasse invariant and one symbol comparison per relevant place,
+# each read off that place's table of generator symbols
+
+
+def hasse_at(rows, form) -> int:
+    """The Hasse invariant prod over i < j of (f_i, f_j)_p of a form of
+    class vectors, as an F2 exponent, from the symbol table `rows` of p."""
+    a, b, c = form
+    return _symbol(rows, a, b) ^ _symbol(rows, a, c) ^ _symbol(rows, b, c)
+
+
+def space_equivalent(space, f, g) -> bool:
+    """`ClassSpace.equivalent`, one place at a time."""
+    if f[0] ^ f[1] ^ f[2] != g[0] ^ g[1] ^ g[2]:
+        return False
+    if sum(v & 1 for v in f) != sum(v & 1 for v in g):
+        return False
+    return all(hasse_at(rows, f) == hasse_at(rows, g) for rows in space._tables.values())
+
+
+def space_pauli_embeddable(space, x: int, y: int, z: int) -> bool:
+    """`ClassSpace.pauli_embeddable`, one place at a time."""
+    return space_equivalent(space, (x, y, x ^ y), (0, z, z))
+
+
+def space_brauer_condition(space, x: int, y: int, z: int) -> bool:
+    """`ClassSpace.brauer_condition`, one place at a time."""
+    return all(_symbol(rows, x ^ y ^ z, 1) == _symbol(rows, x, y)
+               for rows in space._tables.values())
 
 
 def signature(f) -> tuple[int, int]:

@@ -311,6 +311,24 @@ def test_help_golden(capsys, monkeypatch, argv, golden):
     assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    ((), "usage_no_command.err"),
+    (("nope",), "usage_unknown_command.err"),
+    (("embed", "1", "2", "3", "extra"), "usage_embed_extra_argument.err"),
+    (("lattice",), "usage_lattice_missing_k.err"),
+], ids=["no-command", "unknown-command", "extra-argument", "missing-argument"])
+def test_usage_error_golden(capsys, monkeypatch, argv, golden):
+    # the top-level usage line and the argument names argparse puts in each
+    # message, whichever subparsers `main` builds
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.encode() == (GOLDEN / golden).read_bytes()
+
+
 def test_request_paths_identify_no_group(capsys, monkeypatch):
     # the group models are proved in the tests; a request only uses them
     from pureoctic import groups, oracle
@@ -662,8 +680,8 @@ def test_python_dash_m_entry():
 
 # runs `python -m pureoctic ARGV` and prints, as its last stderr line, the
 # package modules loaded by the time the request exits, and those of
-# `dataclasses` and `inspect` (13 ms of start-up together), `json`, and
-# `fractions` with the `decimal` it imports, that are loaded
+# `dataclasses` and `inspect` (13 ms of start-up together), `json`,
+# `fractions` with the `decimal` it imports, and `__future__`, that are loaded
 _MODULE_PROBE = """
 import runpy, sys
 sys.argv = ["pureoctic", *sys.argv[1:]]
@@ -673,7 +691,7 @@ finally:
     print(" ".join(sorted(m for m in sys.modules
                           if m.partition(".")[0] == "pureoctic"
                           or m in ("dataclasses", "inspect", "json", "fractions",
-                                   "decimal"))), file=sys.stderr)
+                                   "decimal", "__future__"))), file=sys.stderr)
 """
 _FRONT_END = {"pureoctic", "pureoctic.cli"}
 
@@ -694,10 +712,12 @@ _FRONT_END = {"pureoctic", "pureoctic.cli"}
 def test_each_subcommand_loads_only_its_modules(argv, code, handler, extra):
     # help and a usage error compile the grammar and the parser alone; a
     # request loads its own handler and no other, `json` only for JSON
-    # output, and `fractions` (with `decimal`) for the literals it parses
+    # output, and `fractions` (with `decimal`) for the literals it parses;
+    # no module imports `__future__`, which would cost every request its load
     proc = run_python("-c", _MODULE_PROBE, *argv)
     assert proc.returncode == code, proc.stderr
     loaded = set(proc.stderr.splitlines()[-1].split())
+    assert "__future__" not in loaded
     if handler is None:
         assert loaded == _FRONT_END
         return

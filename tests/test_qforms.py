@@ -1,6 +1,7 @@
 """Hilbert symbols, Hasse invariants, form equivalence and the embedding
 criteria."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -391,6 +392,100 @@ def test_class_space_criteria_match_form_equivalence():
             qforms.hilbert(a * b * c, F(-1), v) == qforms.hilbert(a, b, v)
             for v in places)
         assert qforms.witt_embeddable(a, b) == _reference_equivalent((a, b, a * b), (1, 1, 1))
+
+
+def _random_triple_space(rng):
+    """An independent a, b, c of small odd primes, with random signs, a
+    random factor 2 and a denominator of 1, 3, 7 or 9, and its space."""
+    def value():
+        num = rng.choice((1, -1)) * rng.choice((1, 2))
+        for p in rng.sample((3, 5, 7, 11, 13, 17, 19, 23), rng.randint(0, 2)):
+            num *= p
+        return F(num, rng.choice((1, 1, 3, 7, 9)))
+    while True:
+        a, b, c = value(), value(), value()
+        if _independent_classes([a, b, c]):
+            return qforms.ClassSpace(a, b, c)
+
+
+def _scalar_brauer(a, b, c) -> bool:
+    return all(qforms.hilbert(a * b * c, F(-1), v) == qforms.hilbert(a, b, v)
+               for v in qforms.relevant_places(a, b, c, F(-1)))
+
+
+def test_pair_words_match_the_per_place_route():
+    # every triplet of S_L, and a random form against each, on random spaces:
+    # the pair words against the per-place tables and against the scalar
+    # `hilbert` of the classes' representatives
+    rng = random.Random(2929)
+    both_negative = even = False
+    legendre = {}   # odd prime -> the Legendre signs of the classes' units
+    units_mod_8 = set()
+    for _ in range(10):
+        space = _random_triple_space(rng)
+        rep = space.representative
+        classes = space.sl_classes(*space.vectors)
+        span = [0, *classes]
+        both_negative |= sum(v & 1 for v in classes) > 1
+        even |= any(rep(v) % 2 == 0 for v in classes)
+        for v in classes:
+            r = rep(v)
+            units_mod_8.add(r // (r & -r) % 8)
+            for p in space.basis.primes[1:]:
+                if r % p:
+                    legendre.setdefault(p, set()).add(pow(r, p >> 1, p) == 1)
+        for u, v, w in itertools.permutations(classes, 3):
+            ru, rv, rw = rep(u), rep(v), rep(w)
+            holds_15 = space.pauli_embeddable(u, v, w)
+            assert holds_15 == reference.space_pauli_embeddable(space, u, v, w)
+            assert holds_15 == _reference_equivalent((ru, rv, ru * rv), (1, rw, rw))
+            holds_14 = space.brauer_condition(u, v, w)
+            assert holds_14 == reference.space_brauer_condition(space, u, v, w)
+            assert holds_14 == _scalar_brauer(ru, rv, rw)
+            if w != u ^ v:
+                assert qforms.pauli_embeddable(ru, rv, rw, space) == holds_15
+                assert qforms.brauer_condition(ru, rv, rw, space) == holds_14
+            f, g = (u, v, w), tuple(rng.choice(span) for _ in range(3))
+            same = space.equivalent(f, g)
+            assert same == reference.space_equivalent(space, f, g)
+            assert same == _reference_equivalent(tuple(map(rep, f)), tuple(map(rep, g)))
+            assert qforms.equivalent(tuple(map(rep, f)), tuple(map(rep, g)), space) == same
+    # the spaces reach the real place, 2, an odd p at which units of both
+    # Legendre signs occur, and every unit class mod 8
+    assert both_negative and even
+    assert any(signs == {True, False} for signs in legendre.values())
+    assert units_mod_8 == {1, 3, 5, 7}
+
+
+@pytest.mark.parametrize("argv, symbols, decisions", [
+    (("embed", "2", "3", "-5", "--compare"), 180, 172),
+    (("sl-search", "-1187/7", "-34119", "2176"), 200, 168),
+], ids=["embed-compare", "sl-search"])
+def test_embed_symbol_work(monkeypatch, capsys, argv, symbols, decisions):
+    # a work count, so a regression shows without any timing: each unordered
+    # pair of classes costs one symbol per relevant place, once per request,
+    # and (15) is decided once per S_L triplet (this embed took 2906 symbols
+    # and 340 decisions, and this sl-search 1224 symbols, when every form
+    # read its symbols place by place and the compare table decided (15)
+    # again)
+    from pureoctic import cli
+    counts = {"symbol": 0, "equivalent": 0}
+    symbol, equivalent = qforms._symbol, qforms.ClassSpace.equivalent
+
+    def counting_symbol(*args):
+        counts["symbol"] += 1
+        return symbol(*args)
+
+    def counting_equivalent(*args):
+        counts["equivalent"] += 1
+        return equivalent(*args)
+
+    monkeypatch.setattr(qforms, "_symbol", counting_symbol)
+    monkeypatch.setattr(qforms.ClassSpace, "equivalent", counting_equivalent)
+    assert cli.main(list(argv)) == 0
+    assert capsys.readouterr().out
+    assert counts["symbol"] <= symbols
+    assert counts["equivalent"] <= decisions
 
 
 def test_embed_proves_each_basis_prime_once(monkeypatch, capsys):
