@@ -15,7 +15,13 @@ Rationals on the command line are integers or 'p/q' literals; there is no
 floating point anywhere in the interface.  Exit codes: 0 success, 1 a
 verification failed, 2 invalid input, including a value whose square class
 needs a factorization beyond `arith.factor`'s budget or a number with
-more digits than the interpreter reads or prints.
+more digits than the interpreter reads or prints, and 2 an output that
+cannot be written.  A reader that closed the pipe early is not a failed
+write: it gets nothing, and the command keeps its own exit code.
+
+`main` leaves the garbage collector alone, so library and test callers
+can run many requests in one process; the `pureoctic` process entry
+point, `__main__.run`, turns it off around `main`.
 """
 
 import argparse
@@ -60,13 +66,16 @@ def _json_default(obj):
 
 def _write(text: str) -> None:
     # a reader that closed the pipe early gets nothing, and the command still
-    # returns its own exit code; with stdout on devnull the interpreter's
-    # exit flush stays quiet
+    # returns its own exit code; any other failed write, such as a full disk,
+    # is an output that cannot be written, exit 2.  Either way stdout then
+    # points at devnull, so the interpreter's exit flush stays quiet
     try:
         print(text)
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            raise ValueError(f"cannot write output: {exc.strerror}") from exc
 
 
 def _emit(payload: dict, fmt: str, text: str) -> None:
@@ -170,6 +179,3 @@ def main(argv=None) -> int:
                          " neither read nor printed")
         return _fail(str(exc))
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,7 +1,10 @@
 """The command-line interface: output shapes, determinism, exit codes."""
 
+import gc
+import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from pureoctic import cli
 from pureoctic.cli import main, parse_rational
 
 # stdout of `pureoctic ARGV`, pinned byte for byte; regenerate a file with
@@ -85,8 +89,9 @@ def run_python(*args, **kwargs):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("text", True)
     return subprocess.run([sys.executable, *args], stderr=subprocess.PIPE,
-                          text=True, env=env, **kwargs)
+                          env=env, **kwargs)
 
 
 def test_classify_pauli(capsys):
@@ -501,6 +506,21 @@ def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(argv, code):
     assert (proc.returncode, proc.stderr) == (code, "")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("classify", "9"),
+    ("lattice", "3", "--format", "json"),
+    ("lattice", "3", "--format", "dot"),
+], ids=["classify", "lattice-json", "lattice-dot"])
+def test_unwritable_stdout_exits_2_with_one_line(argv):
+    # every write to /dev/full fails with ENOSPC: an output that cannot be
+    # written is exit 2, with no traceback and no complaint from the exit flush
+    with open("/dev/full", "wb") as full:
+        proc = run_python("-m", "pureoctic", *argv, stdout=full)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot write output: No space left on device\n")
+
+
 @pytest.mark.parametrize("value", [_BIG, _M])
 def test_classify_and_witt_verify_need_no_factorization(capsys, value):
     for argv in (("classify", value), ("witt-verify", value)):
@@ -724,3 +744,109 @@ def test_each_subcommand_loads_only_its_modules(argv, code, handler, extra):
     stdlib = {"fractions", "decimal"} | ({"json"} if "json" in argv else set())
     assert loaded == _FRONT_END | stdlib | {
         f"pureoctic.{m}" for m in {"arith", handler, *extra}}
+
+
+# --- the process entry point -------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "9"),
+    ("lattice", "3"),
+    ("oracle", "9", "--primes", "1000"),
+    ("embed", "1", "2", "3", "extra"),
+], ids=["classify", "lattice", "bad-input", "usage-error"])
+def test_main_leaves_the_collector_alone(capsys, argv):
+    frozen = gc.get_freeze_count()
+    try:
+        main(list(argv))
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+def test_both_entry_points_run_main_with_the_collector_off(monkeypatch):
+    # `python -m pureoctic` and the `[project.scripts]` target are one
+    # function, which calls `cli.main` with the collector off and freezes
+    # every object before the interpreter exits
+    tomllib = pytest.importorskip("tomllib")
+    callers = []
+
+    def recording_main():
+        callers.append((sys._getframe(1).f_code, gc.isenabled()))
+        return 0
+
+    def exit_code(entry):
+        try:
+            with pytest.raises(SystemExit) as exc:
+                entry()
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+            gc.enable()
+        return exc.value.code
+
+    monkeypatch.setattr(cli, "main", recording_main)
+    # runpy runs a fresh copy of the module, as `python -m` does, and warns if
+    # an imported one is already in sys.modules
+    monkeypatch.delitem(sys.modules, "pureoctic.__main__", raising=False)
+    assert exit_code(lambda: runpy.run_module("pureoctic", run_name="__main__")) == 0
+    with open(Path(__file__).parent.parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["pureoctic"]
+    module, _, name = target.partition(":")
+    script = getattr(importlib.import_module(module), name)
+    assert exit_code(script) == 0
+    assert callers == [(script.__code__, False), (script.__code__, False)]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--help",), 0),
+    (("lattice",), 2),
+    (("oracle", "9", "--primes", "20000", "--tolerance", "1/1000"), 1),
+    (("lattice", "-3"), 2),
+], ids=["help", "usage-error", "verification-failed", "invalid-input"])
+def test_python_dash_m_keeps_every_exit_code(argv, code):
+    proc = run_python("-m", "pureoctic", *argv)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "9"),
+    ("lattice", "3", "--format", "dot"),
+    ("witt-verify", "5/3", "--format", "json"),
+    ("embed", "2", "3", "-2", "--compare"),
+    ("sl-search", "2", "3", "-2", "--format", "json"),
+    ("oracle", "9", "--primes", "20000"),
+    ("group-identify", "QD16"),
+], ids=lambda argv: argv[0])
+def test_python_dash_m_prints_what_main_prints(capsysbinary, argv):
+    assert main(list(argv)) == 0
+    expected = capsysbinary.readouterr().out
+    proc = run_python("-m", "pureoctic", *argv, text=False)
+    assert (proc.returncode, proc.stdout) == (0, expected)
+
+
+@pytest.mark.parametrize("small, large", [
+    (("oracle", "9", "--primes", "1000"), ("oracle", "9", "--primes", "200000")),
+    (("lattice", "3"), ("lattice", "331319/36")),
+    (("embed", "2", "3", "-2", "--compare"), ("embed", "66", "77650", "66536/9", "--compare")),
+    (("sl-search", "2", "3", "-2"), ("sl-search", "66", "77650", "66536/9")),
+], ids=["oracle", "lattice", "embed", "sl-search"])
+def test_cyclic_garbage_does_not_grow_with_the_input(capsys, small, large):
+    # a process runs with the collector off, so what a request leaves in
+    # reference cycles is never freed before exit: a fixed parser graph, not
+    # a cycle per prime, subgroup or triplet
+    def cyclic_garbage(argv):
+        gc.collect()
+        gc.disable()
+        try:
+            main(list(argv))
+            capsys.readouterr()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    small_count = cyclic_garbage(small)
+    assert cyclic_garbage(large) == small_count < 200
