@@ -10,16 +10,15 @@ fingerprint, off which `pauli_criteria` reads the paper's three criteria: no
 element of order 8, a non-normal subgroup, a Q8 subgroup.
 Named groups live in one lazily built registry of canonical entries,
 `group_models()`, and `ALIASES` maps the CLI's other names to entries.  The
-Pauli entry's 8-point model is the engine's `perms.pauli_affine_model()`,
-the automorphisms of the splitting field.
+Pauli entry's 8-point model is the group of the maps of `PAULI_PAIRS`, the
+automorphisms of the splitting field.
 """
 
 from collections import Counter, namedtuple
 from functools import cached_property, lru_cache, reduce
 
 from . import arith
-from .perms import (PAULI_PAIRS, FinGroup, Perm, _affine_pairs, affine_group_mod8,
-                    closure, pauli_affine_model)
+from .perms import PAULI_PAIRS, FinGroup, Perm, _affine_pairs, affine_group_mod8, closure
 
 # ---------------------------------------------------------------------------
 # constructions
@@ -250,8 +249,6 @@ class GroupModel(namedtuple("GroupModel", "name build pairs")):
 
     @cached_property
     def model8(self) -> FinGroup | None:
-        if self.pairs is PAULI_PAIRS:  # the engine's model, which the lattice uses
-            return pauli_affine_model()
         return None if self.pairs is None else affine_group_mod8(self.pairs)
 
     @cached_property

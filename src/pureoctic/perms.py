@@ -5,13 +5,13 @@ Each group indexes its sorted elements and holds their Cayley table;
 subgroups are enumerated, and their generating sets chosen, as bitmasks
 over those indices, and each subgroup's table is read off its parent's.
 An affine map m -> s*m + t of Z/8 is the Perm `affine_map(t, s)`; those of
-`pauli_affine_model()` are the automorphisms of the splitting field.  The
-catalogue of named groups is `groups`.
+`PAULI_PAIRS` are the automorphisms of the splitting field, which
+`splitting` names by their pairs alone.  The catalogue of named groups is
+`groups`.
 """
 
 import math
 from collections import Counter
-from functools import lru_cache
 
 # the largest group the engine closes or enumerates subgroups of
 MAX_GROUP_ORDER = 64
@@ -269,15 +269,6 @@ def affine_map(t: int, s: int) -> Perm:
     return Perm([(s * m + t) % 8 for m in range(8)])
 
 
-@lru_cache(maxsize=None)  # holds the 32 affine maps at most: errors are not cached
-def affine_pair(p: Perm) -> tuple[int, int]:
-    """The (t, s) with p = affine_map(t, s): the inverse of affine_map."""
-    t, s = p(0), (p(1) - p(0)) % 8
-    if s % 2 == 0 or affine_map(t, s) != p:
-        raise ValueError(f"{p.images} is not an affine map of Z/8")
-    return t, s
-
-
 def affine_group_mod8(pairs) -> FinGroup:
     """The group of the affine maps of the given (t, s) pairs."""
     return FinGroup(affine_map(t, s) for t, s in pairs)
@@ -290,9 +281,3 @@ def _affine_pairs(rule) -> tuple[tuple[int, int], ...]:
 
 # the automorphisms a -> a*w^t, w -> w^s of the Pauli splitting field
 PAULI_PAIRS = _affine_pairs(lambda t, s: (s - 2 * t - 1) % 4 == 0)
-
-
-@lru_cache(maxsize=None)
-def pauli_affine_model() -> FinGroup:
-    """The full subgroup {(t, s): s = 2t+1 mod 4} of Hol(C8), on 8 points."""
-    return affine_group_mod8(PAULI_PAIRS)

@@ -8,17 +8,17 @@ appear only where k is read and where coordinates are read back or printed.
 and w^2 = a^4 / k, and keeps the scale as an integer pair; it gives the
 Galois action and the product table, built by the first field product (a
 lattice report takes none).  The 16 automorphisms a -> a*w^t,
-w -> w^s (s = 2t+1 mod 4) are the elements of `perms.pauli_affine_model()`,
-the maps m -> s*m + t of the roots a*w^m, and each sends a^j * w^e to
-a scaled a^j * w^(tj+se).  So g fixes u iff u[target] * den = num * u[i] on
-the support of u, compared in integers.  The fixed field of a subgroup H,
-a FinGroup taken as `subgroups()` returns it, is spanned by its orbit sums;
-a candidate in it generates it iff no automorphism outside H fixes it.  A
-label names the subgroup fixing its generators: for the fifteen subfields of
-L = Q(i, sqrt(2), sqrt(k)) it is read off whether g negates i, sqrt(2) and
-sqrt(k), for the four named octics off stabilisers.  The lattice reads
-generating sets off the Galois group's Cayley table, and the inverse is the
-product of the other conjugates over the norm.
+w -> w^s (s = 2t+1 mod 4) are their pairs (t, s), the maps m -> s*m + t of
+the roots a*w^m, and each sends a^j * w^e to a scaled a^j * w^(tj+se).  So
+g fixes u iff u[target] * den = num * u[i] on the support of u, compared in
+integers.  The 23 subgroups are the literal `_LATTICE`, proven by a test
+against the group engine.  The fixed field of a subgroup H, given by its
+pairs, is spanned by its orbit sums; a candidate in it generates it iff no
+automorphism outside H fixes it.  A label names the subgroup fixing its
+generators: for the fifteen subfields of L = Q(i, sqrt(2), sqrt(k)) it is
+read off whether g negates i, sqrt(2) and sqrt(k), for the four named
+octics off stabilisers.  The inverse is the product of the other
+conjugates over the norm.
 
 The module also certifies, in E, where sqrt(-2) = i * sqrt(2), the
 change-of-basis matrix T over Q(sqrt(-2)) (det 1, carrying diag(2, k, 1/2k)
@@ -32,9 +32,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from . import binomial, perms
+from . import binomial
 from .arith import PrimeBasis, Rational, squarefree_part
-from .perms import FinGroup, Perm
 
 # the basis monomials a^j * w^e as (j, e), in coordinate order 2j + e
 _MONOMIALS = tuple(divmod(idx, 2) for idx in range(16))
@@ -43,6 +42,37 @@ _NAMES = tuple("*".join(filter(None, (f"a^{j}" if j > 1 else "a" * j, "w" * e)))
                for j, e in _MONOMIALS)
 # the exact scalar types; bool is an int subclass and is not one of them
 _EXACT = (int, Fraction)
+# the 23 subgroups of the Galois group in report order, by order and then by
+# sorted elements: each its normality, then the generators the report prints,
+# the greedy choice over its sorted elements
+_LATTICE = (
+    (True, (0, 1)),
+    (False, (0, 5)), (False, (1, 7)), (False, (3, 7)), (True, (4, 1)),
+    (False, (4, 5)), (False, (5, 7)), (False, (7, 7)),
+    (True, (0, 5), (4, 1)), (True, (1, 3)), (True, (1, 7), (4, 1)),
+    (True, (2, 1)), (True, (2, 5)), (True, (3, 3)), (True, (3, 7), (4, 1)),
+    (True, (0, 5), (1, 3)), (True, (0, 5), (2, 1)), (True, (0, 5), (3, 3)),
+    (True, (1, 3), (2, 1)), (True, (1, 3), (2, 5)), (True, (1, 7), (2, 1)),
+    (True, (1, 7), (2, 5)),
+    (True, (0, 5), (1, 3), (2, 1)),
+)
+
+
+def _generated(gens) -> tuple:
+    """The sorted pairs of the group the pairs gens generate: (t, s) is the
+    map m -> s*m + t of Z/8, so (t1, s1)(t2, s2) = (t1 + s1*t2, s1*s2)."""
+    els, size = {(0, 1)}, 0
+    while size < len(els):  # until right multiplication adds nothing
+        size = len(els)
+        els |= {((t1 + s1 * t2) % 8, s1 * s2 % 8) for t1, s1 in els for t2, s2 in gens}
+    return tuple(sorted(els))
+
+
+# each subgroup's sorted elements, generators and normality, in report order;
+# the last is the Galois group
+_SUBGROUPS = tuple((_generated(gens), tuple(gens), normal) for normal, *gens in _LATTICE)
+_SUBGROUP_SETS = frozenset(frozenset(elements) for elements, _, _ in _SUBGROUPS)
+_AUTOMORPHISMS = _SUBGROUPS[-1][0]
 
 
 def _reduce(k: Fraction, j: int, m: int) -> tuple[int, int, int]:
@@ -157,8 +187,8 @@ class FieldElt:
         if self.is_zero():
             raise ZeroDivisionError("inversion of 0 in the splitting field")
         field = self.field
-        others = math.prod((field.apply(g, self) for g in field.galois_group()
-                            if g.order() > 1), start=field.one())
+        others = math.prod((field.apply(g, self) for g in field._actions
+                            if g != (0, 1)), start=field.one())
         norm = self * others
         if not norm.is_rational():
             raise ArithmeticError("norm of a field element is not rational")
@@ -198,11 +228,9 @@ class SplittingField:
             raise ValueError(violation)
         self.k = k
         # the automorphism (t, s) sends a^j*w^e to a^j*w^(tj+se): one
-        # (target index, num, den) per basis index, keyed by its root permutation
-        self._actions = {
-            perms.affine_map(t, s): tuple(_reduce(k, j, t * j + s * e)
-                                          for j, e in _MONOMIALS)
-            for t, s in perms.PAULI_PAIRS}
+        # (target index, num, den) per basis index, keyed by (t, s)
+        self._actions = {(t, s): tuple(_reduce(k, j, t * j + s * e) for j, e in _MONOMIALS)
+                         for t, s in _AUTOMORPHISMS}
 
     @cached_property
     def _mul_table(self) -> tuple:
@@ -254,22 +282,15 @@ class SplittingField:
 
     # --- Galois action ---------------------------------------------------
 
-    def galois_group(self) -> FinGroup:
-        """The 16 automorphisms as permutations m -> s*m + t of the roots
-        a*w^m; perms.affine_pair(g) gives the (t, s) of g."""
-        return perms.pauli_affine_model()
-
-    def _action(self, g: Perm) -> tuple:
+    def apply(self, g: tuple[int, int], u: FieldElt) -> FieldElt:
+        """Image of u under the automorphism g = (t, s), an exact ring map."""
         try:
-            return self._actions[g]
-        except KeyError:
-            raise ValueError(f"{g.images} is not an affine map m -> s*m + t"
-                             " of Z/8 with s = 2t+1 mod 4") from None
-
-    def apply(self, g: Perm, u: FieldElt) -> FieldElt:
-        """Image of u under the automorphism g (an exact ring map)."""
+            action = self._actions[g]
+        except (KeyError, TypeError):  # TypeError: g is unhashable
+            raise ValueError(f"{g!r} is not an automorphism (t, s) of E:"
+                             " t in 0..7, s in 1..7, s = 2t+1 mod 4") from None
         nums, den = _combine([(target, c * num, d) for (target, num, d), c
-                              in zip(self._action(g), u.nums) if c])
+                              in zip(action, u.nums) if c])
         return FieldElt._reduced(self, nums, den * u.den)
 
     def orbit(self, u: FieldElt) -> set:
@@ -282,16 +303,18 @@ class SplittingField:
 
     # --- fixed fields -----------------------------------------------------
 
-    def fixed_field(self, H: FinGroup) -> "FixedField":
+    def fixed_field(self, H) -> "FixedField":
         """Basis, degree and a certified primitive element of the subfield
-        fixed by the subgroup H of galois_group(); an element that is not an
-        automorphism of E raises ValueError."""
+        fixed by H, the pairs (t, s) of one of the 23 subgroups; any other
+        set raises ValueError."""
         members = frozenset(H)
+        if members not in _SUBGROUP_SETS:
+            raise ValueError("not the pairs (t, s) of a subgroup of the Galois group")
         # H acts on the basis by scaled permutations: each orbit carries at
         # most one fixed vector, its orbit sum, and distinct orbits have
         # disjoint supports.  Scaled to 1 at the last support index and sorted
         # by it, the nonzero sums are the canonical RREF nullspace basis.
-        actions = [self._action(g) for g in H]
+        actions = [action for g, action in self._actions.items() if g in members]
         sums = {}
         seen = set()
         for idx in range(16):
@@ -304,7 +327,7 @@ class SplittingField:
             if last is not None:
                 sums[last] = FieldElt._reduced(self, vec, vec[last])
         basis = [sums[last] for last in sorted(sums)]
-        degree = 16 // H.order
+        degree = 16 // len(members)
         if len(basis) != degree:
             raise AssertionError(
                 f"fixed space has dimension {len(basis)}, expected {degree}")
@@ -367,22 +390,18 @@ class SplittingField:
 
     def lattice_report(self) -> "LatticeReport":
         """The full subgroup <-> fixed-field correspondence."""
-        G = self.galois_group()
         rows = []
-        for H, normal in G.subgroups():
-            fixed = self.fixed_field(H)
-            elements = tuple(sorted(H, key=perms.affine_pair))
+        for elements, generators, normal in _SUBGROUPS:
+            fixed = self.fixed_field(elements)
             rows.append(LatticeRow(
                 subgroup=elements,
-                order=H.order,
+                order=len(elements),
                 normal=normal,
                 degree=fixed.degree,
                 primitive=fixed.primitive,
                 label=fixed.label,
-                generators=G.generating_set(elements),
+                generators=generators,
             ))
-        rows.sort(key=lambda row: (row.order,
-                                   list(map(perms.affine_pair, row.subgroup))))
         return LatticeReport(self.k, tuple(rows))
 
 
@@ -411,8 +430,8 @@ def _combination_stream(nbasis: int):
                     yield idxs, coeffs
 
 
-def _pair_text(g: Perm) -> str:
-    return "(%d,%d)" % perms.affine_pair(g)
+def _pair_text(g: tuple[int, int]) -> str:
+    return "(%d,%d)" % g
 
 
 class FixedField(namedtuple("FixedField", "degree basis primitive label")):
@@ -424,8 +443,8 @@ class FixedField(namedtuple("FixedField", "degree basis primitive label")):
 
 class LatticeRow(namedtuple("LatticeRow", (
         "subgroup order normal degree primitive label generators"))):
-    """One subgroup of the lattice (its sorted elements, order, normality and
-    generators) and the degree, primitive element and label of its fixed
+    """One subgroup of the lattice (its sorted pairs (t, s), order, normality
+    and generators) and the degree, primitive element and label of its fixed
     field."""
 
     __slots__ = ()
@@ -562,7 +581,7 @@ def witt_beta_rho(field: SplittingField) -> WittCertificate:
     sqrt_rho_beta = (field.a - field.a_bar) * w * (field.one() + r_v2)
     factorization = rho * s * beta == sqrt_rho_beta * sqrt_rho_beta
     # Gal(E/L) is generated by a -> -a, w -> w; the generator must flip the root
-    flip = field.apply(perms.affine_map(4, 1), sqrt_rho_beta)
+    flip = field.apply((4, 1), sqrt_rho_beta)
     return WittCertificate(
         beta=beta,
         rho=rho,

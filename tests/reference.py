@@ -18,6 +18,7 @@ from functools import lru_cache
 from pureoctic import arith, groups, oracle
 from pureoctic.arith import Rational, SquareClass, squarefree_part
 from pureoctic.groups import FinGroup, Perm
+from pureoctic.perms import affine_map
 from pureoctic.qforms import Place, _symbol, hilbert, relevant_places
 from pureoctic.splitting import (
     FieldElt,
@@ -198,6 +199,27 @@ def reference_census(c: Rational, bound: int) -> oracle.Census:
 
 
 # --- splitting ----------------------------------------------------------------
+
+
+def affine_pair(p: Perm) -> tuple[int, int]:
+    """The (t, s) with p = affine_map(t, s): the inverse of affine_map."""
+    t, s = p(0), (p(1) - p(0)) % 8
+    if s % 2 == 0 or affine_map(t, s) != p:
+        raise ValueError(f"{p.images} is not an affine map of Z/8")
+    return t, s
+
+
+def pauli_lattice() -> list[tuple[tuple, bool, tuple]]:
+    """The engine's subgroups of the 16 Pauli maps in the lattice report's
+    order, by order and then by sorted pairs: each its sorted pairs (t, s),
+    its normality and the generators `generating_set` picks from them."""
+    G = groups.affine_group_mod8(groups.PAULI_PAIRS)
+    rows = []
+    for H, normal in G.subgroups():
+        elements = sorted(H, key=affine_pair)
+        rows.append((tuple(map(affine_pair, elements)), normal,
+                     tuple(map(affine_pair, G.generating_set(elements)))))
+    return sorted(rows, key=lambda row: (len(row[0]), row[0]))
 
 
 @lru_cache(maxsize=None)

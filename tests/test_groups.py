@@ -312,7 +312,7 @@ def test_hol_c8_model():
     assert groups.identify(hol) == "B32"
     sub_fps = {groups.fingerprint(H) for H, _ in hol.subgroups()}
     assert groups.fingerprint(groups.pauli_matrix_group()) in sub_fps
-    assert groups.fingerprint(groups.pauli_affine_model()) == \
+    assert groups.fingerprint(groups.group_models()["Pauli"].model8) == \
         groups.fingerprint(groups.pauli_matrix_group())
 
 
@@ -333,10 +333,13 @@ def test_abelian_invariants():
 
 def test_affine_pair_inverts_affine_map():
     pairs = [(t, s) for t in range(8) for s in (1, 3, 5, 7)]
-    assert [perms.affine_pair(perms.affine_map(t, s)) for t, s in pairs] == pairs
+    assert [reference.affine_pair(perms.affine_map(t, s)) for t, s in pairs] == pairs
     assert len(groups.PAULI_PAIRS) == 16
-    with pytest.raises(ValueError):
-        perms.affine_pair(Perm([1, 0, 2, 3, 4, 5, 6, 7]))  # a transposition
+    # a Perm that is no affine map is refused on every call
+    for bad in (Perm([1, 0, 2, 3, 4, 5, 6, 7]), Perm([0, 1, 3, 2, 4, 5, 6, 7])):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="is not an affine map of Z/8"):
+                reference.affine_pair(bad)
 
 
 def test_group_models_identify_as_their_identity():
@@ -356,7 +359,6 @@ def test_group_models_identify_as_their_identity():
     assert set(groups.ALIASES.values()) <= set(models)
     # aliases never name a fingerprint: identify answers with canonical names
     assert set(groups._nonabelian_registry().values()).isdisjoint(groups.ALIASES)
-    assert groups.pauli_affine_model() is models["Pauli"].model8
 
 
 def test_subgroups_match_closure_reference():
@@ -373,7 +375,7 @@ def test_subgroups_match_closure_reference():
 def test_generating_set_matches_closure_reference(name):
     G = groups.group_models()[name].model8
     for H, _ in G.subgroups():
-        for elements in (tuple(sorted(H, key=perms.affine_pair)), H.elements):
+        for elements in (tuple(sorted(H, key=reference.affine_pair)), H.elements):
             gens = G.generating_set(elements)
             assert gens == reference.greedy_generators(elements)
             assert groups.closure(gens) == H
@@ -438,7 +440,7 @@ def _table_state(G):
 
 
 def test_subgroups_are_read_off_the_parent_table(monkeypatch):
-    G = perms.pauli_affine_model.__wrapped__()  # a fresh, unenumerated model
+    G = perms.affine_group_mod8(perms.PAULI_PAIRS)  # a fresh, unenumerated model
     built = []
     init = perms.FinGroup.__init__
 

@@ -238,7 +238,7 @@ def test_group_cycle_types_regular_c8():
 
 
 def test_group_cycle_types_pauli_model():
-    types = oracle.group_cycle_types(groups.pauli_affine_model())
+    types = oracle.group_cycle_types(groups.group_models()["Pauli"].model8)
     assert types == {
         (4, 4): F(8, 16),
         (2, 2, 2, 2): F(5, 16),
@@ -287,13 +287,13 @@ def test_census_deterministic():
 def test_consistent_requires_samples():
     cns = oracle.census(F(9), 1000)  # 167 good primes
     with pytest.raises(ValueError):
-        oracle.consistent(cns, oracle.group_cycle_types(groups.pauli_affine_model()),
+        oracle.consistent(cns, oracle.group_cycle_types(groups.group_models()["Pauli"].model8),
                           F(1, 20))
 
 
 def test_consistent_monotone_in_tolerance():
     cns = oracle.census(F(9), 10000)
-    model = oracle.group_cycle_types(groups.pauli_affine_model())
+    model = oracle.group_cycle_types(groups.group_models()["Pauli"].model8)
     verdicts = [oracle.consistent(cns, model, t).passed
                 for t in (F(1, 1000), F(1, 100), F(1, 20), F(1, 2))]
     assert verdicts == sorted(verdicts)  # False cannot follow True

@@ -232,14 +232,13 @@ def test_embedding_criterion_matches_splitting_field():
     # the triquadratic subfield of the order-16 splitting field is exactly
     # Q(i, sqrt(k), sqrt(-2)), and its generating classes pass the criterion
     from pureoctic import linalg
-    from pureoctic.perms import FinGroup
     from pureoctic.splitting import SplittingField
 
     for k in (F(3), F(5)):
         field = SplittingField(k)
         rep = field.lattice_report()
         l_row = next(r for r in rep.rows if r.degree == 8 and r.normal)
-        vecs = [b.coeffs for b in field.fixed_field(FinGroup(l_row.subgroup)).basis]
+        vecs = [b.coeffs for b in field.fixed_field(l_row.subgroup).basis]
         for gen in (field.i, field.v2, field.i * field.r):
             assert linalg.in_span(vecs, gen.coeffs)
         assert qforms.pauli_embeddable(F(-1), k, F(-2))

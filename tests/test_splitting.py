@@ -10,16 +10,16 @@ import pytest
 import reference
 from hypothesis import given, settings, strategies as st
 
-from pureoctic import arith, binomial, groups, linalg, perms
-from pureoctic.perms import FinGroup, Perm, affine_map, affine_pair
+from pureoctic import arith, binomial, groups, linalg, perms, splitting
+from pureoctic.perms import PAULI_PAIRS, affine_map
 from pureoctic.splitting import FieldElt, SplittingField, witt_beta_rho
 
-IDENTITY = affine_map(0, 1)
+IDENTITY = (0, 1)
 
 
 def _basis_images(field, aut):
     """Images of the 16 basis monomials, from the images of a and w alone."""
-    t, s = affine_pair(aut)
+    t, s = aut
     a_img = math.prod([field.w] * t, start=field.a)
     w_img = math.prod([field.w] * s, start=field.one())
     return [math.prod([a_img] * j + [w_img] * e, start=field.one())
@@ -98,22 +98,19 @@ def test_construction_makes_no_field_products(monkeypatch):
 
     monkeypatch.setattr(FieldElt, "__mul__", counting)
     monkeypatch.setattr(groups.FinGroup, "__init__", counting_init)
-    # uncached, so a call would build the Galois group afresh and be counted
-    monkeypatch.setattr(perms, "pauli_affine_model", perms.pauli_affine_model.__wrapped__)
     E = SplittingField(F(5))
     assert calls == []
     E.a * E.w  # the counter does see a product
     assert len(calls) == 1
     witt_beta_rho(E)
     assert groups_built == []
-    E.galois_group()  # the counter does see a group
+    groups.affine_group_mod8(PAULI_PAIRS)  # the counter does see a group
     assert groups_built
 
 
 def test_lattice_builds_no_group(monkeypatch):
-    # the subgroups come from the Galois group's enumeration, their
-    # generators from its Cayley table, and fixed_field takes each as it is
-    SplittingField(F(5)).galois_group().subgroups()
+    # the subgroups and their generators are the literal `_LATTICE`, and
+    # fixed_field takes each as its set of pairs
     calls = Counter()
     closure, init = perms.closure, groups.FinGroup.__init__
 
@@ -129,30 +126,6 @@ def test_lattice_builds_no_group(monkeypatch):
     monkeypatch.setattr(groups.FinGroup, "__init__", counted_init)
     assert len(SplittingField(F(5)).lattice_report().rows) == 23
     assert calls == Counter()
-
-
-def test_lattice_reads_each_affine_pair_once(monkeypatch):
-    E = SplittingField(F(5))
-    E.galois_group()  # cached per process: count the lattice's own work
-    perms.affine_pair.cache_clear()
-    calls = []
-    original = perms.affine_map
-
-    def counted(t, s):
-        calls.append((t, s))
-        return original(t, s)
-
-    monkeypatch.setattr(perms, "affine_map", counted)
-    assert len(E.lattice_report().rows) == 23
-    assert len(calls) <= 16
-    # a Perm that is no affine map is refused on every call, not cached
-    for bad in (Perm([1, 0, 2, 3, 4, 5, 6, 7]), Perm([0, 1, 3, 2, 4, 5, 6, 7])):
-        errors = []
-        for _ in range(2):
-            with pytest.raises(ValueError) as info:
-                perms.affine_pair(bad)
-            errors.append(str(info.value))
-        assert errors == [f"{bad.images} is not an affine map of Z/8"] * 2
 
 
 def _count_fractions(monkeypatch, fn):
@@ -183,8 +156,7 @@ def test_lattice_constructs_few_fractions(monkeypatch):
     assert 0 < count < 100
     E = SplittingField(F(5))
     # the coordinates read back as Fractions, from any route
-    for u in (FieldElt(E, [1] * 16), E.a * 3, -E.w, E.a + 1, E.apply(
-            affine_map(1, 3), E.a)):
+    for u in (FieldElt(E, [1] * 16), E.a * 3, -E.w, E.a + 1, E.apply((1, 3), E.a)):
         assert all(type(c) is F for c in u.coeffs)
 
 
@@ -298,23 +270,22 @@ def test_powers_and_division(E3):
 
 
 def test_galois_group_is_pauli(E3):
-    G = E3.galois_group()
+    G = groups.affine_group_mod8(E3._actions)
     assert len(G) == 16
-    assert IDENTITY in G
+    assert IDENTITY in E3._actions
     assert groups.identify(G) == "Pauli"
 
 
-def test_galois_group_is_shared():
-    field = SplittingField(F(3))
-    G = field.galois_group()
-    assert field.galois_group() is G
-    # the first lattice enumerates the subgroups once; later ones reuse them
-    field.lattice_report()
-    subgroups = G._subgroups
-    assert subgroups is not None
-    SplittingField(F(5)).lattice_report()
-    assert G._subgroups is subgroups
-    assert sorted(map(affine_pair, G)) == list(groups.PAULI_PAIRS)
+def test_lattice_literal_is_the_engines_lattice():
+    # each row of the literal, its normality and printed generators, is the
+    # engine's subgroup of the 16 Pauli maps in the report's order, and the
+    # field's automorphisms are those maps
+    lattice = reference.pauli_lattice()
+    assert [(normal, *gens) for _, normal, gens in lattice] == list(splitting._LATTICE)
+    assert [elements for elements, _, _ in lattice] == \
+        [elements for elements, _, _ in splitting._SUBGROUPS]
+    for k in (F(3), F(5, 3), F(990051)):
+        assert tuple(SplittingField(k)._actions) == PAULI_PAIRS
 
 
 @pytest.mark.parametrize("k", [F(3), F(5, 3), F(990051)])
@@ -347,16 +318,15 @@ def test_lattice_factors_k_once(monkeypatch, k):
 
 
 def test_affine_aut_constraint(E3):
-    # affine maps of Z/8 that break s = 2t+1 mod 4 are not automorphisms of E
-    for bad in (affine_map(0, 3), affine_map(1, 1)):
-        with pytest.raises(ValueError, match="not an affine map"):
+    # pairs that break s = 2t+1 mod 4, or are out of range, are not
+    # automorphisms of E, and neither is anything but a pair
+    for bad in ((0, 3), (1, 1), (8, 1), [0, 1], affine_map(0, 1)):
+        with pytest.raises(ValueError, match="not an automorphism"):
             E3.apply(bad, E3.a)
-        with pytest.raises(ValueError, match="not an affine map"):
-            E3.fixed_field(groups.closure([bad]))
     with pytest.raises(ValueError):
         affine_map(0, 2)  # m -> 2m is not a permutation
     s = affine_map(1, 3)
-    assert s * s * s * s == IDENTITY and s * s != IDENTITY
+    assert s * s * s * s == affine_map(0, 1) and s * s != affine_map(0, 1)
 
 
 def test_identity_fixes_everything(E3):
@@ -369,7 +339,7 @@ def test_identity_fixes_everything(E3):
 def test_apply_is_ring_homomorphism(E3):
     # exhaustive on basis products, for every automorphism
     basis = [E3.monomial(*divmod(i, 2)) for i in range(16)]
-    for aut in E3.galois_group():
+    for aut in PAULI_PAIRS:
         images = [E3.apply(aut, b) for b in basis]
         for i in range(16):
             for j in range(i, 16):
@@ -380,16 +350,18 @@ def test_apply_is_ring_homomorphism(E3):
 def test_apply_composition_matches_group_law(E3):
     rng = random.Random(21)
     u = _random_elt(E3, rng)
-    for s1 in E3.galois_group():
-        for s2 in E3.galois_group():
-            assert E3.apply(s1 * s2, u) == E3.apply(s1, E3.apply(s2, u))
+    for s1 in PAULI_PAIRS:
+        for s2 in PAULI_PAIRS:
+            # the pair of the composite map, by the engine's product
+            s12 = reference.affine_pair(affine_map(*s1) * affine_map(*s2))
+            assert E3.apply(s12, u) == E3.apply(s1, E3.apply(s2, u))
 
 
 @pytest.mark.parametrize("k", [F(3), F(5, 3), F(3, 4)])
 def test_automorphisms_act_monomially(k):
     # each basis monomial goes to one nonzero multiple of one basis monomial
     E = SplittingField(k)
-    for aut in E.galois_group():
+    for aut in PAULI_PAIRS:
         targets = set()
         for idx, image in enumerate(_basis_images(E, aut)):
             support = [i for i, c in enumerate(image.coeffs) if c]
@@ -400,30 +372,30 @@ def test_automorphisms_act_monomially(k):
 
 
 def test_every_aut_sends_a_to_a_root(E3):
-    for aut in E3.galois_group():
+    for aut in PAULI_PAIRS:
         assert math.prod([E3.apply(aut, E3.a)] * 8, start=E3.one()) == -9
     # (t,s) = (4,1) sends a to -a
-    assert E3.apply(affine_map(4, 1), E3.a) == -E3.a
+    assert E3.apply((4, 1), E3.a) == -E3.a
 
 
 def test_fixgroup_of_sqrt_minus_2_is_q8(E3):
     ir = E3.i * E3.r
-    fix = [s for s in E3.galois_group() if E3.apply(s, ir) == ir]
+    fix = [s for s in PAULI_PAIRS if E3.apply(s, ir) == ir]
     assert len(fix) == 8
-    H = groups.closure(fix)
+    H = groups.affine_group_mod8(fix)
     assert groups.identify(H) == "Q8"
 
 
 def test_fixed_field_of_full_group_is_q(E3):
-    ff = E3.fixed_field(E3.galois_group())
+    ff = E3.fixed_field(PAULI_PAIRS)
     assert ff.degree == 1
     assert ff.primitive == E3.one()
 
 
 def test_fixed_field_of_center(E3):
-    center = E3.galois_group().center()
+    center = groups.affine_group_mod8(PAULI_PAIRS).center()
     assert len(center) == 4
-    ff = E3.fixed_field(center)
+    ff = E3.fixed_field(map(reference.affine_pair, center))
     assert ff.degree == 4
     vecs = [b.coeffs for b in ff.basis]
     assert linalg.in_span(vecs, E3.i.coeffs)
@@ -432,15 +404,17 @@ def test_fixed_field_of_center(E3):
 
 
 def test_fixed_field_rejects_non_closed_sets(E3):
-    with pytest.raises(ValueError):
-        E3.fixed_field(FinGroup([IDENTITY, affine_map(1, 3)]))
-    with pytest.raises(ValueError):
-        E3.fixed_field(FinGroup([affine_map(4, 1)]))  # identity missing
+    # {(0,1), (1,3)} would read degree 8, and a search for a primitive
+    # element of what {(4,1)} fixes would not end
+    for H in ({IDENTITY, (1, 3)}, {(4, 1)}, {IDENTITY, (0, 3)}, set(),
+              {IDENTITY, (1, 3), (2, 5)}):
+        with pytest.raises(ValueError, match="not the pairs"):
+            E3.fixed_field(H)
 
 
 def test_galois_correspondence(E3):
     fixed = {}
-    for H, _ in E3.galois_group().subgroups():
+    for H, _, _ in reference.pauli_lattice():
         ff = E3.fixed_field(H)
         assert ff.degree * len(H) == 16
         fixed[frozenset(H)] = [b.coeffs for b in ff.basis]
@@ -462,7 +436,7 @@ def test_galois_correspondence(E3):
 @pytest.mark.parametrize("k", [F(3), F(5), F(6), F(7), F(3, 4)])
 def test_fixed_fields_match_dense_reference(k):
     E = SplittingField(k)
-    for H, _ in E.galois_group().subgroups():
+    for H, _, _ in reference.pauli_lattice():
         basis = [b.coeffs for b in E.fixed_field(H).basis]
         assert basis == _reference_fixed_basis(E, H)
 
@@ -519,8 +493,7 @@ def test_stabilizer_matches_apply(k):
     # every basis monomial, so each coordinate of the test is exercised
     elts += [E.monomial(*divmod(idx, 2), F(idx + 1, 3)) for idx in range(16)]
     for u in elts:
-        assert E._stabilizer(u) == {g for g in E.galois_group()
-                                    if E.apply(g, u) == u}
+        assert E._stabilizer(u) == {g for g in PAULI_PAIRS if E.apply(g, u) == u}
 
 
 @pytest.mark.parametrize("k", LABEL_KS)
@@ -596,10 +569,10 @@ def test_nineteen_distinct_labels(k):
 def test_other_k_values(k):
     E = SplittingField(k)
     assert reference.defining_polynomial_check(E)
-    assert len(E.galois_group()) == 16
+    assert tuple(E._actions) == PAULI_PAIRS
     ir = E.i * E.r
-    fix = [s for s in E.galois_group() if E.apply(s, ir) == ir]
-    H = groups.closure(fix)
+    fix = [s for s in PAULI_PAIRS if E.apply(s, ir) == ir]
+    H = groups.affine_group_mod8(fix)
     assert groups.identify(H) == "Q8"
 
 
@@ -618,7 +591,7 @@ def test_lattice_and_witt_on_generated_k(k):
     assert len(labels) == 19
     by_subgroup = {frozenset(row.subgroup): row.label for row in report.rows}
     for label, gens in labels.items():
-        fixing = frozenset(g for g in E.galois_group()
+        fixing = frozenset(g for g in PAULI_PAIRS
                            if all(E.apply(g, u) == u for u in gens))
         assert by_subgroup[fixing] == label
     cert = witt_beta_rho(E)

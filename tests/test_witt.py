@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import pytest
 import reference
 
-from pureoctic.perms import affine_map
 from pureoctic.splitting import SplittingField, witt_beta_rho
 
 
@@ -37,7 +36,7 @@ def test_beta_rho_certificate(k):
     assert cert.rho == -4 * k
     # the square root changes sign under the L-fixing involution, so it
     # cannot lie in the fixed subspace of Gal(E/L)
-    flip = field.apply(affine_map(4, 1), cert.sqrt_rho_beta)
+    flip = field.apply((4, 1), cert.sqrt_rho_beta)
     assert flip == -cert.sqrt_rho_beta and not cert.sqrt_rho_beta.is_zero()
 
 
