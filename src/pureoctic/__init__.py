@@ -2,7 +2,7 @@
 
 There is no top-level API: import the module that answers the question.
 `binomial` decides between five outcomes from the square class of c alone;
-`splitting` realizes the order-16 case explicitly with its full
+`splitting` realizes the order-16 case explicitly and `lattice` reports its
 subgroup/subfield lattice; `qforms` decides the quaternion and triquadratic
 embedding criteria by Hilbert symbols and ternary quadratic forms; `oracle`
 checks every verdict independently by a mod-p factorization census.  `cli`

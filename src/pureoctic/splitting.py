@@ -6,19 +6,13 @@ common factor, in the basis a^j * w^e (j = 0..7, e = 0..1); Fractions
 appear only where k is read and where coordinates are read back or printed.
 `_reduce` writes a^j * w^m as +-k^e times one basis monomial, by a^8 = -k^2
 and w^2 = a^4 / k, and keeps the scale as an integer pair; it gives the
-Galois action and the product table, built by the first field product (a
-lattice report takes none).  The 16 automorphisms a -> a*w^t,
-w -> w^s (s = 2t+1 mod 4) are their pairs (t, s), the maps m -> s*m + t of
-the roots a*w^m, and each sends a^j * w^e to a scaled a^j * w^(tj+se).  So
-g fixes u iff u[target] * den = num * u[i] on the support of u, compared in
-integers.  The 23 subgroups are the literal `_LATTICE`, proven by a test
-against the group engine.  The fixed field of a subgroup H, given by its
-pairs, is spanned by its orbit sums; a candidate in it generates it iff no
-automorphism outside H fixes it.  A label names the subgroup fixing its
-generators: for the fifteen subfields of L = Q(i, sqrt(2), sqrt(k)) it is
-read off whether g negates i, sqrt(2) and sqrt(k), for the four named
-octics off stabilisers.  The inverse is the product of the other
-conjugates over the norm.
+Galois action and the product table, built by the first field product.
+The 16 automorphisms a -> a*w^t, w -> w^s (s = 2t+1 mod 4) are their pairs
+(t, s), the maps m -> s*m + t of the roots a*w^m, and each sends
+a^j * w^e to a scaled a^j * w^(tj+se).  The 23 subgroups, with a primitive
+element and a label of each fixed field, are the rows of `lattice`.  The
+fixed field of a subgroup H, given by its pairs, is spanned by its orbit
+sums.  The inverse is the product of the other conjugates over the norm.
 
 The module also certifies, in E, where sqrt(-2) = i * sqrt(2), the
 change-of-basis matrix T over Q(sqrt(-2)) (det 1, carrying diag(2, k, 1/2k)
@@ -26,53 +20,20 @@ to the identity) and rho * beta = (a - abar)^2 * (w * (1 + sqrt(2k)))^2,
 which exhibits E as a square-root extension of its triquadratic subfield.
 """
 
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from . import binomial
-from .arith import PrimeBasis, Rational, squarefree_part
+from . import binomial, lattice
+from .arith import Rational
 
 # the basis monomials a^j * w^e as (j, e), in coordinate order 2j + e
 _MONOMIALS = tuple(divmod(idx, 2) for idx in range(16))
-# their names in printed elements: "" for the constant term, then w, a, a*w, ...
-_NAMES = tuple("*".join(filter(None, (f"a^{j}" if j > 1 else "a" * j, "w" * e)))
-               for j, e in _MONOMIALS)
 # the exact scalar types; bool is an int subclass and is not one of them
 _EXACT = (int, Fraction)
-# the 23 subgroups of the Galois group in report order, by order and then by
-# sorted elements: each its normality, then the generators the report prints,
-# the greedy choice over its sorted elements
-_LATTICE = (
-    (True, (0, 1)),
-    (False, (0, 5)), (False, (1, 7)), (False, (3, 7)), (True, (4, 1)),
-    (False, (4, 5)), (False, (5, 7)), (False, (7, 7)),
-    (True, (0, 5), (4, 1)), (True, (1, 3)), (True, (1, 7), (4, 1)),
-    (True, (2, 1)), (True, (2, 5)), (True, (3, 3)), (True, (3, 7), (4, 1)),
-    (True, (0, 5), (1, 3)), (True, (0, 5), (2, 1)), (True, (0, 5), (3, 3)),
-    (True, (1, 3), (2, 1)), (True, (1, 3), (2, 5)), (True, (1, 7), (2, 1)),
-    (True, (1, 7), (2, 5)),
-    (True, (0, 5), (1, 3), (2, 1)),
-)
-
-
-def _generated(gens) -> tuple:
-    """The sorted pairs of the group the pairs gens generate: (t, s) is the
-    map m -> s*m + t of Z/8, so (t1, s1)(t2, s2) = (t1 + s1*t2, s1*s2)."""
-    els, size = {(0, 1)}, 0
-    while size < len(els):  # until right multiplication adds nothing
-        size = len(els)
-        els |= {((t1 + s1 * t2) % 8, s1 * s2 % 8) for t1, s1 in els for t2, s2 in gens}
-    return tuple(sorted(els))
-
-
-# each subgroup's sorted elements, generators and normality, in report order;
-# the last is the Galois group
-_SUBGROUPS = tuple((_generated(gens), tuple(gens), normal) for normal, *gens in _LATTICE)
-_SUBGROUP_SETS = frozenset(frozenset(elements) for elements, _, _ in _SUBGROUPS)
-_AUTOMORPHISMS = _SUBGROUPS[-1][0]
+# the row of each subgroup in the lattice, by its set of pairs
+_ROWS = {frozenset(els): row for row, els in enumerate(lattice.SUBGROUPS)}
 
 
 def _reduce(k: Fraction, j: int, m: int) -> tuple[int, int, int]:
@@ -93,13 +54,6 @@ def _combine(terms) -> tuple[list[int], int]:
     for idx, num, d in terms:
         nums[idx] += num * (den // d)
     return nums, den
-
-
-def _fixes(action: tuple, nums) -> bool:
-    """True iff the action's (target, num, den) entries fix nums."""
-    # on the support: an action that keeps the support permutes it
-    return all(nums[target] * den == num * c
-               for c, (target, num, den) in zip(nums, action) if c)
 
 
 class FieldElt:
@@ -210,12 +164,7 @@ class FieldElt:
         return self.nums == other.nums and self.den == other.den
 
     def __str__(self):
-        terms = []
-        for name, c in zip(_NAMES, self.coeffs):
-            if c:
-                terms.append(str(c) if not name else name if c == 1 else
-                             f"-{name}" if c == -1 else f"{c}*{name}")
-        return " + ".join(terms).replace(" + -", " - ") or "0"
+        return lattice.element_text(self.coeffs)
 
 
 class SplittingField:
@@ -230,7 +179,7 @@ class SplittingField:
         # the automorphism (t, s) sends a^j*w^e to a^j*w^(tj+se): one
         # (target index, num, den) per basis index, keyed by (t, s)
         self._actions = {(t, s): tuple(_reduce(k, j, t * j + s * e) for j, e in _MONOMIALS)
-                         for t, s in _AUTOMORPHISMS}
+                         for t, s in lattice.SUBGROUPS[-1]}
 
     @cached_property
     def _mul_table(self) -> tuple:
@@ -296,19 +245,15 @@ class SplittingField:
     def orbit(self, u: FieldElt) -> set:
         return {self.apply(g, u).coeffs for g in self._actions}
 
-    def _stabilizer(self, u: FieldElt) -> frozenset:
-        """The automorphisms fixing u."""
-        return frozenset(g for g, action in self._actions.items()
-                         if _fixes(action, u.nums))
-
     # --- fixed fields -----------------------------------------------------
 
     def fixed_field(self, H) -> "FixedField":
-        """Basis, degree and a certified primitive element of the subfield
+        """Basis, degree, a primitive element and the label of the subfield
         fixed by H, the pairs (t, s) of one of the 23 subgroups; any other
         set raises ValueError."""
         members = frozenset(H)
-        if members not in _SUBGROUP_SETS:
+        row = _ROWS.get(members)
+        if row is None:
             raise ValueError("not the pairs (t, s) of a subgroup of the Galois group")
         # H acts on the basis by scaled permutations: each orbit carries at
         # most one fixed vector, its orbit sum, and distinct orbits have
@@ -331,107 +276,18 @@ class SplittingField:
         if len(basis) != degree:
             raise AssertionError(
                 f"fixed space has dimension {len(basis)}, expected {degree}")
-        return FixedField(degree, basis,
-                          self._primitive_element(basis, members),
-                          self._label_table.get(members))
-
-    def _primitive_element(self, basis, members) -> FieldElt:
-        # u in the fixed field of H is fixed by H; it generates that field
-        # iff no automorphism outside H fixes it.  The basis vectors have
-        # disjoint supports, and over one denominator a candidate is an
-        # integer combination of their numerators
-        outside = [action for g, action in self._actions.items() if g not in members]
-        den = math.lcm(*(b.den for b in basis))
-        vecs = [[(i, x * (den // b.den)) for i, x in enumerate(b.nums) if x]
-                for b in basis]
-        for idxs, coeffs in _combination_stream(len(basis)):
-            nums = [0] * 16
-            for b, c in zip(idxs, coeffs):
-                for i, x in vecs[b]:
-                    nums[i] = c * x
-            if not any(_fixes(action, nums) for action in outside):
-                return FieldElt._reduced(self, nums, den)
-        raise RuntimeError("primitive element search exhausted")
+        primitive = FieldElt(self, lattice.coefficients(self.k, lattice._LATTICE[row][2]))
+        return FixedField(degree, basis, primitive, self._labels[row])
 
     @cached_property
-    def _label_table(self) -> dict:
-        """Subfield labels keyed by the stabiliser of their generators; where
-        several labels name one subgroup, the first listed wins."""
-        # L = Q(i, sqrt(2), sqrt(k)) has the seven quadratic subfields
-        # Q(sqrt(d_n)), d_n = (-1)^(n&1) * 2^(n>>1&1) * k^(n>>2) for n = 1..7.
-        # Bit b of flips[g] says whether g negates the b-th of i, sqrt(2) and
-        # sqrt(k), so g fixes sqrt(d_n) iff flips[g] & n has even weight
-        gens = (self.i.nums, self.r.nums, self.v2.nums)
-        flips = {g: sum(1 << b for b, u in enumerate(gens) if not _fixes(action, u))
-                 for g, action in self._actions.items()}
-
-        def fixing(*ns):
-            return frozenset(g for g, f in flips.items()
-                             if not any((f & n).bit_count() & 1 for n in ns))
-
-        # k is factored once; over its prime basis -1 is the vector 1 and 2
-        # is the vector 2.  The Pauli condition makes the seven classes and 1
-        # a group C2^3 modulo squares, so d_n has the vector of n below
-        basis = PrimeBasis((squarefree_part(self.k),))
-        kv = basis.vectors[0]
-        reps = [basis.representative((n & 3) ^ kv * (n >> 2)) for n in range(8)]
-        labels = [(fixing(n), _field_name([reps[n]])) for n in range(1, 8)]
-        # each plane {n1, n2, n1^n2} once, named by its two least classes
-        labels += [(fixing(n1, n2), _field_name(sorted(
-                       (reps[n1], reps[n2], reps[n1 ^ n2]), key=_class_order)[:2]))
-                   for n1, n2 in itertools.combinations(range(1, 8), 2) if n1 ^ n2 > n2]
-        labels.append((fixing(1, 2, 4), "Q(i, sqrt(2), sqrt(%s))" % reps[4]))
-        labels += [(self._stabilizer(u), label) for label, u in (
-            ("Q(a)", self.a), ("Q(w*a)", self.monomial(1, 1)),
-            ("Q(a+abar)", self.a + self.a_bar), ("Q(a-abar)", self.a - self.a_bar))]
-        return dict(reversed(labels))
+    def _labels(self) -> tuple:
+        return lattice.labels(self.k)
 
     # --- lattice ----------------------------------------------------------
 
-    def lattice_report(self) -> "LatticeReport":
+    def lattice_report(self) -> "lattice.LatticeReport":
         """The full subgroup <-> fixed-field correspondence."""
-        rows = []
-        for elements, generators, normal in _SUBGROUPS:
-            fixed = self.fixed_field(elements)
-            rows.append(LatticeRow(
-                subgroup=elements,
-                order=len(elements),
-                normal=normal,
-                degree=fixed.degree,
-                primitive=fixed.primitive,
-                label=fixed.label,
-                generators=generators,
-            ))
-        return LatticeReport(self.k, tuple(rows))
-
-
-def _class_order(d: int) -> tuple:
-    return abs(d), d < 0
-
-
-def _field_name(reps) -> str:
-    """The field name Q(...) from square-free class representatives."""
-    parts = ["i" if d == -1 else f"sqrt({d})" for d in sorted(reps, key=_class_order)]
-    return "Q(" + ", ".join(parts) + ")"
-
-
-def _combination_stream(nbasis: int):
-    """Deterministic candidates for the primitive-element search: small
-    supports first, integer coefficients with expanding bound."""
-    for bound in (1, 2, 4, 8):
-        values = [v for r in range(1, bound + 1) for v in (r, -r)]
-        for support in range(1, min(nbasis, 4) + 1):
-            for idxs in itertools.combinations(range(nbasis), support):
-                for coeffs in itertools.product(values, repeat=support):
-                    if coeffs[0] < 0:
-                        continue
-                    if bound > 1 and all(abs(c) < bound for c in coeffs):
-                        continue  # already tried at a smaller bound
-                    yield idxs, coeffs
-
-
-def _pair_text(g: tuple[int, int]) -> str:
-    return "(%d,%d)" % g
+        return lattice.report(self.k)
 
 
 class FixedField(namedtuple("FixedField", "degree basis primitive label")):
@@ -439,89 +295,6 @@ class FixedField(namedtuple("FixedField", "degree basis primitive label")):
     degree, basis, a primitive element and its label or None."""
 
     __slots__ = ()
-
-
-class LatticeRow(namedtuple("LatticeRow", (
-        "subgroup order normal degree primitive label generators"))):
-    """One subgroup of the lattice (its sorted pairs (t, s), order, normality
-    and generators) and the degree, primitive element and label of its fixed
-    field."""
-
-    __slots__ = ()
-
-    def field_display(self) -> str:
-        if self.label:
-            return self.label
-        if self.degree == 1:
-            return "Q"
-        if self.degree == 16:
-            return "E = Q(w, a)"
-        return f"Q({self.primitive})"
-
-
-class LatticeReport(namedtuple("LatticeReport", "k rows")):
-    """The subgroup <-> fixed-field correspondence for X^8 + k^2."""
-
-    __slots__ = ()
-
-    def as_text(self) -> str:
-        lines = [
-            f"splitting field of X^8 + {self.k ** 2} = Q(w, a), degree 16 over Q",
-            "Galois group: 16 affine maps (t,s): a -> a*w^t, w -> w^s"
-            " (Pauli fingerprint)",
-            f"subgroups: {len(self.rows)} total,"
-            f" {len(self.rows) - 2} proper nontrivial,"
-            f" {sum(1 for r in self.rows if r.normal and 1 < r.order < 16)}"
-            " of those normal",
-        ]
-        for row in self.rows:
-            gens = ",".join(map(_pair_text, row.generators))
-            nflag = "normal    " if row.normal else "non-normal"
-            lines.append(
-                f"  [order {row.order:2d}] <{gens}> {nflag}"
-                f" fixes degree-{row.degree} field {row.field_display()}")
-        return "\n".join(lines)
-
-    def as_dict(self) -> dict:
-        return {
-            "k": str(self.k),
-            "polynomial": f"X^8 + {self.k ** 2}",
-            "subgroup_count": len(self.rows),
-            "rows": [
-                {
-                    "order": row.order,
-                    "normal": row.normal,
-                    "generators": list(map(_pair_text, row.generators)),
-                    "elements": list(map(_pair_text, row.subgroup)),
-                    "fixed_field_degree": row.degree,
-                    "fixed_field": row.field_display(),
-                    "primitive_element": str(row.primitive),
-                }
-                for row in self.rows
-            ],
-        }
-
-    def as_dot(self) -> str:
-        """The subgroup lattice as a DOT digraph, edges = covering relations."""
-        ids = {row.subgroup: f"H{i}" for i, row in enumerate(self.rows)}
-        lines = [
-            "digraph subgroup_lattice {",
-            "  rankdir=BT;",
-            "  node [shape=box, fontname=monospace];",
-        ]
-        for row in self.rows:
-            gens = ",".join(map(_pair_text, row.generators))
-            shape = ", peripheries=2" if row.normal else ""
-            lines.append(
-                f'  {ids[row.subgroup]} [label="order {row.order}\\n<{gens}>\\n'
-                f'{row.field_display()}"{shape}];')
-        # in a 2-group H < K is a cover exactly when H has index 2 in K
-        for lo in self.rows:
-            for hi in self.rows:
-                if hi.order == 2 * lo.order and set(lo.subgroup) <= set(hi.subgroup):
-                    lines.append(f"  {ids[lo.subgroup]} -> {ids[hi.subgroup]};")
-        lines.append("}")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

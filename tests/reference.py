@@ -10,19 +10,20 @@ module is imported by the tests and never collected.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from pureoctic import arith, groups, oracle
-from pureoctic.arith import Rational, SquareClass, squarefree_part
+from pureoctic import arith, groups, lattice, oracle
+from pureoctic.arith import PrimeBasis, Rational, SquareClass, squarefree_part
 from pureoctic.groups import FinGroup, Perm
+from pureoctic.lattice import LatticeReport, LatticeRow
 from pureoctic.perms import affine_map
 from pureoctic.qforms import Place, _symbol, hilbert, relevant_places
 from pureoctic.splitting import (
     FieldElt,
-    LatticeReport,
     SplittingField,
     WittCertificate,
     _MONOMIALS,
@@ -220,6 +221,115 @@ def pauli_lattice() -> list[tuple[tuple, bool, tuple]]:
         rows.append((tuple(map(affine_pair, elements)), normal,
                      tuple(map(affine_pair, G.generating_set(elements)))))
     return sorted(rows, key=lambda row: (len(row[0]), row[0]))
+
+
+# the proof route of the rows of `lattice._LATTICE`: the search of a primitive
+# element and the table of labels, run in E for one k
+
+
+def fixes(action: tuple, nums) -> bool:
+    """True iff an action's (target, num, den) entries fix the numerators
+    nums: on the support, since an action that keeps it permutes it."""
+    return all(nums[target] * den == num * c
+               for c, (target, num, den) in zip(nums, action) if c)
+
+
+def stabilizer(E: SplittingField, u: FieldElt) -> frozenset:
+    """The automorphisms fixing u."""
+    return frozenset(g for g, action in E._actions.items() if fixes(action, u.nums))
+
+
+def combination_stream(nbasis: int):
+    """Deterministic candidates for the primitive-element search: small
+    supports first, integer coefficients with expanding bound."""
+    for bound in (1, 2, 4, 8):
+        values = [v for r in range(1, bound + 1) for v in (r, -r)]
+        for support in range(1, min(nbasis, 4) + 1):
+            for idxs in itertools.combinations(range(nbasis), support):
+                for coeffs in itertools.product(values, repeat=support):
+                    if coeffs[0] < 0:
+                        continue
+                    if bound > 1 and all(abs(c) < bound for c in coeffs):
+                        continue  # already tried at a smaller bound
+                    yield idxs, coeffs
+
+
+def primitive_element(E: SplittingField, H) -> FieldElt:
+    """The first candidate of `combination_stream` over the orbit-sum basis
+    of the field H fixes that no automorphism outside H fixes: u in that
+    field generates it iff no automorphism outside H fixes it."""
+    members = frozenset(H)
+    basis = E.fixed_field(members).basis
+    outside = [action for g, action in E._actions.items() if g not in members]
+    # the basis vectors have disjoint supports, and over one denominator a
+    # candidate is an integer combination of their numerators
+    den = math.lcm(*(b.den for b in basis))
+    vecs = [[(i, x * (den // b.den)) for i, x in enumerate(b.nums) if x]
+            for b in basis]
+    for idxs, coeffs in combination_stream(len(basis)):
+        nums = [0] * 16
+        for b, c in zip(idxs, coeffs):
+            for i, x in vecs[b]:
+                nums[i] = c * x
+        if not any(fixes(action, nums) for action in outside):
+            return FieldElt._reduced(E, nums, den)
+    raise RuntimeError("primitive element search exhausted")
+
+
+def _class_order(d: int) -> tuple:
+    return abs(d), d < 0
+
+
+def _field_name(reps) -> str:
+    """The field name Q(...) from square-free class representatives."""
+    parts = ["i" if d == -1 else f"sqrt({d})" for d in sorted(reps, key=_class_order)]
+    return "Q(" + ", ".join(parts) + ")"
+
+
+def label_table(E: SplittingField) -> dict:
+    """Subfield labels keyed by the stabiliser of their generators, each as
+    (label spec, label); where several labels name one subgroup, the first
+    listed wins."""
+    # L = Q(i, sqrt(2), sqrt(k)) has the seven quadratic subfields
+    # Q(sqrt(d_n)), d_n = (-1)^(n&1) * 2^(n>>1&1) * k^(n>>2) for n = 1..7.
+    # Bit b of flips[g] says whether g negates the b-th of i, sqrt(2) and
+    # sqrt(k), so g fixes sqrt(d_n) iff flips[g] & n has even weight
+    gens = (E.i.nums, E.r.nums, E.v2.nums)
+    flips = {g: sum(1 << b for b, u in enumerate(gens) if not fixes(action, u))
+             for g, action in E._actions.items()}
+
+    def fixing(*ns):
+        return frozenset(g for g, f in flips.items()
+                         if not any((f & n).bit_count() & 1 for n in ns))
+
+    # over the prime basis of k, -1 is the vector 1 and 2 is the vector 2,
+    # so d_n has the vector of n below
+    basis = PrimeBasis((squarefree_part(E.k),))
+    kv = basis.vectors[0]
+    reps = [basis.representative((n & 3) ^ kv * (n >> 2)) for n in range(8)]
+    labels = [(fixing(n), (n,), _field_name([reps[n]])) for n in range(1, 8)]
+    # each plane {n1, n2, n1^n2} once, named by its two least classes
+    labels += [(fixing(n1, n2), (n1, n2), _field_name(sorted(
+                   (reps[n1], reps[n2], reps[n1 ^ n2]), key=_class_order)[:2]))
+               for n1, n2 in itertools.combinations(range(1, 8), 2) if n1 ^ n2 > n2]
+    labels.append((fixing(1, 2, 4), (1, 2, 4), "Q(i, sqrt(2), sqrt(%s))" % reps[4]))
+    labels += [(stabilizer(E, u), label, label) for label, u in (
+        ("Q(a)", E.a), ("Q(w*a)", E.monomial(1, 1)),
+        ("Q(a+abar)", E.a + E.a_bar), ("Q(a-abar)", E.a - E.a_bar))]
+    return {H: (spec, label) for H, spec, label in reversed(labels)}
+
+
+def search_report(k: Rational) -> LatticeReport:
+    """The lattice report built by the search: each row's primitive element
+    by `primitive_element` and its label by `label_table`, in E."""
+    E = SplittingField(k)
+    table = label_table(E)
+    rows = []
+    for elements, (normal, gens, _, _) in zip(lattice.SUBGROUPS, lattice._LATTICE):
+        label = table.get(frozenset(elements), (None, None))[1]
+        rows.append(LatticeRow(elements, len(elements), normal, 16 // len(elements),
+                               str(primitive_element(E, elements)), label, gens))
+    return LatticeReport(E.k, tuple(rows))
 
 
 @lru_cache(maxsize=None)

@@ -723,8 +723,8 @@ _FRONT_END = {"pureoctic", "pureoctic.cli"}
     (("classify", "9", "--format", "json"), 0, "cli_classify", {"binomial"}),
     (("embed", "2", "3", "-2", "--compare"), 0, "cli_embed", {"qforms"}),
     (("sl-search", "2", "3", "-2"), 0, "cli_embed", {"qforms"}),
-    (("lattice", "3"), 0, "cli_lattice", {"binomial", "splitting"}),
-    (("witt-verify", "3"), 0, "cli_lattice", {"binomial", "splitting"}),
+    (("lattice", "3"), 0, "cli_lattice", {"binomial", "lattice"}),
+    (("witt-verify", "3"), 0, "cli_lattice", {"binomial", "lattice", "splitting"}),
     (("oracle", "9", "--primes", "20000"), 0, "cli_oracle", {"binomial", "oracle"}),
     (("group-identify", "QD16"), 0, "cli_groups", {"groups", "perms"}),
 ], ids=["help", "usage-error", "classify", "classify-json", "embed", "sl-search",

@@ -10,7 +10,7 @@ import pytest
 import reference
 from hypothesis import given, settings, strategies as st
 
-from pureoctic import arith, binomial, groups, linalg, perms, splitting
+from pureoctic import arith, binomial, groups, lattice, linalg, perms
 from pureoctic.perms import PAULI_PAIRS, affine_map
 from pureoctic.splitting import FieldElt, SplittingField, witt_beta_rho
 
@@ -280,25 +280,24 @@ def test_lattice_literal_is_the_engines_lattice():
     # each row of the literal, its normality and printed generators, is the
     # engine's subgroup of the 16 Pauli maps in the report's order, and the
     # field's automorphisms are those maps
-    lattice = reference.pauli_lattice()
-    assert [(normal, *gens) for _, normal, gens in lattice] == list(splitting._LATTICE)
-    assert [elements for elements, _, _ in lattice] == \
-        [elements for elements, _, _ in splitting._SUBGROUPS]
+    engine = reference.pauli_lattice()
+    assert [(normal, gens) for _, normal, gens in engine] == \
+        [(normal, gens) for normal, gens, _, _ in lattice._LATTICE]
+    assert [elements for elements, _, _ in engine] == list(lattice.SUBGROUPS)
     for k in (F(3), F(5, 3), F(990051)):
         assert tuple(SplittingField(k)._actions) == PAULI_PAIRS
 
 
 @pytest.mark.parametrize("k", [F(3), F(5, 3), F(990051)])
 def test_label_table_reduces_each_class_once(monkeypatch, k):
-    import pureoctic.splitting as splitting
     calls = []
 
     def counting(q):
         calls.append(q)
         return arith.squarefree_part(q)
 
-    monkeypatch.setattr(splitting, "squarefree_part", counting)
-    rep = SplittingField(k).lattice_report()
+    monkeypatch.setattr(lattice, "squarefree_part", counting)
+    rep = lattice.report(k)
     assert len(rep.rows) == 23
     assert len(calls) <= 8
 
@@ -479,7 +478,9 @@ def test_lattice_serializations(E3):
 def test_primitive_elements_certified(E3):
     rep = E3.lattice_report()
     for row in rep.rows:
-        assert len(E3.orbit(row.primitive)) == row.degree
+        primitive = E3.fixed_field(row.subgroup).primitive
+        assert str(primitive) == row.primitive
+        assert len(E3.orbit(primitive)) == row.degree
 
 
 LABEL_KS = [F(3), F(5, 3), F(12), F(3, 4), F(990051)]
@@ -489,39 +490,41 @@ LABEL_KS = [F(3), F(5, 3), F(12), F(3, 4), F(990051)]
 def test_stabilizer_matches_apply(k):
     E = SplittingField(k)
     elts = [gen for gens in _label_generators(E).values() for gen in gens]
-    elts += [row.primitive for row in E.lattice_report().rows]
+    elts += [E.fixed_field(elements).primitive for elements in lattice.SUBGROUPS]
     # every basis monomial, so each coordinate of the test is exercised
     elts += [E.monomial(*divmod(idx, 2), F(idx + 1, 3)) for idx in range(16)]
     for u in elts:
-        assert E._stabilizer(u) == {g for g in PAULI_PAIRS if E.apply(g, u) == u}
+        assert reference.stabilizer(E, u) == {g for g in PAULI_PAIRS
+                                              if E.apply(g, u) == u}
 
 
 @pytest.mark.parametrize("k", LABEL_KS)
 def test_label_table_work(monkeypatch, k):
-    # 48 sign tests, three per automorphism, label L's fifteen subfields,
-    # and 64, one stabiliser per named octic, the rest; every generator is a
-    # sum of basis monomials, so no product is taken
-    import pureoctic.splitting as splitting
+    # a lattice report substitutes k into the literal: it tests no
+    # automorphism on an element, builds no field and takes no product
     calls = Counter()
-    fixes, mul = splitting._fixes, FieldElt.__mul__
+    fixes, init, mul = reference.fixes, SplittingField.__init__, FieldElt.__mul__
 
     def counting_fixes(*args):
         calls["fixes"] += 1
         return fixes(*args)
 
+    def counting_init(*args):
+        calls["init"] += 1
+        init(*args)
+
     def counting_mul(*args):
         calls["mul"] += 1
         return mul(*args)
 
-    E = SplittingField(k)
-    monkeypatch.setattr(splitting, "_fixes", counting_fixes)
+    monkeypatch.setattr(reference, "fixes", counting_fixes)
+    monkeypatch.setattr(SplittingField, "__init__", counting_init)
     monkeypatch.setattr(FieldElt, "__mul__", counting_mul)
-    assert len(E._label_table) == 19
-    assert calls["fixes"] <= 112 and calls["mul"] == 0
-    # the whole report takes no product either, so it builds no product table
-    E = SplittingField(k)
-    E.lattice_report()
-    assert calls["mul"] == 0 and "_mul_table" not in vars(E)
+    assert len(lattice.report(k).rows) == 23
+    assert calls == Counter()
+    # the counters do see the search's route
+    assert len(reference.label_table(SplittingField(k))) == 19
+    assert calls["init"] == 1 and calls["fixes"] > 0
 
 
 def _label_generators(E):
@@ -557,12 +560,63 @@ def test_nineteen_distinct_labels(k):
     labels = [row.label for row in rows if row.label]
     assert len(labels) == 19 == len(set(labels))
     # each label names the subgroup fixing its generators, of order 16/degree
-    stabilizers = {frozenset.intersection(*map(E._stabilizer, gens))
+    stabilizers = {frozenset.intersection(*(reference.stabilizer(E, u) for u in gens))
                    for gens in _label_generators(E).values()}
     assert len(stabilizers) == 19
     by_subgroup = {frozenset(row.subgroup): row for row in rows}
     for H in stabilizers:
         assert by_subgroup[H].label and by_subgroup[H].degree * len(H) == 16
+
+
+def _assert_rows_match_the_search(k):
+    # each row's terms are the primitive element the search picks at k, its
+    # label spec and label are the label table's for its subgroup, and the
+    # report prints what the report built by the search prints
+    E = SplittingField(k)
+    table = reference.label_table(E)
+    labels = lattice.labels(k)
+    for row, (elements, (_, _, terms, spec)) in enumerate(
+            zip(lattice.SUBGROUPS, lattice._LATTICE)):
+        found = reference.primitive_element(E, elements)
+        assert found.coeffs == tuple(lattice.coefficients(k, terms)), (k, row)
+        assert table.get(frozenset(elements), (None, None)) == (spec, labels[row]), (k, row)
+    report, searched = lattice.report(k), reference.search_report(k)
+    assert report == searched
+    assert report.as_text() == searched.as_text()
+    assert report.as_dict() == searched.as_dict()
+    assert report.as_dot() == searched.as_dot()
+
+
+# besides the label values, the small k, where a coordinate +-k^d is most
+# likely to meet a small integer multiple of another
+@pytest.mark.parametrize("k", LABEL_KS + [
+    F(5), F(6), F(7), F(10), F(1, 3), F(2, 3), F(3, 2), F(5, 2), F(8, 3)])
+def test_lattice_rows_match_the_search(k):
+    _assert_rows_match_the_search(k)
+
+
+@given(PAULI_K)
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+def test_lattice_rows_match_the_search_on_generated_k(k):
+    _assert_rows_match_the_search(k)
+
+
+@pytest.mark.parametrize("k", LABEL_KS)
+def test_sign_characters(k):
+    # g = (t, s) negates i iff t is odd and sqrt(2) iff s = +-3 mod 8, and
+    # sends sqrt(k) to +-sqrt(k), negated iff 6t + s - 1 = 4 mod 8; so the
+    # subgroup fixing sqrt(d_n) for each class n of a label spec is k-free
+    E = SplittingField(k)
+    flips = {}
+    for t, s in PAULI_PAIRS:
+        signs = (t % 2, s % 8 in (3, 5), (6 * t + s - 1) % 8 == 4)
+        for u, negated in zip((E.i, E.r, E.v2), signs):
+            assert E.apply((t, s), u) == (-u if negated else u)
+        flips[t, s] = sum(bool(bit) << b for b, bit in enumerate(signs))
+    for elements, (_, _, _, spec) in zip(lattice.SUBGROUPS, lattice._LATTICE):
+        if isinstance(spec, tuple):
+            assert set(elements) == {g for g, f in flips.items()
+                                     if not any((f & n).bit_count() & 1 for n in spec)}
 
 
 @pytest.mark.parametrize("k", [F(5), F(6), F(12), F(5, 3)])
