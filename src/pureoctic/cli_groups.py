@@ -1,8 +1,15 @@
 """The `group-identify` subcommand: a stock group by name, or the group a
 list of permutations generates, identified by its fingerprint."""
 
+import re
+
 from . import groups
 from .cli import _emit, _fail
+
+# an integer as int() reads it: a sign, then digits with underscores between
+# groups; matched first, since int()'s ValueError may also mean a number past
+# the digit limit, which `main` reports as such
+_INTEGER = re.compile(r"[+-]?\d+(_\d+)*")
 
 
 def cmd_group_identify(args) -> int:
@@ -10,10 +17,13 @@ def cmd_group_identify(args) -> int:
         if args.gens:
             perms = []
             for part in args.gens.split(";"):
-                images = [int(x) for x in part.replace(",", " ").split()]
-                if not images:
+                tokens = part.replace(",", " ").split()
+                if not tokens:
                     return _fail(f"empty generator in --gens {args.gens!r}")
-                perms.append(groups.Perm(images))
+                for x in tokens:
+                    if not _INTEGER.fullmatch(x):
+                        return _fail(f"--gens takes integers, got {x!r}")
+                perms.append(groups.Perm([int(x) for x in tokens]))
             G = groups.closure(perms)
         else:
             # a stock name is its own answer, and a test proves identify

@@ -19,10 +19,13 @@ inversion.  The count rests only on F_q^* being cyclic, never on the
 classifier.
 
 The degrees depend only on p mod 8 and on the order of b = a^((p-1)/g),
-g = gcd(8, p - 1) (see `_key`), and not on scaling a by an 8th power, so
-`census` takes x = -num * den^7 = -c * den^8 mod p with no inverse: a good
-prime costs two remainders, one modular power and at most one squaring.
-The census tallies the 11 keys and maps each key it saw to degrees once.
+g = gcd(8, p - 1), and not on scaling a by an 8th power, so `census` takes
+x = -num * den^7 = -c * den^8 mod p with no inverse.  One rule serves every
+class of p mod 8: b = x^(p >> log2 g), with log2 g read from `_LOG_G`, and
+log2 ord b is 0, 1, 2 or 3 as b = 1, b = -1, b^2 = -1 or none of these.  A
+good prime costs two remainders, one modular power and at most one
+squaring; the census tallies the 11 keys (p mod 8, log2 ord b) and maps
+each key it saw to degrees once.
 
 The verdict compares against `CYCLE_TYPE_COUNTS`, a literal table of how
 many elements of each cycle type the 8-point model of each classifier
@@ -84,23 +87,8 @@ def _frobenius_degrees(a: int, p: int) -> CycleType:
     return tuple(degrees)
 
 
-def _key(x: int, p: int) -> int:
-    """(p mod 8) << 2 | log2(ord b), b = x^((p-1)/g), g = gcd(8, p - 1), for
-    an odd prime p and a nonzero residue x, unchecked: 11 keys occur, and
-    each determines `_frobenius_degrees(x, p)`.  Why: write x = z^m for a
-    generator z of F_p^*.  X^8 = x has roots in F_(p^d) iff v2(g_d) <=
-    v2(m) + v2((p^d - 1)/(p - 1)), g_d = gcd(8, p^d - 1).  g_d and that
-    valuation, capped at 3, depend only on p mod 8, and v2(m) >= v2(g)
-    makes every condition hold, so they see m only through
-    min(v2(m), v2(g)) = log2(g / ord b).  ord b divides 8, since b^g = 1.
-    """
-    r = p & 7
-    if r & 2:  # g = 2: b = +-1
-        return r << 2 | (pow(x, p >> 1, p) != 1)
-    b = pow(x, p >> (3 if r == 1 else 2), p)
-    if b == 1 or b == p - 1:
-        return r << 2 | (b != 1)
-    return r << 2 | (2 if b * b % p == p - 1 else 3)
+# log2 gcd(8, p - 1), indexed by p mod 8
+_LOG_G = (0, 3, 0, 1, 0, 2, 0, 1)
 
 
 # --- census ----------------------------------------------------------------
@@ -125,7 +113,17 @@ class Census(namedtuple("Census", "c bound counts total skipped")):
 
 def census(c: Rational, bound: int) -> Census:
     """factor_mod_p over every good prime below the bound (deterministic):
-    each sieved prime tallies its `_key`, with no primality check."""
+    each sieved prime tallies its key (p mod 8) << 2 | log2(ord b), with no
+    primality check.
+
+    Here x = -c * den^8 mod p, b = x^((p-1)/g) and g = gcd(8, p - 1); 11
+    keys occur, and each determines `_frobenius_degrees(x, p)`.  Why:
+    write x = z^m for a generator z of F_p^*.  X^8 = x has roots in F_(p^d)
+    iff v2(g_d) <= v2(m) + v2((p^d - 1)/(p - 1)), g_d = gcd(8, p^d - 1).
+    g_d and that valuation, capped at 3, depend only on p mod 8, and
+    v2(m) >= v2(g) makes every condition hold, so they see m only through
+    min(v2(m), v2(g)) = log2(g / ord b).  ord b divides 8, since b^g = 1.
+    """
     c = Fraction(c)
     if c == 0:
         raise ValueError("c must be nonzero")
@@ -146,7 +144,10 @@ def census(c: Rational, bound: int) -> Census:
         if not x:
             skipped.append(p)
             continue
-        key = _key(x, p)
+        # b = x^((p-1)/g): p = 1 mod g, so p >> log2 g = (p - 1)/g
+        b = pow(x, p >> _LOG_G[p & 7], p)
+        key = (p & 7) << 2 | (0 if b == 1 else 1 if b == p - 1
+                              else 2 if b * b % p == p - 1 else 3)
         if not tally[key]:
             first[key] = x, p
         tally[key] += 1

@@ -622,6 +622,14 @@ def test_group_identify_empty_generator(capsys, gens):
     assert "empty generator" in err
 
 
+@pytest.mark.parametrize("gens, token", [("a b", "a"), ("1.5 0", "1.5"),
+                                         ("0 1; 1 0x1", "0x1")])
+def test_group_identify_non_integer_generator(capsys, gens, token):
+    code, out, err = run(capsys, "group-identify", "--gens", gens)
+    assert code == 2 and out == ""
+    assert err == f"error: --gens takes integers, got {token!r}\n"
+
+
 def test_group_identify_unknown(capsys):
     code, _, err = run(capsys, "group-identify", "nonsense")
     assert code == 2 and "choices" in err

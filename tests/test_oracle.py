@@ -1,6 +1,7 @@
 """The mod-p factorization census and its comparison with group models."""
 
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -127,6 +128,19 @@ def test_factor_mod_p_against_brute_force():
                 brute_force_factor_degrees(c, p), (c, p)
 
 
+def _frobenius_key(x, p):
+    """The census's key of a nonzero residue x mod an odd prime p, computed
+    from its definition: (p mod 8) << 2 | log2(ord b), b = x^((p-1)/g),
+    g = gcd(8, p - 1), with ord b found by squaring.  Asserts on the way
+    that `oracle._LOG_G` holds log2 g."""
+    g = math.gcd(8, p - 1)
+    assert oracle._LOG_G[p % 8] == g.bit_length() - 1, p
+    b, log_order = pow(x, (p - 1) // g, p), 0
+    while b != 1:
+        b, log_order = b * b % p, log_order + 1
+    return p % 8 << 2 | log_order
+
+
 def _key_table(primes):
     """The degrees of every key seen over every nonzero residue of each
     prime, asserting on the way that the key determines them."""
@@ -134,7 +148,7 @@ def _key_table(primes):
     for p in primes:
         for a in range(1, p):
             degrees = oracle._frobenius_degrees(a, p)
-            assert table.setdefault(oracle._key(a, p), degrees) == degrees, (a, p)
+            assert table.setdefault(_frobenius_key(a, p), degrees) == degrees, (a, p)
     return table
 
 
@@ -155,8 +169,8 @@ def test_keyed_degrees_every_good_prime(c):
             continue
         a = -num * pow(den, -1, p) % p
         x = -(num % p) * (den % p) ** 7 % p
-        key = oracle._key(x, p)
-        assert key == oracle._key(a, p), p
+        key = _frobenius_key(x, p)
+        assert key == _frobenius_key(a, p), p
         assert table[key] == oracle._frobenius_degrees(a, p), p
 
 
@@ -217,6 +231,19 @@ def test_census_of_huge_c_matches_reference():
     rng = random.Random(4300)
     c = F(-rng.randrange(10 ** 3999, 10 ** 4000), rng.randrange(10 ** 3999, 10 ** 4000))
     assert oracle.census(c, 2000) == reference.reference_census(c, 2000)
+
+
+def test_census_skips_bad_primes_of_every_class():
+    # the bad primes 3..23 fall in every class of p mod 8
+    c = F(3 * 5 * 7 * 17, 11 * 13 * 19 * 23)
+    cns = oracle.census(c, 20000)
+    assert cns == reference.reference_census(c, 20000)
+    assert cns.skipped == (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def test_census_of_a_4000_digit_denominator_matches_reference():
+    c = F(-7, random.Random(4301).randrange(10 ** 3999, 10 ** 4000))
+    assert oracle.census(c, 20000) == reference.reference_census(c, 20000)
 
 
 def test_degrees_always_sum_to_eight():
