@@ -159,7 +159,7 @@ def census(c: Rational, bound: int) -> Census:
 
 
 def group_cycle_types(G) -> dict[CycleType, Fraction]:
-    """Cycle-type proportions of a `perms.FinGroup` on 8 points."""
+    """Cycle-type proportions of a `groups.FinGroup` on 8 points."""
     if G.degree != 8:
         raise ValueError("need a permutation group on exactly 8 points")
     counts = Counter(g.cycle_type() for g in G)
@@ -257,7 +257,7 @@ _CANDIDATES = (binomial.TAG_K8, binomial.TAG_D16, binomial.TAG_QD16,
 
 @lru_cache(maxsize=None)
 def stock_models() -> dict:
-    """Transitive 8-point models (`perms.FinGroup`s) of the classifier
+    """Transitive 8-point models (`groups.FinGroup`s) of the classifier
     outcomes, plus candidate groups that admit no such model (mapped to
     None).  No request builds them: they are the source of
     `CYCLE_TYPE_COUNTS`.

@@ -18,9 +18,8 @@ from functools import lru_cache
 
 from pureoctic import arith, groups, lattice, oracle
 from pureoctic.arith import PrimeBasis, Rational, SquareClass, squarefree_part
-from pureoctic.groups import FinGroup, Perm
+from pureoctic.groups import FinGroup, Perm, affine_map
 from pureoctic.lattice import LatticeReport, LatticeRow
-from pureoctic.perms import affine_map
 from pureoctic.qforms import Place, _symbol, hilbert, relevant_places
 from pureoctic.splitting import (
     FieldElt,
@@ -102,9 +101,18 @@ def is_transitive(G: FinGroup) -> bool:
     return len({g(0) for g in G.elements}) == G.degree
 
 
+def from_multiplication(elements, mult) -> FinGroup:
+    """The left-regular permutation representation of an abstract group
+    given as a list of hashable elements with a multiplication function."""
+    index = {e: i for i, e in enumerate(elements)}
+    if len(index) != len(elements):
+        raise ValueError("duplicate elements")
+    return FinGroup(Perm([index[mult(g, h)] for h in elements]) for g in elements)
+
+
 def regular_representation(G: FinGroup) -> FinGroup:
     """The same abstract group acting on itself by left multiplication."""
-    return groups.from_multiplication(range(G.order), lambda a, b: G._table[a][b])
+    return from_multiplication(range(G.order), lambda a, b: G._table[a][b])
 
 
 def relabel(G: FinGroup, pi: Perm) -> FinGroup:
@@ -133,8 +141,8 @@ def quotient_group(G: FinGroup, N: FinGroup) -> FinGroup:
             for n in members:
                 coset[t[g][n]] = len(reps)
             reps.append(g)
-    return groups.from_multiplication(range(len(reps)),
-                                      lambda a, b: coset[t[reps[a]][reps[b]]])
+    return from_multiplication(range(len(reps)),
+                               lambda a, b: coset[t[reps[a]][reps[b]]])
 
 
 def greedy_generators(elements) -> tuple[Perm, ...]:

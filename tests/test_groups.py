@@ -1,5 +1,6 @@
 """The permutation-group engine and the order-16 identification machinery."""
 
+import functools
 import itertools
 import json
 import operator
@@ -11,7 +12,7 @@ import pytest
 import reference
 from hypothesis import assume, given, settings, strategies as st
 
-from pureoctic import groups, perms
+from pureoctic import groups
 from pureoctic.groups import Perm
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -226,17 +227,55 @@ def test_fingerprint_builds_no_group(monkeypatch):
     # 8-point model builds no FinGroup
     cases = list(_registry_groups())
     built = []
-    init = perms.FinGroup.__init__
+    init = groups.FinGroup.__init__
 
     def counted_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(perms.FinGroup, "__init__", counted_init)
+    monkeypatch.setattr(groups.FinGroup, "__init__", counted_init)
     groups.fingerprint.cache_clear()
     for _, G in cases:
         groups.fingerprint(G)
     assert built == []
+
+
+def _power(g, n):
+    return functools.reduce(operator.mul, [g] * n, Perm(range(g.degree)))
+
+
+def _inverse(g):
+    return Perm(sorted(range(g.degree), key=g))
+
+
+def test_generated_models_satisfy_their_presentations():
+    # each generated model has the order of its presentation and its
+    # registry generators satisfy the relations, so it is that group: a proof
+    # that does not read the fingerprint registry built from the same models
+    models = groups.group_models()
+    orders = {name: models[name].group.order
+              for name in ("D8", "Q16", "C4:C4", "C2^2:C4")}
+    assert orders == {"D8": 8, "Q16": 16, "C4:C4": 16, "C2^2:C4": 16}
+    # D8 = <r, f | r^4 = f^2 = 1, f r f^-1 = r^-1>
+    r, f = models["D8"].gens
+    e = Perm(range(r.degree))
+    assert _power(r, 4) == _power(f, 2) == e
+    assert f * r * _inverse(f) == _inverse(r)
+    # Q16 = <x, y | x^8 = 1, y^2 = x^4, y x y^-1 = x^-1>, with x^4 != 1
+    x, y = models["Q16"].gens
+    e = Perm(range(x.degree))
+    assert _power(x, 8) == e != _power(x, 4)
+    assert _power(y, 2) == _power(x, 4)
+    assert y * x * _inverse(y) == _inverse(x)
+    # C4:C4 = <a, b | a^4 = b^4 = 1, b a b^-1 = a^-1>
+    a, b = models["C4:C4"].gens
+    assert _power(a, 4) == _power(b, 4) == e
+    assert b * a * _inverse(b) == _inverse(a)
+    # C2^2:C4 = <x, j | x^2 = j^4 = 1, x commutes with j x j^-1 and j^2>
+    x, j = models["C2^2:C4"].gens
+    assert _power(x, 2) == _power(j, 4) == e
+    for g in (j * x * _inverse(j), _power(j, 2)):
+        assert x * g == g * x
 
 
 def test_q8_all_subgroups_normal():
@@ -287,12 +326,12 @@ def test_identify_matches_construction_names():
 
 
 def test_identify_small_groups():
-    assert groups.identify(groups.cyclic(16)) == "C16"
-    assert groups.identify(groups.cyclic(4)) == "C4"
-    assert groups.identify(groups.direct_product(groups.cyclic(2), groups.cyclic(2))) == "V4"
-    assert groups.identify(groups._dihedral8()) == "D8"
+    assert groups.identify(groups._abelian(16)) == "C16"
+    assert groups.identify(groups._abelian(4)) == "C4"
+    assert groups.identify(groups._abelian(2, 2)) == "V4"
+    assert groups.identify(groups.group_models()["D8"].group) == "D8"
     with pytest.raises(ValueError):
-        groups.identify(groups.cyclic(33))
+        groups.identify(groups._abelian(33))
 
 
 def test_fingerprint_invariant_under_relabeling():
@@ -322,18 +361,18 @@ def test_regular_representation_preserves_fingerprint():
 
 
 def test_abelian_invariants():
-    assert groups.abelian_invariants(groups.cyclic(8)) == (8,)
-    prod = groups.direct_product(groups.cyclic(4), groups.cyclic(2))
+    assert groups.abelian_invariants(groups._abelian(8)) == (8,)
+    prod = groups._abelian(4, 2)
     assert groups.abelian_invariants(prod) == (4, 2)
     assert groups.abelian_name((4, 2)) == "C4xC2"
     assert groups.abelian_name((2, 2, 2)) == "E8"
     with pytest.raises(ValueError):
-        groups.abelian_invariants(groups._dihedral8())
+        groups.abelian_invariants(groups.group_models()["D8"].group)
 
 
 def test_affine_pair_inverts_affine_map():
     pairs = [(t, s) for t in range(8) for s in (1, 3, 5, 7)]
-    assert [reference.affine_pair(perms.affine_map(t, s)) for t, s in pairs] == pairs
+    assert [reference.affine_pair(groups.affine_map(t, s)) for t, s in pairs] == pairs
     assert len(groups.PAULI_PAIRS) == 16
     # a Perm that is no affine map is refused on every call
     for bad in (Perm([1, 0, 2, 3, 4, 5, 6, 7]), Perm([0, 1, 3, 2, 4, 5, 6, 7])):
@@ -383,7 +422,7 @@ def test_generating_set_matches_closure_reference(name):
 
 def test_subgroups_golden():
     # the (element indices, normal) rows, recorded from the closure-based
-    # enumerator before the Cayley-table engine replaced it
+    # enumerator `_reference_subgroups` that the Cayley-table engine replaced
     lines = []
     for label, G in _engine_cases():
         index = {g: i for i, g in enumerate(G.elements)}
@@ -409,7 +448,7 @@ def test_fingroup_rejects_bad_element_sets():
 
 def test_subgroups_refuse_groups_above_max_order():
     s5 = groups.FinGroup(Perm(p) for p in itertools.permutations(range(5)))
-    assert s5.order == 120 > perms.MAX_GROUP_ORDER
+    assert s5.order == 120 > groups.MAX_GROUP_ORDER
     with pytest.raises(ValueError, match="supported up to order"):
         s5.subgroups()
 
@@ -418,7 +457,7 @@ def test_subgroup_enumeration_takes_no_closures(monkeypatch):
     hol = groups.affine_group_mod8(groups.group_models()["B32"].pairs)
     pauli = groups.affine_group_mod8(groups.PAULI_PAIRS)
     calls = Counter()
-    closure, mul = perms.closure, Perm.__mul__
+    closure, mul = groups.closure, Perm.__mul__
 
     def counted_closure(gens):
         calls["closure"] += 1
@@ -428,7 +467,7 @@ def test_subgroup_enumeration_takes_no_closures(monkeypatch):
         calls["mul"] += 1
         return mul(p, q)
 
-    monkeypatch.setattr(perms, "closure", counted_closure)
+    monkeypatch.setattr(groups, "closure", counted_closure)
     monkeypatch.setattr(Perm, "__mul__", counted_mul)
     assert len(hol.subgroups()) == 58
     assert len(pauli.subgroups()) == 23
@@ -440,15 +479,15 @@ def _table_state(G):
 
 
 def test_subgroups_are_read_off_the_parent_table(monkeypatch):
-    G = perms.affine_group_mod8(perms.PAULI_PAIRS)  # a fresh, unenumerated model
+    G = groups.affine_group_mod8(groups.PAULI_PAIRS)  # a fresh, unenumerated model
     built = []
-    init = perms.FinGroup.__init__
+    init = groups.FinGroup.__init__
 
     def counted_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(perms.FinGroup, "__init__", counted_init)
+    monkeypatch.setattr(groups.FinGroup, "__init__", counted_init)
     assert len(G.subgroups()) == 23
     assert built == []
     monkeypatch.undo()
@@ -456,7 +495,7 @@ def test_subgroups_are_read_off_the_parent_table(monkeypatch):
     # elements, down to its lattice and center
     for label, G in _engine_cases():
         for H, _ in G.subgroups():
-            fresh = perms.FinGroup(H.elements)
+            fresh = groups.FinGroup(H.elements)
             assert _table_state(H) == _table_state(fresh), label
             assert [(_table_state(K), normal) for K, normal in H.subgroups()] == \
                 [(_table_state(K), normal) for K, normal in fresh.subgroups()], label

@@ -10,8 +10,8 @@ import pytest
 import reference
 from hypothesis import given, settings, strategies as st
 
-from pureoctic import arith, binomial, groups, lattice, linalg, perms
-from pureoctic.perms import PAULI_PAIRS, affine_map
+from pureoctic import arith, binomial, groups, lattice, linalg
+from pureoctic.groups import PAULI_PAIRS, affine_map
 from pureoctic.splitting import FieldElt, SplittingField, witt_beta_rho
 
 IDENTITY = (0, 1)
@@ -112,7 +112,7 @@ def test_lattice_builds_no_group(monkeypatch):
     # the subgroups and their generators are the literal `_LATTICE`, and
     # fixed_field takes each as its set of pairs
     calls = Counter()
-    closure, init = perms.closure, groups.FinGroup.__init__
+    closure, init = groups.closure, groups.FinGroup.__init__
 
     def counted_closure(gens):
         calls["closure"] += 1
@@ -122,7 +122,7 @@ def test_lattice_builds_no_group(monkeypatch):
         calls["init"] += 1
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(perms, "closure", counted_closure)
+    monkeypatch.setattr(groups, "closure", counted_closure)
     monkeypatch.setattr(groups.FinGroup, "__init__", counted_init)
     assert len(SplittingField(F(5)).lattice_report().rows) == 23
     assert calls == Counter()
