@@ -1,10 +1,9 @@
 """Permutation groups and the catalogue of named groups.
 
 The engine: a group on any number of points indexes its sorted elements and
-holds their Cayley table; subgroups are enumerated, and their generating
-sets chosen, as bitmasks over those indices, and each subgroup's table is
-read off its parent's.  Closure and subgroup enumeration stop at
-MAX_GROUP_ORDER elements.  An affine map m -> s*m + t of Z/n is the Perm
+holds their Cayley table; subgroups are enumerated as bitmasks over those
+indices, and each subgroup's table is read off its parent's.  Closure and
+subgroup enumeration stop at MAX_GROUP_ORDER elements.  An affine map m -> s*m + t of Z/n is the Perm
 `affine_map(t, s, n)`; those of `PAULI_PAIRS` (on Z/8) are the automorphisms
 of the splitting field, which `splitting` names by their pairs alone.
 
@@ -216,19 +215,6 @@ class FinGroup:
                     members.append(y)
         return H
 
-    def generating_set(self, elements) -> tuple[Perm, ...]:
-        """A small generating set of the subgroup the given elements generate:
-        each one the earlier choices do not generate is chosen, in order; the
-        trivial group is generated by its identity."""
-        chosen = []
-        H = 1 << self._identity
-        for g in elements:
-            i = self._index[g.images]
-            if not H >> i & 1:
-                chosen.append(i)
-                H = self._join(H, tuple(chosen))
-        return tuple(self.elements[i] for i in chosen or [self._identity])
-
     def _subgroup(self, H: int) -> "FinGroup":
         # the subgroup H (a bitmask): its elements stay sorted, and its table,
         # inverses and identity are this group's, renumbered
@@ -305,11 +291,6 @@ def _cycles(*orders: int) -> tuple[Perm, ...]:
         gens.append(Perm(images))
         start += k
     return tuple(gens)
-
-
-def _abelian(*orders: int) -> FinGroup:
-    """C(n1) x C(n2) x ..., on the blocks of `_cycles`."""
-    return closure(_cycles(*orders))
 
 
 def _times_c2(gens) -> tuple[Perm, ...]:
@@ -503,11 +484,6 @@ def group_models() -> dict[str, GroupModel]:
 def pauli_matrix_group() -> FinGroup:
     """The 16-element matrix group <X, Y, Z>, on the 8 points of its vectors."""
     return group_models()["Pauli"].group
-
-
-def quaternion_group() -> FinGroup:
-    """Q8 = <iX, iY>, on the 8 points of its vectors."""
-    return group_models()["Q8"].group
 
 
 # the other names the CLI accepts for registry entries

@@ -22,12 +22,13 @@ then an F2 vector over it, and each unordered pair of classes gets one
 word, an int whose bit i is its Hilbert symbol at the i-th relevant
 place, computed the first time the pair is asked for.  A Hasse invariant
 at every place is then the XOR of three words, and each criterion
-compares two.  Each criterion takes an optional space, so that a caller
-asking several questions of the same a, b, c factors them once; the S_L
-search visits the 210 ordered triplets of its seven classes and decides
-(15) once on each of the 168 independent ones, a decision that the space
-keeps for the `embed` comparison table.  The scalar `hilbert`, from
-rationals by the local unit formulas, and `relevant_places` are the
+compares two.  The symbol form (14) is asked of a space alone; the
+other criteria and `equivalent` take an optional space, so that a caller
+asking several questions of the same a, b, c factors them once.  The
+S_L search visits the 210 ordered triplets of its seven classes and
+decides (15) once on each of the 168 independent ones, a decision that
+the space keeps for the `embed` comparison table.  The scalar `hilbert`,
+from rationals by the local unit formulas, and `relevant_places` are the
 reference that the words are tested against.
 """
 
@@ -226,12 +227,13 @@ class ClassSpace:
         return self.equivalent((x, y, x ^ y), (0, z, z))
 
     def brauer_condition(self, x: int, y: int, z: int) -> bool:
-        """`brauer_condition` for class vectors; -1 is the vector 1."""
+        """The symbol form (14), (xyz, -1) = (x, y) at every relevant place,
+        for class vectors; -1 is the vector 1."""
         return self.word(x ^ y ^ z, 1) == self.word(x, y)
 
     @staticmethod
     def sl_classes(x: int, y: int, z: int) -> list[int]:
-        """`sl_classes` as class vectors."""
+        """S_L = {x, y, xy, z, xz, yz, xyz} as class vectors."""
         return [x, y, x ^ y, z, x ^ z, y ^ z, x ^ y ^ z]
 
     def sl_decisions(self, x: int, y: int, z: int) -> list[tuple[int, int, int, bool]]:
@@ -272,22 +274,6 @@ def pauli_embeddable(a: Rational, b: Rational, c: Rational,
     space = space or ClassSpace(a, b, c)
     _triple(space, a, b, c)
     return equivalent((a, b, a * b), (1, c, c), space)
-
-
-def brauer_condition(a: Rational, b: Rational, c: Rational,
-                     space: ClassSpace | None = None) -> bool:
-    """The quaternion-algebra form of the criterion: (abc, -1) = (a, b) as
-    Hilbert symbols at every relevant place."""
-    space = space or ClassSpace(a, b, c)
-    return space.brauer_condition(*_triple(space, a, b, c))
-
-
-def sl_classes(a: Rational, b: Rational, c: Rational,
-               space: ClassSpace | None = None) -> list[int]:
-    """The seven nontrivial square classes {a, b, ab, c, ac, bc, abc} of the
-    triquadratic field generated by a, b, c."""
-    space = space or ClassSpace(a, b, c)
-    return [space.representative(v) for v in space.sl_classes(*_triple(space, a, b, c))]
 
 
 def sl_search(a: Rational, b: Rational, c: Rational,

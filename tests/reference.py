@@ -221,13 +221,13 @@ def affine_pair(p: Perm) -> tuple[int, int]:
 def pauli_lattice() -> list[tuple[tuple, bool, tuple]]:
     """The engine's subgroups of the 16 Pauli maps in the lattice report's
     order, by order and then by sorted pairs: each its sorted pairs (t, s),
-    its normality and the generators `generating_set` picks from them."""
+    its normality and the generators `greedy_generators` picks from them."""
     G = groups.affine_group_mod8(groups.PAULI_PAIRS)
     rows = []
     for H, normal in G.subgroups():
         elements = sorted(H, key=affine_pair)
         rows.append((tuple(map(affine_pair, elements)), normal,
-                     tuple(map(affine_pair, G.generating_set(elements)))))
+                     tuple(map(affine_pair, greedy_generators(elements)))))
     return sorted(rows, key=lambda row: (len(row[0]), row[0]))
 
 

@@ -397,6 +397,162 @@ def test_coldbench_traced_names_live_where_they_are_traced():
             (module, attr_path)
 
 
+# every subcommand in each of its formats and one error path each, with an
+# `embed` value whose square class needs rho (1000003 * 1000033), and the
+# exit code of each
+COVERAGE_ARGV = [
+    (("--help",), 0),
+    ((), 2),
+    (("classify", "9"), 0),
+    (("classify", "9", "--format", "json"), 0),
+    (("classify", "0"), 2),
+    (("lattice", "3"), 0),
+    (("lattice", "3", "--format", "json"), 0),
+    (("lattice", "3", "--format", "dot"), 0),
+    (("lattice", "2"), 2),
+    (("witt-verify", "3"), 0),
+    (("witt-verify", "3", "--format", "json"), 0),
+    (("witt-verify", "2"), 2),
+    (("embed", "2", "3", "-2", "--compare"), 0),
+    (("embed", "2", "3", "-2", "--compare", "--format", "json"), 0),
+    (("embed", "1000036000099", "3", "5"), 0),
+    (("embed", "2", "3", "6"), 2),
+    (("sl-search", "2", "3", "-2"), 0),
+    (("sl-search", "2", "3", "-2", "--format", "json"), 0),
+    (("sl-search", "1", "2", "3"), 2),
+    (("oracle", "9", "--primes", "5000"), 0),
+    (("oracle", "9", "--primes", "5000", "--format", "json"), 0),
+    (("oracle", "9", "--primes", "5000", "--tolerance", "1/1000"), 1),
+    (("oracle", "4"), 2),
+    (("group-identify", "QD16"), 0),
+    (("group-identify", "QD16", "--format", "json"), 0),
+    (("group-identify", "--gens", "1 2 3 0; 3 2 1 0"), 0),
+    (("group-identify", "--gens", "1 2 0"), 0),
+    (("group-identify", "--gens", "1 0 2 3; 1 2 3 0"), 2),
+    (("group-identify", "nope"), 2),
+]
+
+TRACED, ACCEPTANCE, IMPORT = "coldbench TRACED", "tests/test_acceptance.py", "module import"
+
+# the functions that neither a module's import nor a request of COVERAGE_ARGV
+# enters, each with what holds it: an entry of coldbench's traced_cli.TRACED,
+# a call in tests/test_acceptance.py, or its module's own code, run by
+# `python -m pureoctic`; "via f" holds a function that only f calls
+NOT_ENTERED = {
+    "__main__.run": (IMPORT,),
+    "groups.FinGroup.__len__": (ACCEPTANCE,),
+    "groups.Perm.__call__": (f"{ACCEPTANCE} via reference.affine_pair",),
+    "groups.order16_stock_models": (TRACED, ACCEPTANCE),
+    "groups.pauli_matrix_group": (ACCEPTANCE,),
+    "linalg.in_span": (TRACED, ACCEPTANCE),
+    "linalg.nullspace": (TRACED,),
+    "linalg.rank": (f"{ACCEPTANCE} via linalg.in_span",),
+    "linalg.rref": (TRACED,),
+    "oracle.factor_mod_p": (TRACED,),
+    "oracle.group_cycle_types": (ACCEPTANCE,),
+    "oracle.stock_models": (TRACED, ACCEPTANCE),
+    "qforms.Place._unchecked": (f"{ACCEPTANCE} via qforms.relevant_places",),
+    "qforms.Place.is_real": (f"{ACCEPTANCE} via qforms.hilbert",),
+    "qforms._square_class_int": (f"{ACCEPTANCE} via qforms.hilbert",),
+    "qforms.hilbert": (TRACED, ACCEPTANCE),
+    "qforms.pauli_embeddable": (ACCEPTANCE,),
+    "qforms.relevant_places": (TRACED, ACCEPTANCE),
+    "splitting.FieldElt.inverse": (TRACED,),
+    "splitting.FieldElt.is_rational": (f"{TRACED} via splitting.FieldElt.inverse",),
+    "splitting.SplittingField._labels":
+        (f"{ACCEPTANCE} via splitting.SplittingField.fixed_field",),
+    "splitting.SplittingField.fixed_field": (TRACED, ACCEPTANCE),
+    "splitting.SplittingField.lattice_report": (TRACED, ACCEPTANCE),
+    "splitting.SplittingField.orbit": (TRACED,),
+}
+
+
+# run in a fresh interpreter, so that no cache an earlier test filled hides
+# a function's body: one profile records every function entered while each
+# module of the package is imported and then while `main` serves each argv of
+# argv[1]; prints the exit codes and the functions never entered, as JSON
+_PROFILED_REQUESTS = """
+import contextlib, importlib, inspect, json, os, pkgutil, sys
+entered = set()
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+sys.setprofile(profile)
+import pureoctic
+modules = [importlib.import_module("pureoctic." + info.name)
+           for info in pkgutil.iter_modules(pureoctic.__path__)]
+from pureoctic.cli import main
+codes = []
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    for argv in json.loads(sys.argv[1]):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+sys.setprofile(None)
+def functions(code, module):
+    # every def: lambdas, comprehensions and class bodies are not counted
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            if const.co_flags & inspect.CO_OPTIMIZED and const.co_name[0] != "<":
+                yield (const.co_filename, const.co_qualname), module + "." + const.co_qualname
+            yield from functions(const, module)
+defined = {}
+for module in modules:
+    with open(module.__file__) as f:
+        code = compile(f.read(), module.__file__, "exec")
+    defined.update(functions(code, module.__name__.partition(".")[2]))
+print(json.dumps([codes, sorted(defined[key] for key in defined.keys() - entered)]))
+"""
+
+
+def _source_of(name):
+    """The source of a package function or a `reference` helper, by name."""
+    import inspect
+
+    import reference
+    first, *path = name.split(".")
+    obj = reference if first == "reference" else importlib.import_module(f"pureoctic.{first}")
+    for part in path:
+        obj = getattr(obj, part)
+    return inspect.getsource(obj)
+
+
+def test_every_function_is_entered_or_held():
+    proc = run_python("-c", _PROFILED_REQUESTS,
+                      json.dumps([list(argv) for argv, _ in COVERAGE_ARGV]))
+    assert proc.returncode == 0, proc.stderr
+    codes, not_entered = json.loads(proc.stdout)
+    assert codes == [code for _, code in COVERAGE_ARGV]
+    assert sorted(set(not_entered) - NOT_ENTERED.keys()) == [], "held by nothing"
+    assert sorted(NOT_ENTERED.keys() - set(not_entered)) == [], \
+        "gone, or a request enters it"
+    # each holder holds: a TRACED name is traced, and a name the acceptance
+    # tests, a module body or a "via" function calls occurs in its source;
+    # a dunder method is reached by syntax, not by name
+    traced = {f"{module}.{attr}" for module, attr, _ in _traced_cli().TRACED}
+    acceptance = (Path(__file__).parent / "test_acceptance.py").read_text()
+    for name, holders in NOT_ENTERED.items():
+        module, _, qualname = name.partition(".")
+        short = qualname.rpartition(".")[2]
+        for holder in holders:
+            kind, _, via = holder.partition(" via ")
+            if via:
+                assert via in acceptance if via.startswith("reference.") else any(
+                    h.partition(" via ")[0] == kind for h in NOT_ENTERED[via]), holder
+                text = _source_of(via)
+            elif kind == TRACED:
+                assert name in traced, name
+                continue
+            elif kind == ACCEPTANCE:
+                text = acceptance
+            else:
+                assert kind == IMPORT, holder
+                # the module's own code, the function's definition left out
+                text = _source_of(module).replace(_source_of(name), "")
+            assert short.startswith("__") or short in text, (name, holder)
+
+
 def test_witt_verify(capsys):
     code, out, _ = run(capsys, "witt-verify", "3")
     assert code == 0

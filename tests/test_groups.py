@@ -140,7 +140,7 @@ def test_pauli_perms_are_the_matrix_actions():
     P, Q8 = _generated([X, Y, Z], _matmul), _generated([iX, iY], _matmul)
     assert (len(P), len(Q8)) == (16, 8)
     assert set(map(_action, P)) == set(groups.pauli_matrix_group())
-    assert set(map(_action, Q8)) == set(groups.quaternion_group())
+    assert set(map(_action, Q8)) == set(groups.group_models()["Q8"].group)
 
 
 def test_pauli_matrix_group_facts():
@@ -216,8 +216,8 @@ def test_quotient_invariants_match_the_coset_group():
             invariants = groups.quotient_invariants(G, N)
             Q = reference.quotient_group(G, N)
             assert Q.is_abelian(), label
-            assert Q.element_orders() == \
-                groups._abelian(1, *invariants).element_orders(), (label, N.order)
+            abelian = groups.closure(groups._cycles(1, *invariants))
+            assert Q.element_orders() == abelian.element_orders(), (label, N.order)
             pairs += 1
     assert pairs == 304
 
@@ -279,7 +279,7 @@ def test_generated_models_satisfy_their_presentations():
 
 
 def test_q8_all_subgroups_normal():
-    Q8 = groups.quaternion_group()
+    Q8 = groups.group_models()["Q8"].group
     subs = Q8.subgroups()
     assert len(subs) == 6
     assert all(nrm for _, nrm in subs)
@@ -326,12 +326,12 @@ def test_identify_matches_construction_names():
 
 
 def test_identify_small_groups():
-    assert groups.identify(groups._abelian(16)) == "C16"
-    assert groups.identify(groups._abelian(4)) == "C4"
-    assert groups.identify(groups._abelian(2, 2)) == "V4"
+    assert groups.identify(groups.closure(groups._cycles(16))) == "C16"
+    assert groups.identify(groups.closure(groups._cycles(4))) == "C4"
+    assert groups.identify(groups.closure(groups._cycles(2, 2))) == "V4"
     assert groups.identify(groups.group_models()["D8"].group) == "D8"
     with pytest.raises(ValueError):
-        groups.identify(groups._abelian(33))
+        groups.identify(groups.closure(groups._cycles(33)))
 
 
 def test_fingerprint_invariant_under_relabeling():
@@ -355,14 +355,86 @@ def test_hol_c8_model():
         groups.fingerprint(groups.pauli_matrix_group())
 
 
+def _zeta8(*exponents):
+    """The sum of w^e over the exponents, w a primitive 8th root of unity, as
+    its coefficients on 1, w, w^2, w^3 (w^4 = -1)."""
+    v = [0] * 4
+    for e in exponents:
+        v[e % 4] += -1 if e % 8 >= 4 else 1
+    return tuple(v)
+
+
+# sqrt(d) in Q(w) as a sum of powers of w
+_ROOTS = {-1: (2,), 2: (1, 7), -2: (1, 3)}
+
+
+def _chi(d, s):
+    """The sign by which w -> w^s moves sqrt(d)."""
+    root = _zeta8(*_ROOTS[d])
+    image = _zeta8(*(s * e for e in _ROOTS[d]))
+    assert image in (root, tuple(-x for x in root))
+    return 1 if image == root else -1
+
+
+# the group of the (t, s) that respect each tag's witness identity, for the
+# root a and w as fixed below; K8 is identified as C4xC2
+WITNESS_RULES = {
+    "C4xC2": lambda t, s: s == (1 + 2 * t) % 8,  # c = d^4: a^2 = w*d
+    "D16": lambda t, s: (-1) ** t == _chi(-2, s),  # c = 2d^2: a^4 = sqrt(-2)*d
+    "QD16": lambda t, s: (-1) ** t == _chi(2, s),  # c = -2d^2: a^4 = sqrt(2)*d
+    "Pauli": lambda t, s: (-1) ** t == _chi(-1, s),  # c = k^2: a^4 = i*k
+    "B32": lambda t, s: True,
+}
+
+
+def test_galois_groups_of_pure_octics_by_enumeration():
+    # fix a root a of X^8 + c and w = exp(2 pi i/8): every automorphism is
+    # a -> a*w^t, w -> w^s, so G lies in Hol(C8), the 32 pairs (t, s).  G is
+    # transitive when X^8 + c is irreducible, and it maps onto
+    # Gal(Q(w)/Q) = (Z/8)^x, so its s run through {1, 3, 5, 7}
+    for d in _ROOTS:
+        assert _zeta8(*(x + y for x in _ROOTS[d] for y in _ROOTS[d])) == (d, 0, 0, 0)
+    hol = groups.affine_group_mod8(groups._affine_pairs(lambda t, s: True))
+    transitive = []
+    for H, _ in hol.subgroups():
+        if reference.is_transitive(H):
+            pairs = tuple(sorted(map(reference.affine_pair, H)))
+            transitive.append((H.order, groups.identify(H), pairs))
+    candidates = [row for row in transitive
+                  if {s for _, s in row[2]} == {1, 3, 5, 7}]
+    # no irreducible pure octic has Galois group Q8, nor any group outside
+    # these six; Q8 is transitive, and only the map onto (Z/8)^x excludes it
+    witness = {name: groups._affine_pairs(rule) for name, rule in WITNESS_RULES.items()}
+    minus = groups._affine_pairs(lambda t, s: s == (1 - 2 * t) % 8)
+    assert sorted(candidates) == sorted([
+        (8, "C4xC2", witness["C4xC2"]),
+        (8, "C4xC2", minus),
+        (16, "D16", witness["D16"]),
+        (16, "QD16", witness["QD16"]),
+        (16, "Pauli", groups.PAULI_PAIRS),
+        (32, "B32", witness["B32"]),
+    ])
+    assert "Q8" in {name for _, name, _ in transitive}
+    # so the witness groups are the candidates but one, the conjugate of K8's
+    # by m -> -m: K8's rule read with w^-1 in place of w
+    flip = groups.affine_map(0, 7)
+    assert sorted(reference.affine_pair(flip * groups.affine_map(t, s) * flip)
+                  for t, s in witness["C4xC2"]) == list(minus)
+    # sigma(a^4) = (-1)^t a^4 and sigma(i) = chi_-1(s) i: the Pauli candidate
+    # is exactly the group fixing a^4/i, which is then rational, so that
+    # c = -a^8 = k^2 with k = a^4/i
+    fixing = groups._affine_pairs(lambda t, s: (-1) ** t * _chi(-1, s) == 1)
+    assert fixing == groups.PAULI_PAIRS == witness["Pauli"]
+
+
 def test_regular_representation_preserves_fingerprint():
     qd = groups.order16_stock_models()["QD16"]
     assert groups.fingerprint(reference.regular_representation(qd)) == groups.fingerprint(qd)
 
 
 def test_abelian_invariants():
-    assert groups.abelian_invariants(groups._abelian(8)) == (8,)
-    prod = groups._abelian(4, 2)
+    assert groups.abelian_invariants(groups.closure(groups._cycles(8))) == (8,)
+    prod = groups.closure(groups._cycles(4, 2))
     assert groups.abelian_invariants(prod) == (4, 2)
     assert groups.abelian_name((4, 2)) == "C4xC2"
     assert groups.abelian_name((2, 2, 2)) == "E8"
@@ -412,12 +484,12 @@ def test_subgroups_match_closure_reference():
 
 @pytest.mark.parametrize("name", ["Pauli", "B32"])
 def test_generating_set_matches_closure_reference(name):
+    # the reference that the lattice literal's generator column is proven
+    # against: in both element orders, its choices generate the subgroup
     G = groups.group_models()[name].model8
     for H, _ in G.subgroups():
         for elements in (tuple(sorted(H, key=reference.affine_pair)), H.elements):
-            gens = G.generating_set(elements)
-            assert gens == reference.greedy_generators(elements)
-            assert groups.closure(gens) == H
+            assert groups.closure(reference.greedy_generators(elements)) == H
 
 
 def test_subgroups_golden():

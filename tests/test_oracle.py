@@ -278,7 +278,7 @@ def test_group_cycle_types_pauli_model():
 
 def test_group_cycle_types_wrong_degree():
     with pytest.raises(ValueError):
-        oracle.group_cycle_types(groups._abelian(16))  # 16 points
+        oracle.group_cycle_types(groups.closure(groups._cycles(16)))  # 16 points
 
 
 def test_census_bookkeeping():

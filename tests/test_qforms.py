@@ -183,10 +183,12 @@ def test_pauli_embeddable_works_for_every_valid_k():
 
 
 def test_brauer_condition():
-    assert qforms.brauer_condition(F(-1), F(3), F(-2))
-    assert not qforms.brauer_condition(F(2), F(3), F(-2))
+    for (a, b, c), holds in (((-1, 3, -2), True), ((2, 3, -2), False)):
+        space = qforms.ClassSpace(F(a), F(b), F(c))
+        assert space.brauer_condition(*space.independent(space.vectors)) == holds
+    space = qforms.ClassSpace(F(2), F(8), F(3))
     with pytest.raises(ValueError):
-        qforms.brauer_condition(F(2), F(8), F(3))
+        space.independent(space.vectors)
 
 
 def test_isotropic():
@@ -214,8 +216,12 @@ def test_sl_search():
     hits2 = qforms.sl_search(F(-1), F(3), F(-2))
     assert (-1, 3, -2) in hits2
     # S_L is the same set for both generating triplets of the same field
-    assert sorted(qforms.sl_classes(F(2), F(3), F(-2))) == \
-        sorted(qforms.sl_classes(F(-1), F(3), F(-2)))
+    s_l = []
+    for triple in ((F(2), F(3), F(-2)), (F(-1), F(3), F(-2))):
+        space = qforms.ClassSpace(*triple)
+        s_l.append(sorted(map(space.representative,
+                              space.sl_classes(*space.independent(space.vectors)))))
+    assert s_l[0] == s_l[1]
     with pytest.raises(ValueError):
         qforms.sl_search(F(1), F(2), F(3))
     with pytest.raises(ValueError):
@@ -387,7 +393,7 @@ def test_class_space_criteria_match_form_equivalence():
         space = qforms.ClassSpace(a, b, c)
         assert space.pauli_embeddable(*space.vectors) == holds_15
         places = qforms.relevant_places(a, b, c, F(-1), a * b * c)
-        assert qforms.brauer_condition(a, b, c) == all(
+        assert space.brauer_condition(*space.independent(space.vectors)) == all(
             qforms.hilbert(a * b * c, F(-1), v) == qforms.hilbert(a, b, v)
             for v in places)
         assert qforms.witt_embeddable(a, b) == _reference_equivalent((a, b, a * b), (1, 1, 1))
@@ -443,7 +449,8 @@ def test_pair_words_match_the_per_place_route():
             assert holds_14 == _scalar_brauer(ru, rv, rw)
             if w != u ^ v:
                 assert qforms.pauli_embeddable(ru, rv, rw, space) == holds_15
-                assert qforms.brauer_condition(ru, rv, rw, space) == holds_14
+                vectors = space.independent(map(space.vector, (ru, rv, rw)))
+                assert space.brauer_condition(*vectors) == holds_14
             f, g = (u, v, w), tuple(rng.choice(span) for _ in range(3))
             same = space.equivalent(f, g)
             assert same == reference.space_equivalent(space, f, g)
