@@ -9,13 +9,15 @@ def cmd_embed(args) -> int:
     a = parse_rational(args.a)
     b = parse_rational(args.b)
     c = parse_rational(args.c)
-    # a, b and c are factored once here; every criterion below reuses the
-    # space, and (15) and (14) read the vectors of a, b and c off it
+    # a, b and c are factored once here and every criterion below reuses
+    # the space; the 168 (15) decisions on S_L are made once, for both the
+    # rewritten triplets and the --compare table
     space = qforms.ClassSpace(a, b, c)
     x, y, z = space.independent(space.vectors)
     holds_15 = space.pauli_embeddable(x, y, z)
     holds_14 = space.brauer_condition(x, y, z)
-    triplets = qforms.sl_search(a, b, c, space)
+    decisions = space.sl_decisions(x, y, z)
+    triplets = space.holding_triplets(decisions)
     classes = [space.representative(v) for v in space.sl_classes(x, y, z)]
     lines = [f"square classes of (a, b, c) = ({a}, {b}, {c}): independent",
              f"S_L = {{{', '.join(map(str, classes))}}}",
@@ -42,7 +44,7 @@ def cmd_embed(args) -> int:
         "sl_triplets": [list(t) for t in triplets],
     }
     if args.compare:
-        table, agreements, total = _compare_table(space)
+        table, agreements, total = _compare_table(space, decisions)
         lines.append("")
         lines.append("agreement of (14) and (15) over ordered independent"
                      f" triplets from S_L: {agreements}/{total}")
@@ -53,25 +55,20 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _compare_table(space):
+def _compare_table(space, decisions):
     """(14) against (15) on every ordered independent triplet from S_L, all
-    over the prime basis of `space`; (15) is the decision that `sl_search`
-    made on the same space."""
+    over the prime basis of `space`: the table's rows, the agreements and
+    the total.  `decisions` is the list of (15) decisions that `embed` made
+    once, on the same space, for its rewritten triplets."""
     rep = space.representative
     rows = []
-    agreements = 0
-    total = 0
-    for u, v, x, f15 in space.sl_decisions(*space.vectors):
+    for u, v, x, f15 in decisions:
         f14 = space.brauer_condition(u, v, x)
-        total += 1
-        if f14 == f15:
-            agreements += 1
-        else:
+        if f14 != f15:
             rows.append(f"  DISAGREE at (u,v,x)=({rep(u)},{rep(v)},{rep(x)}):"
                         f" (14)={f14} (15)={f15}")
-    if not rows:
-        rows = ["  no disagreements"]
-    return rows, agreements, total
+    total = len(decisions)
+    return rows or ["  no disagreements"], total - len(rows), total
 
 
 def cmd_sl_search(args) -> int:

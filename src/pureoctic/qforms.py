@@ -22,13 +22,14 @@ then an F2 vector over it, and each unordered pair of classes gets one
 word, an int whose bit i is its Hilbert symbol at the i-th relevant
 place, computed the first time the pair is asked for.  A Hasse invariant
 at every place is then the XOR of three words, and each criterion
-compares two.  The symbol form (14) is asked of a space alone; the
-other criteria and `equivalent` take an optional space, so that a caller
-asking several questions of the same a, b, c factors them once.  The
-S_L search visits the 210 ordered triplets of its seven classes and
-decides (15) once on each of the 168 independent ones, a decision that
-the space keeps for the `embed` comparison table.  The scalar `hilbert`,
-from rationals by the local unit formulas, and `relevant_places` are the
+compares two.  The symbol form (14) is asked of a space alone, and
+only `equivalent` and `witt_embeddable` take an optional one, so that a
+caller asking several questions of the same a, b, c factors them once.
+The S_L search visits the 210 ordered triplets of its seven classes and
+decides (15) on each of the 168 independent ones.  A space keeps no
+decisions: `embed` makes them once and hands the same list to its
+triplets and to its comparison table.  The scalar `hilbert`, from
+rationals by the local unit formulas, and `relevant_places` are the
 reference that the words are tested against.
 """
 
@@ -166,7 +167,7 @@ def _symbol(rows: tuple[int, ...], u: int, w: int) -> int:
 _INDEPENDENT = "a, b, c must be quadratically independent"
 
 
-class ClassSpace:
+class ClassSpace(arith.PrimeBasis):
     """The square classes of some nonzero rationals as F2 vectors over one
     `arith.PrimeBasis`, with their Hilbert symbols at every relevant place.
 
@@ -175,20 +176,15 @@ class ClassSpace:
     primes), and every class product, independence test, Hilbert symbol and
     form equivalence after that works on the vectors alone.  A diagonal
     ternary form is a triple of vectors; `vectors` holds the classes of the
-    values, in order.
+    values, in order.  A space keeps its pair words, and no decisions.
     """
 
     def __init__(self, *values: Rational):
-        self.basis = arith.PrimeBasis(squarefree_part(q) for q in values)
-        self.vectors = self.basis.vectors
-        self.vector = self.basis.vector
-        self.representative = self.basis.representative
+        super().__init__(map(squarefree_part, values))
         # the real place, 2 and the odd basis primes, each of which divides
         # a square-free part of some value; place i is bit i of a word
-        self._tables = {p: _symbol_rows(self.basis.primes, p)
-                        for p in (None,) + self.basis.primes}
+        self._tables = {p: _symbol_rows(self.primes, p) for p in (None,) + self.primes}
         self._words: dict[tuple[int, int], int] = {}
-        self._sl: dict[tuple[int, int, int], list] = {}
 
     def independent(self, vectors, message: str = _INDEPENDENT) -> tuple[int, ...]:
         """The class vectors `vectors`; ValueError(message) unless they are
@@ -239,20 +235,16 @@ class ClassSpace:
     def sl_decisions(self, x: int, y: int, z: int) -> list[tuple[int, int, int, bool]]:
         """(u, v, w, whether (15) holds for u, v, w) for each ordered
         triplet of distinct classes of S_L with w != uv: on the seven classes,
-        exactly the independent ones.  Each space decides them once for
-        each x, y, z, and every later call reads the same list."""
-        decisions = self._sl.get((x, y, z))
-        if decisions is None:
-            decisions = self._sl[x, y, z] = [
-                (u, v, w, self.pauli_embeddable(u, v, w))
+        exactly the independent ones.  Each call decides all of them again,
+        so a caller that needs them twice keeps the list."""
+        return [(u, v, w, self.pauli_embeddable(u, v, w))
                 for u, v, w in itertools.permutations(self.sl_classes(x, y, z), 3)
                 if w != u ^ v]
-        return decisions
 
-
-def _triple(space: ClassSpace, a: Rational, b: Rational, c: Rational) -> tuple[int, ...]:
-    """The class vectors of a, b and c; ValueError unless independent."""
-    return space.independent(map(space.vector, (a, b, c)))
+    def holding_triplets(self, decisions) -> list[tuple[int, int, int]]:
+        """The representatives (u, v, w) of the `sl_decisions` that hold."""
+        rep = self.representative
+        return [(rep(u), rep(v), rep(w)) for u, v, w, holds in decisions if holds]
 
 
 def witt_embeddable(a1: Rational, a2: Rational, space: ClassSpace | None = None) -> bool:
@@ -266,23 +258,18 @@ def witt_embeddable(a1: Rational, a2: Rational, space: ClassSpace | None = None)
     return equivalent((a1, a2, a1 * a2), (1, 1, 1), space)
 
 
-def pauli_embeddable(a: Rational, b: Rational, c: Rational,
-                     space: ClassSpace | None = None) -> bool:
+def pauli_embeddable(a: Rational, b: Rational, c: Rational) -> bool:
     """Embedding criterion for Q(sqrt(a), sqrt(b), sqrt(c)) into a Pauli
     extension with the quaternion part over Q(sqrt(c)):
     [a, b, ab] ~ [1, c, c]."""
-    space = space or ClassSpace(a, b, c)
-    _triple(space, a, b, c)
-    return equivalent((a, b, a * b), (1, c, c), space)
+    space = ClassSpace(a, b, c)
+    return space.pauli_embeddable(*space.independent(space.vectors))
 
 
-def sl_search(a: Rational, b: Rational, c: Rational,
-              space: ClassSpace | None = None) -> list[tuple[int, int, int]]:
+def sl_search(a: Rational, b: Rational, c: Rational) -> list[tuple[int, int, int]]:
     """All ordered triplets (u, v, x) of pairwise-distinct, quadratically
     independent classes from S_L with [u, v, uv] ~ [1, x, x].  A nonempty
     result rewrites the generating triplet so the embedding criterion holds
-    for the same field.  The decisions are the space's `sl_decisions`."""
-    space = space or ClassSpace(a, b, c)
-    rep = space.representative
-    return [(rep(u), rep(v), rep(x))
-            for u, v, x, holds in space.sl_decisions(*_triple(space, a, b, c)) if holds]
+    for the same field."""
+    space = ClassSpace(a, b, c)
+    return space.holding_triplets(space.sl_decisions(*space.independent(space.vectors)))

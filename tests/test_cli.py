@@ -470,13 +470,18 @@ NOT_ENTERED = {
 # run in a fresh interpreter, so that no cache an earlier test filled hides
 # a function's body: one profile records every function entered while each
 # module of the package is imported and then while `main` serves each argv of
-# argv[1]; prints the exit codes and the functions never entered, as JSON
+# argv[1]; prints the exit codes and the functions never entered, as JSON.
+# A function is keyed by its file, first line and name, and its dotted name
+# is built by walking the nested code objects, as `co_qualname` (Python
+# 3.11) would give it: a class body adds its name, a function adds <locals>
 _PROFILED_REQUESTS = """
 import contextlib, importlib, inspect, json, os, pkgutil, sys
+def key(code):
+    return code.co_filename, code.co_firstlineno, code.co_name
 entered = set()
 def profile(frame, event, arg):
     if event == "call":
-        entered.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+        entered.add(key(frame.f_code))
 sys.setprofile(profile)
 import pureoctic
 modules = [importlib.import_module("pureoctic." + info.name)
@@ -490,19 +495,23 @@ with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         except SystemExit as exc:
             codes.append(exc.code)
 sys.setprofile(None)
-def functions(code, module):
+def functions(code, prefix):
     # every def: lambdas, comprehensions and class bodies are not counted
     for const in code.co_consts:
         if inspect.iscode(const):
-            if const.co_flags & inspect.CO_OPTIMIZED and const.co_name[0] != "<":
-                yield (const.co_filename, const.co_qualname), module + "." + const.co_qualname
-            yield from functions(const, module)
+            qualname = prefix + const.co_name
+            if const.co_flags & inspect.CO_OPTIMIZED:
+                if const.co_name[0] != "<":
+                    yield key(const), qualname
+                yield from functions(const, qualname + ".<locals>.")
+            else:
+                yield from functions(const, qualname + ".")
 defined = {}
 for module in modules:
     with open(module.__file__) as f:
         code = compile(f.read(), module.__file__, "exec")
-    defined.update(functions(code, module.__name__.partition(".")[2]))
-print(json.dumps([codes, sorted(defined[key] for key in defined.keys() - entered)]))
+    defined.update(functions(code, module.__name__.partition(".")[2] + "."))
+print(json.dumps([codes, sorted(defined[k] for k in defined.keys() - entered)]))
 """
 
 
@@ -595,6 +604,34 @@ def test_embed_compare(capsys):
     code, out, _ = run(capsys, "embed", "-1", "3", "-2", "--compare")
     assert code == 0
     assert "agreement of (14) and (15)" in out
+
+
+def test_embed_compare_prints_a_disagreement(monkeypatch, capsys):
+    # (14) and (15) agree on every triplet (Hasse-Minkowski), so no golden
+    # reaches the DISAGREE row: negate (14) on one S_L triplet of the
+    # (2, 3, -2) golden, which is not (a, b, c) itself, and expect that
+    # golden with one row and one agreement changed
+    from pureoctic import qforms
+
+    brauer_condition = qforms.ClassSpace.brauer_condition
+
+    def one_wrong(space, x, y, z):
+        holds = brauer_condition(space, x, y, z)
+        if tuple(map(space.representative, (x, y, z))) == (-1, 3, -2):
+            return not holds
+        return holds
+
+    monkeypatch.setattr(qforms.ClassSpace, "brauer_condition", one_wrong)
+    code, out, _ = run(capsys, "embed", "2", "3", "-2", "--compare")
+    assert code == 0
+    golden = (GOLDEN / "embed_compare_2_3_m2.txt").read_text()
+    assert out == golden.replace(
+        "S_L: 168/168\n  no disagreements\n",
+        "S_L: 167/168\n  DISAGREE at (u,v,x)=(-1,3,-2): (14)=False (15)=True\n")
+    code, out, _ = run(capsys, "embed", "2", "3", "-2", "--compare", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["compare_agreements"], payload["compare_total"]) == (167, 168)
 
 
 def test_sl_search(capsys):

@@ -436,7 +436,7 @@ def test_pair_words_match_the_per_place_route():
         for v in classes:
             r = rep(v)
             units_mod_8.add(r // (r & -r) % 8)
-            for p in space.basis.primes[1:]:
+            for p in space.primes[1:]:
                 if r % p:
                     legendre.setdefault(p, set()).add(pow(r, p >> 1, p) == 1)
         for u, v, w in itertools.permutations(classes, 3):
@@ -448,7 +448,7 @@ def test_pair_words_match_the_per_place_route():
             assert holds_14 == reference.space_brauer_condition(space, u, v, w)
             assert holds_14 == _scalar_brauer(ru, rv, rw)
             if w != u ^ v:
-                assert qforms.pauli_embeddable(ru, rv, rw, space) == holds_15
+                assert qforms.pauli_embeddable(ru, rv, rw) == holds_15
                 vectors = space.independent(map(space.vector, (ru, rv, rw)))
                 assert space.brauer_condition(*vectors) == holds_14
             f, g = (u, v, w), tuple(rng.choice(span) for _ in range(3))
