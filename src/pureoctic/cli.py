@@ -5,11 +5,17 @@ Each subcommand's handler, `cmd_<name>`, lives in the module its family
 names in `_SUBCOMMANDS` (`cli_classify`, `cli_lattice`, `cli_embed`,
 `cli_oracle`, `cli_groups`); `main` imports only the handler of the parsed
 subcommand, so `--help` and a usage error load this module alone, and a
-request compiles only its own handler and the modules it runs.  `main`
-builds the parser of the subcommand named by the first argument alone;
-`--help`, a missing command and an unknown one build all seven.  `json`
-is imported only where JSON is written and `fractions` only where a
-literal is parsed.
+request compiles only its own handler and the modules it runs.
+
+`main` reads a canonical argv off `_SUBCOMMANDS` with no argparse
+(`parse_canonical`): the subcommand, its positionals in order and number,
+and each option once by its exact name, with a value that is no option
+and that its type and choices accept.  Any other argv, `--help` and every
+usage error among them, goes to argparse, which builds the parser of the
+subcommand named first alone (`--help`, a missing command and an unknown
+one build all seven), so help and every error message come from argparse.
+`json` is imported only where JSON is written and `fractions` only where
+a literal is parsed.
 
 Rationals on the command line are integers or 'p/q' literals; there is no
 floating point anywhere in the interface.  Exit codes: 0 success, 1 a
@@ -24,11 +30,11 @@ can run many requests in one process; the `pureoctic` process entry
 point, `__main__.run`, turns it off around `main`.
 """
 
-import argparse
 import os
 import re
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 from . import MAX_CENSUS_BOUND
 
@@ -130,9 +136,10 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> "argparse.ArgumentParser":
     """The parser of every subcommand, or of `command` alone when it names
     one.  The usage line is the same either way."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="pureoctic",
         description="Galois groups of pure octic polynomials X^8 + c over Q")
@@ -157,9 +164,56 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _is_value(token: str) -> bool:
+    # argparse's own test, given `_negative_number_matcher`: a token is an
+    # argument unless it starts with '-' and is no negative rational
+    return not token.startswith("-") or bool(_NEGATIVE_RATIONAL.match(token))
+
+
+def parse_canonical(argv: list) -> SimpleNamespace | None:
+    """The namespace argparse gives a canonical `argv` (see above), read
+    off `_SUBCOMMANDS`; None for any other argv, which argparse parses."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    module, _, formats, arguments = _SUBCOMMANDS[argv[0]]
+    options = {"--format": {"choices": formats, "default": "text"}}
+    options.update((flag, spec) for flag, spec in arguments if flag[0] == "-")
+    positionals = [(name, spec) for name, spec in arguments if name[0] != "-"]
+    parsed = {flag[2:].replace("-", "_"):
+              False if spec.get("action") == "store_true" else spec.get("default")
+              for flag, spec in options.items()}
+    values, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if _is_value(token):
+            values.append(token)
+            continue
+        # an option leaves `options` when it is read, so a repeat is unknown
+        spec, dest = options.pop(token, None), token[2:].replace("-", "_")
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            parsed[dest] = True
+            continue
+        # a missing value reads as "-", which is no value
+        value = next(tokens, "-")
+        try:
+            parsed[dest] = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if not _is_value(value) or parsed[dest] not in spec.get("choices", [parsed[dest]]):
+            return None
+    required = sum("nargs" not in spec for _, spec in positionals)
+    if not required <= len(values) <= len(positionals):
+        return None
+    for i, (name, spec) in enumerate(positionals):
+        parsed[name] = values[i] if i < len(values) else spec.get("default")
+    return SimpleNamespace(command=argv[0], module=module, **parsed)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_canonical(argv) or build_parser(
+        argv[0] if argv else None).parse_args(argv)
     if args.command == "group-identify":
         if not args.name and not args.gens:
             return _fail("need a group name or --gens")

@@ -1,14 +1,15 @@
 """A grammar fuzz of `cli.main`, in process: every argument list drawn from
 the subcommands' grammar, well formed or not, ends with an exit code and a
-message, never a traceback.  Values stay below about 10^6 and census bounds
-at most 20000, so no draw spends a factoring budget."""
+message, never a traceback, and every one that `cli.parse_canonical` reads
+without argparse reads as argparse reads it.  Values stay below about 10^6
+and census bounds at most 20000, so no draw spends a factoring budget."""
 
 import contextlib
 import io
 
 from hypothesis import given, settings, strategies as st
 
-from pureoctic.cli import main
+from pureoctic.cli import build_parser, main, parse_canonical
 
 _MALFORMED = ["", " ", "1/", "/2", "1.5", "2e3", "1__0", "_1", "1_", "0x10",
               "abc", "-", "--", "+", "1/2/3", "3/-4", "1/0", "0", "-0", "+7",
@@ -102,3 +103,19 @@ def test_cli_grammar_exits_cleanly(argv):
         assert err.getvalue().startswith(("error:", "usage:")), argv
     if code == 1:
         assert argv[0] in ("oracle", "witt-verify"), argv
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_argv(), st.data())
+def test_strict_parser_agrees_with_argparse(argv, data):
+    # wherever `main` skips argparse, argparse would have given the same
+    # namespace; a shuffle interleaves the options and the positionals, and
+    # an option of some subcommand may take the place of a value
+    if data.draw(st.booleans()):
+        argv = argv[:1] + data.draw(st.permutations(argv[1:]))
+    if len(argv) > 1 and data.draw(st.booleans()):
+        argv[data.draw(st.integers(1, len(argv) - 1))] = data.draw(st.sampled_from(
+            ("--format", "--compare", "--primes", "--tolerance", "--gens", "-x", "-1.5")))
+    args = parse_canonical(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser(argv[0]).parse_args(argv)), argv
