@@ -3,8 +3,11 @@ classes and integer roots.
 
 Everything downstream (the octic classifier, Hilbert symbols, the splitting
 field) works over Q with exact arithmetic; this module is the substrate.
-Rationals are `fractions.Fraction` throughout (always reduced, positive
-denominator).
+A rational is a `fractions.Fraction` (always reduced, positive denominator)
+or an int; the square-class functions read only its `numerator` and
+`denominator`, which both types carry, so a caller that asks about square
+classes alone, such as `embed`, can pass integers and never load
+`fractions`.
 
 `factor` trial-divides to 10^6 and then runs Brent's rho under a fixed
 budget of modular multiplications, weighted by size; an integer it cannot split within the budget raises
@@ -18,10 +21,6 @@ so that a product of classes is an XOR and no product is factored again.
 import itertools
 import math
 from collections import namedtuple
-from collections.abc import Iterable
-from fractions import Fraction
-
-Rational = Fraction
 
 # the 12-prime base set is proven deterministic below _MR_PROVEN_BOUND
 # (3.317e24, ~2^81).  Past it the wider fixed set is a heuristic, not a
@@ -182,10 +181,9 @@ class SquareClass(namedtuple("SquareClass", "representative primes")):
         return super().__new__(cls, representative, primes)
 
 
-def squarefree_part(q: Rational | int) -> SquareClass:
+def squarefree_part(q: "Fraction | int") -> SquareClass:
     """The class of q: the signed square-free t with q/t a rational square.
     The numerator and the denominator are factored once each."""
-    q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no square-free part")
     primes = sorted(p for n in (q.numerator, q.denominator) if abs(n) != 1
@@ -202,17 +200,16 @@ class PrimeBasis:
     `vectors` holds the given `SquareClass`es, in order.
     """
 
-    def __init__(self, classes: Iterable[SquareClass]):
+    def __init__(self, classes: "Iterable[SquareClass]"):
         classes = tuple(classes)
         self.primes = tuple(sorted({2}.union(*(c.primes for c in classes))))
         bit = {p: 2 << i for i, p in enumerate(self.primes)}
         self.vectors = tuple(int(c.representative < 0) | sum(bit[p] for p in c.primes)
                              for c in classes)
 
-    def vector(self, q: Rational | int) -> int:
+    def vector(self, q: "Fraction | int") -> int:
         """The class of q, found by dividing out the basis primes alone;
         ValueError if an odd power of another prime divides q."""
-        q = Fraction(q)
         if q == 0:
             raise ValueError("0 has no square-free part")
         v = int(q < 0)
@@ -268,11 +265,12 @@ def _iroot(n: int, k: int) -> tuple[int, bool]:
         r = s
 
 
-def nth_root(q: Rational, k: int) -> Rational | None:
+def nth_root(q: "Fraction", k: int) -> "Fraction | None":
     """The rational k-th root of q, or None if there is none.
 
     For even k the nonnegative root is returned; q = 0 gives 0.
     """
+    from fractions import Fraction
     q = Fraction(q)
     if q == 0:
         return Fraction(0)

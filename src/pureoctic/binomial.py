@@ -19,7 +19,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import arith
-from .arith import Rational
 
 TAG_REDUCIBLE = "Reducible"
 TAG_K8 = "K8"
@@ -36,7 +35,7 @@ class GaloisTag(namedtuple("GaloisTag", "name splitting_degree")):
     __slots__ = ()
 
 
-def pauli_condition_violation(k: Rational) -> str | None:
+def pauli_condition_violation(k: Fraction) -> str | None:
     """The violated clause of the Pauli condition, or None when it holds:
     k > 0 is neither a rational square nor twice one, exactly the values for
     which X^8 + k^2 has the Pauli group as Galois group."""
@@ -78,7 +77,7 @@ _OCTIC_BRANCHES = (
 )
 
 
-def octic_verdict(c: Rational) -> tuple[GaloisTag, str]:
+def octic_verdict(c: Fraction) -> tuple[GaloisTag, str]:
     """Galois group of X^8 + c and the matched branch of the list, each
     root taken once."""
     c = Fraction(c)
@@ -93,7 +92,7 @@ def octic_verdict(c: Rational) -> tuple[GaloisTag, str]:
             "c is not in any square class of the list (generic case)")
 
 
-def classify_octic(c: Rational) -> GaloisTag:
+def classify_octic(c: Fraction) -> GaloisTag:
     """Galois group of X^8 + c over Q, for any nonzero rational c."""
     return octic_verdict(c)[0]
 

@@ -14,11 +14,14 @@ and that its type and choices accept.  Any other argv, `--help` and every
 usage error among them, goes to argparse, which builds the parser of the
 subcommand named first alone (`--help`, a missing command and an unknown
 one build all seven), so help and every error message come from argparse.
-`json` is imported only where JSON is written and `fractions` only where
-a literal is parsed.
 
 Rationals on the command line are integers or 'p/q' literals; there is no
-floating point anywhere in the interface.  Exit codes: 0 success, 1 a
+floating point anywhere in the interface.  The grammar is `str` tests, so
+only `build_parser` compiles a pattern, argparse's negative-number matcher.
+`rational_parts` reads a literal as a reduced (num, den); `json` is
+imported only where JSON is written, and `fractions` only where
+`parse_rational` makes a Fraction, which `embed` and `sl-search`, working
+on square classes, never do.  Exit codes: 0 success, 1 a
 verification failed, 2 invalid input, including a value whose square class
 needs a factorization beyond `arith.factor`'s budget or a number with
 more digits than the interpreter reads or prints, and 2 an output that
@@ -31,34 +34,50 @@ point, `__main__.run`, turns it off around `main`.
 """
 
 import os
-import re
 import sys
 from importlib import import_module
 from types import SimpleNamespace
 
 from . import MAX_CENSUS_BOUND
 
-# an unsigned integer or p/q literal, with underscores between digit groups
-UNSIGNED_RATIONAL = r"\d+(_\d+)*(/\d+(_\d+)*)?"
-_RATIONAL_LITERAL = re.compile(f"[+-]?{UNSIGNED_RATIONAL}")
-# lets a bare negative literal like -2/3 or -1_000 parse as a positional
-_NEGATIVE_RATIONAL = re.compile(f"^-{UNSIGNED_RATIONAL}$")
+
+def _digit_groups(text: str) -> bool:
+    # digits with single underscores between groups.  A digit is what
+    # `str.isdecimal` accepts, Unicode category Nd: exactly the `\d` of a str
+    # pattern, and int() reads every one
+    return all(part.isdecimal() for part in text.split("_"))
+
+
+def _signless(text: str) -> str:
+    # text without its one leading sign, if it has one
+    return text[1:] if text.startswith(("+", "-")) else text
+
+
+def _is_unsigned_rational(text: str) -> bool:
+    # digit groups, or two runs of them joined by '/'
+    return all(map(_digit_groups, text.split("/", 1)))
+
+
+def rational_parts(text: str) -> tuple[int, int]:
+    """The reduced (num, den), den > 0, of an integer or 'p/q' literal with
+    an optional sign; decimal and exponent literals such as '0.5' or '1e3'
+    are rejected."""
+    from math import gcd
+    literal = text.strip()
+    if _is_unsigned_rational(_signless(literal)):
+        # int() takes the sign and the underscores on every supported Python
+        num, _, den = literal.partition("/")
+        num, den = int(num), int(den or 1)
+        if den:
+            g = gcd(num, den)
+            return num // g, den // g
+    raise ValueError(f"not a rational number: {text!r}")
 
 
 def parse_rational(text: str) -> "Fraction":
-    """Parse 'p/q' or an integer literal into an exact Fraction; decimal and
-    exponent literals such as '0.5' or '1e3' are rejected."""
+    """`rational_parts` as an exact Fraction."""
     from fractions import Fraction
-    literal = text.strip()
-    if not _RATIONAL_LITERAL.fullmatch(literal):
-        raise ValueError(f"not a rational number: {text!r}")
-    # int() takes the underscores on every supported Python; Fraction(str)
-    # only from 3.11
-    num, _, den = literal.partition("/")
-    try:
-        return Fraction(int(num), int(den or 1))
-    except ZeroDivisionError as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+    return Fraction(*rational_parts(text))
 
 
 def _json_default(obj):
@@ -140,6 +159,11 @@ def build_parser(command: str | None = None) -> "argparse.ArgumentParser":
     """The parser of every subcommand, or of `command` alone when it names
     one.  The usage line is the same either way."""
     import argparse
+    import re
+
+    # lets a bare negative literal like -2/3 or -1_000 parse as a positional.
+    # argparse calls `.match`, so a trailing newline passes, as it always has
+    negative = re.compile(r"^-\d+(_\d+)*(/\d+(_\d+)*)?$")
     parser = argparse.ArgumentParser(
         prog="pureoctic",
         description="Galois groups of pure octic polynomials X^8 + c over Q")
@@ -158,16 +182,18 @@ def build_parser(command: str | None = None) -> "argparse.ArgumentParser":
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(module=module)
         p.add_argument("--format", choices=formats, default="text")
-        p._negative_number_matcher = _NEGATIVE_RATIONAL
+        p._negative_number_matcher = negative
         for flag, options in arguments:
             p.add_argument(flag, **options)
     return parser
 
 
 def _is_value(token: str) -> bool:
-    # argparse's own test, given `_negative_number_matcher`: a token is an
-    # argument unless it starts with '-' and is no negative rational
-    return not token.startswith("-") or bool(_NEGATIVE_RATIONAL.match(token))
+    # argparse's test, given `_negative_number_matcher`: a token is an
+    # argument unless it starts with '-' and is no negative rational.  This
+    # one is exact, so a token that argparse would also take with a trailing
+    # newline reads as an option here, and the argv goes to argparse
+    return not token.startswith("-") or _is_unsigned_rational(token[1:])
 
 
 def parse_canonical(argv: list) -> SimpleNamespace | None:

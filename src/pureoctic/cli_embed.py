@@ -1,33 +1,43 @@
 """The `embed` and `sl-search` subcommands: the triquadratic embedding
-criteria of `qforms` for square classes a, b, c."""
+criteria of `qforms` for square classes a, b, c.  Each criterion reads
+a literal num/den only through its class, so it gets the integer num*den
+of that class, and no request loads `fractions`."""
+
+import itertools
 
 from . import qforms
-from .cli import _emit, parse_rational
+from .cli import _emit, rational_parts
+
+
+def _class_literals(args) -> tuple[list[int], list[str]]:
+    """The integers num*den in the square classes of a, b and c, and their
+    texts, as a Fraction prints num/den."""
+    parts = [rational_parts(text) for text in (args.a, args.b, args.c)]
+    return ([num * den for num, den in parts],
+            [f"{num}" if den == 1 else f"{num}/{den}" for num, den in parts])
 
 
 def cmd_embed(args) -> int:
-    a = parse_rational(args.a)
-    b = parse_rational(args.b)
-    c = parse_rational(args.c)
+    values, texts = _class_literals(args)
     # a, b and c are factored once here and every criterion below reuses
     # the space; the 168 (15) decisions on S_L are made once, for both the
     # rewritten triplets and the --compare table
-    space = qforms.ClassSpace(a, b, c)
+    space = qforms.ClassSpace(*values)
     x, y, z = space.independent(space.vectors)
     holds_15 = space.pauli_embeddable(x, y, z)
     holds_14 = space.brauer_condition(x, y, z)
     decisions = space.sl_decisions(x, y, z)
     triplets = space.holding_triplets(decisions)
     classes = [space.representative(v) for v in space.sl_classes(x, y, z)]
-    lines = [f"square classes of (a, b, c) = ({a}, {b}, {c}): independent",
+    lines = [f"square classes of (a, b, c) = ({', '.join(texts)}): independent",
              f"S_L = {{{', '.join(map(str, classes))}}}",
              f"form condition (15) [a,b,ab] ~ [1,c,c]: "
              f"{'HOLDS' if holds_15 else 'fails'}",
              f"symbol condition (14) (abc,-1) = (a,b): "
              f"{'HOLDS' if holds_14 else 'fails'}"]
     pair_results = {}
-    for u, v in ((a, b), (a, c), (b, c)):
-        key = f"({u}, {v})"
+    for (u, u_text), (v, v_text) in itertools.combinations(zip(values, texts), 2):
+        key = f"({u_text}, {v_text})"
         pair_results[key] = qforms.witt_embeddable(u, v, space)
         lines.append(f"quaternion condition for {key} [u,v,uv] ~ [1,1,1]: "
                      f"{'HOLDS' if pair_results[key] else 'fails'}")
@@ -36,7 +46,7 @@ def cmd_embed(args) -> int:
     for t in triplets:
         lines.append(f"  {t}")
     payload = {
-        "a": a, "b": b, "c": c,
+        **dict(zip("abc", texts)),
         "sl_classes": classes,
         "pauli_embeddable_15": holds_15,
         "brauer_condition_14": holds_14,
@@ -72,13 +82,11 @@ def _compare_table(space, decisions):
 
 
 def cmd_sl_search(args) -> int:
-    a = parse_rational(args.a)
-    b = parse_rational(args.b)
-    c = parse_rational(args.c)
-    triplets = qforms.sl_search(a, b, c)
-    lines = [f"S_L search for (a, b, c) = ({a}, {b}, {c}):"
+    values, texts = _class_literals(args)
+    triplets = qforms.sl_search(*values)
+    lines = [f"S_L search for (a, b, c) = ({', '.join(texts)}):"
              f" {len(triplets)} triplet(s) satisfy [u,v,uv] ~ [1,x,x]"]
     lines.extend(f"  (u, v, x) = {t}" for t in triplets)
-    payload = {"a": a, "b": b, "c": c, "triplets": [list(t) for t in triplets]}
+    payload = {**dict(zip("abc", texts)), "triplets": [list(t) for t in triplets]}
     _emit(payload, args.format, "\n".join(lines))
     return 0

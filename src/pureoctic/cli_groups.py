@@ -1,15 +1,8 @@
 """The `group-identify` subcommand: a stock group by name, or the group a
 list of permutations generates, identified by its fingerprint."""
 
-import re
-
 from . import groups
-from .cli import _emit, _fail
-
-# an integer as int() reads it: a sign, then digits with underscores between
-# groups; matched first, since int()'s ValueError may also mean a number past
-# the digit limit, which `main` reports as such
-_INTEGER = re.compile(r"[+-]?\d+(_\d+)*")
+from .cli import _digit_groups, _emit, _fail, _signless
 
 
 def cmd_group_identify(args) -> int:
@@ -20,8 +13,11 @@ def cmd_group_identify(args) -> int:
                 tokens = part.replace(",", " ").split()
                 if not tokens:
                     return _fail(f"empty generator in --gens {args.gens!r}")
+                # each token an integer as int() reads it, tested first, since
+                # int()'s ValueError may also mean a number past the digit
+                # limit, which `main` reports as such
                 for x in tokens:
-                    if not _INTEGER.fullmatch(x):
+                    if not _digit_groups(_signless(x)):
                         return _fail(f"--gens takes integers, got {x!r}")
                 perms.append(groups.Perm([int(x) for x in tokens]))
             G = groups.closure(perms)

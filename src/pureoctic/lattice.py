@@ -28,7 +28,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import binomial
-from .arith import PrimeBasis, Rational, squarefree_part
+from .arith import PrimeBasis, squarefree_part
 
 # the names of the basis monomials a^j * w^e in printed elements, in
 # coordinate order 2j + e: "" for the constant term, then w, a, a*w, ...
@@ -119,7 +119,7 @@ def _field_name(reps, count=None) -> str:
     return "Q(" + ", ".join("i" if d == -1 else f"sqrt({d})" for d in reps) + ")"
 
 
-def report(k: Rational) -> "LatticeReport":
+def report(k: Fraction) -> "LatticeReport":
     """The subgroup <-> fixed-field correspondence for X^8 + k^2; ValueError
     unless k meets the Pauli condition."""
     k = Fraction(k)

@@ -41,7 +41,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import MAX_CENSUS_BOUND, arith, binomial
-from .arith import Rational
 
 CycleType = tuple[int, ...]
 
@@ -55,7 +54,7 @@ def shape(t: CycleType) -> str:
 _MOBIUS = (0, 1, -1, -1, 0, -1, 1, -1, 0)
 
 
-def factor_mod_p(c: Rational, p: int) -> CycleType:
+def factor_mod_p(c: Fraction, p: int) -> CycleType:
     """Degrees of the irreducible factors of X^8 + c over F_p, decreasing.
 
     p must be an odd prime coprime to c.
@@ -111,7 +110,7 @@ class Census(namedtuple("Census", "c bound counts total skipped")):
         return "\n".join(lines)
 
 
-def census(c: Rational, bound: int) -> Census:
+def census(c: Fraction, bound: int) -> Census:
     """factor_mod_p over every good prime below the bound (deterministic):
     each sieved prime tallies its key (p mod 8) << 2 | log2(ord b), with no
     primality check.
@@ -190,16 +189,20 @@ def _decimal(q: Fraction) -> str:
     return f"{text[:-4]}.{text[-4:]}"
 
 
-def check_tolerance(tolerance: Rational) -> Fraction:
-    """The tolerance as a Fraction; ValueError if it is negative."""
+def check_tolerance(tolerance: Fraction) -> Fraction:
+    """The tolerance as a Fraction; ValueError if it is negative, or if it
+    is at least 1, which no deviation of a frequency can exceed, so that
+    only a foreign type could fail the check."""
     tolerance = Fraction(tolerance)
     if tolerance < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    if tolerance >= 1:
+        raise ValueError(f"tolerance must be below 1, got {tolerance}")
     return tolerance
 
 
 def consistent(cns: Census, model: dict[CycleType, Fraction],
-               tolerance: Rational) -> Verdict:
+               tolerance: Fraction) -> Verdict:
     """PASS iff every observed cycle type occurs in the model, given by its
     cycle-type proportions, and every observed frequency is within the
     absolute tolerance of the model proportion."""

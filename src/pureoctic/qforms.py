@@ -35,10 +35,9 @@ reference that the words are tested against.
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
 
 from . import arith
-from .arith import Rational, squarefree_part
+from .arith import squarefree_part
 
 
 class Place(namedtuple("Place", "p")):
@@ -64,9 +63,8 @@ class Place(namedtuple("Place", "p")):
 REAL_PLACE = Place(None)
 
 
-def _square_class_int(a: Rational) -> int:
+def _square_class_int(a: "Fraction") -> int:
     """An integer in the square class of a (numerator times denominator)."""
-    a = Fraction(a)
     if a == 0:
         raise ValueError("square class of 0 is undefined")
     return a.numerator * a.denominator
@@ -80,7 +78,7 @@ def _omega(u: int) -> int:
     return ((u * u - 1) // 8) % 2
 
 
-def hilbert(a: Rational, b: Rational, place: Place) -> int:
+def hilbert(a: "Fraction", b: "Fraction", place: Place) -> int:
     """The Hilbert symbol (a, b)_v by the standard local unit formulas."""
     a = _square_class_int(a)
     b = _square_class_int(b)
@@ -104,7 +102,7 @@ def hilbert(a: Rational, b: Rational, place: Place) -> int:
     return 1 if pow(x, p >> 1, p) == 1 else -1
 
 
-def relevant_places(*values: Rational) -> list[Place]:
+def relevant_places(*values: "Fraction") -> list[Place]:
     """Infinity, 2, and every odd prime dividing a square-free part; the
     Hilbert symbols of the given values are +1 everywhere else."""
     primes = set()
@@ -179,7 +177,7 @@ class ClassSpace(arith.PrimeBasis):
     values, in order.  A space keeps its pair words, and no decisions.
     """
 
-    def __init__(self, *values: Rational):
+    def __init__(self, *values: "Fraction"):
         super().__init__(map(squarefree_part, values))
         # the real place, 2 and the odd basis primes, each of which divides
         # a square-free part of some value; place i is bit i of a word
@@ -247,7 +245,7 @@ class ClassSpace(arith.PrimeBasis):
         return [(rep(u), rep(v), rep(w)) for u, v, w, holds in decisions if holds]
 
 
-def witt_embeddable(a1: Rational, a2: Rational, space: ClassSpace | None = None) -> bool:
+def witt_embeddable(a1: "Fraction", a2: "Fraction", space: ClassSpace | None = None) -> bool:
     """Can the biquadratic field Q(sqrt(a1), sqrt(a2)) be pushed into a
     quaternion Q8-extension of Q?  Holds iff [a1, a2, a1*a2] ~ [1, 1, 1].
     `space`, as in `equivalent`, must hold the classes of a1 and a2."""
@@ -258,7 +256,7 @@ def witt_embeddable(a1: Rational, a2: Rational, space: ClassSpace | None = None)
     return equivalent((a1, a2, a1 * a2), (1, 1, 1), space)
 
 
-def pauli_embeddable(a: Rational, b: Rational, c: Rational) -> bool:
+def pauli_embeddable(a: "Fraction", b: "Fraction", c: "Fraction") -> bool:
     """Embedding criterion for Q(sqrt(a), sqrt(b), sqrt(c)) into a Pauli
     extension with the quaternion part over Q(sqrt(c)):
     [a, b, ab] ~ [1, c, c]."""
@@ -266,7 +264,7 @@ def pauli_embeddable(a: Rational, b: Rational, c: Rational) -> bool:
     return space.pauli_embeddable(*space.independent(space.vectors))
 
 
-def sl_search(a: Rational, b: Rational, c: Rational) -> list[tuple[int, int, int]]:
+def sl_search(a: "Fraction", b: "Fraction", c: "Fraction") -> list[tuple[int, int, int]]:
     """All ordered triplets (u, v, x) of pairwise-distinct, quadratically
     independent classes from S_L with [u, v, uv] ~ [1, x, x].  A nonempty
     result rewrites the generating triplet so the embedding criterion holds

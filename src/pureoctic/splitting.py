@@ -26,7 +26,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import binomial, lattice
-from .arith import Rational
 
 # the basis monomials a^j * w^e as (j, e), in coordinate order 2j + e
 _MONOMIALS = tuple(divmod(idx, 2) for idx in range(16))
@@ -170,7 +169,7 @@ class FieldElt:
 class SplittingField:
     """Multiplication-ready context for E = Q(w, a) with a^8 = -k^2."""
 
-    def __init__(self, k: Rational):
+    def __init__(self, k: Fraction):
         k = Fraction(k)
         violation = binomial.pauli_condition_violation(k)
         if violation is not None:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from pureoctic import arith, groups, lattice, oracle
-from pureoctic.arith import PrimeBasis, Rational, SquareClass, squarefree_part
+from pureoctic.arith import PrimeBasis, SquareClass, squarefree_part
 from pureoctic.groups import FinGroup, Perm, affine_map
 from pureoctic.lattice import LatticeReport, LatticeRow
 from pureoctic.qforms import Place, _symbol, hilbert, relevant_places
@@ -32,12 +32,12 @@ from pureoctic.splitting import (
 # --- arith --------------------------------------------------------------------
 
 
-def is_fourth_power(q: Rational) -> bool:
+def is_fourth_power(q: Fraction) -> bool:
     """True iff q = x^4 for some rational x."""
     return arith.nth_root(Fraction(q), 4) is not None
 
 
-def valuation(q: Rational, p: int) -> int:
+def valuation(q: Fraction, p: int) -> int:
     """The exponent v with q = p^v * (p-adic unit); q must be nonzero."""
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -63,7 +63,7 @@ def _prime_divisors(n: int) -> list[int]:
     return [p for p, _ in arith.factor(n).exponents]
 
 
-def is_irreducible_binomial(n: int, c: Rational) -> bool:
+def is_irreducible_binomial(n: int, c: Fraction) -> bool:
     """Irreducibility of X^n + c over Q (Capelli): -c must not be a q-th
     power for any prime q | n, and when 4 | n, c must not be of the form
     4*lambda^4."""
@@ -80,7 +80,7 @@ def is_irreducible_binomial(n: int, c: Rational) -> bool:
     return True
 
 
-def schinzel_abelian(n: int, c: Rational) -> bool:
+def schinzel_abelian(n: int, c: Fraction) -> bool:
     """Abelianity test for the Galois group of X^n + c: true iff c^2 is an
     n-th power in Q.  For irreducible X^n + c this forces a cyclic group when
     4 does not divide n, and C2 x C(n/2) otherwise."""
@@ -191,7 +191,7 @@ def transitive_8pt_obstruction(name: str) -> str | None:
     return None
 
 
-def reference_census(c: Rational, bound: int) -> oracle.Census:
+def reference_census(c: Fraction, bound: int) -> oracle.Census:
     """`oracle.census` the direct way: the residue a = -c mod p through a
     modular inverse, then Mobius inversion at every good prime."""
     c = Fraction(c)
@@ -327,7 +327,7 @@ def label_table(E: SplittingField) -> dict:
     return {H: (spec, label) for H, spec, label in reversed(labels)}
 
 
-def search_report(k: Rational) -> LatticeReport:
+def search_report(k: Fraction) -> LatticeReport:
     """The lattice report built by the search: each row's primitive element
     by `primitive_element` and its label by `label_table`, in E."""
     E = SplittingField(k)

@@ -2,6 +2,7 @@
 
 import gc
 import importlib
+import itertools
 import json
 import os
 import re
@@ -328,6 +329,32 @@ def test_well_formed_requests_skip_argparse(argv):
     assert vars(args) == vars(cli.build_parser(argv[0]).parse_args(list(argv)))
 
 
+def _argparse_quotes_choices() -> bool:
+    # whether argparse lists the choices of an invalid-choice message by repr,
+    # as up to 3.13.0 does; a later patch release (3.13.13 among them) lists
+    # them by str
+    import argparse
+    parser = argparse.ArgumentParser(prog="probe", exit_on_error=False)
+    parser.add_argument("x", choices=["a"])
+    with pytest.raises(argparse.ArgumentError) as exc:
+        parser.parse_args(["b"])
+    return "'a'" in str(exc.value)
+
+
+def _argparse_golden(name: str) -> bytes:
+    """The golden `name` as this Python's argparse words it.  From 3.13 the
+    top-level usage line keeps `...` beside the choices, so the four goldens
+    that print it have a copy recorded verbatim from 3.13.0 in `py313/`; an
+    argparse that lists choices by str prints the same choices unquoted."""
+    path = GOLDEN / "py313" / name
+    if sys.version_info < (3, 13) or not path.exists():
+        path = GOLDEN / name
+    text = path.read_bytes()
+    if _argparse_quotes_choices():
+        return text
+    return re.sub(rb"\(choose from [^)]*\)", lambda m: m.group().replace(b"'", b""), text)
+
+
 @pytest.mark.parametrize("argv, golden", [((), "help.txt"),
                                           (("oracle",), "help_oracle.txt")])
 def test_help_golden(capsys, monkeypatch, argv, golden):
@@ -336,7 +363,7 @@ def test_help_golden(capsys, monkeypatch, argv, golden):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--help"])
     assert exc.value.code == 0
-    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+    assert capsys.readouterr().out.encode() == _argparse_golden(golden)
 
 
 @pytest.mark.parametrize("argv, golden", [
@@ -354,7 +381,7 @@ def test_usage_error_golden(capsys, monkeypatch, argv, golden):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.encode() == (GOLDEN / golden).read_bytes()
+    assert captured.err.encode() == _argparse_golden(golden)
 
 
 def test_request_paths_identify_no_group(capsys, monkeypatch):
@@ -663,6 +690,53 @@ def test_sl_search(capsys):
     assert "triplet" in out
 
 
+@pytest.mark.parametrize("literals", [
+    ("+4/6", "-10/4", "1_000/3"),
+    ("-6/4", "+0_3", "-2_0/1_2"),
+    ("-1187/7", "-34_119", "6_653_6/9"),
+    ("2", "+3/1", "-14/7_0"),
+], ids=" ".join)
+def test_embed_and_sl_search_print_literals_as_fractions(capsys, literals):
+    # `embed` and `sl-search` read each literal as the integer num*den of its
+    # square class and print num/den as a Fraction does: non-reduced, signed
+    # and underscored literals print exactly as `parse_rational` reads them,
+    # and every decision is the one the Fractions themselves give
+    from pureoctic import qforms
+    values = [parse_rational(x) for x in literals]
+    texts = [str(v) for v in values]
+    for command, flags in (("embed", ("--compare",)), ("sl-search", ())):
+        for fmt in ("text", "json"):
+            result = run(capsys, command, *literals, *flags, "--format", fmt)
+            assert result[0] == 0
+            assert result == run(capsys, command, *texts, *flags, "--format", fmt)
+    payload = json.loads(run(capsys, "embed", *literals, "--format", "json")[1])
+    search = json.loads(run(capsys, "sl-search", *literals, "--format", "json")[1])
+    assert [payload[k] for k in "abc"] == [search[k] for k in "abc"] == texts
+    assert payload["witt_pairs"] == {
+        f"({u}, {v})": qforms.witt_embeddable(u, v)
+        for u, v in itertools.combinations(values, 2)}
+    assert payload["pauli_embeddable_15"] == qforms.pauli_embeddable(*values)
+    assert payload["sl_triplets"] == search["triplets"] == [
+        list(t) for t in qforms.sl_search(*values)]
+    out = run(capsys, "embed", *literals)[1]
+    assert out.startswith(f"square classes of (a, b, c) = ({', '.join(texts)}):")
+
+
+@pytest.mark.parametrize("argv", [("classify", "-3\n"), ("embed", "-3\n", "5", "7"),
+                                  ("sl-search", "5", "-3/4\n", "7", "--format", "json"),
+                                  ("classify", "9\n")],
+                         ids=["classify", "embed", "sl-search", "unsigned"])
+def test_a_literal_with_a_trailing_newline_reads_as_before(capsys, argv):
+    # argparse's `.match` of a negative literal takes a trailing newline, and
+    # the literal reader strips it; the strict parser's exact test leaves such
+    # an argv to argparse, so the request prints what the stripped one prints
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == run(capsys, *(a.strip() for a in argv))
+    assert code == 0 and out
+    negative_with_newline = any(a.startswith("-") and a.endswith("\n") for a in argv)
+    assert (cli.parse_canonical(list(argv)) is None) == negative_with_newline
+
+
 @pytest.mark.parametrize("argv", [
     ("embed", "2", "3", "6", "--compare"),
     ("embed", "2", "3", "6", "--compare", "--format", "json"),
@@ -791,10 +865,13 @@ def test_oracle_json(capsys):
 @pytest.mark.parametrize("tolerance, message", [
     ("0.05", "not a rational number: '0.05'"),
     ("-1/20", "tolerance must be nonnegative"),
+    ("1", "tolerance must be below 1, got 1"),
+    ("10/1", "tolerance must be below 1, got 10"),
 ])
 def test_oracle_rejects_bad_tolerance(capsys, tolerance, message):
     # no floating point in the interface; a negative tolerance is bad input,
-    # not a failed verification
+    # not a failed verification, and so is one of 1 or more, which no
+    # frequency's deviation can exceed
     code, out, err = run(capsys, "oracle", "9", "--primes", "5000",
                          f"--tolerance={tolerance}")
     assert code == 2 and out == ""
@@ -812,6 +889,15 @@ def test_oracle_rejects_negative_tolerance_before_the_census(capsys, monkeypatch
     code, out, err = run(capsys, "oracle", "-1", "--tolerance", "-1")
     assert code == 2 and out == ""
     assert err == "error: X^8 - 1 is reducible: no transitive group to test\n"
+
+
+def test_oracle_rejects_a_vacuous_tolerance_before_the_census(capsys, monkeypatch):
+    # `oracle 9 --tolerance 10/1` once passed whatever the census counted
+    from pureoctic import oracle
+    monkeypatch.setattr(oracle, "census", lambda *_: pytest.fail("the census ran"))
+    code, out, err = run(capsys, "oracle", "9", "--primes", "10000000",
+                         "--tolerance", "20/2")
+    assert (code, out, err) == (2, "", "error: tolerance must be below 1, got 10\n")
 
 
 def test_oracle_rejects_oversized_prime_bound(capsys):
@@ -975,8 +1061,9 @@ def test_each_subcommand_loads_only_its_modules(argv, code, handler, extra):
     # help and a usage error compile the grammar and argparse's parser
     # alone; a well-formed request loads no argparse, its own handler and no
     # other, `json` only for JSON output, and `fractions` (with `decimal`)
-    # for the literals it parses; no module imports `__future__`, which would
-    # cost every request its load
+    # only for the literals it reads as rationals: `embed` and `sl-search`
+    # read square classes, and `group-identify` reads no literal; no module
+    # imports `__future__`, which would cost every request its load
     proc = run_python("-c", _MODULE_PROBE, *argv)
     assert proc.returncode == code, proc.stderr
     loaded = set(proc.stderr.splitlines()[-1].split())
@@ -985,9 +1072,71 @@ def test_each_subcommand_loads_only_its_modules(argv, code, handler, extra):
         assert loaded == _FRONT_END | _ARGPARSE
         return
     assert not loaded & _ARGPARSE
-    stdlib = {"fractions", "decimal"} | ({"json"} if "json" in argv else set())
+    stdlib = {"json"} if "json" in argv else set()
+    if argv[0] not in ("embed", "sl-search", "group-identify"):
+        stdlib |= {"fractions", "decimal"}
     assert loaded == _FRONT_END | stdlib | {
         f"pureoctic.{m}" for m in {"arith", handler, *extra}}
+
+
+# runs `pureoctic ARGV` under `python -S` and prints, as its last two stderr
+# lines, the stdlib modules of the floor and those loaded beyond it.  The
+# floor is `-S` with `runpy` and the `collections` and `functools` that runpy
+# itself imports on 3.10 and 3.11.  A module is named only if no part of its
+# name is private, so `_sre`, `re._parser` and 3.10's `sre_*` go with their
+# public `re`: then every supported Python gives the same sets, less what its
+# floor already holds (3.13.13's holds `errno` and `collections.abc`)
+_STDLIB_PROBE = """
+import runpy, sys
+import collections, functools
+floor = set(sys.modules)
+
+def public(modules):
+    return " ".join(sorted(m for m in modules if m.partition(".")[0] != "pureoctic"
+                           and not m.startswith("sre_")
+                           and not any(p.startswith("_") for p in m.split("."))))
+
+sys.argv = ["pureoctic", *sys.argv[1:]]
+try:
+    runpy.run_module("pureoctic", run_name="__main__", alter_sys=True)
+finally:
+    print(public(floor), public(set(sys.modules) - floor), sep="\\n", file=sys.stderr)
+"""
+_RE = {"copyreg", "enum", "re"}
+_JSON = _RE | {"json", "json.decoder", "json.encoder", "json.scanner"}
+_FRACTIONS = _RE | {"collections.abc", "decimal", "fractions", "numbers"}
+# argparse, and the shutil its help formatter imports for the terminal width
+_ARGPARSE_STDLIB = _RE | {"argparse", "bz2", "errno", "fnmatch", "gettext", "locale",
+                          "lzma", "shutil", "zlib"}
+# `__main__`'s gc, and the math of `arith` and of the literal reader
+_REQUEST = {"gc", "math"}
+
+
+@pytest.mark.parametrize("argv, stdlib", [
+    (("--help",), {"gc", "textwrap"} | _ARGPARSE_STDLIB),
+    (("lattice",), {"gc"} | _ARGPARSE_STDLIB),
+    (("classify", "9"), _REQUEST | _FRACTIONS),
+    (("classify", "9", "--format", "json"), _REQUEST | _FRACTIONS | _JSON),
+    (("embed", "2", "3", "-2", "--compare"), _REQUEST),
+    (("embed", "2", "3", "-2", "--compare", "--format", "json"), _REQUEST | _JSON),
+    (("sl-search", "2", "3", "-2"), _REQUEST),
+    (("lattice", "3"), _REQUEST | _FRACTIONS),
+    (("witt-verify", "3"), _REQUEST | _FRACTIONS),
+    (("oracle", "9", "--primes", "20000"), _REQUEST | _FRACTIONS),
+    (("group-identify", "QD16"), _REQUEST),
+    (("group-identify", "QD16", "--format", "json"), _REQUEST | _JSON),
+], ids=["help", "usage-error", "classify", "classify-json", "embed", "embed-json",
+        "sl-search", "lattice", "witt-verify", "oracle", "group-identify",
+        "group-identify-json"])
+def test_each_request_loads_exactly_its_stdlib_modules(argv, stdlib):
+    # a count that no host changes: no well-formed request loads argparse or
+    # shutil, `re` only under `json` or `fractions`, and `embed`, `sl-search`
+    # and `group-identify`, which do no rational arithmetic, load no
+    # `fractions` or `decimal`
+    proc = run_python("-S", "-c", _STDLIB_PROBE, *argv)
+    assert proc.returncode == (2 if argv == ("lattice",) else 0), proc.stderr
+    floor, loaded = (set(line.split()) for line in proc.stderr.splitlines()[-2:])
+    assert loaded == stdlib - floor
 
 
 # --- the process entry point -------------------------------------------------

@@ -2,18 +2,25 @@
 the subcommands' grammar, well formed or not, ends with an exit code and a
 message, never a traceback, and every one that `cli.parse_canonical` reads
 without argparse reads as argparse reads it.  Values stay below about 10^6
-and census bounds at most 20000, so no draw spends a factoring budget."""
+and census bounds at most 20000, so no draw spends a factoring budget.
+The literal reader's `str` tests are checked against the regex grammar
+they stand for, on every code point and on drawn text."""
 
 import contextlib
 import io
+import re
+import sys
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from pureoctic import cli
 from pureoctic.cli import build_parser, main, parse_canonical
 
 _MALFORMED = ["", " ", "1/", "/2", "1.5", "2e3", "1__0", "_1", "1_", "0x10",
               "abc", "-", "--", "+", "1/2/3", "3/-4", "1/0", "0", "-0", "+7",
-              " 7 ", "٧", "1 2"]
+              " 7 ", "٧", "1 2", "-7\n", "7\n"]
 
 
 @st.composite
@@ -119,3 +126,36 @@ def test_strict_parser_agrees_with_argparse(argv, data):
     args = parse_canonical(argv)
     if args is not None:
         assert vars(args) == vars(build_parser(argv[0]).parse_args(argv)), argv
+
+
+# the grammar the literal reader's `str` tests replace, with \d as a str
+# pattern reads it: every Unicode decimal digit
+_LITERAL = re.compile(r"[+-]?\d+(_\d+)*(/\d+(_\d+)*)?")
+
+
+def test_isdecimal_is_the_digit_class_of_a_str_pattern():
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\d", everything) == [c for c in everything if c.isdecimal()]
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.one_of(st.sampled_from(_MALFORMED),
+                 st.text(alphabet="0123456789_/+- \n٧x", max_size=9)))
+def test_str_grammar_is_the_regex_grammar(text):
+    # the literal reader accepts exactly what the regex accepts after strip,
+    # but for a zero denominator, and reads it as a reduced Fraction; the
+    # strict parser's value test is the matcher argparse is given, but for a
+    # trailing newline, which that matcher's `.match` takes
+    literal = text.strip()
+    num, _, den = literal.partition("/")
+    if _LITERAL.fullmatch(literal) and int(den or 1):
+        q = Fraction(int(num), int(den or 1))
+        assert cli.rational_parts(text) == (q.numerator, q.denominator)
+    else:
+        with pytest.raises(ValueError, match="not a rational number"):
+            cli.rational_parts(text)
+    subparsers = build_parser("classify")._subparsers._group_actions[0]
+    matcher = subparsers.choices["classify"]._negative_number_matcher
+    argparse_value = not text.startswith("-") or bool(matcher.match(text))
+    assert cli._is_value(text) == (argparse_value and not (
+        text.startswith("-") and text.endswith("\n")))

@@ -318,6 +318,16 @@ def test_consistent_requires_samples():
                           F(1, 20))
 
 
+def test_consistent_refuses_a_tolerance_no_deviation_can_exceed():
+    # a frequency and a model proportion both lie in [0, 1]
+    cns = oracle.census(F(9), 5000)
+    model = oracle.model_cycle_types("Pauli")
+    for tolerance in (F(1), F(10), F(3, 2)):
+        with pytest.raises(ValueError, match="tolerance must be below 1"):
+            oracle.consistent(cns, model, tolerance)
+    assert oracle.check_tolerance(F(999, 1000)) == F(999, 1000)
+
+
 def test_consistent_monotone_in_tolerance():
     cns = oracle.census(F(9), 10000)
     model = oracle.group_cycle_types(groups.group_models()["Pauli"].model8)
