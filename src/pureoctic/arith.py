@@ -3,11 +3,11 @@ classes and integer roots.
 
 Everything downstream (the octic classifier, Hilbert symbols, the splitting
 field) works over Q with exact arithmetic; this module is the substrate.
-A rational is a `fractions.Fraction` (always reduced, positive denominator)
-or an int; the square-class functions read only its `numerator` and
-`denominator`, which both types carry, so a caller that asks about square
-classes alone, such as `embed`, can pass integers and never load
-`fractions`.
+A rational is a `fractions.Fraction`, an int or the reduced pair
+`RationalParts` of a literal; the square-class functions read only its
+`numerator` and `denominator`, the sign from the numerator, so a caller
+that asks about square classes alone, such as `embed` and `lattice`,
+never loads `fractions`.
 
 `factor` trial-divides to 10^6 and then runs Brent's rho under a fixed
 budget of modular multiplications, weighted by size; an integer it cannot split within the budget raises
@@ -162,6 +162,21 @@ def factor(n: int) -> Factorization:
     return Factorization(sign, tuple(sorted(exps.items())))
 
 
+class RationalParts(namedtuple("RationalParts", "numerator denominator")):
+    """A reduced rational n/d, d > 0, printed as a Fraction prints it."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        num, den = self
+        return f"{num}" if den == 1 else f"{num}/{den}"
+
+
+def squared_text(r: "Fraction | RationalParts") -> str:
+    """r^2 for display, with a fraction in parentheses: 3^2, (3/2)^2."""
+    return f"{r}^2" if r.denominator == 1 else f"({r})^2"
+
+
 class SquareClass(namedtuple("SquareClass", "representative primes")):
     """A coset of Q*/(Q*)^2, represented by its signed square-free integer
     and the tuple of the primes dividing it, ascending.
@@ -181,14 +196,15 @@ class SquareClass(namedtuple("SquareClass", "representative primes")):
         return super().__new__(cls, representative, primes)
 
 
-def squarefree_part(q: "Fraction | int") -> SquareClass:
+def squarefree_part(q: "Fraction | int | RationalParts") -> SquareClass:
     """The class of q: the signed square-free t with q/t a rational square.
-    The numerator and the denominator are factored once each."""
-    if q == 0:
+    The numerator and the denominator are factored apart, a budget each."""
+    if q.numerator == 0:
         raise ValueError("0 has no square-free part")
     primes = sorted(p for n in (q.numerator, q.denominator) if abs(n) != 1
                     for p, e in factor(n).exponents if e % 2)
-    return SquareClass(math.prod(primes, start=-1 if q < 0 else 1), tuple(primes))
+    return SquareClass(math.prod(primes, start=-1 if q.numerator < 0 else 1),
+                       tuple(primes))
 
 
 class PrimeBasis:
@@ -207,12 +223,12 @@ class PrimeBasis:
         self.vectors = tuple(int(c.representative < 0) | sum(bit[p] for p in c.primes)
                              for c in classes)
 
-    def vector(self, q: "Fraction | int") -> int:
+    def vector(self, q: "Fraction | int | RationalParts") -> int:
         """The class of q, found by dividing out the basis primes alone;
         ValueError if an odd power of another prime divides q."""
-        if q == 0:
+        if q.numerator == 0:
             raise ValueError("0 has no square-free part")
-        v = int(q < 0)
+        v = int(q.numerator < 0)
         n = abs(q.numerator) * q.denominator
         for i, p in enumerate(self.primes):
             while n % p == 0:

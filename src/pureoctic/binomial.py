@@ -12,7 +12,7 @@ of c alone:
 
 The branches are mutually exclusive: 2d^2 = k^2 and d^4 = 2e^2 have no
 rational solutions.  The mod-p Frobenius census in `oracle` independently
-checks every verdict.
+checks every verdict.  `lattice` checks the Pauli condition on k itself.
 """
 
 from collections import namedtuple
@@ -35,30 +35,9 @@ class GaloisTag(namedtuple("GaloisTag", "name splitting_degree")):
     __slots__ = ()
 
 
-def pauli_condition_violation(k: Fraction) -> str | None:
-    """The violated clause of the Pauli condition, or None when it holds:
-    k > 0 is neither a rational square nor twice one, exactly the values for
-    which X^8 + k^2 has the Pauli group as Galois group."""
-    k = Fraction(k)
-    if k <= 0:
-        return "k must be positive"
-    r = arith.nth_root(k, 2)
-    if r is not None:
-        return f"k = {k} is a rational square ({_squared(r)})"
-    r = arith.nth_root(k / 2, 2)
-    if r is not None:
-        return f"k = {k} is twice a rational square (2*{_squared(r)})"
-    return None
-
-
 def poly_display(c: Fraction) -> str:
     """X^8 + c as printed: X^8 - 2 for c = -2."""
     return f"X^8 - {-c}" if c < 0 else f"X^8 + {c}"
-
-
-def _squared(r: Fraction) -> str:
-    """r^2 for display, with a fraction in parentheses: 3^2, (3/2)^2."""
-    return f"{r}^2" if r.denominator == 1 else f"({r})^2"
 
 
 # the branches in the order they are tried: (tag, splitting degree, the
@@ -87,7 +66,7 @@ def octic_verdict(c: Fraction) -> tuple[GaloisTag, str]:
         root = arith.nth_root(value(c), n)
         if root is not None:
             return (GaloisTag(name, degree),
-                    text.format(root=root, square=_squared(root)))
+                    text.format(root=root, square=arith.squared_text(root)))
     return (GaloisTag(TAG_B32, 32),
             "c is not in any square class of the list (generic case)")
 

@@ -18,15 +18,16 @@ one build all seven), so help and every error message come from argparse.
 Rationals on the command line are integers or 'p/q' literals; there is no
 floating point anywhere in the interface.  The grammar is `str` tests, so
 only `build_parser` compiles a pattern, argparse's negative-number matcher.
-`rational_parts` reads a literal as a reduced (num, den); `json` is
-imported only where JSON is written, and `fractions` only where
-`parse_rational` makes a Fraction, which `embed` and `sl-search`, working
-on square classes, never do.  Exit codes: 0 success, 1 a
-verification failed, 2 invalid input, including a value whose square class
-needs a factorization beyond `arith.factor`'s budget or a number with
-more digits than the interpreter reads or prints, and 2 an output that
-cannot be written.  A reader that closed the pipe early is not a failed
-write: it gets nothing, and the command keeps its own exit code.
+`rational_parts` reads a literal as its reduced pair `arith.RationalParts`;
+`fractions` is imported only where `parse_rational` makes a Fraction, which
+`embed`, `sl-search` and `lattice`, reading square classes and integer
+pairs, never do, and `json` never: `_emit` loads `jsonout` for JSON.
+Exit codes: 0 success, 1 a verification failed, 2 invalid input,
+including a value whose square class needs a factorization beyond
+`arith.factor`'s budget or a number with more digits than the interpreter
+reads or prints, and 2 an output that cannot be written.  A reader that
+closed the pipe early is not a failed write: it gets nothing, and the
+command keeps its own exit code.
 
 `main` leaves the garbage collector alone, so library and test callers
 can run many requests in one process; the `pureoctic` process entry
@@ -58,11 +59,13 @@ def _is_unsigned_rational(text: str) -> bool:
     return all(map(_digit_groups, text.split("/", 1)))
 
 
-def rational_parts(text: str) -> tuple[int, int]:
+def rational_parts(text: str) -> "RationalParts":
     """The reduced (num, den), den > 0, of an integer or 'p/q' literal with
     an optional sign; decimal and exponent literals such as '0.5' or '1e3'
     are rejected."""
     from math import gcd
+
+    from .arith import RationalParts
     literal = text.strip()
     if _is_unsigned_rational(_signless(literal)):
         # int() takes the sign and the underscores on every supported Python
@@ -70,7 +73,7 @@ def rational_parts(text: str) -> tuple[int, int]:
         num, den = int(num), int(den or 1)
         if den:
             g = gcd(num, den)
-            return num // g, den // g
+            return RationalParts(num // g, den // g)
     raise ValueError(f"not a rational number: {text!r}")
 
 
@@ -81,8 +84,8 @@ def parse_rational(text: str) -> "Fraction":
 
 
 def _json_default(obj):
-    # Fractions print as 'p/q'; any other object json cannot write is a bug.
-    # A payload holding a Fraction has loaded `fractions` already
+    # Fractions print as 'p/q'; any other object `jsonout` cannot write is a
+    # bug.  A payload holding a Fraction has loaded `fractions` already
     from fractions import Fraction
     if isinstance(obj, Fraction):
         return str(obj)
@@ -105,8 +108,8 @@ def _write(text: str) -> None:
 
 def _emit(payload: dict, fmt: str, text: str) -> None:
     if fmt == "json":
-        import json
-        text = json.dumps(payload, default=_json_default, sort_keys=True, indent=2)
+        from .jsonout import dumps
+        text = dumps(payload, _json_default)
     _write(text)
 
 

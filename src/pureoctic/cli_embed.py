@@ -1,7 +1,7 @@
 """The `embed` and `sl-search` subcommands: the triquadratic embedding
 criteria of `qforms` for square classes a, b, c.  Each criterion reads
-a literal num/den only through its class, so it gets the integer num*den
-of that class, and no request loads `fractions`."""
+a literal num/den only through its class, so it gets the reduced pair or
+the integer num*den, and no request loads `fractions`."""
 
 import itertools
 
@@ -9,20 +9,15 @@ from . import qforms
 from .cli import _emit, rational_parts
 
 
-def _class_literals(args) -> tuple[list[int], list[str]]:
-    """The integers num*den in the square classes of a, b and c, and their
-    texts, as a Fraction prints num/den."""
-    parts = [rational_parts(text) for text in (args.a, args.b, args.c)]
-    return ([num * den for num, den in parts],
-            [f"{num}" if den == 1 else f"{num}/{den}" for num, den in parts])
-
-
 def cmd_embed(args) -> int:
-    values, texts = _class_literals(args)
+    # each literal's reduced pair, its text as a Fraction prints it, and the
+    # integer num*den in its class, which the Witt pairs multiply
+    parts = [rational_parts(text) for text in (args.a, args.b, args.c)]
+    texts, values = list(map(str, parts)), [num * den for num, den in parts]
     # a, b and c are factored once here and every criterion below reuses
     # the space; the 168 (15) decisions on S_L are made once, for both the
     # rewritten triplets and the --compare table
-    space = qforms.ClassSpace(*values)
+    space = qforms.ClassSpace(*parts)
     x, y, z = space.independent(space.vectors)
     holds_15 = space.pauli_embeddable(x, y, z)
     holds_14 = space.brauer_condition(x, y, z)
@@ -82,8 +77,9 @@ def _compare_table(space, decisions):
 
 
 def cmd_sl_search(args) -> int:
-    values, texts = _class_literals(args)
-    triplets = qforms.sl_search(*values)
+    parts = [rational_parts(text) for text in (args.a, args.b, args.c)]
+    texts = list(map(str, parts))
+    triplets = qforms.sl_search(*parts)
     lines = [f"S_L search for (a, b, c) = ({', '.join(texts)}):"
              f" {len(triplets)} triplet(s) satisfy [u,v,uv] ~ [1,x,x]"]
     lines.extend(f"  (u, v, x) = {t}" for t in triplets)

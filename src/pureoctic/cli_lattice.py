@@ -2,15 +2,16 @@
 lattice of X^8 + k^2 in `lattice`, and the exact Witt certificate in E."""
 
 from . import lattice
-from .cli import _emit, _write, parse_rational
+from .cli import _emit, _write, parse_rational, rational_parts
 
 
 def cmd_lattice(args) -> int:
-    k = parse_rational(args.k)
+    # the report reads k only through the integers of its reduced pair
+    k = rational_parts(args.k)
     if args.format != "dot":
         # the text and JSON reports print k^2: a k^2 past the digit limit
         # raises here, before k is factored
-        str(k ** 2)
+        lattice.polynomial(k)
     report = lattice.report(k)
     if args.format == "dot":
         _write(report.as_dot())

@@ -6,7 +6,7 @@ same 23 subgroups.  Each row of `_LATTICE` is one: its normality, its printed
 generators, a primitive element of its fixed field as terms (index, sign,
 power), each sign * k^power times basis monomial a^j * w^e, index 2j + e,
 and a label spec.  A report substitutes k into the literal and does no
-field arithmetic.
+field arithmetic, reading k only through its numerator and denominator.
 
 The literal holds for every valid k.  An automorphism scales each monomial
 by +-k^d, so orbit sums scaled to 1 at one coordinate, and their sums with
@@ -24,11 +24,10 @@ its name is read off the square-free representatives of the classes.  Tests
 prove the rows against the group engine and against the search.
 """
 
+import math
 from collections import namedtuple
-from fractions import Fraction
 
-from . import binomial
-from .arith import PrimeBasis, squarefree_part
+from .arith import PrimeBasis, RationalParts, squarefree_part, squared_text
 
 # the names of the basis monomials a^j * w^e in printed elements, in
 # coordinate order 2j + e: "" for the constant term, then w, a, a*w, ...
@@ -79,7 +78,30 @@ def _generated(gens) -> tuple:
 SUBGROUPS = tuple(_generated(gens) for _, gens, _, _ in _LATTICE)
 
 
-def coefficients(k: Fraction, terms) -> list:
+def pauli_condition_violation(k) -> str | None:
+    """The violated clause of the Pauli condition, or None when it holds:
+    k > 0 is neither a rational square nor twice one, exactly the values for
+    which X^8 + k^2 has the Pauli group as Galois group."""
+    n, d = k.numerator, k.denominator
+    if n <= 0:
+        return "k must be positive"
+    # n/d is a square iff n and d are, and twice one iff n/2 and d are (n
+    # even) or n and 2d are (n odd)
+    half = (n // 2, d) if n % 2 == 0 else (n, 2 * d)
+    for clause, (m, e) in (("a rational square ({})", (n, d)),
+                           ("twice a rational square (2*{})", half)):
+        r = RationalParts(math.isqrt(m), math.isqrt(e))
+        if r.numerator ** 2 == m and r.denominator ** 2 == e:
+            return f"k = {k} is " + clause.format(squared_text(r))
+    return None
+
+
+def polynomial(k) -> str:
+    """X^8 + k^2 as the text and JSON reports print it."""
+    return f"X^8 + {RationalParts(k.numerator ** 2, k.denominator ** 2)}"
+
+
+def coefficients(k: "Fraction", terms) -> list:
     """The 16 coordinates of the element with the given terms at k."""
     coeffs = [0] * 16
     for idx, sign, power in terms:
@@ -87,14 +109,14 @@ def coefficients(k: Fraction, terms) -> list:
     return coeffs
 
 
-def element_text(coeffs) -> str:
-    """An element of E as printed, from its 16 coordinates."""
-    terms = [str(c) if not name else name if c == 1 else f"-{name}" if c == -1
-             else f"{c}*{name}" for name, c in zip(_NAMES, coeffs) if c]
+def element_text(texts: dict) -> str:
+    """An element of E as printed, from its nonzero coordinates' texts by index."""
+    terms = [t if not idx else _NAMES[idx] if t == "1" else f"-{_NAMES[idx]}"
+             if t == "-1" else f"{t}*{_NAMES[idx]}" for idx, t in sorted(texts.items())]
     return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
-def labels(k: Fraction) -> tuple:
+def labels(k) -> tuple:
     """Each row's label at k, or None."""
     # k is factored once; over its prime basis -1 is the vector 1 and 2 is
     # the vector 2.  The Pauli condition makes the seven classes and 1 a
@@ -119,16 +141,20 @@ def _field_name(reps, count=None) -> str:
     return "Q(" + ", ".join("i" if d == -1 else f"sqrt({d})" for d in reps) + ")"
 
 
-def report(k: Fraction) -> "LatticeReport":
+def report(k) -> "LatticeReport":
     """The subgroup <-> fixed-field correspondence for X^8 + k^2; ValueError
     unless k meets the Pauli condition."""
-    k = Fraction(k)
-    violation = binomial.pauli_condition_violation(k)
+    violation = pauli_condition_violation(k)
     if violation is not None:
         raise ValueError(violation)
+    # the text of each power k^p the rows hold; k > 0, so a coefficient
+    # -k^p prints as k^p with a minus
+    powers = {p: str(RationalParts(k.numerator ** p, k.denominator ** p))
+              for p in {power for *_, terms, _ in _LATTICE for *_, power in terms}}
     return LatticeReport(k, tuple(
         LatticeRow(elements, len(elements), normal, 16 // len(elements),
-                   element_text(coefficients(k, terms)), label, gens)
+                   element_text({idx: "-" * (sign < 0) + powers[power]
+                                 for idx, sign, power in terms}), label, gens)
         for elements, (normal, gens, terms, _), label
         in zip(SUBGROUPS, _LATTICE, labels(k))))
 
@@ -162,7 +188,7 @@ class LatticeReport(namedtuple("LatticeReport", "k rows")):
 
     def as_text(self) -> str:
         lines = [
-            f"splitting field of X^8 + {self.k ** 2} = Q(w, a), degree 16 over Q",
+            f"splitting field of {polynomial(self.k)} = Q(w, a), degree 16 over Q",
             "Galois group: 16 affine maps (t,s): a -> a*w^t, w -> w^s"
             " (Pauli fingerprint)",
             f"subgroups: {len(self.rows)} total,"
@@ -181,7 +207,7 @@ class LatticeReport(namedtuple("LatticeReport", "k rows")):
     def as_dict(self) -> dict:
         return {
             "k": str(self.k),
-            "polynomial": f"X^8 + {self.k ** 2}",
+            "polynomial": polynomial(self.k),
             "subgroup_count": len(self.rows),
             "rows": [
                 {

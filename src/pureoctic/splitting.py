@@ -25,7 +25,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
-from . import binomial, lattice
+from . import lattice
 
 # the basis monomials a^j * w^e as (j, e), in coordinate order 2j + e
 _MONOMIALS = tuple(divmod(idx, 2) for idx in range(16))
@@ -163,7 +163,7 @@ class FieldElt:
         return self.nums == other.nums and self.den == other.den
 
     def __str__(self):
-        return lattice.element_text(self.coeffs)
+        return lattice.element_text({i: str(c) for i, c in enumerate(self.coeffs) if c})
 
 
 class SplittingField:
@@ -171,7 +171,7 @@ class SplittingField:
 
     def __init__(self, k: Fraction):
         k = Fraction(k)
-        violation = binomial.pauli_condition_violation(k)
+        violation = lattice.pauli_condition_violation(k)
         if violation is not None:
             raise ValueError(violation)
         self.k = k

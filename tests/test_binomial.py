@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 import reference
 
-from pureoctic import arith, binomial, oracle
+from pureoctic import arith, binomial, lattice, oracle
 
 
 def test_irreducibility_examples():
@@ -21,17 +21,17 @@ def test_irreducibility_examples():
 
 
 def test_pauli_condition():
-    assert binomial.pauli_condition_violation(F(3)) is None
+    assert lattice.pauli_condition_violation(F(3)) is None
     # 12 = 4*3: square part drops out
-    assert binomial.pauli_condition_violation(F(12)) is None
-    assert binomial.pauli_condition_violation(F(2)) is not None
-    assert binomial.pauli_condition_violation(F(9, 4)) is not None
-    assert binomial.pauli_condition_violation(F(8)) is not None  # 2 * 2^2
-    assert binomial.pauli_condition_violation(F(-3)) == "k must be positive"
+    assert lattice.pauli_condition_violation(F(12)) is None
+    assert lattice.pauli_condition_violation(F(2)) is not None
+    assert lattice.pauli_condition_violation(F(9, 4)) is not None
+    assert lattice.pauli_condition_violation(F(8)) is not None  # 2 * 2^2
+    assert lattice.pauli_condition_violation(F(-3)) == "k must be positive"
     # the classical infinite family: odd prime powers p^(2v+1)
     for p in (3, 5, 7, 11):
         for v in (0, 1):
-            assert binomial.pauli_condition_violation(F(p ** (2 * v + 1))) is None
+            assert lattice.pauli_condition_violation(F(p ** (2 * v + 1))) is None
 
 
 CLASSIFICATION_VECTOR = {
@@ -84,7 +84,7 @@ def test_pauli_iff_condition_on_k():
     for _ in range(200):
         k = F(rng.randint(1, 400), rng.randint(1, 40))
         is_pauli = binomial.classify_octic(k * k).name == "Pauli"
-        assert is_pauli == (binomial.pauli_condition_violation(k) is None)
+        assert is_pauli == (lattice.pauli_condition_violation(k) is None)
         seen_pauli += is_pauli
     assert seen_pauli > 100  # the condition is generic
 

@@ -494,6 +494,7 @@ NOT_ENTERED = {
     "groups.Perm.__call__": (f"{ACCEPTANCE} via reference.affine_pair",),
     "groups.order16_stock_models": (TRACED, ACCEPTANCE),
     "groups.pauli_matrix_group": (ACCEPTANCE,),
+    "lattice.coefficients": (f"{ACCEPTANCE} via splitting.SplittingField.fixed_field",),
     "linalg.in_span": (TRACED, ACCEPTANCE),
     "linalg.nullspace": (TRACED,),
     "linalg.rank": (f"{ACCEPTANCE} via linalg.in_span",),
@@ -623,10 +624,10 @@ def test_witt_verify(capsys):
 
 
 def test_witt_verify_checks_pauli_and_builds_T_once(capsys, monkeypatch):
-    from pureoctic import binomial, splitting
+    from pureoctic import lattice, splitting
 
     calls = []
-    for module, name in ((binomial, "pauli_condition_violation"),
+    for module, name in ((lattice, "pauli_condition_violation"),
                          (splitting, "witt_T")):
         def counting(*args, _fn=getattr(module, name), _name=name):
             calls.append(_name)
@@ -770,6 +771,38 @@ def test_embed_factors_each_input_once(capsys, monkeypatch, argv):
     values = [Fraction(v) for v in argv[1:4]]
     nonunits = [n for q in values for n in (q.numerator, q.denominator) if abs(n) != 1]
     assert len(calls) <= len(nonunits)
+
+
+@pytest.mark.parametrize("argv", [("embed", "10/21", "3", "5"), ("lattice", "10/21")],
+                         ids=["embed", "lattice"])
+def test_a_literal_is_factored_part_by_part(capsys, monkeypatch, argv):
+    # the numerator and the denominator of a literal are factored apart,
+    # under a budget each, and never as their product
+    from pureoctic import arith
+    calls = []
+    factor = arith.factor
+
+    def recording(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(arith, "factor", recording)
+    assert run(capsys, *argv)[0] == 0
+    assert {10, 21} <= set(calls) and 210 not in calls
+
+
+# each part a product of two 13-digit primes: within a budget each, and
+# beyond one budget for the 50-digit product
+_TWO_BUDGETS = "4000000807808003140461863/4000003959588940703949709"
+
+
+@pytest.mark.budget
+@pytest.mark.parametrize("argv", [("lattice", _TWO_BUDGETS),
+                                  ("embed", _TWO_BUDGETS, "3", "5")],
+                         ids=["lattice", "embed"])
+def test_each_part_of_a_literal_gets_its_own_budget(argv):
+    proc = run_python("-m", "pureoctic", *argv, timeout=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # inputs that once ran without bound in `arith.factor`
@@ -1023,11 +1056,11 @@ def test_python_dash_m_entry():
     assert proc.returncode == 0 and "Pauli" in proc.stdout
 
 
-# runs `python -m pureoctic ARGV` and prints, as its last stderr line, the
-# package modules loaded by the time the request exits, and those of
-# `dataclasses` and `inspect` (13 ms of start-up together), `json`,
-# `fractions` with the `decimal` it imports, `__future__`, and `argparse`
-# with the `gettext` and `locale` it imports, that are loaded
+# runs `pureoctic ARGV` and prints, as its last stderr line, the package
+# modules loaded by the time the request exits, and those of `dataclasses`
+# and `inspect` (13 ms of start-up together), `json`, `fractions` with the
+# `decimal` it imports, `__future__`, and `argparse` with the `gettext` and
+# `locale` it imports, that are loaded
 _MODULE_PROBE = """
 import runpy, sys
 sys.argv = ["pureoctic", *sys.argv[1:]]
@@ -1051,20 +1084,24 @@ _ARGPARSE = {"argparse", "gettext", "locale"}
     (("classify", "9", "--format", "json"), 0, "cli_classify", {"binomial"}),
     (("embed", "2", "3", "-2", "--compare"), 0, "cli_embed", {"qforms"}),
     (("sl-search", "2", "3", "-2"), 0, "cli_embed", {"qforms"}),
-    (("lattice", "3"), 0, "cli_lattice", {"binomial", "lattice"}),
-    (("witt-verify", "3"), 0, "cli_lattice", {"binomial", "lattice", "splitting"}),
+    (("lattice", "3"), 0, "cli_lattice", {"lattice"}),
+    (("lattice", "3", "--format", "json"), 0, "cli_lattice", {"lattice"}),
+    (("witt-verify", "3"), 0, "cli_lattice", {"lattice", "splitting"}),
     (("oracle", "9", "--primes", "20000"), 0, "cli_oracle", {"binomial", "oracle"}),
     (("group-identify", "QD16"), 0, "cli_groups", {"groups"}),
 ], ids=["help", "usage-error", "classify", "classify-json", "embed", "sl-search",
-        "lattice", "witt-verify", "oracle", "group-identify"])
+        "lattice", "lattice-json", "witt-verify", "oracle", "group-identify"])
 def test_each_subcommand_loads_only_its_modules(argv, code, handler, extra):
     # help and a usage error compile the grammar and argparse's parser
     # alone; a well-formed request loads no argparse, its own handler and no
-    # other, `json` only for JSON output, and `fractions` (with `decimal`)
-    # only for the literals it reads as rationals: `embed` and `sl-search`
-    # read square classes, and `group-identify` reads no literal; no module
-    # imports `__future__`, which would cost every request its load
-    proc = run_python("-c", _MODULE_PROBE, *argv)
+    # other, `jsonout` for JSON output and never `json`, and `fractions`
+    # (with `decimal`) only for the literals it reads as rationals: `embed`,
+    # `sl-search` and `lattice` read square classes and integer pairs, and
+    # `group-identify` reads no literal; `lattice` and `witt-verify` check
+    # the Pauli condition without the classifier `binomial`; no module
+    # imports `__future__`, which would cost every request its load.  The
+    # child runs under -S, so no host `site` adds modules of its own
+    proc = run_python("-S", "-c", _MODULE_PROBE, *argv)
     assert proc.returncode == code, proc.stderr
     loaded = set(proc.stderr.splitlines()[-1].split())
     assert "__future__" not in loaded
@@ -1072,8 +1109,10 @@ def test_each_subcommand_loads_only_its_modules(argv, code, handler, extra):
         assert loaded == _FRONT_END | _ARGPARSE
         return
     assert not loaded & _ARGPARSE
-    stdlib = {"json"} if "json" in argv else set()
-    if argv[0] not in ("embed", "sl-search", "group-identify"):
+    if "json" in argv:
+        extra = extra | {"jsonout"}
+    stdlib = set()
+    if argv[0] in ("classify", "witt-verify", "oracle"):
         stdlib |= {"fractions", "decimal"}
     assert loaded == _FRONT_END | stdlib | {
         f"pureoctic.{m}" for m in {"arith", handler, *extra}}
@@ -1103,7 +1142,6 @@ finally:
     print(public(floor), public(set(sys.modules) - floor), sep="\\n", file=sys.stderr)
 """
 _RE = {"copyreg", "enum", "re"}
-_JSON = _RE | {"json", "json.decoder", "json.encoder", "json.scanner"}
 _FRACTIONS = _RE | {"collections.abc", "decimal", "fractions", "numbers"}
 # argparse, and the shutil its help formatter imports for the terminal width
 _ARGPARSE_STDLIB = _RE | {"argparse", "bz2", "errno", "fnmatch", "gettext", "locale",
@@ -1116,23 +1154,26 @@ _REQUEST = {"gc", "math"}
     (("--help",), {"gc", "textwrap"} | _ARGPARSE_STDLIB),
     (("lattice",), {"gc"} | _ARGPARSE_STDLIB),
     (("classify", "9"), _REQUEST | _FRACTIONS),
-    (("classify", "9", "--format", "json"), _REQUEST | _FRACTIONS | _JSON),
+    (("classify", "9", "--format", "json"), _REQUEST | _FRACTIONS),
     (("embed", "2", "3", "-2", "--compare"), _REQUEST),
-    (("embed", "2", "3", "-2", "--compare", "--format", "json"), _REQUEST | _JSON),
+    (("embed", "2", "3", "-2", "--compare", "--format", "json"), _REQUEST),
     (("sl-search", "2", "3", "-2"), _REQUEST),
-    (("lattice", "3"), _REQUEST | _FRACTIONS),
+    (("lattice", "3"), _REQUEST),
+    (("lattice", "3", "--format", "json"), _REQUEST),
     (("witt-verify", "3"), _REQUEST | _FRACTIONS),
+    (("witt-verify", "3", "--format", "json"), _REQUEST | _FRACTIONS),
     (("oracle", "9", "--primes", "20000"), _REQUEST | _FRACTIONS),
+    (("oracle", "9", "--primes", "20000", "--format", "json"), _REQUEST | _FRACTIONS),
     (("group-identify", "QD16"), _REQUEST),
-    (("group-identify", "QD16", "--format", "json"), _REQUEST | _JSON),
+    (("group-identify", "QD16", "--format", "json"), _REQUEST),
 ], ids=["help", "usage-error", "classify", "classify-json", "embed", "embed-json",
-        "sl-search", "lattice", "witt-verify", "oracle", "group-identify",
-        "group-identify-json"])
+        "sl-search", "lattice", "lattice-json", "witt-verify", "witt-verify-json",
+        "oracle", "oracle-json", "group-identify", "group-identify-json"])
 def test_each_request_loads_exactly_its_stdlib_modules(argv, stdlib):
-    # a count that no host changes: no well-formed request loads argparse or
-    # shutil, `re` only under `json` or `fractions`, and `embed`, `sl-search`
-    # and `group-identify`, which do no rational arithmetic, load no
-    # `fractions` or `decimal`
+    # a count that no host changes: no well-formed request loads argparse,
+    # shutil or `json`, `re` only under `fractions`, and `embed`,
+    # `sl-search`, `lattice` and `group-identify`, which do no rational
+    # arithmetic, load no `fractions` or `decimal`
     proc = run_python("-S", "-c", _STDLIB_PROBE, *argv)
     assert proc.returncode == (2 if argv == ("lattice",) else 0), proc.stderr
     floor, loaded = (set(line.split()) for line in proc.stderr.splitlines()[-2:])

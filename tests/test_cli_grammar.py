@@ -4,10 +4,12 @@ message, never a traceback, and every one that `cli.parse_canonical` reads
 without argparse reads as argparse reads it.  Values stay below about 10^6
 and census bounds at most 20000, so no draw spends a factoring budget.
 The literal reader's `str` tests are checked against the regex grammar
-they stand for, on every code point and on drawn text."""
+they stand for, on every code point and on drawn text, and the JSON writer
+against the `json.dumps` call it stands for, on drawn payloads."""
 
 import contextlib
 import io
+import json
 import re
 import sys
 from fractions import Fraction
@@ -15,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pureoctic import cli
+from pureoctic import cli, jsonout
 from pureoctic.cli import build_parser, main, parse_canonical
 
 _MALFORMED = ["", " ", "1/", "/2", "1.5", "2e3", "1__0", "_1", "1_", "0x10",
@@ -159,3 +161,38 @@ def test_str_grammar_is_the_regex_grammar(text):
     argparse_value = not text.startswith("-") or bool(matcher.match(text))
     assert cli._is_value(text) == (argparse_value and not (
         text.startswith("-") and text.endswith("\n")))
+
+
+def _json_dumps(payload) -> str:
+    # what `cli._emit` wrote with `json` before `jsonout` stood for it
+    return json.dumps(payload, default=cli._json_default, sort_keys=True, indent=2)
+
+
+# full-Unicode text, lone surrogates included
+_TEXT = st.text(st.characters(exclude_categories=()))
+_LEAVES = st.one_of(_TEXT, st.integers(), st.integers(-10 ** 400, 10 ** 400),
+                    st.booleans(), st.none(),
+                    st.builds(Fraction, st.integers(), st.integers(1, 10 ** 30)))
+_PAYLOADS = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, children, max_size=4)), max_leaves=24)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_PAYLOADS)
+def test_json_writer_is_json_dumps(payload):
+    assert jsonout.dumps(payload, cli._json_default) == _json_dumps(payload)
+
+
+@pytest.mark.parametrize("payload, error", [
+    ({"n": [10 ** 4300]}, ValueError),  # past the digit limit
+    ({"x": 1.5}, TypeError),  # no handler builds a float
+    ([object()], TypeError),
+], ids=["huge-int", "float", "object"])
+def test_json_writer_raises_where_its_payloads_end(payload, error):
+    with pytest.raises(error) as ours:
+        jsonout.dumps(payload, cli._json_default)
+    if error is ValueError:
+        with pytest.raises(error) as theirs:
+            _json_dumps(payload)
+        assert str(ours.value) == str(theirs.value)

@@ -10,7 +10,7 @@ import pytest
 import reference
 from hypothesis import given, settings, strategies as st
 
-from pureoctic import binomial, groups, oracle
+from pureoctic import binomial, groups, lattice, oracle
 from pureoctic.arith import primes_below
 
 
@@ -402,7 +402,7 @@ def test_obstruction_table():
 
 # k > 0 with a small numerator and denominator, neither a square nor twice one
 _PAULI_K = st.builds(F, st.integers(1, 999), st.integers(1, 99)).filter(
-    lambda k: binomial.pauli_condition_violation(k) is None)
+    lambda k: lattice.pauli_condition_violation(k) is None)
 _D = st.builds(F, st.integers(1, 99), st.integers(1, 20))
 
 

@@ -10,7 +10,7 @@ import pytest
 import reference
 from hypothesis import given, settings, strategies as st
 
-from pureoctic import arith, binomial, groups, lattice, linalg
+from pureoctic import arith, cli, groups, lattice, linalg
 from pureoctic.groups import PAULI_PAIRS, affine_map
 from pureoctic.splitting import FieldElt, SplittingField, witt_beta_rho
 
@@ -207,7 +207,7 @@ def test_ring_axioms_random(E3):
 # k over the Pauli condition with a numerator and a denominator, and sparse
 # elements with small fractional coordinates
 PAULI_K = st.builds(F, st.integers(1, 10**6), st.integers(1, 10**3)).filter(
-    lambda k: binomial.pauli_condition_violation(k) is None)
+    lambda k: lattice.pauli_condition_violation(k) is None)
 
 
 COORDS = st.dictionaries(
@@ -651,3 +651,14 @@ def test_lattice_and_witt_on_generated_k(k):
     cert = witt_beta_rho(E)
     # every field after beta, rho and sqrt(rho * beta) is a check
     assert all(cert[3:]), cert
+
+
+@given(PAULI_K)
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+def test_lattice_report_reads_the_literal_pair_as_the_fraction(k):
+    # `lattice` hands the report the reduced pair of its literal, whose
+    # integers give k, k^2 and every primitive element as the Fraction does
+    pair, frac = lattice.report(cli.rational_parts(str(k))), lattice.report(k)
+    assert pair.as_text() == frac.as_text()
+    assert pair.as_dict() == frac.as_dict()
+    assert pair.as_dot() == frac.as_dot()
