@@ -11,9 +11,9 @@ request compiles only its own handler and the modules it runs.
 (`parse_canonical`): the subcommand, its positionals in order and number,
 and each option once by its exact name, with a value that is no option
 and that its type and choices accept.  Any other argv, `--help` and every
-usage error among them, goes to argparse, which builds the parser of the
-subcommand named first alone (`--help`, a missing command and an unknown
-one build all seven), so help and every error message come from argparse.
+usage error among them, goes to argparse, so help and every error message
+come from argparse.  `main` only parses and dispatches: each handler checks
+its own arguments and hands `_emit` plain JSON data, Fractions as text.
 
 Rationals on the command line are integers or 'p/q' literals; there is no
 floating point anywhere in the interface.  The grammar is `str` tests, so
@@ -83,20 +83,13 @@ def parse_rational(text: str) -> "Fraction":
     return Fraction(*rational_parts(text))
 
 
-def _json_default(obj):
-    # Fractions print as 'p/q'; any other object `jsonout` cannot write is a
-    # bug.  A payload holding a Fraction has loaded `fractions` already
-    from fractions import Fraction
-    if isinstance(obj, Fraction):
-        return str(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _write(text: str) -> None:
     # a reader that closed the pipe early gets nothing, and the command still
-    # returns its own exit code; any other failed write, such as a full disk,
-    # is an output that cannot be written, exit 2.  Either way stdout then
-    # points at devnull, so the interpreter's exit flush stays quiet
+    # returns its own exit code; any other failed write, such as a full disk
+    # or a stdout closed at start, is exit 2.  A failed write points stdout at
+    # devnull, so the interpreter's exit flush stays quiet
+    if sys.stdout is None:
+        raise ValueError("cannot write output: stdout is closed")
     try:
         print(text)
         sys.stdout.flush()
@@ -109,7 +102,7 @@ def _write(text: str) -> None:
 def _emit(payload: dict, fmt: str, text: str) -> None:
     if fmt == "json":
         from .jsonout import dumps
-        text = dumps(payload, _json_default)
+        text = dumps(payload)
     _write(text)
 
 
@@ -137,7 +130,7 @@ _SUBCOMMANDS = {
                     _TEXT_JSON, [_K]),
     "embed": ("cli_embed", "triquadratic embedding criteria for square classes a, b, c",
               _TEXT_JSON, [*_ABC, ("--compare", {
-                  "action": "store_true",
+                  "action": "store_true", "default": False,
                   "help": "agreement table of the symbol and form conditions"})]),
     "sl-search": ("cli_embed",
                   "search rewritten triplets in S_L satisfying the form condition",
@@ -158,32 +151,19 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> "argparse.ArgumentParser":
-    """The parser of every subcommand, or of `command` alone when it names
-    one.  The usage line is the same either way."""
+def build_parser() -> "argparse.ArgumentParser":
+    """The parser of every subcommand."""
     import argparse
     import re
 
     # lets a bare negative literal like -2/3 or -1_000 parse as a positional.
     # argparse calls `.match`, so a trailing newline passes, as it always has
     negative = re.compile(r"^-\d+(_\d+)*(/\d+(_\d+)*)?$")
-    parser = argparse.ArgumentParser(
-        prog="pureoctic",
-        description="Galois groups of pure octic polynomials X^8 + c over Q")
-    if command in _SUBCOMMANDS:
-        # the usage line lists every choice, not just the one built; the full
-        # build keeps the default, under which argparse's messages name the
-        # argument `command`
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(_SUBCOMMANDS) + "}")
-        names = [command]
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-        names = _SUBCOMMANDS
-    for name in names:
-        module, help_text, formats, arguments = _SUBCOMMANDS[name]
+    parser = argparse.ArgumentParser(prog="pureoctic", description=(
+        "Galois groups of pure octic polynomials X^8 + c over Q"))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, formats, arguments) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(module=module)
         p.add_argument("--format", choices=formats, default="text")
         p._negative_number_matcher = negative
         for flag, options in arguments:
@@ -204,12 +184,11 @@ def parse_canonical(argv: list) -> SimpleNamespace | None:
     off `_SUBCOMMANDS`; None for any other argv, which argparse parses."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
-    module, _, formats, arguments = _SUBCOMMANDS[argv[0]]
+    _, _, formats, arguments = _SUBCOMMANDS[argv[0]]
     options = {"--format": {"choices": formats, "default": "text"}}
     options.update((flag, spec) for flag, spec in arguments if flag[0] == "-")
     positionals = [(name, spec) for name, spec in arguments if name[0] != "-"]
-    parsed = {flag[2:].replace("-", "_"):
-              False if spec.get("action") == "store_true" else spec.get("default")
+    parsed = {flag[2:].replace("-", "_"): spec.get("default")
               for flag, spec in options.items()}
     values, tokens = [], iter(argv[1:])
     for token in tokens:
@@ -236,19 +215,13 @@ def parse_canonical(argv: list) -> SimpleNamespace | None:
         return None
     for i, (name, spec) in enumerate(positionals):
         parsed[name] = values[i] if i < len(values) else spec.get("default")
-    return SimpleNamespace(command=argv[0], module=module, **parsed)
+    return SimpleNamespace(command=argv[0], **parsed)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parse_canonical(argv) or build_parser(
-        argv[0] if argv else None).parse_args(argv)
-    if args.command == "group-identify":
-        if not args.name and not args.gens:
-            return _fail("need a group name or --gens")
-        if args.name is not None and args.gens is not None:
-            return _fail("give a group name or --gens, not both")
-    handler = getattr(import_module(f"{__package__}.{args.module}"),
+    args = parse_canonical(argv) or build_parser().parse_args(argv)
+    handler = getattr(import_module(f"{__package__}.{_SUBCOMMANDS[args.command][0]}"),
                       "cmd_" + args.command.replace("-", "_"))
     # every ValueError is bad input, or a number past the interpreter's
     # integer-digit limit, whose own message advises a Python call; a command

@@ -24,7 +24,7 @@ def cmd_classify(args) -> int:
     else:
         lines.append("galois group: Reducible (no transitive octic group)")
     payload = {
-        "c": c,
+        "c": str(c),
         "polynomial": binomial.poly_display(c),
         "irreducible": irreducible,
         "tag": tag.name,

@@ -6,6 +6,10 @@ from .cli import _digit_groups, _emit, _fail, _signless
 
 
 def cmd_group_identify(args) -> int:
+    if not args.name and not args.gens:
+        return _fail("need a group name or --gens")
+    if args.name is not None and args.gens is not None:
+        return _fail("give a group name or --gens, not both")
     try:
         if args.gens:
             perms = []

@@ -40,7 +40,7 @@ def cmd_witt_verify(args) -> int:
              f"  sqrt(rho*beta) = {cert.sqrt_rho_beta}"]
     for label, ok in checks.items():
         lines.append(f"  {label}: {'PASS' if ok else 'FAIL'}")
-    payload = {"k": k, "beta": str(cert.beta), "rho": rho,
+    payload = {"k": str(k), "beta": str(cert.beta), "rho": rho,
                "sqrt_rho_beta": str(cert.sqrt_rho_beta),
                "checks": {lbl: bool(ok) for lbl, ok in checks.items()}}
     _emit(payload, args.format, "\n".join(lines))

@@ -20,15 +20,15 @@ def cmd_oracle(args) -> int:
              cns.as_text(),
              f"verdict vs {tag.name} model: {verdict}"]
     payload = {
-        "c": c,
+        "c": str(c),
         "tag": tag.name,
         "primes_bound": args.primes,
         "good_primes": cns.total,
         "skipped_primes": list(cns.skipped),
         "counts": {oracle.shape(t): n for t, n in cns.counts},
-        "tolerance": tolerance,
+        "tolerance": str(tolerance),
         "passed": verdict.passed,
-        "worst_deviation": verdict.worst_deviation,
+        "worst_deviation": str(verdict.worst_deviation),
         "worst_type": oracle.shape(verdict.worst_type) if verdict.worst_type else None,
         "foreign_types": list(map(oracle.shape, verdict.foreign_types)),
     }

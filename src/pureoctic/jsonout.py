@@ -1,6 +1,6 @@
 """JSON without `json`, which loads `re`: byte for byte what `json.dumps(obj,
-default=default, sort_keys=True, indent=2)` writes for the handlers' dicts
-with str keys, lists, tuples, str, int, bool, None and `default`'s objects."""
+sort_keys=True, indent=2)` writes for the handlers' dicts with str keys,
+lists, tuples, str, int, bool and None."""
 
 # a UTF-16 code unit's escape, where `ensure_ascii` gives it a short one
 _ESCAPES = {0x22: '\\"', 0x5C: "\\\\", 0x08: "\\b", 0x0C: "\\f", 0x0A: "\\n",
@@ -18,9 +18,9 @@ def _string(text: str) -> str:
                          for u in units) + '"'
 
 
-def dumps(obj, default, indent: str = "") -> str:
+def dumps(obj, indent: str = "") -> str:
     """`obj` as JSON text, nested `indent` deep; an int past the digit limit
-    raises the ValueError that `json` raises."""
+    raises the ValueError that `json` raises, and any other type TypeError."""
     if isinstance(obj, str):
         return _string(obj)
     if obj is None or obj is True or obj is False:
@@ -29,11 +29,11 @@ def dumps(obj, default, indent: str = "") -> str:
         return int.__repr__(obj)
     inner = indent + "  "
     if isinstance(obj, (list, tuple)):
-        items, (opening, closing) = [dumps(value, default, inner) for value in obj], "[]"
+        items, (opening, closing) = [dumps(value, inner) for value in obj], "[]"
     elif isinstance(obj, dict):
-        items, (opening, closing) = [f"{_string(key)}: {dumps(value, default, inner)}"
+        items, (opening, closing) = [f"{_string(key)}: {dumps(value, inner)}"
                                      for key, value in sorted(obj.items())], "{}"
     else:
-        return dumps(default(obj), default, indent)
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     body = f",\n{inner}".join(items)
     return f"{opening}\n{inner}{body}\n{indent}{closing}" if items else opening + closing

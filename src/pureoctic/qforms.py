@@ -206,11 +206,10 @@ class ClassSpace(arith.PrimeBasis):
         return word
 
     def equivalent(self, f, g) -> bool:
-        """`equivalent` for forms given as triples of class vectors."""
+        """`equivalent` for forms given as triples of class vectors.  Equal
+        discriminants leave two signatures, with n and n + 2 negative entries,
+        and the real place's Hasse bit (-1)^(n(n-1)/2), bit 0, tells them apart."""
         if f[0] ^ f[1] ^ f[2] != g[0] ^ g[1] ^ g[2]:
-            return False
-        # bit 0 is the sign, so this compares the signatures
-        if sum(v & 1 for v in f) != sum(v & 1 for v in g):
             return False
         # the Hasse invariants prod over i < j of (f_i, f_j), at every place
         (a, b, c), (d, e, h), word = f, g, self.word

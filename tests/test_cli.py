@@ -326,7 +326,7 @@ def test_well_formed_requests_skip_argparse(argv):
     # parsed without argparse, into the namespace argparse would give it
     args = cli.parse_canonical(list(argv))
     assert args is not None
-    assert vars(args) == vars(cli.build_parser(argv[0]).parse_args(list(argv)))
+    assert vars(args) == vars(cli.build_parser().parse_args(list(argv)))
 
 
 def _argparse_quotes_choices() -> bool:
@@ -844,6 +844,21 @@ def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(argv, code):
     assert (proc.returncode, proc.stderr) == (code, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "9"),
+    ("lattice", "3", "--format", "json"),
+    ("lattice", "3", "--format", "dot"),
+    ("oracle", "9", "--primes", "20000", "--tolerance", "1/1000"),
+    ("group-identify", "QD16", "--format", "json"),
+], ids=["classify", "lattice-json", "lattice-dot", "oracle-fail", "group-identify-json"])
+def test_stdout_closed_at_start_exits_2_with_one_line(argv):
+    # as `pureoctic ... >&-` does, fd 1 is closed before the interpreter
+    # starts, which then has sys.stdout None, where `print` writes nothing
+    proc = run_python("-m", "pureoctic", *argv, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: cannot write output: stdout is closed\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [
     ("classify", "9"),
@@ -1049,6 +1064,13 @@ def test_named_group_identify_prints_the_name_identify_gives(capsys, monkeypatch
 def test_group_identify_refuses_a_name_with_gens(capsys):
     code, out, err = run(capsys, "group-identify", "QD16", "--gens", "1 0")
     assert (code, out, err) == (2, "", "error: give a group name or --gens, not both\n")
+
+
+@pytest.mark.parametrize("argv", [(), ("--gens", ""), ("",)],
+                         ids=["neither", "empty-gens", "empty-name"])
+def test_group_identify_needs_a_name_or_gens(capsys, argv):
+    assert run(capsys, "group-identify", *argv) == (
+        2, "", "error: need a group name or --gens\n")
 
 
 def test_python_dash_m_entry():

@@ -124,6 +124,8 @@ def test_equivalence_examples():
     assert qforms.equivalent((2, 3, 6), (1, 1, 1))
     assert qforms.equivalent((-1, 3, -3), (1, -2, -2))
     assert not qforms.equivalent((2, 3, 6), (1, -2, -2))
+    # one discriminant, signatures (3, 0) and (1, 2)
+    assert not qforms.equivalent((1, 1, 1), (-1, -1, 1))
 
 
 def _random_form(rng):
