@@ -20,9 +20,11 @@ rationals.
 factored once into an `arith.PrimeBasis`, every class in their span is
 then an F2 vector over it, and each unordered pair of classes gets one
 word, an int whose bit i is its Hilbert symbol at the i-th relevant
-place, computed the first time the pair is asked for.  A Hasse invariant
-at every place is then the XOR of three words, and each criterion
-compares two.  The symbol form (14) is asked of a space alone, and
+place, computed the first time the pair is asked for.  A word is read
+straight from the pair's signed square-free representatives by the local
+formulas: one modular power at each odd basis prime that divides one of
+them, and none anywhere else.  A Hasse invariant at every place is then
+the XOR of three words, and each criterion compares two.  The symbol form (14) is asked of a space alone, and
 only `equivalent` and `witt_embeddable` take an optional one, so that a
 caller asking several questions of the same a, b, c factors them once.
 The S_L search visits the 210 ordered triplets of its seven classes and
@@ -30,7 +32,7 @@ decides (15) on each of the 168 independent ones.  A space keeps no
 decisions: `embed` makes them once and hands the same list to its
 triplets and to its comparison table.  The scalar `hilbert`, from
 rationals by the local unit formulas, and `relevant_places` are the
-reference that the words are tested against.
+reference that the words are tested against; a word never calls them.
 """
 
 import itertools
@@ -121,47 +123,6 @@ def equivalent(f, g, space: "ClassSpace | None" = None) -> bool:
     return space.equivalent(tuple(map(space.vector, f)), tuple(map(space.vector, g)))
 
 
-def _symbol_rows(primes: tuple[int, ...], p: int | None) -> tuple[int, ...]:
-    """The Hilbert symbols at the place p (None: the real place) of the
-    generators -1, primes[0] = 2, primes[1], ... of the class vectors of
-    `arith.PrimeBasis`: row i is the bitmask of the j with (g_i, g_j)_p = -1.
-    Read off the Legendre symbols of the generators mod an odd p, and their
-    residues mod 8 at p = 2."""
-    gens = (-1,) + primes
-    if p is None:
-        return (1,) + (0,) * len(primes)  # (-1, -1) = -1 only
-    if p == 2:
-        # g = 2^alpha * u with u odd, as in `hilbert`: the symbol (g, g')_2 has
-        # exponent eps(u)eps(u') + alpha*omega(u') + alpha'*omega(u)
-        alpha = [int(g == 2) for g in gens]
-        unit = [1 if g == 2 else g % 8 for g in gens]
-        eps = [_eps(u) for u in unit]
-        omega = [_omega(u) for u in unit]
-        return tuple(
-            sum(((eps[i] * eps[j] + alpha[i] * omega[j] + alpha[j] * omega[i]) % 2) << j
-                for j in range(len(gens)))
-            for i in range(len(gens)))
-    # at odd p only p itself pairs nontrivially: (p, g)_p = (g/p), (p, p)_p = (-1/p)
-    at = gens.index(p)
-    # Euler's criterion, unchecked: `factor` has already proved p prime
-    chi = [int(pow(-1 if g == p else g, p >> 1, p) == p - 1) for g in gens]
-    return tuple(sum(bit << j for j, bit in enumerate(chi)) if i == at else chi[i] << at
-                 for i in range(len(gens)))
-
-
-def _symbol(rows: tuple[int, ...], u: int, w: int) -> int:
-    """The Hilbert symbol of class vectors u, w at the place of `rows`, as
-    an F2 exponent: 0 for +1 and 1 for -1."""
-    acc = 0
-    for row in rows:
-        if not u:
-            break
-        if u & 1:
-            acc ^= row
-        u >>= 1
-    return (acc & w).bit_count() & 1
-
-
 _INDEPENDENT = "a, b, c must be quadratically independent"
 
 
@@ -171,17 +132,15 @@ class ClassSpace(arith.PrimeBasis):
 
     The values are factored once, when the space is built; every class in
     their span has a vector (`vector` finds it by dividing out the basis
-    primes), and every class product, independence test, Hilbert symbol and
-    form equivalence after that works on the vectors alone.  A diagonal
+    primes), and every class product, independence test and form
+    equivalence after that works on the vectors alone.  A Hilbert symbol
+    reads the vectors' representatives, with no factoring.  A diagonal
     ternary form is a triple of vectors; `vectors` holds the classes of the
     values, in order.  A space keeps its pair words, and no decisions.
     """
 
     def __init__(self, *values: "Fraction"):
         super().__init__(map(squarefree_part, values))
-        # the real place, 2 and the odd basis primes, each of which divides
-        # a square-free part of some value; place i is bit i of a word
-        self._tables = {p: _symbol_rows(self.primes, p) for p in (None,) + self.primes}
         self._words: dict[tuple[int, int], int] = {}
 
     def independent(self, vectors, message: str = _INDEPENDENT) -> tuple[int, ...]:
@@ -195,14 +154,33 @@ class ClassSpace(arith.PrimeBasis):
     def word(self, u: int, w: int) -> int:
         """The Hilbert symbols of the class vectors u and w at every relevant
         place, as an int whose bit i is 1 iff the symbol at place i is -1;
-        computed once per unordered pair."""
+        computed once per unordered pair.  Place i is bit i of a class
+        vector: 0 is the real place, 1 is 2 and i >= 2 is primes[i - 1]."""
         if not (u and w):
             return 0  # a square pairs trivially with everything
         key = (u, w) if u <= w else (w, u)
         word = self._words.get(key)
         if word is None:
-            word = self._words[key] = sum(
-                _symbol(rows, u, w) << i for i, rows in enumerate(self._tables.values()))
+            # the local formulas (Serre, A Course in Arithmetic, ch. III,
+            # Thm. 1) on the representatives: (a, b) = -1 at the real place
+            # iff a, b < 0, and at 2, for a = 2^alpha a' and b = 2^beta b',
+            # iff eps(a')eps(b') + alpha omega(b') + beta omega(a') is odd
+            a, b = self.representative(u), self.representative(w)
+            alpha, beta = u >> 1 & 1, w >> 1 & 1
+            a2, b2 = (a >> alpha) % 8, (b >> beta) % 8
+            word = u & w & 1 | (_eps(a2) * _eps(b2) + alpha * _omega(b2)
+                                + beta * _omega(a2)) % 2 << 1
+            for i, p in enumerate(self.primes[1:], 2):
+                alpha, beta = u >> i & 1, w >> i & 1
+                if alpha or beta:
+                    # Euler's criterion, unchecked (`factor` has proved p
+                    # prime), for (-1)^(alpha beta) (a/p^alpha)^beta
+                    # (b/p^beta)^alpha, with a/p mod p read off a mod p^2;
+                    # a p dividing neither a nor b gives +1
+                    x = (-(a % (p * p) // p) * (b % (p * p) // p) if alpha and beta
+                         else b if alpha else a)
+                    word |= (pow(x, p >> 1, p) == p - 1) << i
+            self._words[key] = word
         return word
 
     def equivalent(self, f, g) -> bool:

@@ -20,7 +20,7 @@ from pureoctic import arith, groups, lattice, oracle
 from pureoctic.arith import PrimeBasis, SquareClass, squarefree_part
 from pureoctic.groups import FinGroup, Perm, affine_map
 from pureoctic.lattice import LatticeReport, LatticeRow
-from pureoctic.qforms import Place, _symbol, hilbert, relevant_places
+from pureoctic.qforms import REAL_PLACE, Place, hilbert, relevant_places
 from pureoctic.splitting import (
     FieldElt,
     SplittingField,
@@ -474,14 +474,13 @@ def hasse_invariant(f, place: Place) -> int:
 
 # the per-place route over a `qforms.ClassSpace`, which the space's pair words
 # replace: one Hasse invariant and one symbol comparison per relevant place,
-# each read off that place's table of generator symbols
+# each from the scalar `hilbert` of the classes' representatives
 
 
-def hasse_at(rows, form) -> int:
-    """The Hasse invariant prod over i < j of (f_i, f_j)_p of a form of
-    class vectors, as an F2 exponent, from the symbol table `rows` of p."""
-    a, b, c = form
-    return _symbol(rows, a, b) ^ _symbol(rows, a, c) ^ _symbol(rows, b, c)
+def space_places(space) -> list[Place]:
+    """The places of a space's words, in bit order: the real place, then
+    each basis prime."""
+    return [REAL_PLACE, *map(Place, space.primes)]
 
 
 def space_equivalent(space, f, g) -> bool:
@@ -490,7 +489,8 @@ def space_equivalent(space, f, g) -> bool:
         return False
     if sum(v & 1 for v in f) != sum(v & 1 for v in g):
         return False
-    return all(hasse_at(rows, f) == hasse_at(rows, g) for rows in space._tables.values())
+    f, g = (tuple(map(space.representative, form)) for form in (f, g))
+    return all(hasse_invariant(f, v) == hasse_invariant(g, v) for v in space_places(space))
 
 
 def space_pauli_embeddable(space, x: int, y: int, z: int) -> bool:
@@ -500,8 +500,9 @@ def space_pauli_embeddable(space, x: int, y: int, z: int) -> bool:
 
 def space_brauer_condition(space, x: int, y: int, z: int) -> bool:
     """`ClassSpace.brauer_condition`, one place at a time."""
-    return all(_symbol(rows, x ^ y ^ z, 1) == _symbol(rows, x, y)
-               for rows in space._tables.values())
+    rep = space.representative
+    return all(hilbert(rep(x ^ y ^ z), -1, v) == hilbert(rep(x), rep(y), v)
+               for v in space_places(space))
 
 
 def signature(f) -> tuple[int, int]:

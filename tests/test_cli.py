@@ -4,11 +4,13 @@ import gc
 import importlib
 import itertools
 import json
+import math
 import os
 import re
 import runpy
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -249,6 +251,48 @@ def test_lattice_unprintable_square_fails_before_factoring(capsys, monkeypatch, 
     monkeypatch.setattr(arith, "factor", refuse)
     code, out, err = run(capsys, "lattice", "7" * 2200, "--format", fmt)
     assert code == 2 and out == ""
+    assert err.startswith("error: a number exceeds the digit limit")
+
+
+def _odd_primes_below(n: int) -> list[int]:
+    sieve = bytearray([1]) * n
+    for i in range(3, math.isqrt(n) + 1, 2):
+        if sieve[i]:
+            sieve[i * i::2 * i] = bytes(len(range(i * i, n, 2 * i)))
+    return [i for i in range(3, n, 2) if sieve[i]]
+
+
+# many small primes in the literals of `embed` and `sl-search`: A, B and C
+# are products of consecutive odd primes from 3 up, each just under 4250
+# digits, and a, b, c split the odd primes below 11,000 into three runs.
+# Each literal factors at once; the pair words, read straight off the
+# representatives, keep the rest of the request within seconds (a table of
+# symbols per place cost 40 s for `sl-search A B C` and 4.7 s for
+# `embed A 3 5`, and 6.6 s before `embed a b c` reached the digit limit)
+_SIEVED = _odd_primes_below(30000)
+_A, _B, _C = (str(math.prod(_SIEVED[i:j])) for i, j in ((0, 1215), (1215, 2236), (2236, 3204)))
+_a, _b, _c = (str(math.prod(_SIEVED[i:j])) for i, j in ((0, 444), (444, 888), (888, 1334)))
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("sl-search", _A, _B, _C), "sl_search_sieve_A_B_C.txt"),
+    (("embed", _A, "3", "5"), "embed_sieve_A_3_5.txt"),
+], ids=["sl-search-A-B-C", "embed-A-3-5"])
+def test_many_small_primes_keep_their_output_in_seconds(capsys, argv, golden):
+    assert [len(x) for x in (_A, _B, _C)] == [4246, 4249, 4248]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 3
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
+def test_many_small_primes_reach_the_digit_limit_in_seconds(capsys):
+    assert _SIEVED[1333] < 11000 < _SIEVED[1334]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "embed", _a, _b, _c)
+    assert time.perf_counter() - start < 3
+    assert (code, out) == (2, "")
     assert err.startswith("error: a number exceeds the digit limit")
 
 

@@ -2,6 +2,7 @@
 criteria."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -254,7 +255,7 @@ def test_embedding_criterion_matches_splitting_field():
 
 # --- square classes as F2 vectors over one prime basis ----------------------
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from pureoctic import arith  # noqa: E402
 
@@ -317,28 +318,30 @@ def test_rank_agrees_with_subset_products(values):
 
 @_SETTINGS
 @given(_pool_rational(), _pool_rational())
-def test_symbol_table_matches_hilbert(a, b):
+def test_word_matches_hilbert(a, b):
     space = qforms.ClassSpace(a, b)
     u, w = space.vectors
-    # the table's places are exactly the relevant places of a and b
-    assert [Place(p) for p in space._tables] == qforms.relevant_places(a, b)
-    for p, rows in space._tables.items():
-        want = qforms.hilbert(a, b, Place(p))
-        assert qforms._symbol(rows, u, w) == (want == -1), (a, b, p)
-        assert qforms._symbol(rows, w, u) == (want == -1), (a, b, p)
+    word = space.word(u, w)
+    # the word's places are exactly the relevant places of a and b
+    places = qforms.relevant_places(a, b)
+    assert reference.space_places(space) == places
+    assert word >> len(places) == 0
+    # and it is symmetric: a fresh space computes (w, u) on its own
+    assert qforms.ClassSpace(a, b).word(w, u) == word
+    for i, place in enumerate(places):
+        assert word >> i & 1 == (qforms.hilbert(a, b, place) == -1), (a, b, place)
 
 
 @_SETTINGS
 @given(_pool_rational(), _pool_rational())
-def test_symbol_table_matches_local_solubility_search(a, b):
+def test_word_matches_local_solubility_search(a, b):
     space = qforms.ClassSpace(a, b)
     u, w = space.vectors
+    word = space.word(u, w)
     ra, rb = (space.representative(v) for v in space.vectors)
-    for p, rows in space._tables.items():
-        if p is None:
-            continue
+    for i, p in enumerate(space.primes, 1):
         solvable = reference.local_solubility_search(ra, rb, p)
-        assert qforms._symbol(rows, u, w) == (not solvable), (a, b, p)
+        assert word >> i & 1 == (not solvable), (a, b, p)
 
 
 def _reference_equivalent(f, g) -> bool:
@@ -465,41 +468,147 @@ def test_pair_words_match_the_per_place_route():
     assert units_mod_8 == {1, 3, 5, 7}
 
 
-@pytest.mark.parametrize("argv, symbols, decisions", [
-    (("embed", "2", "3", "-5", "--compare"), 180, 172),
-    (("sl-search", "-1187/7", "-34119", "2176"), 200, 168),
-], ids=["embed-compare", "sl-search"])
-def test_embed_symbol_work(monkeypatch, capsys, argv, symbols, decisions):
-    # a work count, so a regression shows without any timing: each unordered
-    # pair of classes costs one symbol per relevant place, once per request,
-    # and (15) is decided once per S_L triplet (this embed took 2906 symbols
-    # and 340 decisions, and this sl-search 1224 symbols, when every form
-    # read its symbols place by place and the compare table decided (15)
-    # again)
-    from pureoctic import cli
-    counts = {"symbol": 0, "equivalent": 0}
-    symbol, equivalent = qforms._symbol, qforms.ClassSpace.equivalent
+# the first 60 odd primes, 3 to 283
+_ODD_PRIMES = [p for p in range(3, 284, 2) if all(p % q for q in range(3, p, 2))]
 
-    def counting_symbol(*args):
-        counts["symbol"] += 1
-        return symbol(*args)
+
+def test_words_match_hilbert_on_wide_spaces():
+    # every bit of the word of every pair from the span of three values and
+    # -1, against the scalar `hilbert` of the representatives, on spaces of
+    # up to about 50 basis primes
+    rng = random.Random(4646)
+    widest, shared, units_mod_8 = 0, False, set()
+    negative = even = False
+    for _ in range(100):
+        values = []
+        for _ in range(3):
+            num = rng.choice((1, -1)) * rng.choice((1, 2, 4, 8))
+            for p in rng.sample(_ODD_PRIMES, rng.randint(0, 40)):
+                num *= p ** rng.randint(1, 3)
+            values.append(F(num, math.prod(rng.sample(_ODD_PRIMES, rng.randint(0, 3)))))
+        space = qforms.ClassSpace(*values)
+        widest = max(widest, len(space.primes))
+        places = reference.space_places(space)
+        span = {0}
+        for v in space.vectors:
+            span |= {x ^ v for x in span}
+        classes = sorted(span | {1})
+        reps = {v: space.representative(v) for v in classes}
+        for u, w in itertools.combinations_with_replacement(classes, 2):
+            a, b = reps[u], reps[w]
+            word = space.word(u, w)
+            assert word >> len(places) == 0
+            for i, place in enumerate(places):
+                assert word >> i & 1 == (qforms.hilbert(a, b, place) == -1), (a, b, place)
+            shared |= any(a % p == 0 == b % p for p in space.primes[1:])
+        for r in reps.values():
+            negative |= r < 0
+            even |= r % 2 == 0
+            units_mod_8.add(r // (r & -r) % 8)
+    # odd primes dividing both arguments, negative and even representatives,
+    # units in every class mod 8, and a space of at least 45 basis primes
+    assert shared and negative and even
+    assert units_mod_8 == {1, 3, 5, 7}
+    assert widest >= 45
+
+
+@st.composite
+def _space_and_classes(draw):
+    """A `ClassSpace` of one to four values over the first 60 odd primes, 2
+    and -1, and three classes of the span of its values and -1."""
+    values = []
+    for _ in range(draw(st.integers(1, 4))):
+        num = draw(st.sampled_from((1, -1, 2, -2)))
+        num *= math.prod(draw(st.lists(st.sampled_from(_ODD_PRIMES), max_size=12)))
+        den = math.prod(draw(st.lists(st.sampled_from(_ODD_PRIMES), max_size=2)))
+        values.append(F(num, den))
+    space = qforms.ClassSpace(*values)
+    generators = (1, *space.vectors)
+
+    def member():
+        mask, v = draw(st.integers(0, 2 ** len(generators) - 1)), 0
+        for i, g in enumerate(generators):
+            if mask >> i & 1:
+                v ^= g
+        return v
+
+    return space, member(), member(), member()
+
+
+@_SETTINGS
+@given(_space_and_classes())
+def test_word_identities(drawn):
+    space, u, v, w = drawn
+    word = space.word
+    # bilinear over F2
+    assert word(u, v ^ w) == word(u, v) ^ word(u, w)
+    # (a, a) = (a, -1)
+    assert word(u, u) == word(u, 1)
+    # the product formula: a symbol is -1 at an even number of places
+    assert word(u, v).bit_count() % 2 == 0
+
+
+def _embed_verdicts(a, b, c) -> tuple[bool, bool]:
+    """The (15) and (14) verdicts that `embed` prints for a, b, c."""
+    space = qforms.ClassSpace(a, b, c)
+    x, y, z = space.independent(space.vectors)
+    return space.pauli_embeddable(x, y, z), space.brauer_condition(x, y, z)
+
+
+@_SETTINGS
+@given(st.lists(_pool_rational(), min_size=3, max_size=3), _pool_rational())
+def test_embed_verdicts_depend_on_the_classes_alone(values, s):
+    assume(_independent_classes(values))
+    a, b, c = values
+    verdicts = _embed_verdicts(a, b, c)
+    assert _embed_verdicts(a * s * s, b, c) == verdicts
+    assert _embed_verdicts(b, a, c) == verdicts
+
+
+@_SETTINGS
+@given(st.lists(_pool_rational(), min_size=3, max_size=3))
+def test_sl_search_depends_on_the_span_alone(values):
+    # (ab, b, c) spans the same classes as (a, b, c), so S_L is the same
+    assume(_independent_classes(values))
+    a, b, c = values
+    assert set(qforms.sl_search(a * b, b, c)) == set(qforms.sl_search(a, b, c))
+
+
+@pytest.mark.parametrize("argv, words, decisions", [
+    (("embed", "2", "3", "-5", "--compare"), 35, 172),
+    (("sl-search", "-1187/7", "-34119", "2176"), 28, 168),
+], ids=["embed-compare", "sl-search"])
+def test_embed_symbol_work(monkeypatch, capsys, argv, words, decisions):
+    # a work count, so a regression shows without any timing: each unordered
+    # pair of classes costs one word, once per request, and (15) is decided
+    # once per S_L triplet (this embed took 2906 symbols and 340 decisions,
+    # and this sl-search 1224 symbols, when every form read its symbols place
+    # by place and the compare table decided (15) again)
+    from pureoctic import cli
+    counts = {"eps": 0, "equivalent": 0}
+    eps, equivalent = qforms._eps, qforms.ClassSpace.equivalent
+
+    def counting_eps(*args):
+        counts["eps"] += 1
+        return eps(*args)
 
     def counting_equivalent(*args):
         counts["equivalent"] += 1
         return equivalent(*args)
 
-    monkeypatch.setattr(qforms, "_symbol", counting_symbol)
+    monkeypatch.setattr(qforms, "_eps", counting_eps)
     monkeypatch.setattr(qforms.ClassSpace, "equivalent", counting_equivalent)
     assert cli.main(list(argv)) == 0
     assert capsys.readouterr().out
-    assert counts["symbol"] <= symbols
+    # each word computed reads eps of both of its units at 2
+    assert counts["eps"] <= 2 * words
     assert counts["equivalent"] <= decisions
 
 
 def test_embed_proves_each_basis_prime_once(monkeypatch, capsys):
-    # the symbol tables read Legendre symbols modulo primes that `factor`
-    # has already proved prime: a work count, so a regression shows without
-    # any timing
+    # the pair words read Euler's criterion modulo primes that `factor` has
+    # already proved prime: a work count, so a regression shows without any
+    # timing
     from pureoctic import arith, cli
     big = 2 ** 521 - 1  # a 157-digit prime
     proved = []
