@@ -3,11 +3,10 @@ classes and integer roots.
 
 Everything downstream (the octic classifier, Hilbert symbols, the splitting
 field) works over Q with exact arithmetic; this module is the substrate.
-A rational is a `fractions.Fraction`, an int or the reduced pair
-`RationalParts` of a literal; the square-class functions read only its
-`numerator` and `denominator`, the sign from the numerator, so a caller
-that asks about square classes alone, such as `embed` and `lattice`,
-never loads `fractions`.
+A rational is the reduced pair `RationalParts` that every literal reads
+as, an int, or a `fractions.Fraction` from a library caller; the functions
+here read only its `numerator` and `denominator`, the sign from the
+numerator, so no request path loads `fractions`.
 
 `factor` trial-divides to 10^6 and then runs Brent's rho under a fixed
 budget of modular multiplications, weighted by size; an integer it cannot split within the budget raises
@@ -172,6 +171,12 @@ class RationalParts(namedtuple("RationalParts", "numerator denominator")):
         return f"{num}" if den == 1 else f"{num}/{den}"
 
 
+def reduced(num: int, den: int) -> RationalParts:
+    """num/den in lowest terms, for den > 0."""
+    g = math.gcd(num, den)
+    return RationalParts(num // g, den // g)
+
+
 def squared_text(r: "Fraction | RationalParts") -> str:
     """r^2 for display, with a fraction in parentheses: 3^2, (3/2)^2."""
     return f"{r}^2" if r.denominator == 1 else f"({r})^2"
@@ -281,27 +286,19 @@ def _iroot(n: int, k: int) -> tuple[int, bool]:
         r = s
 
 
-def nth_root(q: "Fraction", k: int) -> "Fraction | None":
-    """The rational k-th root of q, or None if there is none.
+def nth_root(q: "Fraction | int | RationalParts", k: int) -> RationalParts | None:
+    """The rational k-th root of the reduced q, or None if there is none.
 
     For even k the nonnegative root is returned; q = 0 gives 0.
     """
-    from fractions import Fraction
-    q = Fraction(q)
-    if q == 0:
-        return Fraction(0)
-    if q < 0:
-        if k % 2 == 0:
-            return None
-        r = nth_root(-q, k)
-        return None if r is None else -r
-    rn, okn = _iroot(q.numerator, k)
-    if not okn:
+    num, den = q.numerator, q.denominator
+    if num < 0 and k % 2 == 0:
         return None
-    rd, okd = _iroot(q.denominator, k)
-    if not okd:
+    rn, okn = _iroot(abs(num), k)
+    rd, okd = _iroot(den, k)
+    if not (okn and okd):
         return None
-    return Fraction(rn, rd)
+    return RationalParts(-rn if num < 0 else rn, rd)
 
 
 def primes_below(bound: int) -> list[int]:

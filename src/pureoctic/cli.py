@@ -13,15 +13,15 @@ and each option once by its exact name, with a value that is no option
 and that its type and choices accept.  Any other argv, `--help` and every
 usage error among them, goes to argparse, so help and every error message
 come from argparse.  `main` only parses and dispatches: each handler checks
-its own arguments and hands `_emit` plain JSON data, Fractions as text.
+its own arguments and hands `_emit` plain JSON data, rationals as text.
 
 Rationals on the command line are integers or 'p/q' literals; there is no
 floating point anywhere in the interface.  The grammar is `str` tests, so
 only `build_parser` compiles a pattern, argparse's negative-number matcher.
-`rational_parts` reads a literal as its reduced pair `arith.RationalParts`;
-`fractions` is imported only where `parse_rational` makes a Fraction, which
-`embed`, `sl-search` and `lattice`, reading square classes and integer
-pairs, never do, and `json` never: `_emit` loads `jsonout` for JSON.
+Every handler reads a literal with `rational_parts`, as its reduced pair
+`arith.RationalParts`, which prints as a Fraction prints; only
+`witt-verify`'s field arithmetic loads `fractions`, and no request loads
+`json`: `_emit` loads `jsonout` for JSON.
 Exit codes: 0 success, 1 a verification failed, 2 invalid input,
 including a value whose square class needs a factorization beyond
 `arith.factor`'s budget or a number with more digits than the interpreter
@@ -63,24 +63,15 @@ def rational_parts(text: str) -> "RationalParts":
     """The reduced (num, den), den > 0, of an integer or 'p/q' literal with
     an optional sign; decimal and exponent literals such as '0.5' or '1e3'
     are rejected."""
-    from math import gcd
-
-    from .arith import RationalParts
+    from .arith import reduced
     literal = text.strip()
     if _is_unsigned_rational(_signless(literal)):
         # int() takes the sign and the underscores on every supported Python
         num, _, den = literal.partition("/")
         num, den = int(num), int(den or 1)
         if den:
-            g = gcd(num, den)
-            return RationalParts(num // g, den // g)
+            return reduced(num, den)
     raise ValueError(f"not a rational number: {text!r}")
-
-
-def parse_rational(text: str) -> "Fraction":
-    """`rational_parts` as an exact Fraction."""
-    from fractions import Fraction
-    return Fraction(*rational_parts(text))
 
 
 def _write(text: str) -> None:

@@ -2,11 +2,11 @@
 `binomial`'s decision list that gives it."""
 
 from . import binomial
-from .cli import _emit, parse_rational
+from .cli import _emit, rational_parts
 
 
 def cmd_classify(args) -> int:
-    c = parse_rational(args.c)
+    c = rational_parts(args.c)
     tag, branch = binomial.octic_verdict(c)
     irreducible = tag.name != binomial.TAG_REDUCIBLE
     lines = [f"polynomial: {binomial.poly_display(c)}"]

@@ -2,7 +2,7 @@
 lattice of X^8 + k^2 in `lattice`, and the exact Witt certificate in E."""
 
 from . import lattice
-from .cli import _emit, _write, parse_rational, rational_parts
+from .cli import _emit, _write, rational_parts
 
 
 def cmd_lattice(args) -> int:
@@ -23,7 +23,7 @@ def cmd_lattice(args) -> int:
 def cmd_witt_verify(args) -> int:
     from . import splitting
 
-    k = parse_rational(args.k)
+    k = rational_parts(args.k)
     cert = splitting.witt_beta_rho(splitting.SplittingField(k))
     rho = f"{cert.rho}*sqrt(-2)"
     checks = {

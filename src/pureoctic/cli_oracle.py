@@ -2,12 +2,12 @@
 the model of the classifier's verdict."""
 
 from . import binomial, oracle
-from .cli import _emit, _fail, parse_rational
+from .cli import _emit, _fail, rational_parts
 
 
 def cmd_oracle(args) -> int:
-    c = parse_rational(args.c)
-    tolerance = parse_rational(args.tolerance)
+    c = rational_parts(args.c)
+    tolerance = rational_parts(args.tolerance)
     tag = binomial.classify_octic(c)
     if tag.name == binomial.TAG_REDUCIBLE:
         return _fail(f"{binomial.poly_display(c)} is reducible:"

@@ -32,12 +32,13 @@ many elements of each cycle type the 8-point model of each classifier
 outcome has, so a request builds no group; a test proves the table against
 the group engine (`group_cycle_types` of `stock_models()`).  The table
 describes the five models, not a verdict, so the oracle stays independent
-of the classifier.
+of the classifier.  Rationals are read only by their numerator and
+denominator: frequencies and deviations are reduced pairs
+`arith.RationalParts`, compared by cross-multiplication.
 """
 
 import math
 from collections import Counter, namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from . import MAX_CENSUS_BOUND, arith, binomial
@@ -54,17 +55,17 @@ def shape(t: CycleType) -> str:
 _MOBIUS = (0, 1, -1, -1, 0, -1, 1, -1, 0)
 
 
-def factor_mod_p(c: Fraction, p: int) -> CycleType:
+def factor_mod_p(c: "arith.RationalParts", p: int) -> CycleType:
     """Degrees of the irreducible factors of X^8 + c over F_p, decreasing.
 
     p must be an odd prime coprime to c.
     """
-    c = Fraction(c)
+    num, den = c.numerator, c.denominator
     if p == 2 or not arith.is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    if c.numerator % p == 0 or c.denominator % p == 0:
+    if num % p == 0 or den % p == 0:
         raise ValueError(f"{p} divides c = {c}: bad prime")
-    return _frobenius_degrees(-c.numerator * pow(c.denominator, -1, p) % p, p)
+    return _frobenius_degrees(-num * pow(den, -1, p) % p, p)
 
 
 def _frobenius_degrees(a: int, p: int) -> CycleType:
@@ -99,18 +100,15 @@ class Census(namedtuple("Census", "c bound counts total skipped")):
 
     __slots__ = ()
 
-    def frequencies(self) -> dict[CycleType, Fraction]:
-        return {t: Fraction(n, self.total) for t, n in self.counts}
-
     def as_text(self) -> str:
         lines = [f"census of {binomial.poly_display(self.c)} over primes < {self.bound}:"
                  f" {self.total} good, skipped {list(self.skipped)}"]
         for t, n in self.counts:
-            lines.append(f"  {shape(t):15s} {n:6d}  ({Fraction(n, self.total)})")
+            lines.append(f"  {shape(t):15s} {n:6d}  ({arith.reduced(n, self.total)})")
         return "\n".join(lines)
 
 
-def census(c: Fraction, bound: int) -> Census:
+def census(c: "arith.RationalParts", bound: int) -> Census:
     """factor_mod_p over every good prime below the bound (deterministic):
     each sieved prime tallies its key (p mod 8) << 2 | log2(ord b), with no
     primality check.
@@ -123,15 +121,13 @@ def census(c: Fraction, bound: int) -> Census:
     v2(m) >= v2(g) makes every condition hold, so they see m only through
     min(v2(m), v2(g)) = log2(g / ord b).  ord b divides 8, since b^g = 1.
     """
-    c = Fraction(c)
-    if c == 0:
+    num, den = c.numerator, c.denominator
+    if num == 0:
         raise ValueError("c must be nonzero")
     if bound < 100:
         raise ValueError("bound must be at least 100")
     if bound > MAX_CENSUS_BOUND:
         raise ValueError(f"bound must be at most {MAX_CENSUS_BOUND}")
-    # Fraction's numerator and denominator are properties: read them once
-    num, den = c.numerator, c.denominator
     # per key: the number of primes, and the first (x, p) seen
     tally, first = [0] * 32, {}
     primes = arith.primes_below(bound)
@@ -157,12 +153,12 @@ def census(c: Fraction, bound: int) -> Census:
     return Census(c, bound, ordered, len(primes) - len(skipped), tuple(skipped))
 
 
-def group_cycle_types(G) -> dict[CycleType, Fraction]:
+def group_cycle_types(G) -> dict[CycleType, arith.RationalParts]:
     """Cycle-type proportions of a `groups.FinGroup` on 8 points."""
     if G.degree != 8:
         raise ValueError("need a permutation group on exactly 8 points")
     counts = Counter(g.cycle_type() for g in G)
-    return {t: Fraction(n, G.order) for t, n in sorted(counts.items(), reverse=True)}
+    return {t: arith.reduced(n, G.order) for t, n in sorted(counts.items(), reverse=True)}
 
 
 class Verdict(namedtuple("Verdict", "passed worst_deviation worst_type foreign_types")):
@@ -183,43 +179,48 @@ class Verdict(namedtuple("Verdict", "passed worst_deviation worst_type foreign_t
         return "; ".join(bits)
 
 
-def _decimal(q: Fraction) -> str:
-    """q rounded to four decimal places."""
-    text = f"{round(q * 10 ** 4):05d}"
+def _decimal(q: "arith.RationalParts") -> str:
+    """q rounded to four decimal places, a tie to even as `round` does."""
+    whole, rest = divmod(q.numerator * 10 ** 4, q.denominator)
+    if 2 * rest > q.denominator or 2 * rest == q.denominator and whole % 2:
+        whole += 1
+    text = f"{whole:05d}"
     return f"{text[:-4]}.{text[-4:]}"
 
 
-def check_tolerance(tolerance: Fraction) -> Fraction:
-    """The tolerance as a Fraction; ValueError if it is negative, or if it
-    is at least 1, which no deviation of a frequency can exceed, so that
-    only a foreign type could fail the check."""
-    tolerance = Fraction(tolerance)
-    if tolerance < 0:
+def check_tolerance(tolerance: "arith.RationalParts") -> "arith.RationalParts":
+    """The tolerance; ValueError if it is negative, or if it is at least 1,
+    which no deviation of a frequency can exceed, so that only a foreign
+    type could fail the check."""
+    if tolerance.numerator < 0:
         raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
-    if tolerance >= 1:
+    if tolerance.numerator >= tolerance.denominator:
         raise ValueError(f"tolerance must be below 1, got {tolerance}")
     return tolerance
 
 
-def consistent(cns: Census, model: dict[CycleType, Fraction],
-               tolerance: Fraction) -> Verdict:
+def consistent(cns: Census, model: "dict[CycleType, arith.RationalParts]",
+               tolerance: "arith.RationalParts") -> Verdict:
     """PASS iff every observed cycle type occurs in the model, given by its
     cycle-type proportions, and every observed frequency is within the
-    absolute tolerance of the model proportion."""
+    absolute tolerance of the model proportion.  Each deviation
+    |n/total - m/d| is the pair (|n*d - m*total|, total*d), and pairs
+    compare by cross-multiplication."""
     if cns.total < 500:
         raise ValueError(f"census of {cns.total} primes is too small (need 500)")
-    tolerance = check_tolerance(tolerance)
-    freqs = cns.frequencies()
-    foreign = tuple(t for t in freqs if t not in model)
-    worst: Fraction = Fraction(0)
-    worst_type = None
-    for t, freq in freqs.items():
-        dev = abs(freq - model.get(t, Fraction(0)))
-        if dev > worst:
-            worst, worst_type = dev, t
+    check_tolerance(tolerance)
+    total = cns.total
+    foreign = tuple(t for t, _ in cns.counts if t not in model)
+    worst, worst_den, worst_type = 0, 1, None
+    for t, n in cns.counts:
+        m = model.get(t, arith.RationalParts(0, 1))
+        dev, den = abs(n * m.denominator - m.numerator * total), total * m.denominator
+        if dev * worst_den > worst * den:
+            worst, worst_den, worst_type = dev, den, t
+    within = worst * tolerance.denominator <= tolerance.numerator * worst_den
     return Verdict(
-        passed=not foreign and worst <= tolerance,
-        worst_deviation=worst,
+        passed=not foreign and within,
+        worst_deviation=arith.reduced(worst, worst_den),
         worst_type=worst_type,
         foreign_types=foreign,
     )
@@ -243,14 +244,14 @@ CYCLE_TYPE_COUNTS = {
 }
 
 
-def model_cycle_types(name: str) -> dict[CycleType, Fraction]:
+def model_cycle_types(name: str) -> dict[CycleType, arith.RationalParts]:
     """Cycle-type proportions of the 8-point model matching the classifier
     tag of that name, read from `CYCLE_TYPE_COUNTS`."""
     if name == binomial.TAG_REDUCIBLE:
         raise ValueError("reducible polynomials have no transitive model")
     counts = CYCLE_TYPE_COUNTS[name]
     order = sum(counts.values())
-    return {t: Fraction(n, order) for t, n in counts.items()}
+    return {t: arith.reduced(n, order) for t, n in counts.items()}
 
 
 # the classifier outcomes, then candidate groups with no transitive 8-point model

@@ -169,8 +169,8 @@ class FieldElt:
 class SplittingField:
     """Multiplication-ready context for E = Q(w, a) with a^8 = -k^2."""
 
-    def __init__(self, k: Fraction):
-        k = Fraction(k)
+    def __init__(self, k: "Fraction | RationalParts"):
+        k = Fraction(k.numerator, k.denominator)
         violation = lattice.pauli_condition_violation(k)
         if violation is not None:
             raise ValueError(violation)

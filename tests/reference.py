@@ -207,6 +207,42 @@ def reference_census(c: Fraction, bound: int) -> oracle.Census:
     return oracle.Census(c, bound, ordered, sum(counts.values()), tuple(skipped))
 
 
+def decimal(q: Fraction) -> str:
+    """q rounded to four decimal places by `round`, a tie to even."""
+    text = f"{round(q * 10 ** 4):05d}"
+    return f"{text[:-4]}.{text[-4:]}"
+
+
+def consistent(cns: oracle.Census, model: dict, tolerance: Fraction
+               ) -> tuple[bool, Fraction, str]:
+    """`oracle.consistent` in Fractions, for Fraction proportions and
+    tolerance: whether the census passes, the worst deviation, and the
+    verdict as it prints."""
+    if cns.total < 500:
+        raise ValueError(f"census of {cns.total} primes is too small (need 500)")
+    tolerance = Fraction(tolerance)
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
+    if tolerance >= 1:
+        raise ValueError(f"tolerance must be below 1, got {tolerance}")
+    freqs = {t: Fraction(n, cns.total) for t, n in cns.counts}
+    foreign = tuple(t for t in freqs if t not in model)
+    worst, worst_type = Fraction(0), None
+    for t, freq in freqs.items():
+        dev = abs(freq - model.get(t, Fraction(0)))
+        if dev > worst:
+            worst, worst_type = dev, t
+    passed = not foreign and worst <= tolerance
+    bits = ["PASS" if passed else "FAIL"]
+    if foreign:
+        bits.append("observed types outside the model: "
+                    + ", ".join(map(oracle.shape, foreign)))
+    if worst_type is not None:
+        bits.append(f"worst deviation {decimal(worst)} (= {worst})"
+                    f" at {oracle.shape(worst_type)}")
+    return passed, worst, "; ".join(bits)
+
+
 # --- splitting ----------------------------------------------------------------
 
 

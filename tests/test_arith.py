@@ -73,12 +73,13 @@ def test_is_square_iff_trivial_class():
 
 
 def test_square_and_fourth_power_examples():
-    assert arith.nth_root(F(16), 2) == 4 and reference.is_fourth_power(F(16))
-    assert arith.nth_root(F(4), 2) == 2 and not reference.is_fourth_power(F(4))
+    # a root is the reduced pair (numerator, denominator)
+    assert arith.nth_root(F(16), 2) == (4, 1) and reference.is_fourth_power(F(16))
+    assert arith.nth_root(F(4), 2) == (2, 1) and not reference.is_fourth_power(F(4))
     assert arith.nth_root(F(2, 9), 2) is None and not reference.is_fourth_power(F(2, 9))
-    assert arith.nth_root(F(0), 2) == 0
+    assert arith.nth_root(F(0), 2) == (0, 1)
     assert arith.nth_root(F(-4), 2) is None
-    assert arith.nth_root(F(-8, 27), 3) == F(-2, 3)
+    assert arith.nth_root(F(-8, 27), 3) == (-2, 3)
 
 
 def test_valuation():
@@ -147,7 +148,8 @@ def test_iroot_floor_up_to_1e1000(k):
     fractions += [F(rng.choice((1, -1)) * rng.randint(1, bound), rng.randint(1, bound))
                   for _ in range(20)]
     for x in fractions:
-        assert arith.nth_root(x ** k, k) == (x if k % 2 else abs(x))
+        root = x if k % 2 else abs(x)
+        assert arith.nth_root(x ** k, k) == (root.numerator, root.denominator)
         if k % 2 == 0:
             assert arith.nth_root(-(x ** k), k) is None
 

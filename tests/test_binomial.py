@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 import reference
+from hypothesis import given, settings, strategies as st
 
 from pureoctic import arith, binomial, lattice, oracle
 
@@ -140,8 +141,26 @@ def irreducibility_report(c):
 
 def test_irreducibility_report():
     rep = irreducibility_report(F(4))
-    assert rep["lambda_with_c_eq_4lambda4"] == 1 and not rep["irreducible"]
+    assert rep["lambda_with_c_eq_4lambda4"] == (1, 1) and not rep["irreducible"]
     rep = irreducibility_report(F(-9))
-    assert rep["square_root_of_minus_c"] == 3
+    assert rep["square_root_of_minus_c"] == (3, 1)
     rep = irreducibility_report(F(9))
     assert rep["irreducible"]
+
+
+# --- one verdict for every rational type -------------------------------------
+
+# c = m*d^e on every branch: -d^2, 4d^4, d^4, 2d^2, -2d^2, d^2 and d itself
+_C = st.builds(lambda me, d: me[0] * d ** me[1],
+               st.sampled_from(((-1, 2), (4, 4), (1, 4), (2, 2), (-2, 2), (1, 2), (1, 1))),
+               st.builds(F, st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                         st.sampled_from((1, 1, 2, 3, 12, 10 ** 4))))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_C)
+def test_int_fraction_and_pair_give_one_verdict(c):
+    pair = arith.RationalParts(c.numerator, c.denominator)
+    forms = [c, pair] + ([c.numerator] if c.denominator == 1 else [])
+    verdicts = {(binomial.octic_verdict(x), binomial.poly_display(x)) for x in forms}
+    assert len(verdicts) == 1

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from pureoctic import cli
-from pureoctic.cli import main, parse_rational
+from pureoctic.cli import main, rational_parts
 
 # stdout of `pureoctic ARGV`, pinned byte for byte; regenerate a file with
 # `python -m pureoctic ARGV > tests/golden/NAME` only for an intended change
@@ -140,21 +140,21 @@ def test_malformed_negative_literal_is_not_a_positional(capsys):
     assert "required: c" in capsys.readouterr().err
 
 
-def test_parse_rational():
-    assert parse_rational("-3/4") == F(-3, 4)
-    assert parse_rational("17") == F(17)
+def test_rational_parts():
+    assert rational_parts("-3/4") == (-3, 4)
+    assert rational_parts("17") == (17, 1)
     with pytest.raises(ValueError):
-        parse_rational("x")
+        rational_parts("x")
     with pytest.raises(ValueError):
-        parse_rational("1/0")
+        rational_parts("1/0")
     for literal in ("1e3", "0.5", "1."):
         with pytest.raises(ValueError):
-            parse_rational(literal)
-    assert parse_rational("1_000") == 1000
-    assert parse_rational("-1_2/3_0") == F(-2, 5)
+            rational_parts(literal)
+    assert rational_parts("1_000") == (1000, 1)
+    assert rational_parts("-1_2/3_0") == (-2, 5)
     for literal in ("1__0", "_1"):
         with pytest.raises(ValueError, match="not a rational number"):
-            parse_rational(literal)
+            rational_parts(literal)
 
 
 def test_classify_invalid(capsys):
@@ -744,10 +744,10 @@ def test_sl_search(capsys):
 def test_embed_and_sl_search_print_literals_as_fractions(capsys, literals):
     # `embed` and `sl-search` read each literal as the integer num*den of its
     # square class and print num/den as a Fraction does: non-reduced, signed
-    # and underscored literals print exactly as `parse_rational` reads them,
+    # and underscored literals print exactly as `rational_parts` reads them,
     # and every decision is the one the Fractions themselves give
     from pureoctic import qforms
-    values = [parse_rational(x) for x in literals]
+    values = [F(*rational_parts(x)) for x in literals]
     texts = [str(v) for v in values]
     for command, flags in (("embed", ("--compare",)), ("sl-search", ())):
         for fmt in ("text", "json"):
@@ -1161,8 +1161,8 @@ def test_each_subcommand_loads_only_its_modules(argv, code, handler, extra):
     # help and a usage error compile the grammar and argparse's parser
     # alone; a well-formed request loads no argparse, its own handler and no
     # other, `jsonout` for JSON output and never `json`, and `fractions`
-    # (with `decimal`) only for the literals it reads as rationals: `embed`,
-    # `sl-search` and `lattice` read square classes and integer pairs, and
+    # (with `decimal`) only for `witt-verify`'s field arithmetic: every other
+    # request reads its literals as reduced integer pairs, and
     # `group-identify` reads no literal; `lattice` and `witt-verify` check
     # the Pauli condition without the classifier `binomial`; no module
     # imports `__future__`, which would cost every request its load.  The
@@ -1178,7 +1178,7 @@ def test_each_subcommand_loads_only_its_modules(argv, code, handler, extra):
     if "json" in argv:
         extra = extra | {"jsonout"}
     stdlib = set()
-    if argv[0] in ("classify", "witt-verify", "oracle"):
+    if argv[0] == "witt-verify":
         stdlib |= {"fractions", "decimal"}
     assert loaded == _FRONT_END | stdlib | {
         f"pureoctic.{m}" for m in {"arith", handler, *extra}}
@@ -1219,8 +1219,8 @@ _REQUEST = {"gc", "math"}
 @pytest.mark.parametrize("argv, stdlib", [
     (("--help",), {"gc", "textwrap"} | _ARGPARSE_STDLIB),
     (("lattice",), {"gc"} | _ARGPARSE_STDLIB),
-    (("classify", "9"), _REQUEST | _FRACTIONS),
-    (("classify", "9", "--format", "json"), _REQUEST | _FRACTIONS),
+    (("classify", "9"), _REQUEST),
+    (("classify", "9", "--format", "json"), _REQUEST),
     (("embed", "2", "3", "-2", "--compare"), _REQUEST),
     (("embed", "2", "3", "-2", "--compare", "--format", "json"), _REQUEST),
     (("sl-search", "2", "3", "-2"), _REQUEST),
@@ -1228,8 +1228,8 @@ _REQUEST = {"gc", "math"}
     (("lattice", "3", "--format", "json"), _REQUEST),
     (("witt-verify", "3"), _REQUEST | _FRACTIONS),
     (("witt-verify", "3", "--format", "json"), _REQUEST | _FRACTIONS),
-    (("oracle", "9", "--primes", "20000"), _REQUEST | _FRACTIONS),
-    (("oracle", "9", "--primes", "20000", "--format", "json"), _REQUEST | _FRACTIONS),
+    (("oracle", "9", "--primes", "20000"), _REQUEST),
+    (("oracle", "9", "--primes", "20000", "--format", "json"), _REQUEST),
     (("group-identify", "QD16"), _REQUEST),
     (("group-identify", "QD16", "--format", "json"), _REQUEST),
 ], ids=["help", "usage-error", "classify", "classify-json", "embed", "embed-json",
@@ -1237,9 +1237,9 @@ _REQUEST = {"gc", "math"}
         "oracle", "oracle-json", "group-identify", "group-identify-json"])
 def test_each_request_loads_exactly_its_stdlib_modules(argv, stdlib):
     # a count that no host changes: no well-formed request loads argparse,
-    # shutil or `json`, `re` only under `fractions`, and `embed`,
-    # `sl-search`, `lattice` and `group-identify`, which do no rational
-    # arithmetic, load no `fractions` or `decimal`
+    # shutil or `json`, `re` only under `fractions`, and every request but
+    # `witt-verify`, whose field has Fraction coordinates, reads rationals as
+    # reduced integer pairs and loads no `fractions` or `decimal`
     proc = run_python("-S", "-c", _STDLIB_PROBE, *argv)
     assert proc.returncode == (2 if argv == ("lattice",) else 0), proc.stderr
     floor, loaded = (set(line.split()) for line in proc.stderr.splitlines()[-2:])

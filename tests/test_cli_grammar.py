@@ -130,6 +130,81 @@ def test_strict_parser_agrees_with_argparse(argv, data):
         assert vars(args) == vars(build_parser().parse_args(argv)), argv
 
 
+# four of the decimal digit blocks that `int` reads: ASCII, Arabic-Indic,
+# Devanagari and fullwidth
+_DIGITS = ("0123456789", "٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९", "０１２３４５６７８９")
+
+
+@st.composite
+def _contract_literal(draw):
+    """A signed, underscored, Unicode-digit or 'p/q' literal, a square or
+    twice a square now and then, or a malformed one."""
+    n = draw(st.integers(-10 ** 9, 10 ** 9))
+    n *= draw(st.sampled_from((1, 1, n, 2 * n)))
+    # "+{}" of a negative n is a malformed "+-n"
+    text = draw(st.sampled_from(("{}", "{:_}", "+{}", "{}/7", "{}/12", "{}/0"))).format(n)
+    if draw(st.booleans()):
+        text = text.translate(str.maketrans("0123456789", draw(st.sampled_from(_DIGITS))))
+    return draw(st.sampled_from(_MALFORMED)) if draw(st.integers(0, 3)) == 0 else text
+
+
+_CONTRACT_ARGV = st.one_of(
+    st.tuples(st.sampled_from(("classify", "witt-verify")), _contract_literal()),
+    st.tuples(st.just("oracle"), _contract_literal(),
+              st.sampled_from(("1000", "4000", "6000", "6000")),
+              st.one_of(st.sampled_from(("0", "1", "-1/3", "-2", "1/0", "1/20",
+                                         "3/20000", "1/1000")),
+                        st.integers(0, 999).map("{}/1000".format),
+                        _contract_literal())),
+).map(lambda t: [t[0], t[1]] + ([] if len(t) == 2 else
+                                ["--primes", t[2], "--tolerance", t[3]]))
+
+
+def _request(argv):
+    # (exit code, stdout, stderr) of `main`, argparse's SystemExit(2) included
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_CONTRACT_ARGV)
+def test_rational_requests_keep_their_contract(argv):
+    # `classify`, `oracle` and `witt-verify` exit 0, 1 or 2; exit 2 writes
+    # one error line and no output; a JSON request exits as its text request
+    # does, and its output parses
+    for fmt in ("text", "json"):
+        code, out, err = _request(argv + ["--format", fmt])
+        assert code in (0, 1, 2), argv
+        if fmt == "text":
+            text_code = code
+        else:
+            assert code == text_code, argv
+        if code == 2:
+            assert not out, argv
+            assert sum("error:" in line for line in err.splitlines()) == 1, argv
+        elif fmt == "json":
+            json.loads(out)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.sampled_from(((-1, 2), (4, 4), (1, 4), (2, 2), (-2, 2), (1, 2), (1, 1))),
+       st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4).filter(bool), st.integers(1, 99)),
+       st.builds(Fraction, st.integers(1, 99), st.integers(1, 99)))
+def test_an_eighth_power_factor_keeps_the_classify_tag(me, d, e):
+    # c = m*d^e lies on each branch in turn, and c*e^8 lies in the same
+    # class of every branch's square or fourth power test
+    c = me[0] * d ** me[1]
+    tags = [json.loads(_request(["classify", str(x), "--format", "json"])[1])["tag"]
+            for x in (c, c * e ** 8)]
+    assert tags[0] == tags[1], c
+
+
 # the grammar the literal reader's `str` tests replace, with \d as a str
 # pattern reads it: every Unicode decimal digit
 _LITERAL = re.compile(r"[+-]?\d+(_\d+)*(/\d+(_\d+)*)?")

@@ -10,7 +10,7 @@ import pytest
 import reference
 from hypothesis import given, settings, strategies as st
 
-from pureoctic import binomial, groups, lattice, oracle
+from pureoctic import arith, binomial, groups, lattice, oracle
 from pureoctic.arith import primes_below
 
 
@@ -260,13 +260,13 @@ def test_group_cycle_types_regular_c8():
     c8 = groups.affine_group_mod8([(t, 1) for t in range(8)])
     types = oracle.group_cycle_types(c8)
     assert set(types) == {(1,) * 8, (2,) * 4, (4, 4), (8,)}
-    assert types[(8,)] == F(4, 8)
-    assert types[(1,) * 8] == F(1, 8)
+    assert F(*types[(8,)]) == F(4, 8)
+    assert F(*types[(1,) * 8]) == F(1, 8)
 
 
 def test_group_cycle_types_pauli_model():
     types = oracle.group_cycle_types(groups.group_models()["Pauli"].model8)
-    assert types == {
+    assert {t: F(*r) for t, r in types.items()} == {
         (4, 4): F(8, 16),
         (2, 2, 2, 2): F(5, 16),
         (2, 2, 1, 1, 1, 1): F(2, 16),
@@ -337,6 +337,105 @@ def test_consistent_monotone_in_tolerance():
     assert verdicts[-1]
 
 
+# --- metamorphic checks ----------------------------------------------------
+
+_PRIMES_PAST = [p for p in primes_below(30000) if p >= 3000]
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.builds(F, st.integers(-10 ** 9, 10 ** 9).filter(bool), st.integers(1, 10 ** 6)),
+       st.sampled_from(_PRIMES_PAST), st.booleans())
+def test_census_ignores_an_eighth_power_of_a_large_prime(c, q, divide):
+    # q^8 is an eighth power mod every prime p < q, so it changes no factor
+    # degree, and q >= the bound is no bad prime
+    scaled = c / q ** 8 if divide else c * q ** 8
+    want, got = oracle.census(c, 3000), oracle.census(scaled, 3000)
+    assert (got.counts, got.total, got.skipped) == (want.counts, want.total, want.skipped)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.integers(-10 ** 9, 10 ** 9).filter(bool), st.integers(1, 10 ** 6))
+def test_census_of_int_fraction_and_pair_agree(num, den):
+    c = F(num, den)
+    forms = [c, arith.RationalParts(c.numerator, c.denominator)]
+    forms += [c.numerator] if c.denominator == 1 else []
+    results = {(cns[1:], cns.as_text())
+               for cns in (oracle.census(x, 3000) for x in forms)}
+    assert len(results) == 1
+    p = next(p for p in primes_below(3000)[1:] if num % p and den % p)
+    assert len({oracle.factor_mod_p(x, p) for x in forms}) == 1
+
+
+# --- the verdict in integer pairs against the verdict in Fractions ----------
+
+_TYPES = sorted({t for counts in oracle.CYCLE_TYPE_COUNTS.values() for t in counts})
+_PAULI = oracle.CYCLE_TYPE_COUNTS[binomial.TAG_PAULI]
+
+
+def _census(counts: dict) -> oracle.Census:
+    # a census with the given counts, ordered as `oracle.census` orders them
+    return oracle.Census(F(9), 0, tuple(sorted(counts.items(), reverse=True)),
+                         sum(counts.values()), ())
+
+
+def _tied_census(k: int) -> oracle.Census:
+    # 20000 primes off the Pauli proportions by k at (4, 4) and (2, 2, 2, 2):
+    # for an odd k the worst deviation, k/20000 at 4+4, is a tie at the
+    # fourth decimal place
+    counts = {t: 20000 * n // 16 for t, n in _PAULI.items()}
+    counts[(4, 4)] += k
+    counts[(2, 2, 2, 2)] -= k
+    return _census(counts)
+
+
+_CENSUSES = st.one_of(
+    st.integers(0, 1999).map(lambda i: _tied_census(2 * i + 1)),
+    st.dictionaries(st.sampled_from(_TYPES), st.integers(1, 30000), min_size=1)
+    .filter(lambda counts: sum(counts.values()) >= 500).map(_census))
+_MODELS = st.one_of(
+    st.sampled_from(list(oracle.CYCLE_TYPE_COUNTS)).map(oracle.model_cycle_types),
+    st.dictionaries(st.sampled_from(_TYPES), st.integers(1, 50), min_size=1).map(
+        lambda w: {t: F(n, sum(w.values())) for t, n in w.items()}))
+_TOLERANCES = st.one_of(
+    st.sampled_from((F(0), F(1, 20), F(1, 20000), F(3, 20000), F(999, 1000))),
+    st.builds(F, st.integers(0, 10 ** 4), st.integers(1, 10 ** 4)).filter(lambda q: q < 1))
+
+
+def _pair(q) -> tuple:
+    # q as the reduced pair `rational_parts` gives
+    return arith.reduced(q.numerator, q.denominator)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_CENSUSES, _MODELS, _TOLERANCES, st.data())
+def test_consistent_matches_the_fraction_verdict(cns, model, tolerance, data):
+    # the pair arithmetic of `consistent` and `_decimal` gives the verdict
+    # the Fraction arithmetic gave, on Fraction and pair models and
+    # tolerances alike, exact ties and a tolerance equal to the worst
+    # deviation included
+    fractions = {t: F(*_pair(q)) for t, q in model.items()}
+    worst = reference.consistent(cns, fractions, F(0))[1]
+    if worst < 1 and data.draw(st.booleans()):
+        tolerance = worst
+    want_passed, _, want_text = reference.consistent(cns, fractions, tolerance)
+    for convert in (_pair, lambda q: F(*_pair(q))):
+        verdict = oracle.consistent(cns, {t: convert(q) for t, q in model.items()},
+                                    convert(tolerance))
+        assert (verdict.passed, str(verdict)) == (want_passed, want_text)
+        assert F(*verdict.worst_deviation) == worst
+
+
+@pytest.mark.parametrize("k, text", [(1, "0.0000"), (3, "0.0002"), (5, "0.0002"),
+                                     (7, "0.0004"), (3999, "0.2000")])
+def test_a_tied_worst_deviation_rounds_half_to_even(k, text):
+    worst = F(k, 20000)
+    verdict = oracle.consistent(_tied_census(k), oracle.model_cycle_types("Pauli"),
+                                _pair(worst))
+    assert verdict.passed
+    assert str(verdict) == f"PASS; worst deviation {text} (= {worst}) at 4+4"
+    assert reference.decimal(worst) == text
+
+
 def test_census_against_all_models():
     cns = oracle.census(F(9), 20000)
     models = oracle.stock_models()
@@ -383,7 +482,8 @@ def test_cycle_type_table_is_the_models():
         order = sum(counts.values())
         assert order == tag.splitting_degree == models[tag.name].order
         want = oracle.group_cycle_types(models[tag.name])
-        assert {t: F(n, order) for t, n in counts.items()} == want
+        assert {t: F(n, order) for t, n in counts.items()} == {
+            t: F(*r) for t, r in want.items()}
         assert oracle.model_cycle_types(tag.name) == want
 
 
