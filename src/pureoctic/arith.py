@@ -3,10 +3,10 @@ classes and integer roots.
 
 Everything downstream (the octic classifier, Hilbert symbols, the splitting
 field) works over Q with exact arithmetic; this module is the substrate.
-A rational is the reduced pair `RationalParts` that every literal reads
-as, an int, or a `fractions.Fraction` from a library caller; the functions
-here read only its `numerator` and `denominator`, the sign from the
-numerator, so no request path loads `fractions`.
+A rational, annotated "Rational", is the reduced pair `RationalParts` that
+every literal reads as, an int, or a `fractions.Fraction` from a library
+caller; the functions here read only its `numerator` and `denominator`,
+the sign from the numerator, so no request path loads `fractions`.
 
 `factor` trial-divides to 10^6 and then runs Brent's rho under a fixed
 budget of modular multiplications, weighted by size; an integer it cannot split within the budget raises
@@ -177,7 +177,7 @@ def reduced(num: int, den: int) -> RationalParts:
     return RationalParts(num // g, den // g)
 
 
-def squared_text(r: "Fraction | RationalParts") -> str:
+def squared_text(r: "Rational") -> str:
     """r^2 for display, with a fraction in parentheses: 3^2, (3/2)^2."""
     return f"{r}^2" if r.denominator == 1 else f"({r})^2"
 
@@ -201,7 +201,7 @@ class SquareClass(namedtuple("SquareClass", "representative primes")):
         return super().__new__(cls, representative, primes)
 
 
-def squarefree_part(q: "Fraction | int | RationalParts") -> SquareClass:
+def squarefree_part(q: "Rational") -> SquareClass:
     """The class of q: the signed square-free t with q/t a rational square.
     The numerator and the denominator are factored apart, a budget each."""
     if q.numerator == 0:
@@ -228,7 +228,7 @@ class PrimeBasis:
         self.vectors = tuple(int(c.representative < 0) | sum(bit[p] for p in c.primes)
                              for c in classes)
 
-    def vector(self, q: "Fraction | int | RationalParts") -> int:
+    def vector(self, q: "Rational") -> int:
         """The class of q, found by dividing out the basis primes alone;
         ValueError if an odd power of another prime divides q."""
         if q.numerator == 0:
@@ -286,7 +286,7 @@ def _iroot(n: int, k: int) -> tuple[int, bool]:
         r = s
 
 
-def nth_root(q: "Fraction | int | RationalParts", k: int) -> RationalParts | None:
+def nth_root(q: "Rational", k: int) -> RationalParts | None:
     """The rational k-th root of the reduced q, or None if there is none.
 
     For even k the nonnegative root is returned; q = 0 gives 0.

@@ -19,9 +19,9 @@ Rationals on the command line are integers or 'p/q' literals; there is no
 floating point anywhere in the interface.  The grammar is `str` tests, so
 only `build_parser` compiles a pattern, argparse's negative-number matcher.
 Every handler reads a literal with `rational_parts`, as its reduced pair
-`arith.RationalParts`, which prints as a Fraction prints; only
-`witt-verify`'s field arithmetic loads `fractions`, and no request loads
-`json`: `_emit` loads `jsonout` for JSON.
+`arith.RationalParts`, which prints as a Fraction prints, and computes on
+integer pairs from there, so no request loads `fractions`; nor does any
+load `json`: `_emit` loads `jsonout` for JSON.
 Exit codes: 0 success, 1 a verification failed, 2 invalid input,
 including a value whose square class needs a factorization beyond
 `arith.factor`'s budget or a number with more digits than the interpreter

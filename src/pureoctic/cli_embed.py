@@ -1,7 +1,7 @@
 """The `embed` and `sl-search` subcommands: the triquadratic embedding
-criteria of `qforms` for square classes a, b, c.  Each criterion reads
-a literal num/den only through its class, so it gets the reduced pair or
-the integer num*den, and no request loads `fractions`."""
+criteria of `qforms` for square classes a, b, c.  Each criterion gets a
+literal as its reduced pair and reads it only through its class, so no
+request loads `fractions`."""
 
 import itertools
 
@@ -10,10 +10,9 @@ from .cli import _emit, rational_parts
 
 
 def cmd_embed(args) -> int:
-    # each literal's reduced pair, its text as a Fraction prints it, and the
-    # integer num*den in its class, which the Witt pairs multiply
+    # each literal's reduced pair and its text as a Fraction prints it
     parts = [rational_parts(text) for text in (args.a, args.b, args.c)]
-    texts, values = list(map(str, parts)), [num * den for num, den in parts]
+    texts = list(map(str, parts))
     # a, b and c are factored once here and every criterion below reuses
     # the space; the 168 (15) decisions on S_L are made once, for both the
     # rewritten triplets and the --compare table
@@ -31,7 +30,7 @@ def cmd_embed(args) -> int:
              f"symbol condition (14) (abc,-1) = (a,b): "
              f"{'HOLDS' if holds_14 else 'fails'}"]
     pair_results = {}
-    for (u, u_text), (v, v_text) in itertools.combinations(zip(values, texts), 2):
+    for (u, u_text), (v, v_text) in itertools.combinations(zip(parts, texts), 2):
         key = f"({u_text}, {v_text})"
         pair_results[key] = qforms.witt_embeddable(u, v, space)
         lines.append(f"quaternion condition for {key} [u,v,uv] ~ [1,1,1]: "

@@ -24,10 +24,9 @@ its name is read off the square-free representatives of the classes.  Tests
 prove the rows against the group engine and against the search.
 """
 
-import math
 from collections import namedtuple
 
-from .arith import PrimeBasis, RationalParts, squarefree_part, squared_text
+from .arith import PrimeBasis, RationalParts, nth_root, reduced, squarefree_part, squared_text
 
 # the names of the basis monomials a^j * w^e in printed elements, in
 # coordinate order 2j + e: "" for the constant term, then w, a, a*w, ...
@@ -85,13 +84,11 @@ def pauli_condition_violation(k) -> str | None:
     n, d = k.numerator, k.denominator
     if n <= 0:
         return "k must be positive"
-    # n/d is a square iff n and d are, and twice one iff n/2 and d are (n
-    # even) or n and 2d are (n odd)
-    half = (n // 2, d) if n % 2 == 0 else (n, 2 * d)
-    for clause, (m, e) in (("a rational square ({})", (n, d)),
-                           ("twice a rational square (2*{})", half)):
-        r = RationalParts(math.isqrt(m), math.isqrt(e))
-        if r.numerator ** 2 == m and r.denominator ** 2 == e:
+    # k is twice a square iff k/2 is a square
+    for clause, q in (("a rational square ({})", k),
+                      ("twice a rational square (2*{})", reduced(n, 2 * d))):
+        r = nth_root(q, 2)
+        if r is not None:
             return f"k = {k} is " + clause.format(squared_text(r))
     return None
 
@@ -99,14 +96,6 @@ def pauli_condition_violation(k) -> str | None:
 def polynomial(k) -> str:
     """X^8 + k^2 as the text and JSON reports print it."""
     return f"X^8 + {RationalParts(k.numerator ** 2, k.denominator ** 2)}"
-
-
-def coefficients(k: "Fraction", terms) -> list:
-    """The 16 coordinates of the element with the given terms at k."""
-    coeffs = [0] * 16
-    for idx, sign, power in terms:
-        coeffs[idx] = sign * k ** power
-    return coeffs
 
 
 def element_text(texts: dict) -> str:

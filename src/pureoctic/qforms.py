@@ -14,7 +14,7 @@ completion of Q at the place v.  Two quaternion criteria are exposed:
 Everything is decided at the finitely many relevant places: infinity, 2,
 and the odd primes dividing a square-free part of a coefficient.  A
 diagonal ternary form <a, b, c> is the triple (a, b, c) of nonzero
-rationals.
+rationals, each a "Rational" of `arith`.
 
 `equivalent` and the criteria run on a `ClassSpace`: the inputs are
 factored once into an `arith.PrimeBasis`, every class in their span is
@@ -65,9 +65,9 @@ class Place(namedtuple("Place", "p")):
 REAL_PLACE = Place(None)
 
 
-def _square_class_int(a: "Fraction") -> int:
+def _square_class_int(a: "Rational") -> int:
     """An integer in the square class of a (numerator times denominator)."""
-    if a == 0:
+    if a.numerator == 0:
         raise ValueError("square class of 0 is undefined")
     return a.numerator * a.denominator
 
@@ -80,7 +80,7 @@ def _omega(u: int) -> int:
     return ((u * u - 1) // 8) % 2
 
 
-def hilbert(a: "Fraction", b: "Fraction", place: Place) -> int:
+def hilbert(a: "Rational", b: "Rational", place: Place) -> int:
     """The Hilbert symbol (a, b)_v by the standard local unit formulas."""
     a = _square_class_int(a)
     b = _square_class_int(b)
@@ -104,7 +104,7 @@ def hilbert(a: "Fraction", b: "Fraction", place: Place) -> int:
     return 1 if pow(x, p >> 1, p) == 1 else -1
 
 
-def relevant_places(*values: "Fraction") -> list[Place]:
+def relevant_places(*values: "Rational") -> list[Place]:
     """Infinity, 2, and every odd prime dividing a square-free part; the
     Hilbert symbols of the given values are +1 everywhere else."""
     primes = set()
@@ -139,7 +139,7 @@ class ClassSpace(arith.PrimeBasis):
     values, in order.  A space keeps its pair words, and no decisions.
     """
 
-    def __init__(self, *values: "Fraction"):
+    def __init__(self, *values: "Rational"):
         super().__init__(map(squarefree_part, values))
         self._words: dict[tuple[int, int], int] = {}
 
@@ -222,18 +222,19 @@ class ClassSpace(arith.PrimeBasis):
         return [(rep(u), rep(v), rep(w)) for u, v, w, holds in decisions if holds]
 
 
-def witt_embeddable(a1: "Fraction", a2: "Fraction", space: ClassSpace | None = None) -> bool:
+def witt_embeddable(a1: "Rational", a2: "Rational", space: ClassSpace | None = None) -> bool:
     """Can the biquadratic field Q(sqrt(a1), sqrt(a2)) be pushed into a
     quaternion Q8-extension of Q?  Holds iff [a1, a2, a1*a2] ~ [1, 1, 1].
     `space`, as in `equivalent`, must hold the classes of a1 and a2."""
     space = space or ClassSpace(a1, a2)
-    space.independent(map(space.vector, (a1, a2)),
-                       "a1, a2 must be quadratically independent"
-                       " non-squares (the V4 hypothesis fails)")
-    return equivalent((a1, a2, a1 * a2), (1, 1, 1), space)
+    x, y = space.independent(map(space.vector, (a1, a2)),
+                             "a1, a2 must be quadratically independent"
+                             " non-squares (the V4 hypothesis fails)")
+    # a1*a2 as the representative of its class, which a pair cannot multiply
+    return equivalent((a1, a2, space.representative(x ^ y)), (1, 1, 1), space)
 
 
-def pauli_embeddable(a: "Fraction", b: "Fraction", c: "Fraction") -> bool:
+def pauli_embeddable(a: "Rational", b: "Rational", c: "Rational") -> bool:
     """Embedding criterion for Q(sqrt(a), sqrt(b), sqrt(c)) into a Pauli
     extension with the quaternion part over Q(sqrt(c)):
     [a, b, ab] ~ [1, c, c]."""
@@ -241,7 +242,7 @@ def pauli_embeddable(a: "Fraction", b: "Fraction", c: "Fraction") -> bool:
     return space.pauli_embeddable(*space.independent(space.vectors))
 
 
-def sl_search(a: "Fraction", b: "Fraction", c: "Fraction") -> list[tuple[int, int, int]]:
+def sl_search(a: "Rational", b: "Rational", c: "Rational") -> list[tuple[int, int, int]]:
     """All ordered triplets (u, v, x) of pairwise-distinct, quadratically
     independent classes from S_L with [u, v, uv] ~ [1, x, x].  A nonempty
     result rewrites the generating triplet so the embedding criterion holds

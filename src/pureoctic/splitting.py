@@ -2,8 +2,9 @@
 X^8 + k^2, where a is a root and w is a primitive 8th root of unity.
 
 An element is 16 integer numerators over one positive denominator, with no
-common factor, in the basis a^j * w^e (j = 0..7, e = 0..1); Fractions
-appear only where k is read and where coordinates are read back or printed.
+common factor, in the basis a^j * w^e (j = 0..7, e = 0..1); k = n/d and
+every scalar built here are reduced integer pairs, and only `coeffs` reads
+the coordinates back as Fractions, so no request loads `fractions`.
 `_reduce` writes a^j * w^m as +-k^e times one basis monomial, by a^8 = -k^2
 and w^2 = a^4 / k, and keeps the scale as an integer pair; it gives the
 Galois action and the product table, built by the first field product.
@@ -22,20 +23,25 @@ which exhibits E as a square-root extension of its triquadratic subfield.
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 
 from . import lattice
+from .arith import RationalParts, reduced
 
 # the basis monomials a^j * w^e as (j, e), in coordinate order 2j + e
 _MONOMIALS = tuple(divmod(idx, 2) for idx in range(16))
-# the exact scalar types; bool is an int subclass and is not one of them
-_EXACT = (int, Fraction)
 # the row of each subgroup in the lattice, by its set of pairs
 _ROWS = {frozenset(els): row for row, els in enumerate(lattice.SUBGROUPS)}
 
 
-def _reduce(k: Fraction, j: int, m: int) -> tuple[int, int, int]:
+# a scalar is read only through its numerator and denominator: an int, a
+# Fraction or an `arith.RationalParts`; bool is an int subclass and is not
+# one, and a float has no denominator
+def _is_scalar(c) -> bool:
+    return type(c) is not bool and hasattr(c, "denominator")
+
+
+def _reduce(k: RationalParts, j: int, m: int) -> tuple[int, int, int]:
     """a^j * w^m as (index, num, den): num/den = +-k^e times basis monomial
     number index, by w^m = w^(m mod 2) * (a^4 / k)^(m // 2), then a^8 = -k^2;
     the two rules give w^8 = 1, so m is taken mod 8."""
@@ -65,8 +71,8 @@ class FieldElt:
         coeffs = tuple(coeffs)
         if len(coeffs) != 16:
             raise ValueError("need 16 coordinates")
-        if any(type(c) not in _EXACT for c in coeffs):
-            raise TypeError("coordinates must be int or Fraction")
+        if not all(map(_is_scalar, coeffs)):
+            raise TypeError("coordinates must be int, Fraction or RationalParts")
         # over the lcm of lowest-terms denominators no common factor is left
         self.field = field
         self.den = math.lcm(*(c.denominator for c in coeffs))
@@ -83,12 +89,13 @@ class FieldElt:
         return u
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> "tuple[Fraction, ...]":
+        from fractions import Fraction
         return tuple(Fraction(x, self.den) for x in self.nums)
 
     def _operand(self, other):
         # other in this field, or None for a foreign operand
-        if type(other) in _EXACT:
+        if _is_scalar(other):
             return self.field.monomial(0, 0, other)
         if isinstance(other, FieldElt) and self.field.k != other.field.k:
             raise ValueError("elements live in different splitting fields")
@@ -109,9 +116,8 @@ class FieldElt:
         return FieldElt._reduced(self.field, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, FieldElt) or type(other) in _EXACT:
-            other = -other
-        return self.__add__(other)
+        other = self._operand(other)
+        return NotImplemented if other is None else self.__add__(-other)
 
     def __mul__(self, other):
         other = self._operand(other)
@@ -128,11 +134,14 @@ class FieldElt:
 
     def __truediv__(self, other):
         if isinstance(other, FieldElt):
-            other = other.inverse()
-        elif type(other) in _EXACT:
-            # the reciprocal; ZeroDivisionError at 0
-            other = Fraction(other.denominator, other.numerator)
-        return self.__mul__(other)
+            return self.__mul__(other.inverse())
+        if not _is_scalar(other):
+            return NotImplemented
+        if not other.numerator:
+            raise ZeroDivisionError("division by 0 in the splitting field")
+        # times den/num; `_reduced` moves the sign of num to the numerators
+        return FieldElt._reduced(self.field, [x * other.denominator for x in self.nums],
+                                 self.den * other.numerator)
 
     def inverse(self) -> "FieldElt":
         """Multiplicative inverse: the product of the 15 other conjugates
@@ -163,18 +172,19 @@ class FieldElt:
         return self.nums == other.nums and self.den == other.den
 
     def __str__(self):
-        return lattice.element_text({i: str(c) for i, c in enumerate(self.coeffs) if c})
+        return lattice.element_text({i: str(reduced(x, self.den))
+                                     for i, x in enumerate(self.nums) if x})
 
 
 class SplittingField:
     """Multiplication-ready context for E = Q(w, a) with a^8 = -k^2."""
 
-    def __init__(self, k: "Fraction | RationalParts"):
-        k = Fraction(k.numerator, k.denominator)
+    def __init__(self, k: "Rational"):
+        k = reduced(k.numerator, k.denominator)
         violation = lattice.pauli_condition_violation(k)
         if violation is not None:
             raise ValueError(violation)
-        self.k = k
+        self.k, self._k_inverse = k, RationalParts(k.denominator, k.numerator)
         # the automorphism (t, s) sends a^j*w^e to a^j*w^(tj+se): one
         # (target index, num, den) per basis index, keyed by (t, s)
         self._actions = {(t, s): tuple(_reduce(k, j, t * j + s * e) for j, e in _MONOMIALS)
@@ -211,22 +221,22 @@ class SplittingField:
     @property
     def i(self) -> FieldElt:
         """sqrt(-1) = a^4 / k."""
-        return self.monomial(4, 0, Fraction(1, 1) / self.k)
+        return self.monomial(4, 0, self._k_inverse)
 
     @property
     def r(self) -> FieldElt:
         """sqrt(2) = w + conj(w) = w * (1 - a^4/k)."""
-        return self.monomial(0, 1) - self.monomial(4, 1, Fraction(1) / self.k)
+        return self.monomial(0, 1) - self.monomial(4, 1, self._k_inverse)
 
     @property
     def v2(self) -> FieldElt:
         """sqrt(k) = -i * a^2 * w = -a^6 * w / k."""
-        return self.monomial(6, 1, -Fraction(1) / self.k)
+        return -self.monomial(6, 1, self._k_inverse)
 
     @property
     def a_bar(self) -> FieldElt:
         """Complex conjugate of a: a * w^7 = -a^5 * w / k."""
-        return self.monomial(5, 1, -Fraction(1) / self.k)
+        return -self.monomial(5, 1, self._k_inverse)
 
     # --- Galois action ---------------------------------------------------
 
@@ -275,7 +285,10 @@ class SplittingField:
         if len(basis) != degree:
             raise AssertionError(
                 f"fixed space has dimension {len(basis)}, expected {degree}")
-        primitive = FieldElt(self, lattice.coefficients(self.k, lattice._LATTICE[row][2]))
+        # the row's terms sign * k^power at k = n/d
+        n, d = self.k
+        primitive = FieldElt._reduced(self, *_combine([
+            (idx, sign * n ** power, d ** power) for idx, sign, power in lattice._LATTICE[row][2]]))
         return FixedField(degree, basis, primitive, self._labels[row])
 
     @cached_property
@@ -304,13 +317,16 @@ def witt_T(field: SplittingField) -> list[list[FieldElt]]:
     """The determinant-1 matrix over Q(sqrt(-2)) carrying the diagonal form
     <2, k, 1/2k> to <1, 1, 1>, with entries in E, where sqrt(-2) = i*sqrt(2);
     K = k + 1/2, kappa = k - 1/2."""
-    k, m, half = field.k, field.monomial, Fraction(1, 2)
-    K, kap = k + half, k - half
-    s = field.i * field.r
+    # with k = n/d: K/2k = (2n+d)/4n, kappa/2k = (2n-d)/4n, kappa/2 =
+    # (2n-d)/4d and K = (2n+d)/2d
+    (n, d), m = field.k, field.monomial
+    s, half = field.i * field.r, m(0, 0, RationalParts(-1, 2))
     # -1/2 times [[1, 1, 0], [-K/k, K/k, -kap/k s], [kap s, -kap s, -2K]]
-    return [[m(0, 0, -half), m(0, 0, -half), field.zero()],
-            [m(0, 0, K / (2 * k)), m(0, 0, -K / (2 * k)), s * (kap / (2 * k))],
-            [s * (-kap / 2), s * (kap / 2), m(0, 0, K)]]
+    return [[half, half, field.zero()],
+            [m(0, 0, reduced(2 * n + d, 4 * n)), m(0, 0, reduced(-2 * n - d, 4 * n)),
+             s * reduced(2 * n - d, 4 * n)],
+            [s * reduced(d - 2 * n, 4 * d), s * reduced(2 * n - d, 4 * d),
+             m(0, 0, reduced(2 * n + d, 2 * d))]]
 
 
 def _det3(m):
@@ -333,23 +349,21 @@ def witt_beta_rho(field: SplittingField) -> WittCertificate:
     """Certify exactly in E that det(T) = 1 and T^t diag(2, k, 1/2k) T is the
     identity, that rho * beta = (a - abar)^2 * (w(1 + sqrt(2k)))^2, and that
     its square root generates E over the triquadratic subfield."""
-    k = field.k
-    K = k + Fraction(1, 2)
+    k = n, d = field.k
     r, v2, w = field.r, field.v2, field.w
     s, r_v2 = field.i * r, r * v2  # sqrt(-2) and sqrt(2k)
-    beta = (field.one() - Fraction(1, 2) * r
-            - (K / (2 * k)) * v2 + (K / (2 * k)) * r_v2)
+    K_2k = reduced(2 * n + d, 4 * n)  # K/2k, K = k + 1/2
+    beta = field.one() - RationalParts(1, 2) * r - K_2k * v2 + K_2k * r_v2
     T = witt_T(field)
     # T^t D T is symmetric, so only i <= j is checked; with the rows of T
     # scaled by D, its entry (i, j) is the sum over l of T[l][i] * (D T)[l][j]
-    DT = [[d * entry for entry in row]
-          for d, row in zip((Fraction(2), k, 1 / (2 * k)), T)]
+    DT = [[c * entry for entry in row] for c, row in zip((2, k, reduced(d, 2 * n)), T)]
     congruence = all(
         T[0][i] * DT[0][j] + T[1][i] * DT[1][j] + T[2][i] * DT[2][j] == int(i == j)
         for i in range(3) for j in range(i, 3))
-    sqrt_a3 = r_v2 / (2 * k)  # sqrt(1/2k) = sqrt(2k)/(2k)
+    sqrt_a3 = r_v2 / reduced(2 * n, d)  # sqrt(1/2k) = sqrt(2k)/(2k)
     beta_from_T = field.one() + T[0][0] * r + T[1][1] * v2 + T[2][2] * sqrt_a3
-    rho = -4 * k
+    rho = reduced(-4 * n, d)
     sqrt_rho_beta = (field.a - field.a_bar) * w * (field.one() + r_v2)
     factorization = rho * s * beta == sqrt_rho_beta * sqrt_rho_beta
     # Gal(E/L) is generated by a -> -a, w -> w; the generator must flip the root

@@ -373,7 +373,7 @@ def search_report(k: Fraction) -> LatticeReport:
         label = table.get(frozenset(elements), (None, None))[1]
         rows.append(LatticeRow(elements, len(elements), normal, 16 // len(elements),
                                str(primitive_element(E, elements)), label, gens))
-    return LatticeReport(E.k, tuple(rows))
+    return LatticeReport(k, tuple(rows))
 
 
 @lru_cache(maxsize=None)
@@ -403,7 +403,7 @@ def reference_mul_table(k: Fraction) -> tuple:
 def mul(u: FieldElt, v: FieldElt) -> tuple[Fraction, ...]:
     """The coordinates of u * v, multiplied in Fractions by
     reference_mul_table, independent of the package's integer layout."""
-    table = reference_mul_table(u.field.k)
+    table = reference_mul_table(Fraction(*u.field.k))
     out = [Fraction(0)] * 16
     for i, x in enumerate(u.coeffs):
         for j, y in enumerate(v.coeffs):
@@ -428,7 +428,7 @@ def defining_polynomial_check(E: SplittingField) -> bool:
             new[i + 1] = new[i + 1] + coeff
             new[i] = new[i] - root * coeff
         poly = new
-    want = [E.monomial(0, 0, E.k ** 2)] + [E.zero()] * 7 + [E.one()]
+    want = [E.monomial(0, 0, Fraction(*E.k) ** 2)] + [E.zero()] * 7 + [E.one()]
     return poly == want
 
 
@@ -436,7 +436,8 @@ def sqrt_of(E: SplittingField, d) -> FieldElt:
     """An exact square root of d, for d in the seven square classes
     {-1, 2, -2, k, -k, 2k, -2k} attached to the field: the product of those
     of i, sqrt(2) and sqrt(k) whose squares multiply to d."""
-    n = 1 + [-1, 2, -2, E.k, -E.k, 2 * E.k, -2 * E.k].index(Fraction(d))
+    k = Fraction(*E.k)
+    n = 1 + [-1, 2, -2, k, -k, 2 * k, -2 * k].index(Fraction(d))
     return math.prod((u for bit, u in enumerate((E.i, E.r, E.v2)) if n >> bit & 1),
                      start=E.one())
 

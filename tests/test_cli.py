@@ -538,7 +538,6 @@ NOT_ENTERED = {
     "groups.Perm.__call__": (f"{ACCEPTANCE} via reference.affine_pair",),
     "groups.order16_stock_models": (TRACED, ACCEPTANCE),
     "groups.pauli_matrix_group": (ACCEPTANCE,),
-    "lattice.coefficients": (f"{ACCEPTANCE} via splitting.SplittingField.fixed_field",),
     "linalg.in_span": (TRACED, ACCEPTANCE),
     "linalg.nullspace": (TRACED,),
     "linalg.rank": (f"{ACCEPTANCE} via linalg.in_span",),
@@ -552,6 +551,7 @@ NOT_ENTERED = {
     "qforms.hilbert": (TRACED, ACCEPTANCE),
     "qforms.pauli_embeddable": (ACCEPTANCE,),
     "qforms.relevant_places": (TRACED, ACCEPTANCE),
+    "splitting.FieldElt.coeffs": (ACCEPTANCE,),
     "splitting.FieldElt.inverse": (TRACED,),
     "splitting.FieldElt.is_rational": (f"{TRACED} via splitting.FieldElt.inverse",),
     "splitting.SplittingField._labels":
@@ -1160,10 +1160,10 @@ _ARGPARSE = {"argparse", "gettext", "locale"}
 def test_each_subcommand_loads_only_its_modules(argv, code, handler, extra):
     # help and a usage error compile the grammar and argparse's parser
     # alone; a well-formed request loads no argparse, its own handler and no
-    # other, `jsonout` for JSON output and never `json`, and `fractions`
-    # (with `decimal`) only for `witt-verify`'s field arithmetic: every other
-    # request reads its literals as reduced integer pairs, and
-    # `group-identify` reads no literal; `lattice` and `witt-verify` check
+    # other, `jsonout` for JSON output and never `json`, and no `fractions`
+    # (with `decimal`): every request reads its literals as reduced integer
+    # pairs, `witt-verify`'s field arithmetic too, and `group-identify` reads
+    # no literal; `lattice` and `witt-verify` check
     # the Pauli condition without the classifier `binomial`; no module
     # imports `__future__`, which would cost every request its load.  The
     # child runs under -S, so no host `site` adds modules of its own
@@ -1177,10 +1177,7 @@ def test_each_subcommand_loads_only_its_modules(argv, code, handler, extra):
     assert not loaded & _ARGPARSE
     if "json" in argv:
         extra = extra | {"jsonout"}
-    stdlib = set()
-    if argv[0] == "witt-verify":
-        stdlib |= {"fractions", "decimal"}
-    assert loaded == _FRONT_END | stdlib | {
+    assert loaded == _FRONT_END | {
         f"pureoctic.{m}" for m in {"arith", handler, *extra}}
 
 
@@ -1207,11 +1204,10 @@ try:
 finally:
     print(public(floor), public(set(sys.modules) - floor), sep="\\n", file=sys.stderr)
 """
-_RE = {"copyreg", "enum", "re"}
-_FRACTIONS = _RE | {"collections.abc", "decimal", "fractions", "numbers"}
-# argparse, and the shutil its help formatter imports for the terminal width
-_ARGPARSE_STDLIB = _RE | {"argparse", "bz2", "errno", "fnmatch", "gettext", "locale",
-                          "lzma", "shutil", "zlib"}
+# argparse with its `re`, and the shutil its help formatter imports for the
+# terminal width
+_ARGPARSE_STDLIB = {"argparse", "bz2", "copyreg", "enum", "errno", "fnmatch", "gettext",
+                    "locale", "lzma", "re", "shutil", "zlib"}
 # `__main__`'s gc, and the math of `arith` and of the literal reader
 _REQUEST = {"gc", "math"}
 
@@ -1226,8 +1222,8 @@ _REQUEST = {"gc", "math"}
     (("sl-search", "2", "3", "-2"), _REQUEST),
     (("lattice", "3"), _REQUEST),
     (("lattice", "3", "--format", "json"), _REQUEST),
-    (("witt-verify", "3"), _REQUEST | _FRACTIONS),
-    (("witt-verify", "3", "--format", "json"), _REQUEST | _FRACTIONS),
+    (("witt-verify", "3"), _REQUEST),
+    (("witt-verify", "3", "--format", "json"), _REQUEST),
     (("oracle", "9", "--primes", "20000"), _REQUEST),
     (("oracle", "9", "--primes", "20000", "--format", "json"), _REQUEST),
     (("group-identify", "QD16"), _REQUEST),
@@ -1237,9 +1233,8 @@ _REQUEST = {"gc", "math"}
         "oracle", "oracle-json", "group-identify", "group-identify-json"])
 def test_each_request_loads_exactly_its_stdlib_modules(argv, stdlib):
     # a count that no host changes: no well-formed request loads argparse,
-    # shutil or `json`, `re` only under `fractions`, and every request but
-    # `witt-verify`, whose field has Fraction coordinates, reads rationals as
-    # reduced integer pairs and loads no `fractions` or `decimal`
+    # shutil, `json` or `re`, and every request reads rationals as reduced
+    # integer pairs and loads no `fractions` or `decimal`
     proc = run_python("-S", "-c", _STDLIB_PROBE, *argv)
     assert proc.returncode == (2 if argv == ("lattice",) else 0), proc.stderr
     floor, loaded = (set(line.split()) for line in proc.stderr.splitlines()[-2:])

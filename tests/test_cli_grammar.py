@@ -136,10 +136,11 @@ _DIGITS = ("0123456789", "٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९
 
 
 @st.composite
-def _contract_literal(draw):
+def _contract_literal(draw, bound=10 ** 9):
     """A signed, underscored, Unicode-digit or 'p/q' literal, a square or
-    twice a square now and then, or a malformed one."""
-    n = draw(st.integers(-10 ** 9, 10 ** 9))
+    twice a square now and then, or a malformed one; |n| <= bound before
+    it is squared."""
+    n = draw(st.integers(-bound, bound))
     n *= draw(st.sampled_from((1, 1, n, 2 * n)))
     # "+{}" of a negative n is a malformed "+-n"
     text = draw(st.sampled_from(("{}", "{:_}", "+{}", "{}/7", "{}/12", "{}/0"))).format(n)
@@ -148,16 +149,26 @@ def _contract_literal(draw):
     return draw(st.sampled_from(_MALFORMED)) if draw(st.integers(0, 3)) == 0 else text
 
 
+# embed and sl-search factor three literals each: below 10^8, trial
+# division does it at once
+_SMALL_LITERAL = _contract_literal(bound=10 ** 4)
 _CONTRACT_ARGV = st.one_of(
-    st.tuples(st.sampled_from(("classify", "witt-verify")), _contract_literal()),
+    st.tuples(st.sampled_from(("classify", "lattice", "witt-verify")),
+              _contract_literal()).map(list),
     st.tuples(st.just("oracle"), _contract_literal(),
               st.sampled_from(("1000", "4000", "6000", "6000")),
               st.one_of(st.sampled_from(("0", "1", "-1/3", "-2", "1/0", "1/20",
                                          "3/20000", "1/1000")),
                         st.integers(0, 999).map("{}/1000".format),
-                        _contract_literal())),
-).map(lambda t: [t[0], t[1]] + ([] if len(t) == 2 else
-                                ["--primes", t[2], "--tolerance", t[3]]))
+                        _contract_literal())).map(
+        lambda t: [t[0], t[1], "--primes", t[2], "--tolerance", t[3]]),
+    st.tuples(st.just("embed"), _SMALL_LITERAL, _SMALL_LITERAL, _SMALL_LITERAL,
+              st.sampled_from(([], ["--compare"]))).map(lambda t: [*t[:4], *t[4]]),
+    st.tuples(st.just("sl-search"), _SMALL_LITERAL, _SMALL_LITERAL,
+              _SMALL_LITERAL).map(list),
+    _NAMES.map(lambda name: ["group-identify", name]),
+    _gens().map(lambda gens: ["group-identify", "--gens", gens]),
+)
 
 
 def _request(argv):
@@ -172,24 +183,51 @@ def _request(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
 @given(_CONTRACT_ARGV)
 def test_rational_requests_keep_their_contract(argv):
-    # `classify`, `oracle` and `witt-verify` exit 0, 1 or 2; exit 2 writes
-    # one error line and no output; a JSON request exits as its text request
-    # does, and its output parses
-    for fmt in ("text", "json"):
+    # every request exits 0, 1 or 2; exit 2 writes one error line and no
+    # output, and exit 0 or 1 writes output; a JSON or DOT request exits as
+    # its text request does, and JSON output parses
+    formats = ("text", "json", "dot") if argv[0] == "lattice" else ("text", "json")
+    for fmt in formats:
         code, out, err = _request(argv + ["--format", fmt])
         assert code in (0, 1, 2), argv
         if fmt == "text":
             text_code = code
         else:
-            assert code == text_code, argv
+            assert code == text_code, (argv, fmt)
         if code == 2:
             assert not out, argv
             assert sum("error:" in line for line in err.splitlines()) == 1, argv
-        elif fmt == "json":
-            json.loads(out)
+        else:
+            assert out, (argv, fmt)
+            if fmt == "json":
+                json.loads(out)
+
+
+@st.composite
+def _positive_k(draw):
+    """A literal of k > 0, not always reduced: n/d, or its square or twice
+    its square, which the Pauli condition excludes."""
+    q = Fraction(draw(st.integers(1, 10 ** 4)), draw(st.integers(1, 10 ** 3)))
+    k = draw(st.sampled_from((q, q, q * q, 2 * q * q)))
+    m = draw(st.integers(1, 3))
+    return k, f"{k.numerator * m}/{k.denominator * m}"
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_positive_k())
+def test_lattice_and_witt_verify_pass_exactly_where_classify_names_pauli(drawn):
+    # for k > 0, X^8 + k^2 has the Pauli group exactly when k meets the Pauli
+    # condition, and only then do `lattice k` and `witt-verify k` exit 0;
+    # any other k is bad input
+    k, literal = drawn
+    code, out, _ = _request(["classify", str(k * k), "--format", "json"])
+    assert code == 0, k
+    pauli = json.loads(out)["tag"] == "Pauli"
+    for command in ("lattice", "witt-verify"):
+        assert _request([command, literal])[0] == (0 if pauli else 2), (command, literal)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 import reference
 
 from pureoctic import qforms
-from pureoctic.arith import squarefree_part
+from pureoctic.arith import RationalParts, squarefree_part
 from pureoctic.qforms import REAL_PLACE, Place
 
 
@@ -167,6 +167,22 @@ def test_witt_embeddable():
         qforms.witt_embeddable(F(2), F(2))   # dependent
     with pytest.raises(ValueError):
         qforms.witt_embeddable(F(4), F(3))   # square
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (2, 5), (-1, 3), (3, 7), (-6, 10),
+                                  (F(2, 3), F(-5, 7)), (F(-3, 4), F(10, 9))])
+def test_witt_embeddable_reads_every_rational_type(a, b):
+    # an int, a Fraction and a reduced pair of one value give one verdict,
+    # on a space built from them or from the others
+    a, b = F(a), F(b)
+    values = [(a, b), (RationalParts(a.numerator, a.denominator),
+                       RationalParts(b.numerator, b.denominator))]
+    if a.denominator == b.denominator == 1:
+        values.append((int(a), int(b)))
+    verdicts = {qforms.witt_embeddable(x, y) for x, y in values}
+    verdicts |= {qforms.witt_embeddable(x, y, qforms.ClassSpace(*other))
+                 for x, y in values for other in values}
+    assert verdicts == {_reference_equivalent((a, b, a * b), (1, 1, 1))}
 
 
 def test_pauli_embeddable():
@@ -378,6 +394,17 @@ def test_equivalent_rejects_a_zero_coefficient():
         qforms.equivalent((2, 0, 5), (1, 1, 1))
     with pytest.raises(ValueError):
         qforms.equivalent((2, 3, 6), (1, 1, 0), qforms.ClassSpace(F(2), F(3)))
+    zero = RationalParts(0, 1)
+    with pytest.raises(ValueError):
+        qforms.equivalent((2, zero, 5), (1, 1, 1))
+    # the scalar symbol reads a zero pair by its numerator, and does not
+    # divide it by p forever
+    for value in (0, F(0), zero):
+        for place in (REAL_PLACE, Place(2), Place(3)):
+            with pytest.raises(ValueError):
+                qforms.hilbert(value, 3, place)
+            with pytest.raises(ValueError):
+                qforms.hilbert(3, value, place)
 
 
 def test_class_space_criteria_match_form_equivalence():

@@ -33,7 +33,7 @@ def test_beta_rho_certificate(k):
     assert cert.generates_E_over_L
     assert reference.all_hold(cert)
     # rho = -4k * sqrt(-2)
-    assert cert.rho == -4 * k
+    assert F(*cert.rho) == -4 * k
     # the square root changes sign under the L-fixing involution, so it
     # cannot lie in the fixed subspace of Gal(E/L)
     flip = field.apply((4, 1), cert.sqrt_rho_beta)
