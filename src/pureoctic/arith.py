@@ -3,10 +3,10 @@ classes and integer roots.
 
 Everything downstream (the octic classifier, Hilbert symbols, the splitting
 field) works over Q with exact arithmetic; this module is the substrate.
-A rational, annotated "Rational", is the reduced pair `RationalParts` that
-every literal reads as, an int, or a `fractions.Fraction` from a library
-caller; the functions here read only its `numerator` and `denominator`,
-the sign from the numerator, so no request path loads `fractions`.
+A rational, annotated "Rational", is the self-reducing pair `RationalParts`
+that every literal reads as, an int, or a `fractions.Fraction` from a
+library caller, so none is ever unreduced; the functions here read only
+its `numerator` and `denominator`, so no request path loads `fractions`.
 
 `factor` trial-divides to 10^6 and then runs Brent's rho under a fixed
 budget of modular multiplications, weighted by size; an integer it cannot split within the budget raises
@@ -149,8 +149,6 @@ def factor(n: int) -> Factorization:
     budget = _RHO_BUDGET
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             exps[m] = exps.get(m, 0) + 1
             continue
@@ -162,19 +160,20 @@ def factor(n: int) -> Factorization:
 
 
 class RationalParts(namedtuple("RationalParts", "numerator denominator")):
-    """A reduced rational n/d, d > 0, printed as a Fraction prints it."""
+    """n/d in lowest terms with d > 0, as `Fraction(n, d)` keeps it from any
+    pair it is built from, and printed as a Fraction prints it."""
 
     __slots__ = ()
+
+    def __new__(cls, numerator: int, denominator: int):
+        # times the sign of d, which is 0 for d = 0: then `//` raises
+        # ZeroDivisionError, as Fraction(n, 0) does
+        g = math.gcd(numerator, denominator) * ((denominator > 0) - (denominator < 0))
+        return super().__new__(cls, numerator // g, denominator // g)
 
     def __str__(self) -> str:
         num, den = self
         return f"{num}" if den == 1 else f"{num}/{den}"
-
-
-def reduced(num: int, den: int) -> RationalParts:
-    """num/den in lowest terms, for den > 0."""
-    g = math.gcd(num, den)
-    return RationalParts(num // g, den // g)
 
 
 def squared_text(r: "Rational") -> str:
@@ -287,7 +286,7 @@ def _iroot(n: int, k: int) -> tuple[int, bool]:
 
 
 def nth_root(q: "Rational", k: int) -> RationalParts | None:
-    """The rational k-th root of the reduced q, or None if there is none.
+    """The rational k-th root of q, or None if there is none.
 
     For even k the nonnegative root is returned; q = 0 gives 0.
     """

@@ -66,7 +66,7 @@ def octic_verdict(c: "arith.RationalParts") -> tuple[GaloisTag, str]:
     if num == 0:
         raise ValueError("c must be nonzero")
     for name, degree, (m, q), n, text in _OCTIC_BRANCHES:
-        root = arith.nth_root(arith.reduced(m * num, q * den), n)
+        root = arith.nth_root(arith.RationalParts(m * num, q * den), n)
         if root is not None:
             return (GaloisTag(name, degree),
                     text.format(root=root, square=arith.squared_text(root)))

@@ -63,14 +63,14 @@ def rational_parts(text: str) -> "RationalParts":
     """The reduced (num, den), den > 0, of an integer or 'p/q' literal with
     an optional sign; decimal and exponent literals such as '0.5' or '1e3'
     are rejected."""
-    from .arith import reduced
+    from .arith import RationalParts
     literal = text.strip()
     if _is_unsigned_rational(_signless(literal)):
         # int() takes the sign and the underscores on every supported Python
         num, _, den = literal.partition("/")
         num, den = int(num), int(den or 1)
         if den:
-            return reduced(num, den)
+            return RationalParts(num, den)
     raise ValueError(f"not a rational number: {text!r}")
 
 

@@ -26,7 +26,7 @@ prove the rows against the group engine and against the search.
 
 from collections import namedtuple
 
-from .arith import PrimeBasis, RationalParts, nth_root, reduced, squarefree_part, squared_text
+from .arith import PrimeBasis, RationalParts, nth_root, squarefree_part, squared_text
 
 # the names of the basis monomials a^j * w^e in printed elements, in
 # coordinate order 2j + e: "" for the constant term, then w, a, a*w, ...
@@ -86,7 +86,7 @@ def pauli_condition_violation(k) -> str | None:
         return "k must be positive"
     # k is twice a square iff k/2 is a square
     for clause, q in (("a rational square ({})", k),
-                      ("twice a rational square (2*{})", reduced(n, 2 * d))):
+                      ("twice a rational square (2*{})", RationalParts(n, 2 * d))):
         r = nth_root(q, 2)
         if r is not None:
             return f"k = {k} is " + clause.format(squared_text(r))

@@ -104,7 +104,7 @@ class Census(namedtuple("Census", "c bound counts total skipped")):
         lines = [f"census of {binomial.poly_display(self.c)} over primes < {self.bound}:"
                  f" {self.total} good, skipped {list(self.skipped)}"]
         for t, n in self.counts:
-            lines.append(f"  {shape(t):15s} {n:6d}  ({arith.reduced(n, self.total)})")
+            lines.append(f"  {shape(t):15s} {n:6d}  ({arith.RationalParts(n, self.total)})")
         return "\n".join(lines)
 
 
@@ -158,7 +158,7 @@ def group_cycle_types(G) -> dict[CycleType, arith.RationalParts]:
     if G.degree != 8:
         raise ValueError("need a permutation group on exactly 8 points")
     counts = Counter(g.cycle_type() for g in G)
-    return {t: arith.reduced(n, G.order) for t, n in sorted(counts.items(), reverse=True)}
+    return {t: arith.RationalParts(n, G.order) for t, n in sorted(counts.items(), reverse=True)}
 
 
 class Verdict(namedtuple("Verdict", "passed worst_deviation worst_type foreign_types")):
@@ -220,7 +220,7 @@ def consistent(cns: Census, model: "dict[CycleType, arith.RationalParts]",
     within = worst * tolerance.denominator <= tolerance.numerator * worst_den
     return Verdict(
         passed=not foreign and within,
-        worst_deviation=arith.reduced(worst, worst_den),
+        worst_deviation=arith.RationalParts(worst, worst_den),
         worst_type=worst_type,
         foreign_types=foreign,
     )
@@ -251,7 +251,7 @@ def model_cycle_types(name: str) -> dict[CycleType, arith.RationalParts]:
         raise ValueError("reducible polynomials have no transitive model")
     counts = CYCLE_TYPE_COUNTS[name]
     order = sum(counts.values())
-    return {t: arith.reduced(n, order) for t, n in counts.items()}
+    return {t: arith.RationalParts(n, order) for t, n in counts.items()}
 
 
 # the classifier outcomes, then candidate groups with no transitive 8-point model

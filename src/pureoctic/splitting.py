@@ -26,7 +26,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from . import lattice
-from .arith import RationalParts, reduced
+from .arith import RationalParts
 
 # the basis monomials a^j * w^e as (j, e), in coordinate order 2j + e
 _MONOMIALS = tuple(divmod(idx, 2) for idx in range(16))
@@ -172,7 +172,7 @@ class FieldElt:
         return self.nums == other.nums and self.den == other.den
 
     def __str__(self):
-        return lattice.element_text({i: str(reduced(x, self.den))
+        return lattice.element_text({i: str(RationalParts(x, self.den))
                                      for i, x in enumerate(self.nums) if x})
 
 
@@ -180,7 +180,7 @@ class SplittingField:
     """Multiplication-ready context for E = Q(w, a) with a^8 = -k^2."""
 
     def __init__(self, k: "Rational"):
-        k = reduced(k.numerator, k.denominator)
+        k = RationalParts(k.numerator, k.denominator)
         violation = lattice.pauli_condition_violation(k)
         if violation is not None:
             raise ValueError(violation)
@@ -323,10 +323,10 @@ def witt_T(field: SplittingField) -> list[list[FieldElt]]:
     s, half = field.i * field.r, m(0, 0, RationalParts(-1, 2))
     # -1/2 times [[1, 1, 0], [-K/k, K/k, -kap/k s], [kap s, -kap s, -2K]]
     return [[half, half, field.zero()],
-            [m(0, 0, reduced(2 * n + d, 4 * n)), m(0, 0, reduced(-2 * n - d, 4 * n)),
-             s * reduced(2 * n - d, 4 * n)],
-            [s * reduced(d - 2 * n, 4 * d), s * reduced(2 * n - d, 4 * d),
-             m(0, 0, reduced(2 * n + d, 2 * d))]]
+            [m(0, 0, RationalParts(2 * n + d, 4 * n)), m(0, 0, RationalParts(-2 * n - d, 4 * n)),
+             s * RationalParts(2 * n - d, 4 * n)],
+            [s * RationalParts(d - 2 * n, 4 * d), s * RationalParts(2 * n - d, 4 * d),
+             m(0, 0, RationalParts(2 * n + d, 2 * d))]]
 
 
 def _det3(m):
@@ -352,18 +352,18 @@ def witt_beta_rho(field: SplittingField) -> WittCertificate:
     k = n, d = field.k
     r, v2, w = field.r, field.v2, field.w
     s, r_v2 = field.i * r, r * v2  # sqrt(-2) and sqrt(2k)
-    K_2k = reduced(2 * n + d, 4 * n)  # K/2k, K = k + 1/2
+    K_2k = RationalParts(2 * n + d, 4 * n)  # K/2k, K = k + 1/2
     beta = field.one() - RationalParts(1, 2) * r - K_2k * v2 + K_2k * r_v2
     T = witt_T(field)
     # T^t D T is symmetric, so only i <= j is checked; with the rows of T
     # scaled by D, its entry (i, j) is the sum over l of T[l][i] * (D T)[l][j]
-    DT = [[c * entry for entry in row] for c, row in zip((2, k, reduced(d, 2 * n)), T)]
+    DT = [[c * entry for entry in row] for c, row in zip((2, k, RationalParts(d, 2 * n)), T)]
     congruence = all(
         T[0][i] * DT[0][j] + T[1][i] * DT[1][j] + T[2][i] * DT[2][j] == int(i == j)
         for i in range(3) for j in range(i, 3))
-    sqrt_a3 = r_v2 / reduced(2 * n, d)  # sqrt(1/2k) = sqrt(2k)/(2k)
+    sqrt_a3 = r_v2 / RationalParts(2 * n, d)  # sqrt(1/2k) = sqrt(2k)/(2k)
     beta_from_T = field.one() + T[0][0] * r + T[1][1] * v2 + T[2][2] * sqrt_a3
-    rho = reduced(-4 * n, d)
+    rho = RationalParts(-4 * n, d)
     sqrt_rho_beta = (field.a - field.a_bar) * w * (field.one() + r_v2)
     factorization = rho * s * beta == sqrt_rho_beta * sqrt_rho_beta
     # Gal(E/L) is generated by a -> -a, w -> w; the generator must flip the root

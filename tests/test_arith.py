@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 import reference
+from hypothesis import given, settings, strategies as st
 
 from pureoctic import arith, qforms
 
@@ -50,6 +51,23 @@ def test_squarefree_part_examples():
     assert arith.squarefree_part(F(9)).representative == 1
     assert arith.squarefree_part(F(-2)).representative == -2
     assert arith.squarefree_part(F(8, 25)).representative == 2
+    # an unreduced pair reduces itself: 6/2 is factored as 3, not as 6 * 2
+    assert arith.squarefree_part(arith.RationalParts(6, 2)) == (3, (3,))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.integers(), st.integers(), st.integers(-10 ** 6, 10 ** 6).filter(bool))
+def test_rational_parts_is_the_pair_of_the_fraction(a, b, m):
+    # any pair, with a common factor m drawn in, is kept as Fraction keeps
+    # it: lowest terms with the sign on the numerator, printed alike; a zero
+    # denominator raises as Fraction's does
+    if b == 0:
+        with pytest.raises(ZeroDivisionError):
+            arith.RationalParts(a * m, 0)
+        return
+    q, pair = F(a, b), arith.RationalParts(a * m, b * m)
+    assert tuple(pair) == (q.numerator, q.denominator)
+    assert str(pair) == str(q)
 
 
 def test_squarefree_part_properties_random():

@@ -1,5 +1,6 @@
 """The command-line interface: output shapes, determinism, exit codes."""
 
+import functools
 import gc
 import importlib
 import itertools
@@ -1122,25 +1123,53 @@ def test_python_dash_m_entry():
     assert proc.returncode == 0 and "Pauli" in proc.stdout
 
 
-# runs `pureoctic ARGV` and prints, as its last stderr line, the package
-# modules loaded by the time the request exits, and those of `dataclasses`
-# and `inspect` (13 ms of start-up together), `json`, `fractions` with the
-# `decimal` it imports, `__future__`, and `argparse` with the `gettext` and
-# `locale` it imports, that are loaded
-_MODULE_PROBE = """
+# runs `pureoctic ARGV` under `python -S` and prints, as its last three
+# stderr lines, the package modules loaded by the time the request exits,
+# the stdlib modules of the floor and those loaded beyond it.  The floor is
+# `-S` with `runpy` and the `collections` and `functools` that runpy itself
+# imports on 3.10 and 3.11.  A stdlib module is named only if no part of its
+# name is private, a dunder such as `__future__` aside, so `_sre`,
+# `re._parser` and 3.10's `sre_*` go with their public `re`: then every
+# supported Python gives the same sets, less what its floor already holds
+# (3.13.13's holds `errno` and `collections.abc`)
+_PROBE = """
 import runpy, sys
+import collections, functools
+floor = set(sys.modules)
+
+def public(modules):
+    return " ".join(sorted(m for m in modules if m.partition(".")[0] != "pureoctic"
+                           and not m.startswith("sre_")
+                           and not any(p.startswith("_") and not p.endswith("__")
+                                       for p in m.split("."))))
+
 sys.argv = ["pureoctic", *sys.argv[1:]]
 try:
     runpy.run_module("pureoctic", run_name="__main__", alter_sys=True)
 finally:
-    print(" ".join(sorted(m for m in sys.modules
-                          if m.partition(".")[0] == "pureoctic"
-                          or m in ("dataclasses", "inspect", "json", "fractions",
-                                   "decimal", "__future__", "argparse", "gettext",
-                                   "locale"))), file=sys.stderr)
+    package = " ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "pureoctic"))
+    print(package, public(floor), public(set(sys.modules) - floor), sep="\\n",
+          file=sys.stderr)
 """
+
+
+@functools.cache
+def _probe(argv: tuple) -> subprocess.CompletedProcess:
+    # one child per request, read by both module-set tests below
+    return run_python("-S", "-c", _PROBE, *argv)
+
+
+def _module_sets(proc) -> list:
+    # the package modules, the stdlib floor and the stdlib beyond it
+    return [set(line.split()) for line in proc.stderr.splitlines()[-3:]]
+
+
 _FRONT_END = {"pureoctic", "pureoctic.cli"}
 _ARGPARSE = {"argparse", "gettext", "locale"}
+# `dataclasses` and `inspect` (13 ms of start-up together), `json`,
+# `fractions` with the `decimal` it imports, `__future__`, and argparse
+# with the `gettext` and `locale` it imports: loaded only where named
+_WATCHED = {"dataclasses", "inspect", "json", "fractions", "decimal", "__future__"} | _ARGPARSE
 
 
 @pytest.mark.parametrize("argv, code, handler, extra", [
@@ -1167,43 +1196,19 @@ def test_each_subcommand_loads_only_its_modules(argv, code, handler, extra):
     # the Pauli condition without the classifier `binomial`; no module
     # imports `__future__`, which would cost every request its load.  The
     # child runs under -S, so no host `site` adds modules of its own
-    proc = run_python("-S", "-c", _MODULE_PROBE, *argv)
+    proc = _probe(argv)
     assert proc.returncode == code, proc.stderr
-    loaded = set(proc.stderr.splitlines()[-1].split())
-    assert "__future__" not in loaded
+    package, floor, loaded = _module_sets(proc)
     if handler is None:
-        assert loaded == _FRONT_END | _ARGPARSE
+        assert package == _FRONT_END and (floor | loaded) & _WATCHED == _ARGPARSE
         return
-    assert not loaded & _ARGPARSE
+    assert not (floor | loaded) & _WATCHED
     if "json" in argv:
         extra = extra | {"jsonout"}
-    assert loaded == _FRONT_END | {
+    assert package == _FRONT_END | {
         f"pureoctic.{m}" for m in {"arith", handler, *extra}}
 
 
-# runs `pureoctic ARGV` under `python -S` and prints, as its last two stderr
-# lines, the stdlib modules of the floor and those loaded beyond it.  The
-# floor is `-S` with `runpy` and the `collections` and `functools` that runpy
-# itself imports on 3.10 and 3.11.  A module is named only if no part of its
-# name is private, so `_sre`, `re._parser` and 3.10's `sre_*` go with their
-# public `re`: then every supported Python gives the same sets, less what its
-# floor already holds (3.13.13's holds `errno` and `collections.abc`)
-_STDLIB_PROBE = """
-import runpy, sys
-import collections, functools
-floor = set(sys.modules)
-
-def public(modules):
-    return " ".join(sorted(m for m in modules if m.partition(".")[0] != "pureoctic"
-                           and not m.startswith("sre_")
-                           and not any(p.startswith("_") for p in m.split("."))))
-
-sys.argv = ["pureoctic", *sys.argv[1:]]
-try:
-    runpy.run_module("pureoctic", run_name="__main__", alter_sys=True)
-finally:
-    print(public(floor), public(set(sys.modules) - floor), sep="\\n", file=sys.stderr)
-"""
 # argparse with its `re`, and the shutil its help formatter imports for the
 # terminal width
 _ARGPARSE_STDLIB = {"argparse", "bz2", "copyreg", "enum", "errno", "fnmatch", "gettext",
@@ -1235,10 +1240,24 @@ def test_each_request_loads_exactly_its_stdlib_modules(argv, stdlib):
     # a count that no host changes: no well-formed request loads argparse,
     # shutil, `json` or `re`, and every request reads rationals as reduced
     # integer pairs and loads no `fractions` or `decimal`
-    proc = run_python("-S", "-c", _STDLIB_PROBE, *argv)
+    proc = _probe(argv)
     assert proc.returncode == (2 if argv == ("lattice",) else 0), proc.stderr
-    floor, loaded = (set(line.split()) for line in proc.stderr.splitlines()[-2:])
+    _, floor, loaded = _module_sets(proc)
     assert loaded == stdlib - floor
+
+
+def test_request_cost_reads_a_request():
+    # the record script, which gates nothing, reads the sets the tests above
+    # pin and counts every physical line of the modules the request loads
+    root = Path(__file__).parent.parent
+    tool = runpy.run_path(str(root / "tools" / "request_cost.py"))
+    code, stdlib, package = tool["request_cost"](("classify", "9"))
+    assert code == 0 and {"gc", "math"} <= set(stdlib)
+    src = root / "src" / "pureoctic"
+    assert package == {
+        "pureoctic" if m == "__init__" else f"pureoctic.{m}":
+            len((src / f"{m}.py").read_bytes().splitlines())
+        for m in ("__init__", "__main__", "arith", "binomial", "cli", "cli_classify")}
 
 
 # --- the process entry point -------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pureoctic import cli, jsonout
+from pureoctic import cli, groups, jsonout
 from pureoctic.cli import build_parser, main, parse_canonical
 
 _MALFORMED = ["", " ", "1/", "/2", "1.5", "2e3", "1__0", "_1", "1_", "0x10",
@@ -241,6 +241,35 @@ def test_an_eighth_power_factor_keeps_the_classify_tag(me, d, e):
     tags = [json.loads(_request(["classify", str(x), "--format", "json"])[1])["tag"]
             for x in (c, c * e ** 8)]
     assert tags[0] == tags[1], c
+
+
+def _gens_text(perms) -> str:
+    return "; ".join(" ".join(map(str, p.images)) for p in perms)
+
+
+@st.composite
+def _relabelled_gens(draw):
+    """A registry group's generators, the affine maps of its 8-point model
+    when it has no others, and the same generators conjugated by a drawn
+    permutation of their points."""
+    model = groups.group_models()[draw(st.sampled_from(sorted(groups.group_models())))]
+    gens = model.gens or tuple(groups.affine_map(t, s) for t, s in model.pairs)
+    pi = groups.Perm(draw(st.permutations(range(gens[0].degree))))
+    pi_inverse = groups.Perm(sorted(range(pi.degree), key=pi))
+    return gens, tuple(pi * g * pi_inverse for g in gens)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_relabelled_gens())
+def test_group_identify_gens_ignores_a_relabelling_of_the_points(drawn):
+    # the group and every line about it are invariants of the abstract
+    # group, so a relabelling of the points prints the same bytes
+    gens, relabelled = drawn
+    for fmt in ("text", "json"):
+        code, out, err = _request(["group-identify", "--gens", _gens_text(gens), "--format", fmt])
+        assert code == 0, (gens, err)
+        assert _request(["group-identify", "--gens", _gens_text(relabelled),
+                         "--format", fmt]) == (code, out, err), (gens, relabelled)
 
 
 # the grammar the literal reader's `str` tests replace, with \d as a str

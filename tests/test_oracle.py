@@ -403,7 +403,7 @@ _TOLERANCES = st.one_of(
 
 def _pair(q) -> tuple:
     # q as the reduced pair `rational_parts` gives
-    return arith.reduced(q.numerator, q.denominator)
+    return arith.RationalParts(q.numerator, q.denominator)
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)

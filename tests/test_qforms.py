@@ -169,6 +169,11 @@ def test_witt_embeddable():
         qforms.witt_embeddable(F(4), F(3))   # square
 
 
+def test_class_space_reads_an_unreduced_pair_as_its_value():
+    # the pair reduces itself, so 6/2 lies in the class of 3, not of 12
+    assert qforms.ClassSpace(RationalParts(6, 2), 5).vectors == qforms.ClassSpace(3, 5).vectors
+
+
 @pytest.mark.parametrize("a, b", [(2, 3), (2, 5), (-1, 3), (3, 7), (-6, 10),
                                   (F(2, 3), F(-5, 7)), (F(-3, 4), F(10, 9))])
 def test_witt_embeddable_reads_every_rational_type(a, b):
@@ -187,6 +192,9 @@ def test_witt_embeddable_reads_every_rational_type(a, b):
 
 def test_pauli_embeddable():
     assert qforms.pauli_embeddable(F(-1), F(3), F(-2))
+    # -1, 3, -2 as unreduced pairs, which reduce themselves
+    assert qforms.pauli_embeddable(RationalParts(-2, 2), RationalParts(6, 2),
+                                   RationalParts(-2, 1))
     assert not qforms.pauli_embeddable(F(2), F(3), F(-2))
     assert qforms.pauli_embeddable(F(-1), F(5), F(-2))
     with pytest.raises(ValueError):

@@ -254,8 +254,10 @@ def test_division_by_a_zero_scalar_raises(E3, zero):
 def test_scalars_of_every_rational_type_agree(E3):
     # a scalar is read through its numerator and denominator alone
     u = E3.a + E3.w / 7
-    for q in (F(-3), F(5, 3), F(-2, 9)):
-        pair = arith.RationalParts(q.numerator, q.denominator)
+    # the last pair is unreduced, and reduces itself to 1/2
+    for q, (n, d) in ((F(-3), (-3, 1)), (F(5, 3), (5, 3)), (F(-2, 9), (-2, 9)),
+                      (F(1, 2), (2, 4))):
+        pair = arith.RationalParts(n, d)
         assert FieldElt(E3, [pair] * 16) == FieldElt(E3, [q] * 16)
         assert E3.monomial(3, 1, pair) == E3.monomial(3, 1, q)
         for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
@@ -263,6 +265,8 @@ def test_scalars_of_every_rational_type_agree(E3):
             assert op(u, pair) == op(u, q), q
         assert (u == pair) == (u == q) and E3.one() * q == pair
     assert u / 7 == u / F(7) == u / arith.RationalParts(7, 1)
+    half = FieldElt(E3, [arith.RationalParts(2, 4)] + [0] * 15)
+    assert half == E3.one() / 2 and (half.nums[0], half.den) == (1, 2)
     assert SplittingField(arith.RationalParts(5, 3)).k == (5, 3)
     assert SplittingField(F(5, 3)).k == SplittingField(arith.RationalParts(10, 6)).k
 
@@ -680,6 +684,16 @@ def test_lattice_and_witt_on_generated_k(k):
     cert = witt_beta_rho(E)
     # every field after beta, rho and sqrt(rho * beta) is a check
     assert all(cert[3:]), cert
+
+
+def test_lattice_report_of_an_unreduced_pair_is_that_of_its_value():
+    # the pair reduces itself: 6/2 gives the polynomial, the rows and the
+    # labels of k = 3
+    pair, three = lattice.report(arith.RationalParts(6, 2)), lattice.report(3)
+    assert pair.as_text() == three.as_text()
+    assert pair.as_dict() == three.as_dict()
+    assert pair.as_dot() == three.as_dot()
+    assert lattice.polynomial(arith.RationalParts(6, 2)) == "X^8 + 9"
 
 
 @given(PAULI_K)
