@@ -1,28 +1,30 @@
 """`python -m pureoctic` and the installed `pureoctic` command: one request
 per process.
 
-`run` turns the cyclic garbage collector off before it imports `cli`, and
-freezes every object at exit, so the interpreter's final collections skip
-them and the OS takes the memory back whole.  A well-formed request
-builds no argparse parser and leaves no cyclic garbage, however large its
-input: a test pins that, so no reference cycle can grow while the
-collector is off.  `cli.main` leaves the collector alone,
-for library and test callers that run many requests in one process.  The
-exit codes are `cli.main`'s: 0 success, 1 a verification failed, 2 invalid
-input or an output that cannot be written.
+`run` turns the cyclic garbage collector off before it imports `cli`,
+and ends the process at `os._exit` once `cli.exit_code` has flushed
+stdout and stderr, so the interpreter runs no final collection and no
+module teardown, and the OS takes the memory back whole.  A well-formed
+request builds no argparse parser and leaves no cyclic garbage, however
+large its input: a test pins that, so no reference cycle can grow while
+the collector is off.  Library, test and profiler callers call
+`cli.main`, which leaves the collector on and the process running.  The
+exit codes are `cli.main`'s, or argparse's for `--help` and a usage error.
 """
 
 import gc
-import sys
+import os
 
 
 def run() -> None:
     gc.disable()
+    from .cli import exit_code, main
     try:
-        from .cli import main
-        sys.exit(main())
-    finally:
-        gc.freeze()
+        code = main()
+    except SystemExit as exc:
+        # argparse, after `--help` or a usage error
+        code = exc.code
+    os._exit(exit_code(code))
 
 
 if __name__ == "__main__":

@@ -171,6 +171,9 @@ class RationalParts(namedtuple("RationalParts", "numerator denominator")):
         g = math.gcd(numerator, denominator) * ((denominator > 0) - (denominator < 0))
         return super().__new__(cls, numerator // g, denominator // g)
 
+    # namedtuple's `_make`, which `_replace` calls too, skips `__new__`
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
     def __str__(self) -> str:
         num, den = self
         return f"{num}" if den == 1 else f"{num}/{den}"

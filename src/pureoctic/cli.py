@@ -25,13 +25,13 @@ load `json`: `_emit` loads `jsonout` for JSON.
 Exit codes: 0 success, 1 a verification failed, 2 invalid input,
 including a value whose square class needs a factorization beyond
 `arith.factor`'s budget or a number with more digits than the interpreter
-reads or prints, and 2 an output that cannot be written.  A reader that
-closed the pipe early is not a failed write: it gets nothing, and the
-command keeps its own exit code.
+reads or prints, and 2 an output that cannot be written, argparse's help
+too.  A reader that closed the pipe early is not a failed write: it gets
+nothing, and the command keeps its own exit code.
 
-`main` leaves the garbage collector alone, so library and test callers
-can run many requests in one process; the `pureoctic` process entry
-point, `__main__.run`, turns it off around `main`.
+`main` leaves the collector on and the process running, for library, test
+and profiler callers; `__main__.run` turns the collector off around `main`
+and ends the process at `os._exit`, with the code `exit_code` gives.
 """
 
 import os
@@ -74,27 +74,41 @@ def rational_parts(text: str) -> "RationalParts":
     raise ValueError(f"not a rational number: {text!r}")
 
 
-def _write(text: str) -> None:
-    # a reader that closed the pipe early gets nothing, and the command still
-    # returns its own exit code; any other failed write, such as a full disk
-    # or a stdout closed at start, is exit 2.  A failed write points stdout at
-    # devnull, so the interpreter's exit flush stays quiet
-    if sys.stdout is None:
-        raise ValueError("cannot write output: stdout is closed")
+def _flush(stream, *text: str) -> None:
+    # writes each `text` and flushes.  A reader that closed the pipe early
+    # gets nothing, and the command still returns its own exit code; any other
+    # failed write, such as a full disk, is exit 2.  A failed write points
+    # the stream at devnull, so no later flush fails again
     try:
-        print(text)
-        sys.stdout.flush()
+        stream.writelines(text)
+        stream.flush()
     except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         if not isinstance(exc, BrokenPipeError):
             raise ValueError(f"cannot write output: {exc.strerror}") from exc
 
 
-def _emit(payload: dict, fmt: str, text: str) -> None:
+def _emit(payload: dict | None, fmt: str, text: str) -> None:
+    # the JSON of `payload`, or `text` in any other format, on stdout
     if fmt == "json":
         from .jsonout import dumps
         text = dumps(payload)
-    _write(text)
+    if sys.stdout is None:
+        raise ValueError("cannot write output: stdout is closed")
+    _flush(sys.stdout, text, "\n")
+
+
+def exit_code(code: int) -> int:
+    # `code` once stdout and stderr are flushed under `_flush`'s rule, or 2
+    # with one error line.  What they still hold is what argparse printed, as
+    # for `--help`: `__main__.run` ends the process at `os._exit`, where the
+    # interpreter flushes nothing.  A stream closed at start is None
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            _flush(stream)
+    except ValueError as exc:
+        return _fail(str(exc))
+    return code
 
 
 def _fail(message: str) -> int:

@@ -2,7 +2,7 @@
 lattice of X^8 + k^2 in `lattice`, and the exact Witt certificate in E."""
 
 from . import lattice
-from .cli import _emit, _write, rational_parts
+from .cli import _emit, rational_parts
 
 
 def cmd_lattice(args) -> int:
@@ -14,7 +14,7 @@ def cmd_lattice(args) -> int:
         lattice.polynomial(k)
     report = lattice.report(k)
     if args.format == "dot":
-        _write(report.as_dot())
+        _emit(None, args.format, report.as_dot())
     else:
         _emit(report.as_dict(), args.format, report.as_text())
     return 0

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 import reference
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pureoctic import arith, qforms
 
@@ -57,17 +57,26 @@ def test_squarefree_part_examples():
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
 @given(st.integers(), st.integers(), st.integers(-10 ** 6, 10 ** 6).filter(bool))
+# 6/2 and 1/0 from `_make`, and 1/2 given the numerator 2 by `_replace`
+@example(3, 1, 2)
+@example(1, 0, 1)
+@example(1, 1, 2)
 def test_rational_parts_is_the_pair_of_the_fraction(a, b, m):
     # any pair, with a common factor m drawn in, is kept as Fraction keeps
-    # it: lowest terms with the sign on the numerator, printed alike; a zero
-    # denominator raises as Fraction's does
+    # it, built, `_make`d or `_replace`d: lowest terms with the sign on the
+    # numerator, printed alike; a zero denominator raises as Fraction's does
+    R = arith.RationalParts
     if b == 0:
-        with pytest.raises(ZeroDivisionError):
-            arith.RationalParts(a * m, 0)
+        for build in (R, lambda *pair: R._make(pair)):
+            with pytest.raises(ZeroDivisionError):
+                build(a * m, 0)
         return
-    q, pair = F(a, b), arith.RationalParts(a * m, b * m)
-    assert tuple(pair) == (q.numerator, q.denominator)
-    assert str(pair) == str(q)
+    q = F(a, b)
+    for pair in (R(a * m, b * m), R._make([a * m, b * m]),
+                 R(a * m, 1)._replace(denominator=b * m)):
+        assert tuple(pair) == (q.numerator, q.denominator)
+        assert str(pair) == str(q)
+    assert R(1, 2)._replace(numerator=m) == R(m, 2)
 
 
 def test_squarefree_part_properties_random():

@@ -535,6 +535,7 @@ TRACED, ACCEPTANCE, IMPORT = "coldbench TRACED", "tests/test_acceptance.py", "mo
 # `python -m pureoctic`; "via f" holds a function that only f calls
 NOT_ENTERED = {
     "__main__.run": (IMPORT,),
+    "cli.exit_code": (f"{IMPORT} via __main__.run",),
     "groups.FinGroup.__len__": (ACCEPTANCE,),
     "groups.Perm.__call__": (f"{ACCEPTANCE} via reference.affine_pair",),
     "groups.order16_stock_models": (TRACED, ACCEPTANCE),
@@ -872,51 +873,95 @@ def test_unfactorable_input_exits_within_budget(argv):
         assert proc.stderr.startswith("error: cannot factor")
 
 
-@pytest.mark.parametrize("argv, code", [
-    (("classify", "9"), 0),
-    (("lattice", "3", "--format", "json"), 0),
-    (("lattice", "3", "--format", "dot"), 0),
-    (("oracle", "9", "--primes", "20000", "--tolerance", "1/1000"), 1),
-], ids=["classify", "lattice-json", "lattice-dot", "oracle-fail"])
-def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(argv, code):
-    # the reader's end is closed before the command writes a byte
+# argparse writes help to stdout and a usage error to stderr, and drops a
+# write of its own that fails; the process entry point flushes what it
+# left behind under the same rule as every other write
+_USAGE = ("lattice",)
+_ORACLE_FAIL = ("oracle", "9", "--primes", "20000", "--tolerance", "1/1000")
+_WRITE_CASES = {
+    "classify": ("classify", "9"),
+    "lattice-json": ("lattice", "3", "--format", "json"),
+    "lattice-dot": ("lattice", "3", "--format", "dot"),
+    "embed-json": ("embed", "2", "3", "-2", "--compare", "--format", "json"),
+    "witt-verify": ("witt-verify", "3"),
+}
+
+
+def _each_buffering(cases: dict) -> list:
+    # each case under its id with the child's stdout buffered, as a pipe or
+    # a file gets it, and under "<id>-unbuffered" as `python -u` gets it
+    return [pytest.param(*case, unbuffered, id=name + "-unbuffered" * unbuffered)
+            for unbuffered in (False, True) for name, case in cases.items()]
+
+
+def _run_child(monkeypatch, unbuffered, argv, **kwargs):
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    # argparse wraps its help and usage to $COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    return run_python("-m", "pureoctic", *argv, **kwargs)
+
+
+@pytest.mark.parametrize("argv, code, unbuffered", _each_buffering({
+    **{name: (argv, 0) for name, argv in _WRITE_CASES.items()},
+    "oracle-fail": (_ORACLE_FAIL, 1),
+    "help": (("--help",), 0),
+    "usage-error": (_USAGE, 2),
+}))
+def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(monkeypatch, argv, code,
+                                                            unbuffered):
+    # the reader's end is closed before the command writes a byte; a usage
+    # error prints its usage on stderr alone
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = run_python("-m", "pureoctic", *argv, stdout=write_end)
+        proc = _run_child(monkeypatch, unbuffered, argv, stdout=write_end)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (code, "")
+    err = _argparse_golden("usage_lattice_missing_k.err").decode() if argv == _USAGE else ""
+    assert (proc.returncode, proc.stderr) == (code, err)
 
 
-@pytest.mark.parametrize("argv", [
-    ("classify", "9"),
-    ("lattice", "3", "--format", "json"),
-    ("lattice", "3", "--format", "dot"),
-    ("oracle", "9", "--primes", "20000", "--tolerance", "1/1000"),
-    ("group-identify", "QD16", "--format", "json"),
-], ids=["classify", "lattice-json", "lattice-dot", "oracle-fail", "group-identify-json"])
-def test_stdout_closed_at_start_exits_2_with_one_line(argv):
+@pytest.mark.parametrize("argv, unbuffered", _each_buffering({
+    **{name: (argv,) for name, argv in _WRITE_CASES.items()},
+    "oracle-fail": (_ORACLE_FAIL,),
+    "group-identify-json": (("group-identify", "QD16", "--format", "json"),),
+    "help": (("--help",),),
+    "usage-error": (_USAGE,),
+}))
+def test_stdout_closed_at_start_exits_2_with_one_line(monkeypatch, argv, unbuffered):
     # as `pureoctic ... >&-` does, fd 1 is closed before the interpreter
-    # starts, which then has sys.stdout None, where `print` writes nothing
-    proc = run_python("-m", "pureoctic", *argv, preexec_fn=lambda: os.close(1))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", "error: cannot write output: stdout is closed\n")
+    # starts, which then has sys.stdout None, where `print` writes nothing;
+    # argparse then prints its help on stderr, with exit 0
+    proc = _run_child(monkeypatch, unbuffered, argv, preexec_fn=lambda: os.close(1))
+    expected = (2, "", "error: cannot write output: stdout is closed\n")
+    if argv == ("--help",):
+        expected = (0, "", _argparse_golden("help.txt").decode())
+    elif argv == _USAGE:
+        expected = (2, "", _argparse_golden("usage_lattice_missing_k.err").decode())
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [
-    ("classify", "9"),
-    ("lattice", "3", "--format", "json"),
-    ("lattice", "3", "--format", "dot"),
-], ids=["classify", "lattice-json", "lattice-dot"])
-def test_unwritable_stdout_exits_2_with_one_line(argv):
+@pytest.mark.parametrize("argv, unbuffered", _each_buffering({
+    **{name: (argv,) for name, argv in _WRITE_CASES.items()},
+    "help": (("--help",),),
+    "usage-error": (_USAGE,),
+}))
+def test_unwritable_stdout_exits_2_with_one_line(monkeypatch, argv, unbuffered):
     # every write to /dev/full fails with ENOSPC: an output that cannot be
-    # written is exit 2, with no traceback and no complaint from the exit flush
+    # written is exit 2, with no traceback and no complaint from the exit
+    # flush.  Unbuffered, argparse's help is lost in its own failed write,
+    # and no output is left to flush
     with open("/dev/full", "wb") as full:
-        proc = run_python("-m", "pureoctic", *argv, stdout=full)
-    assert (proc.returncode, proc.stderr) == (
-        2, "error: cannot write output: No space left on device\n")
+        proc = _run_child(monkeypatch, unbuffered, argv, stdout=full)
+    expected = (2, "error: cannot write output: No space left on device\n")
+    if argv == ("--help",) and unbuffered:
+        expected = (0, "")
+    elif argv == _USAGE:
+        expected = (2, _argparse_golden("usage_lattice_missing_k.err").decode())
+    assert (proc.returncode, proc.stderr) == expected
 
 
 @pytest.mark.parametrize("value", [_BIG, _M])
@@ -1133,7 +1178,7 @@ def test_python_dash_m_entry():
 # supported Python gives the same sets, less what its floor already holds
 # (3.13.13's holds `errno` and `collections.abc`)
 _PROBE = """
-import runpy, sys
+import os, runpy, sys
 import collections, functools
 floor = set(sys.modules)
 
@@ -1143,13 +1188,16 @@ def public(modules):
                            and not any(p.startswith("_") and not p.endswith("__")
                                        for p in m.split("."))))
 
-sys.argv = ["pureoctic", *sys.argv[1:]]
-try:
-    runpy.run_module("pureoctic", run_name="__main__", alter_sys=True)
-finally:
+def report_and_exit(code, _exit=os._exit):
     package = " ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "pureoctic"))
     print(package, public(floor), public(set(sys.modules) - floor), sep="\\n",
-          file=sys.stderr)
+          file=sys.stderr, flush=True)
+    _exit(code)
+
+# the request ends the process at os._exit, with no `finally` run after it
+os._exit = report_and_exit
+sys.argv = ["pureoctic", *sys.argv[1:]]
+runpy.run_module("pureoctic", run_name="__main__", alter_sys=True)
 """
 
 
@@ -1282,25 +1330,30 @@ def test_main_leaves_the_collector_alone(capsys, argv):
 
 def test_both_entry_points_run_main_with_the_collector_off(monkeypatch):
     # `python -m pureoctic` and the `[project.scripts]` target are one
-    # function, which calls `cli.main` with the collector off and freezes
-    # every object before the interpreter exits
-    callers = []
+    # function, which calls `cli.main` with the collector off and ends the
+    # process at `os._exit` with main's code, so the interpreter runs no
+    # final collection and no teardown; here `os._exit` raises SystemExit
+    callers, exits = [], []
 
     def recording_main():
         callers.append((sys._getframe(1).f_code, gc.isenabled()))
         return 0
 
+    def recording_exit(code):
+        exits.append(code)
+        raise SystemExit(code)
+
     def exit_code(entry):
         try:
             with pytest.raises(SystemExit) as exc:
                 entry()
-            assert gc.get_freeze_count() > 0
+            assert exits.pop() == exc.value.code and not exits
         finally:
-            gc.unfreeze()
             gc.enable()
         return exc.value.code
 
     monkeypatch.setattr(cli, "main", recording_main)
+    monkeypatch.setattr(os, "_exit", recording_exit)
     # runpy runs a fresh copy of the module, as `python -m` does, and warns if
     # an imported one is already in sys.modules
     monkeypatch.delitem(sys.modules, "pureoctic.__main__", raising=False)

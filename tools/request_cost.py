@@ -29,18 +29,21 @@ REQUESTS = (
 )
 # prints, as its last two stderr lines, the stdlib modules and then the
 # package modules imported beyond the floor; the request's own output is
-# dropped
+# dropped.  The request ends the process at os._exit, which reports first
 _PROBE = """
-import runpy, sys
+import os, runpy, sys
 floor = set(sys.modules)
-sys.argv = ["pureoctic", *sys.argv[1:]]
-try:
-    runpy.run_module("pureoctic", run_name="__main__", alter_sys=True)
-finally:
+
+def report_and_exit(code, _exit=os._exit):
     fresh = set(sys.modules) - floor
     ours = {m for m in fresh if m.partition(".")[0] == "pureoctic"}
     print(" ".join(sorted(fresh - ours)), " ".join(sorted(ours)), sep="\\n",
-          file=sys.stderr)
+          file=sys.stderr, flush=True)
+    _exit(code)
+
+os._exit = report_and_exit
+sys.argv = ["pureoctic", *sys.argv[1:]]
+runpy.run_module("pureoctic", run_name="__main__", alter_sys=True)
 """
 
 
