@@ -22,12 +22,12 @@ Every handler reads a literal with `rational_parts`, as its reduced pair
 `arith.RationalParts`, which prints as a Fraction prints, and computes on
 integer pairs from there, so no request loads `fractions`; nor does any
 load `json`: `_emit` loads `jsonout` for JSON.
-Exit codes: 0 success, 1 a verification failed, 2 invalid input,
-including a value whose square class needs a factorization beyond
-`arith.factor`'s budget or a number with more digits than the interpreter
-reads or prints, and 2 an output that cannot be written, argparse's help
-too.  A reader that closed the pipe early is not a failed write: it gets
-nothing, and the command keeps its own exit code.
+Exit codes: 0 success, 1 a verification failed, 2 invalid input, including
+a value whose square class needs a factorization beyond `arith.factor`'s
+budget or a number with more digits than the interpreter reads or prints.
+`_flush` writes every byte, argparse's too: a closed pipe gets nothing and
+the command keeps its code; any other failed write, to a stream closed at
+start too, is exit 2, with one error line on stderr if stderr takes it.
 
 `main` leaves the collector on and the process running, for library, test
 and profiler callers; `__main__.run` turns the collector off around `main`
@@ -75,10 +75,11 @@ def rational_parts(text: str) -> "RationalParts":
 
 
 def _flush(stream, *text: str) -> None:
-    # writes each `text` and flushes.  A reader that closed the pipe early
-    # gets nothing, and the command still returns its own exit code; any other
-    # failed write, such as a full disk, is exit 2.  A failed write points
-    # the stream at devnull, so no later flush fails again
+    # the one path of every byte the process writes: writes each `text` and
+    # flushes.  A reader that closed the pipe early gets nothing, and the
+    # command still returns its own exit code; any other failed write, such
+    # as a full disk, is exit 2.  A failed write points the stream at
+    # devnull, so no later flush fails again
     try:
         stream.writelines(text)
         stream.flush()
@@ -100,9 +101,10 @@ def _emit(payload: dict | None, fmt: str, text: str) -> None:
 
 def exit_code(code: int) -> int:
     # `code` once stdout and stderr are flushed under `_flush`'s rule, or 2
-    # with one error line.  What they still hold is what argparse printed, as
-    # for `--help`: `__main__.run` ends the process at `os._exit`, where the
-    # interpreter flushes nothing.  A stream closed at start is None
+    # with one error line.  Every write flushes itself, so this guards only
+    # a write made some other way: `__main__.run` ends the process at
+    # `os._exit`, where the interpreter flushes nothing.  A stream closed at
+    # start is None
     try:
         for stream in filter(None, (sys.stdout, sys.stderr)):
             _flush(stream)
@@ -111,8 +113,14 @@ def exit_code(code: int) -> int:
     return code
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+def _fail(message: str, prefix: str = "") -> int:
+    # `prefix` and one error line on stderr under `_flush`'s rule, and exit 2.
+    # A stderr closed at start, None with no `writelines`, or one that cannot
+    # be written gets nothing, and nothing falls back to stdout
+    try:
+        _flush(sys.stderr, prefix, f"error: {message}\n")
+    except (AttributeError, ValueError):
+        pass
     return 2
 
 
@@ -164,7 +172,19 @@ def build_parser() -> "argparse.ArgumentParser":
     # lets a bare negative literal like -2/3 or -1_000 parse as a positional.
     # argparse calls `.match`, so a trailing newline passes, as it always has
     negative = re.compile(r"^-\d+(_\d+)*(/\d+(_\d+)*)?$")
-    parser = argparse.ArgumentParser(prog="pureoctic", description=(
+
+    class Parser(argparse.ArgumentParser):
+        # argparse's own help and usage texts, written as every other byte
+        # is: argparse would swallow a failed write, and with stderr closed
+        # at start it would print a usage error on stdout.  Each subparser
+        # takes the class of the parser that adds it
+        def print_help(self, file=None):
+            _emit(None, "text", self.format_help().removesuffix("\n"))
+
+        def error(self, message):
+            self.exit(_fail(message, f"{self.format_usage()}{self.prog}: "))
+
+    parser = Parser(prog="pureoctic", description=(
         "Galois groups of pure octic polynomials X^8 + c over Q"))
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, formats, arguments) in _SUBCOMMANDS.items():
@@ -225,13 +245,14 @@ def parse_canonical(argv: list) -> SimpleNamespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parse_canonical(argv) or build_parser().parse_args(argv)
-    handler = getattr(import_module(f"{__package__}.{_SUBCOMMANDS[args.command][0]}"),
-                      "cmd_" + args.command.replace("-", "_"))
-    # every ValueError is bad input, or a number past the interpreter's
-    # integer-digit limit, whose own message advises a Python call; a command
-    # prints only once its whole output is rendered, so stdout stays empty
+    # every ValueError is bad input, an output that cannot be written, the
+    # help among them, or a number past the interpreter's integer-digit
+    # limit, whose own message advises a Python call; a command prints only
+    # once its whole output is rendered, so stdout stays empty
     try:
+        args = parse_canonical(argv) or build_parser().parse_args(argv)
+        handler = getattr(import_module(f"{__package__}.{_SUBCOMMANDS[args.command][0]}"),
+                          "cmd_" + args.command.replace("-", "_"))
         return handler(args)
     except ValueError as exc:
         if "integer string conversion" in str(exc):

@@ -1,7 +1,7 @@
 """The `oracle` subcommand: the mod-p cycle-type census of X^8 + c against
 the model of the classifier's verdict."""
 
-from . import binomial, oracle
+from . import arith, binomial, oracle
 from .cli import _emit, _fail, rational_parts
 
 
@@ -12,8 +12,13 @@ def cmd_oracle(args) -> int:
     if tag.name == binomial.TAG_REDUCIBLE:
         return _fail(f"{binomial.poly_display(c)} is reducible:"
                      " no transitive group to test")
-    # bad input is refused before the census sieves
+    # bad input is refused before the census sieves, and so is a bound of at
+    # most 3581, the 501st prime: fewer than 500 odd primes lie below it.  A
+    # larger bound is sieved once, by the census
     oracle.check_tolerance(tolerance)
+    if 100 <= args.primes <= 3581:
+        oracle.check_total(sum(1 for p in arith.primes_below(args.primes)[1:]
+                               if c.numerator % p and c.denominator % p))
     cns = oracle.census(c, args.primes)
     verdict = oracle.consistent(cns, oracle.model_cycle_types(tag.name), tolerance)
     lines = [f"classifier: {tag.name}",

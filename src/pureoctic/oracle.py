@@ -199,6 +199,12 @@ def check_tolerance(tolerance: "arith.RationalParts") -> "arith.RationalParts":
     return tolerance
 
 
+def check_total(total: int) -> None:
+    # a verdict needs a census of at least 500 good primes
+    if total < 500:
+        raise ValueError(f"census of {total} primes is too small (need 500)")
+
+
 def consistent(cns: Census, model: "dict[CycleType, arith.RationalParts]",
                tolerance: "arith.RationalParts") -> Verdict:
     """PASS iff every observed cycle type occurs in the model, given by its
@@ -206,8 +212,7 @@ def consistent(cns: Census, model: "dict[CycleType, arith.RationalParts]",
     absolute tolerance of the model proportion.  Each deviation
     |n/total - m/d| is the pair (|n*d - m*total|, total*d), and pairs
     compare by cross-multiplication."""
-    if cns.total < 500:
-        raise ValueError(f"census of {cns.total} primes is too small (need 500)")
+    check_total(cns.total)
     check_tolerance(tolerance)
     total = cns.total
     foreign = tuple(t for t, _ in cns.counts if t not in model)

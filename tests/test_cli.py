@@ -1,8 +1,10 @@
 """The command-line interface: output shapes, determinism, exit codes."""
 
+import contextlib
 import functools
 import gc
 import importlib
+import io
 import itertools
 import json
 import math
@@ -94,9 +96,9 @@ def run_python(*args, **kwargs):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
     kwargs.setdefault("text", True)
-    return subprocess.run([sys.executable, *args], stderr=subprocess.PIPE,
-                          env=env, **kwargs)
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
 
 
 def test_classify_pauli(capsys):
@@ -873,10 +875,11 @@ def test_unfactorable_input_exits_within_budget(argv):
         assert proc.stderr.startswith("error: cannot factor")
 
 
-# argparse writes help to stdout and a usage error to stderr, and drops a
-# write of its own that fails; the process entry point flushes what it
-# left behind under the same rule as every other write
+# the failed-write matrix: a request of each class in a child whose stdout
+# or stderr fails, against what the one write rule derives from the
+# request's own output (`_expected`)
 _USAGE = ("lattice",)
+_INVALID = ("lattice", "-3")
 _ORACLE_FAIL = ("oracle", "9", "--primes", "20000", "--tolerance", "1/1000")
 _WRITE_CASES = {
     "classify": ("classify", "9"),
@@ -885,83 +888,123 @@ _WRITE_CASES = {
     "embed-json": ("embed", "2", "3", "-2", "--compare", "--format", "json"),
     "witt-verify": ("witt-verify", "3"),
 }
+# one request per class: success, a failed verification, a handler's error,
+# a usage error and the help
+_CLASSES = {"classify": _WRITE_CASES["classify"], "oracle-fail": _ORACLE_FAIL,
+            "invalid-input": _INVALID, "usage-error": _USAGE, "help": ("--help",)}
+_REASONS = {"closed": "stdout is closed", "full": "No space left on device"}
 
 
 def _each_buffering(cases: dict) -> list:
     # each case under its id with the child's stdout buffered, as a pipe or
     # a file gets it, and under "<id>-unbuffered" as `python -u` gets it
-    return [pytest.param(*case, unbuffered, id=name + "-unbuffered" * unbuffered)
+    return [pytest.param(case, unbuffered, id=name + "-unbuffered" * unbuffered)
             for unbuffered in (False, True) for name, case in cases.items()]
 
 
-def _run_child(monkeypatch, unbuffered, argv, **kwargs):
+def _failed_write(argv, stream, failure):
+    """(code, stdout, stderr) of `pureoctic ARGV` in a child whose `stream`
+    fails: "closed" before the interpreter starts, as `>&-` does, "pipe"
+    when its reader has closed it before the first byte, or "full", a write
+    to /dev/full.  The failed stream reads as ""."""
+    fd = 1 if stream == "stdout" else 2
+    with contextlib.ExitStack() as stack:
+        if failure == "closed":
+            target = {"preexec_fn": lambda: os.close(fd)}
+        elif failure == "pipe":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            stack.callback(os.close, write_end)
+            target = {stream: write_end}
+        else:
+            target = {stream: stack.enter_context(open("/dev/full", "wb"))}
+        proc = run_python("-m", "pureoctic", *argv, **target)
+    return proc.returncode, proc.stdout or "", proc.stderr or ""
+
+
+def _expected(argv, stream, failure):
+    """The one write rule applied to what `main` writes for `argv` when
+    both streams take every byte: a reader that closed the pipe early gets
+    nothing, and the command keeps its code; any other failed write is exit
+    2, with one error line on stderr if stderr takes it, and stdout empty.
+    The failed stream reads as ""."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse: the help and a usage error
+            code = exc.code
+    written = {"stdout": out.getvalue(), "stderr": err.getvalue()}
+    if written[stream] and failure != "pipe":
+        code, written["stdout"] = 2, ""
+        if stream == "stdout":
+            written["stderr"] = f"error: cannot write output: {_REASONS[failure]}\n"
+    written[stream] = ""
+    return code, written["stdout"], written["stderr"]
+
+
+def _assert_the_rule(monkeypatch, argv, unbuffered, stream, failure):
     monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     if unbuffered:
         monkeypatch.setenv("PYTHONUNBUFFERED", "1")
-    # argparse wraps its help and usage to $COLUMNS
+    # argparse wraps its help and usage to $COLUMNS, in the child and here
     monkeypatch.setenv("COLUMNS", "80")
-    return run_python("-m", "pureoctic", *argv, **kwargs)
-
-
-@pytest.mark.parametrize("argv, code, unbuffered", _each_buffering({
-    **{name: (argv, 0) for name, argv in _WRITE_CASES.items()},
-    "oracle-fail": (_ORACLE_FAIL, 1),
-    "help": (("--help",), 0),
-    "usage-error": (_USAGE, 2),
-}))
-def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(monkeypatch, argv, code,
-                                                            unbuffered):
-    # the reader's end is closed before the command writes a byte; a usage
-    # error prints its usage on stderr alone
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = _run_child(monkeypatch, unbuffered, argv, stdout=write_end)
-    finally:
-        os.close(write_end)
-    err = _argparse_golden("usage_lattice_missing_k.err").decode() if argv == _USAGE else ""
-    assert (proc.returncode, proc.stderr) == (code, err)
+    assert _failed_write(argv, stream, failure) == _expected(argv, stream, failure)
 
 
 @pytest.mark.parametrize("argv, unbuffered", _each_buffering({
-    **{name: (argv,) for name, argv in _WRITE_CASES.items()},
-    "oracle-fail": (_ORACLE_FAIL,),
-    "group-identify-json": (("group-identify", "QD16", "--format", "json"),),
-    "help": (("--help",),),
-    "usage-error": (_USAGE,),
+    **_WRITE_CASES,
+    "oracle-fail": _ORACLE_FAIL,
+    "invalid-input": _INVALID,
+    "help": ("--help",),
+    "usage-error": _USAGE,
+}))
+def test_closed_stdout_keeps_the_exit_code_and_stderr_empty(monkeypatch, argv, unbuffered):
+    # the reader's end is closed before the command writes a byte; a usage
+    # error or a handler's error prints its own lines on stderr alone
+    _assert_the_rule(monkeypatch, argv, unbuffered, "stdout", "pipe")
+
+
+@pytest.mark.parametrize("argv, unbuffered", _each_buffering({
+    **_WRITE_CASES,
+    "oracle-fail": _ORACLE_FAIL,
+    "invalid-input": _INVALID,
+    "group-identify-json": ("group-identify", "QD16", "--format", "json"),
+    "help": ("--help",),
+    "usage-error": _USAGE,
 }))
 def test_stdout_closed_at_start_exits_2_with_one_line(monkeypatch, argv, unbuffered):
-    # as `pureoctic ... >&-` does, fd 1 is closed before the interpreter
-    # starts, which then has sys.stdout None, where `print` writes nothing;
-    # argparse then prints its help on stderr, with exit 0
-    proc = _run_child(monkeypatch, unbuffered, argv, preexec_fn=lambda: os.close(1))
-    expected = (2, "", "error: cannot write output: stdout is closed\n")
-    if argv == ("--help",):
-        expected = (0, "", _argparse_golden("help.txt").decode())
-    elif argv == _USAGE:
-        expected = (2, "", _argparse_golden("usage_lattice_missing_k.err").decode())
-    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    # the interpreter has sys.stdout None: every request that prints, the
+    # help too, exits 2 with one error line, and nothing prints on stderr
+    # in place of stdout
+    _assert_the_rule(monkeypatch, argv, unbuffered, "stdout", "closed")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv, unbuffered", _each_buffering({
-    **{name: (argv,) for name, argv in _WRITE_CASES.items()},
-    "help": (("--help",),),
-    "usage-error": (_USAGE,),
+    **_WRITE_CASES,
+    "invalid-input": _INVALID,
+    "help": ("--help",),
+    "usage-error": _USAGE,
 }))
 def test_unwritable_stdout_exits_2_with_one_line(monkeypatch, argv, unbuffered):
     # every write to /dev/full fails with ENOSPC: an output that cannot be
     # written is exit 2, with no traceback and no complaint from the exit
-    # flush.  Unbuffered, argparse's help is lost in its own failed write,
-    # and no output is left to flush
-    with open("/dev/full", "wb") as full:
-        proc = _run_child(monkeypatch, unbuffered, argv, stdout=full)
-    expected = (2, "error: cannot write output: No space left on device\n")
-    if argv == ("--help",) and unbuffered:
-        expected = (0, "")
-    elif argv == _USAGE:
-        expected = (2, _argparse_golden("usage_lattice_missing_k.err").decode())
-    assert (proc.returncode, proc.stderr) == expected
+    # flush, buffered or not, the help's too
+    _assert_the_rule(monkeypatch, argv, unbuffered, "stdout", "full")
+
+
+@pytest.mark.parametrize("failure", [
+    "closed", "pipe",
+    pytest.param("full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                  reason="needs /dev/full"))])
+@pytest.mark.parametrize("argv, unbuffered", _each_buffering(_CLASSES))
+def test_failed_stderr_keeps_stdout_and_the_exit_code(monkeypatch, argv, unbuffered,
+                                                      failure):
+    # only an error writes on stderr, and its code is 2 already: a stderr
+    # that fails loses those lines and changes no code, and nothing falls
+    # back to stdout, which stays empty on exit 2
+    _assert_the_rule(monkeypatch, argv, unbuffered, "stderr", failure)
 
 
 @pytest.mark.parametrize("value", [_BIG, _M])
@@ -1036,6 +1079,34 @@ def test_oracle_rejects_a_vacuous_tolerance_before_the_census(capsys, monkeypatc
     code, out, err = run(capsys, "oracle", "9", "--primes", "10000000",
                          "--tolerance", "20/2")
     assert (code, out, err) == (2, "", "error: tolerance must be below 1, got 10\n")
+
+
+def test_oracle_refuses_a_census_too_small_before_it_runs(capsys, monkeypatch):
+    # a bound of at most 3581, the 501st prime, has fewer than 500 odd primes
+    # below it: the request gives the message `consistent` gives its census,
+    # and enters no census.  A bound below 100 keeps the census's own message
+    from pureoctic import oracle
+    with pytest.raises(ValueError) as refused:
+        oracle.consistent(oracle.census(rational_parts("9"), 3500), {},
+                          rational_parts("1/20"))
+    monkeypatch.setattr(oracle, "census", lambda *_: pytest.fail("the census ran"))
+    assert run(capsys, "oracle", "9", "--primes", "3500") == (2, "", f"error: {refused.value}\n")
+    assert str(refused.value) == "census of 487 primes is too small (need 500)"
+    for bound, total in (("100", 23), ("3581", 498)):
+        assert run(capsys, "oracle", "9", "--primes", bound) == (
+            2, "", f"error: census of {total} primes is too small (need 500)\n")
+
+
+def test_oracle_sieves_a_larger_bound_once(capsys, monkeypatch):
+    # 3582 leaves 500 odd primes, so its census runs: with 3 dividing c it
+    # has 499 good primes, and `consistent` refuses it
+    from pureoctic import arith
+    sieves, primes_below = [], arith.primes_below
+    monkeypatch.setattr(arith, "primes_below", lambda n: sieves.append(n) or primes_below(n))
+    assert run(capsys, "oracle", "9", "--primes", "3582") == (
+        2, "", "error: census of 499 primes is too small (need 500)\n")
+    assert run(capsys, "oracle", "9", "--primes", "50000")[0] == 0
+    assert sieves == [3582, 50000]
 
 
 def test_oracle_rejects_oversized_prime_bound(capsys):

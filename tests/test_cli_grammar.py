@@ -9,7 +9,9 @@ against the `json.dumps` call it stands for, on drawn payloads."""
 
 import contextlib
 import io
+import itertools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -241,6 +243,50 @@ def test_an_eighth_power_factor_keeps_the_classify_tag(me, d, e):
     tags = [json.loads(_request(["classify", str(x), "--format", "json"])[1])["tag"]
             for x in (c, c * e ** 8)]
     assert tags[0] == tags[1], c
+
+
+_SQUARES = st.builds(lambda n, d: Fraction(n, d) ** 2, st.integers(1, 12), st.integers(1, 12))
+
+
+@st.composite
+def _independent_literals(draw):
+    """Literals of a, b and c whose square classes are independent: each is
+    a sign times a product of primes that neither other class has, times a
+    rational square."""
+    primes = draw(st.permutations((2, 3, 5, 7, 11, 13)))[:draw(st.integers(3, 6))]
+    cuts = sorted(draw(st.lists(st.integers(1, len(primes) - 1), min_size=2,
+                                max_size=2, unique=True)))
+    literals = []
+    for part in (primes[:cuts[0]], primes[cuts[0]:cuts[1]], primes[cuts[1]:]):
+        value = draw(st.sampled_from((1, -1))) * math.prod(part) * draw(_SQUARES)
+        literals.append(str(value))
+    return literals
+
+
+def _embed(a, b, c) -> tuple:
+    # what `embed a b c --compare` decides from the classes alone: (14),
+    # (15), the agreement count, S_L and its triplets as sets, and the
+    # quaternion condition of the pairs (a, b), (a, c) and (b, c) in order
+    code, out, err = _request(["embed", a, b, c, "--compare", "--format", "json"])
+    assert code == 0, ([a, b, c], err)
+    payload = json.loads(out)
+    texts = [payload[key] for key in "abc"]
+    pairs = [payload["witt_pairs"][f"({u}, {v})"] for u, v in itertools.combinations(texts, 2)]
+    return (payload["brauer_condition_14"], payload["pauli_embeddable_15"],
+            payload["compare_agreements"], payload["compare_total"],
+            set(payload["sl_classes"]), set(map(tuple, payload["sl_triplets"])), pairs)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_independent_literals(), _SQUARES)
+def test_embed_depends_on_the_square_classes_alone(literals, square):
+    # a -> a*s^2 keeps every class, and a <-> b keeps (14), (15) and S_L
+    # and swaps the pairs (a, c) and (b, c): each request exits 0
+    a, b, c = literals
+    verdicts = _embed(a, b, c)
+    assert _embed(str(Fraction(a) * square), b, c) == verdicts, literals
+    *rest, pairs = verdicts
+    assert _embed(b, a, c) == (*rest, [pairs[0], pairs[2], pairs[1]]), literals
 
 
 def _gens_text(perms) -> str:
