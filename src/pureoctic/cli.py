@@ -164,8 +164,8 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser() -> "argparse.ArgumentParser":
-    """The parser of every subcommand."""
+def build_parser(argv=None) -> "argparse.ArgumentParser":
+    """The parser of every subcommand, or of each one that `argv` names."""
     import argparse
     import re
 
@@ -187,11 +187,14 @@ def build_parser() -> "argparse.ArgumentParser":
     parser = Parser(prog="pureoctic", description=(
         "Galois groups of pure octic polynomials X^8 + c over Q"))
     sub = parser.add_subparsers(dest="command", required=True)
+    # a subcommand that argv does not name is only its name and help line,
+    # all that the top-level help and usage read, so --help builds no more
     for name, (_, help_text, formats, arguments) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=formats, default="text")
+        p = sub.add_parser(name, help=help_text, add_help=argv is None or name in argv)
+        if not p.add_help:
+            continue
         p._negative_number_matcher = negative
-        for flag, options in arguments:
+        for flag, options in (("--format", {"choices": formats, "default": "text"}), *arguments):
             p.add_argument(flag, **options)
     return parser
 
@@ -250,7 +253,7 @@ def main(argv=None) -> int:
     # limit, whose own message advises a Python call; a command prints only
     # once its whole output is rendered, so stdout stays empty
     try:
-        args = parse_canonical(argv) or build_parser().parse_args(argv)
+        args = parse_canonical(argv) or build_parser(argv).parse_args(argv)
         handler = getattr(import_module(f"{__package__}.{_SUBCOMMANDS[args.command][0]}"),
                           "cmd_" + args.command.replace("-", "_"))
         return handler(args)

@@ -1,6 +1,8 @@
 """The `oracle` subcommand: the mod-p cycle-type census of X^8 + c against
 the model of the classifier's verdict."""
 
+from itertools import islice
+
 from . import arith, binomial, oracle
 from .cli import _emit, _fail, rational_parts
 
@@ -12,13 +14,17 @@ def cmd_oracle(args) -> int:
     if tag.name == binomial.TAG_REDUCIBLE:
         return _fail(f"{binomial.poly_display(c)} is reducible:"
                      " no transitive group to test")
-    # bad input is refused before the census sieves, and so is a bound of at
-    # most 3581, the 501st prime: fewer than 500 odd primes lie below it.  A
-    # larger bound is sieved once, by the census
+    # bad input is refused before the census sieves, and so is a bound with
+    # fewer than 500 good primes below it, counted up to 500.  Fewer than b
+    # primes divide the b-bit |num * den|, and 2 is skipped, so a bound x
+    # with 10x >= 7 * bit_length(x) * (501 + b) leaves 500 good primes:
+    # pi(x) > x / ln x from x = 17, and ln x < 0.7 * bit_length(x).  Such a
+    # bound is sieved once, by the census
     oracle.check_tolerance(tolerance)
-    if 100 <= args.primes <= 3581:
-        oracle.check_total(sum(1 for p in arith.primes_below(args.primes)[1:]
-                               if c.numerator % p and c.denominator % p))
+    bound, b = args.primes, (c.numerator * c.denominator).bit_length()
+    if 100 <= bound and 10 * bound < 7 * bound.bit_length() * (501 + b):
+        good = (p for p in arith.primes_below(bound)[1:] if c.numerator % p and c.denominator % p)
+        oracle.check_total(len(list(islice(good, 500))))
     cns = oracle.census(c, args.primes)
     verdict = oracle.consistent(cns, oracle.model_cycle_types(tag.name), tolerance)
     lines = [f"classifier: {tag.name}",

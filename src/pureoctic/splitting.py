@@ -6,8 +6,9 @@ common factor, in the basis a^j * w^e (j = 0..7, e = 0..1); k = n/d and
 every scalar built here are reduced integer pairs, and only `coeffs` reads
 the coordinates back as Fractions, so no request loads `fractions`.
 `_reduce` writes a^j * w^m as +-k^e times one basis monomial, by a^8 = -k^2
-and w^2 = a^4 / k, and keeps the scale as an integer pair; it gives the
-Galois action and the product table, built by the first field product.
+and w^2 = a^4 / k, and keeps the scale as an integer pair; the field
+reduces each a^j * w^m (j < 15, m < 8) once, into one table that both the
+Galois action and the product table read.
 The 16 automorphisms a -> a*w^t, w -> w^s (s = 2t+1 mod 4) are their pairs
 (t, s), the maps m -> s*m + t of the roots a*w^m, and each sends
 a^j * w^e to a scaled a^j * w^(tj+se).  The 23 subgroups, with a primitive
@@ -30,8 +31,6 @@ from .arith import RationalParts
 
 # the basis monomials a^j * w^e as (j, e), in coordinate order 2j + e
 _MONOMIALS = tuple(divmod(idx, 2) for idx in range(16))
-# the row of each subgroup in the lattice, by its set of pairs
-_ROWS = {frozenset(els): row for row, els in enumerate(lattice.SUBGROUPS)}
 
 
 # a scalar is read only through its numerator and denominator: an int, a
@@ -185,17 +184,15 @@ class SplittingField:
         if violation is not None:
             raise ValueError(violation)
         self.k, self._k_inverse = k, RationalParts(k.denominator, k.numerator)
+        # a^j*w^m as (index, num, den), each j < 15 and m < 8 reduced once
+        reduced = [[_reduce(k, j, m) for m in range(8)] for j in range(15)]
         # the automorphism (t, s) sends a^j*w^e to a^j*w^(tj+se): one
         # (target index, num, den) per basis index, keyed by (t, s)
-        self._actions = {(t, s): tuple(_reduce(k, j, t * j + s * e) for j, e in _MONOMIALS)
+        self._actions = {(t, s): tuple(reduced[j][(t * j + s * e) % 8] for j, e in _MONOMIALS)
                          for t, s in lattice.SUBGROUPS[-1]}
-
-    @cached_property
-    def _mul_table(self) -> tuple:
-        """Row i, column j: the product of basis monomials i and j as
-        (index, num, den); built by the first field product."""
-        return tuple(tuple(_reduce(self.k, j1 + j2, e1 + e2) for j2, e2 in _MONOMIALS)
-                     for j1, e1 in _MONOMIALS)
+        # row i, column j: the product of basis monomials i and j
+        self._mul_table = tuple(tuple(reduced[j1 + j2][e1 + e2] for j2, e2 in _MONOMIALS)
+                                for j1, e1 in _MONOMIALS)
 
     # --- element constructors -------------------------------------------
 
@@ -261,7 +258,7 @@ class SplittingField:
         fixed by H, the pairs (t, s) of one of the 23 subgroups; any other
         set raises ValueError."""
         members = frozenset(H)
-        row = _ROWS.get(members)
+        row = next((row for row, els in enumerate(lattice.SUBGROUPS) if members == set(els)), None)
         if row is None:
             raise ValueError("not the pairs (t, s) of a subgroup of the Galois group")
         # H acts on the basis by scaled permutations: each orbit carries at

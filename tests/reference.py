@@ -400,6 +400,26 @@ def reference_mul_table(k: Fraction) -> tuple:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def reference_actions(k: Fraction) -> dict:
+    """Each automorphism (t, s) as the image (index, Fraction scale) of each
+    basis monomial a^j * w^e: the product of j factors a and t*j + s*e
+    factors w, multiplied in one at a time by reference_mul_table."""
+    table = reference_mul_table(k)
+    actions = {}
+    for t, s in groups.PAULI_PAIRS:
+        images = []
+        for j, e in (divmod(idx, 2) for idx in range(16)):
+            image = (0, Fraction(1))
+            # a is basis monomial 2, w is 1
+            for factor in [2] * j + [1] * (t * j + s * e):
+                target, scale = table[image[0]][factor]
+                image = (target, image[1] * scale)
+            images.append(image)
+        actions[(t, s)] = tuple(images)
+    return actions
+
+
 def mul(u: FieldElt, v: FieldElt) -> tuple[Fraction, ...]:
     """The coordinates of u * v, multiplied in Fractions by
     reference_mul_table, independent of the package's integer layout."""

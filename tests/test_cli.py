@@ -431,6 +431,28 @@ def test_usage_error_golden(capsys, monkeypatch, argv, golden):
     assert captured.err.encode() == _argparse_golden(golden)
 
 
+@pytest.mark.parametrize("argv", [
+    *([name, flag] for name in cli._SUBCOMMANDS for flag in ("--help", "-h")),
+    *([name, "--format", "xml"] for name in cli._SUBCOMMANDS),
+    *([name, "1", "2", "3", "4"] for name in cli._SUBCOMMANDS),
+    ["--help"], [], ["nope"], ["--format", "json", "lattice", "3"],
+], ids=" ".join)
+def test_parser_of_the_named_subcommands_writes_what_the_full_parser_writes(
+        capsys, monkeypatch, argv):
+    # `main` builds only the subparsers that argv names; the full parser
+    # gives the same bytes and exit code for each help and usage error
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = []
+    for parser in (cli.build_parser(argv), cli.build_parser()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        outcomes.append((exc.value.code, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, capsys.readouterr()) == outcomes[1]
+
+
 def test_request_paths_identify_no_group(capsys, monkeypatch):
     # the group models are proved in the tests; a request only uses them
     from pureoctic import groups, oracle
@@ -1081,32 +1103,51 @@ def test_oracle_rejects_a_vacuous_tolerance_before_the_census(capsys, monkeypatc
     assert (code, out, err) == (2, "", "error: tolerance must be below 1, got 10\n")
 
 
+# c whose numerator is the product of the first 300 odd primes: 300 bad
+# primes below 5000, where 668 odd primes lie
+C_300_BAD = str(math.prod(itertools.islice(
+    (p for p in range(3, 2000, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))),
+    300)))
+
+
 def test_oracle_refuses_a_census_too_small_before_it_runs(capsys, monkeypatch):
-    # a bound of at most 3581, the 501st prime, has fewer than 500 odd primes
-    # below it: the request gives the message `consistent` gives its census,
-    # and enters no census.  A bound below 100 keeps the census's own message
+    # below a bound with fewer than 500 good primes, the request gives the
+    # message `consistent` gives its census, and enters no census: 3581, the
+    # 501st prime, leaves 499 odd primes, and 3582 leaves 500, of which 3
+    # divides c = 9.  A bound below 100 keeps the census's own message
     from pureoctic import oracle
-    with pytest.raises(ValueError) as refused:
-        oracle.consistent(oracle.census(rational_parts("9"), 3500), {},
-                          rational_parts("1/20"))
+    refusals = []
+    for c, bound in (("9", 3500), ("9", 3582), (C_300_BAD, 5000)):
+        with pytest.raises(ValueError) as refused:
+            oracle.consistent(oracle.census(rational_parts(c), bound), {},
+                              rational_parts("1/20"))
+        refusals.append((c, str(bound), f"error: {refused.value}\n"))
     monkeypatch.setattr(oracle, "census", lambda *_: pytest.fail("the census ran"))
-    assert run(capsys, "oracle", "9", "--primes", "3500") == (2, "", f"error: {refused.value}\n")
-    assert str(refused.value) == "census of 487 primes is too small (need 500)"
+    for c, bound, err in refusals:
+        assert run(capsys, "oracle", c, "--primes", bound) == (2, "", err)
+    assert [err for *_, err in refusals] == [
+        f"error: census of {total} primes is too small (need 500)\n"
+        for total in (487, 499, 368)]
     for bound, total in (("100", 23), ("3581", 498)):
         assert run(capsys, "oracle", "9", "--primes", bound) == (
             2, "", f"error: census of {total} primes is too small (need 500)\n")
 
 
 def test_oracle_sieves_a_larger_bound_once(capsys, monkeypatch):
-    # 3582 leaves 500 odd primes, so its census runs: with 3 dividing c it
-    # has 499 good primes, and `consistent` refuses it
-    from pureoctic import arith
+    # a bound too small for 500 good primes is sieved only by the count that
+    # refuses it, and a bound past the rule's reach only by its census
+    from pureoctic import arith, oracle
     sieves, primes_below = [], arith.primes_below
     monkeypatch.setattr(arith, "primes_below", lambda n: sieves.append(n) or primes_below(n))
+    census = oracle.census
+    monkeypatch.setattr(oracle, "census", lambda c, bound: (
+        pytest.fail("the census ran") if bound < 50000 else census(c, bound)))
     assert run(capsys, "oracle", "9", "--primes", "3582") == (
         2, "", "error: census of 499 primes is too small (need 500)\n")
+    assert run(capsys, "oracle", C_300_BAD, "--primes", "5000") == (
+        2, "", "error: census of 368 primes is too small (need 500)\n")
     assert run(capsys, "oracle", "9", "--primes", "50000")[0] == 0
-    assert sieves == [3582, 50000]
+    assert sieves == [3582, 5000, 50000]
 
 
 def test_oracle_rejects_oversized_prime_bound(capsys):

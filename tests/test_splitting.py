@@ -10,7 +10,7 @@ import pytest
 import reference
 from hypothesis import given, settings, strategies as st
 
-from pureoctic import arith, cli, groups, lattice, linalg
+from pureoctic import arith, cli, groups, lattice, linalg, splitting
 from pureoctic.groups import PAULI_PAIRS, affine_map
 from pureoctic.splitting import FieldElt, SplittingField, witt_beta_rho
 
@@ -79,6 +79,31 @@ def test_mul_table_matches_reference(k):
     table = tuple(tuple((idx, F(num, den)) for idx, num, den in row)
                   for row in SplittingField(k)._mul_table)
     assert table == reference.reference_mul_table(k)
+
+
+@pytest.mark.parametrize("k", [F(3), F(27175, 54), F(10 ** 599 + 7)],
+                         ids=["3", "27175/54", "600-digit"])
+def test_one_table_of_reduced_monomials(monkeypatch, k):
+    # the field reduces each a^j * w^m, j < 15 and m < 8, once; the action
+    # and the product table are read off that one table
+    calls = []
+    reduce = splitting._reduce
+    monkeypatch.setattr(splitting, "_reduce", lambda *args: calls.append(args) or reduce(*args))
+    E = SplittingField(k)
+    E.a * E.w
+    assert len(calls) <= 120
+
+    def scaled(entries):
+        return tuple((idx, F(num, den)) for idx, num, den in entries)
+
+    assert tuple(map(scaled, E._mul_table)) == reference.reference_mul_table(k)
+    assert {g: scaled(action) for g, action in E._actions.items()} == \
+        reference.reference_actions(k)
+    # a set that is not a subgroup's pairs, Perms among them, is refused
+    center = groups.affine_group_mod8(PAULI_PAIRS).center()
+    for H in ({IDENTITY, (1, 3)}, center, {*center, IDENTITY}):
+        with pytest.raises(ValueError, match="^not the pairs .t, s. of a subgroup"):
+            E.fixed_field(H)
 
 
 def test_construction_makes_no_field_products(monkeypatch):

@@ -1,7 +1,9 @@
-"""Print what each request of the ROADMAP Baseline tables loads, in the
-units that stay put from host to host: the stdlib modules imported beyond
-`python -S` and `runpy`, and the physical lines of the `pureoctic` modules
-imported, which a run without cached bytecode compiles on every request.
+"""Print what each request loads, in the units that stay put from host to
+host: the stdlib modules imported beyond `python -S` and `runpy`, and the
+physical lines of the `pureoctic` modules imported, which a run without
+cached bytecode compiles on every request.  The requests are those of the
+ROADMAP Baseline tables and one of each shape the benchmark in `coldbench/`
+sends.
 
 Run from anywhere, on the Python to be measured; it needs only the stdlib:
 
@@ -26,6 +28,12 @@ REQUESTS = (
     ("embed", "2", "3", "-2", "--compare"),
     ("oracle", "9", "--primes", "20000"),
     ("group-identify", "QD16"),
+    # the shapes of the benchmark's requests, whose JSON loads `jsonout`
+    ("lattice", "3", "--format", "json"),
+    ("witt-verify", "3", "--format", "json"),
+    ("embed", "2", "3", "-2", "--compare", "--format", "json"),
+    ("sl-search", "2", "3", "-2", "--format", "json"),
+    ("oracle", "9", "--primes", "50000", "--format", "json"),
 )
 # prints, as its last two stderr lines, the stdlib modules and then the
 # package modules imported beyond the floor; the request's own output is
